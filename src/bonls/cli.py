@@ -3,16 +3,18 @@
 Subcommands
     coeffs              coefficient report for one parameter set
     dispersion          tabulated dispersion branches and quartic residuals
-    verify              every cross-module identity check
+    verify              every cross-module identity check (bonls.verify)
     verify-hamiltonian  the coordinate-equivalence subset
     verify-gauge        the gauge-transformation subset
     simulate            time integration with snapshot/diagnostic artifacts
     sweep               fan a simulation out over one config key
 
-Configs are flat ``key = value`` text files with dotted keys (see
-_DEFAULTS for the full key set); unknown keys are errors, so a typo fails
-fast instead of silently running defaults.  Exit codes: 0 ok, 1
-verification failure, 2 config error, 3 blow-up.
+Configs are flat ``key = value`` text files with dotted keys.  Every key,
+with its parser, default and check, is one row of the RunConfig table;
+unknown keys are errors, so a typo fails fast instead of silently running
+defaults.  Exit codes: 0 ok, 1 verification failure, 2 config error
+(including a non-finite number, or a run time that is not a whole number
+of steps), 3 blow-up.
 """
 
 from __future__ import annotations
@@ -20,21 +22,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from . import coeffs as _coeffs
-from . import hamiltonian as _hamiltonian
 from .coeffs import (
     DomainError,
     PhysicalParams,
     PRESETS,
-    SymbolTable,
     asymptotic_coefficients,
     coefficient_rows,
     derive_coefficients,
@@ -42,28 +41,21 @@ from .coeffs import (
     dispersion_surface,
     quartic_residual,
     resonance_residual,
+    symbol_table,
 )
-from .gauge import gauge, gauge_ode_residual, reconstruct_dr
-from .hamiltonian import FourField, eval_H2, eval_H3, h3_terms, inverse_transform, normal_transform
 from .solver import (
+    SYSTEMS,
+    TIME_SCALES,
     BlowUp,
     StepperConfig,
     SystemState,
     bo_soliton,
     gaussian_envelope,
     run,
+    step_count,
 )
-from .spectral import (
-    ComplexField,
-    Grid,
-    RealField,
-    absd,
-    band_limited_noise,
-    deriv,
-    gaussian_bump,
-    hilbert,
-    project,
-)
+from .spectral import ComplexField, Grid, RealField, band_limited_noise, gaussian_bump
+from .verify import perturbed, run_suite
 
 log = logging.getLogger("bonls")
 
@@ -79,8 +71,6 @@ class ConfigError(ValueError):
 
 def _fmt(x) -> str:
     """Round-trip-safe text for one number (17 significant digits)."""
-    if isinstance(x, bool):
-        return "on" if x else "off"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
@@ -90,76 +80,184 @@ def _fmt(x) -> str:
 # configuration
 # --------------------------------------------------------------------------
 
-_DEFAULTS: dict[str, str] = {
-    "physical.g": "9.81",
-    "physical.h1": "500.0",
-    "physical.rho": "1000.0",
-    "physical.rho1": "997.0",
-    "model.epsilon": "0.1",
-    "model.delta": "0.25",
-    "grid.n": "512",
-    "grid.length": "40.0",
-    "stepper.scheme": "strang-split",
-    "stepper.dt": "1e-3",
-    "stepper.dealias": "on",
-    "stepper.strict_dealias": "off",
-    "stepper.cfl_guard": "10.0",
-    "run.t_end": "10.0",
-    "run.diagnostics_every": "100",
-    "run.snapshot_every": "0",
-    "run.system": "reduced",
-    "run.time_scale": "tau",
-    "run.gauge_diagnostics": "on",
-    "ic.r.kind": "gaussian",
-    "ic.r.amplitude": "0.1",
-    "ic.r.width": "2.0",
-    "ic.r.center": "0.0",
-    "ic.r.nu": "1.0",
-    "ic.r.keep": "0.16666666666666666",
-    "ic.r.mean_zero": "on",
-    "ic.q.kind": "gaussian",
-    "ic.q.amplitude": "0.05",
-    "ic.q.width": "3.0",
-    "ic.q.center": "0.0",
-    "ic.q.carrier_mode": "3",
-    "dispersion.k_min": "1e-3",
-    "dispersion.k_max": "10.0",
-    "dispersion.count": "100",
-    "verify.n": "256",
-    "verify.length": "40.0",
-    "verify.fields": "5",
-    "sweep.key": "",
-    "sweep.values": "",
-    "sweep.workers": "4",
-    "output.dir": "out",
-    "seed": "0",
-}
-
-_R_KINDS = ("gaussian", "soliton", "noise", "zero")
-_Q_KINDS = ("gaussian", "zero")
-
-
-def _to_bool(key: str, text: str) -> bool:
+def _to_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("on", "true", "yes", "1"):
         return True
     if low in ("off", "false", "no", "0"):
         return False
-    raise ConfigError(f"{key}: expected on/off, got {text!r}")
+    raise ValueError(f"expected on/off, got {text!r}")
 
 
-def _to_float(key: str, text: str) -> float:
+def _to_float(text: str) -> float:
+    # a nan or inf would only surface later, as a blow-up or a failed check
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _to_int(key: str, text: str) -> int:
+def _to_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _to_list(text: str) -> tuple[str, ...]:
+    """Comma-separated values; blanks are dropped."""
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _to_cadence(text: str) -> int | None:
+    """A step count where 0 means none (only the ends of the run)."""
+    return _to_int(text) or None
+
+
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+
+
+def _at_least(n: int):
+    return (lambda v: v >= n, f"must be at least {n}")
+
+
+def _strictly_between(lo: float, hi: float):
+    return (lambda v: lo < v < hi, f"must lie strictly between {lo:g} and {hi:g}")
+
+
+def _one_of(*choices: str):
+    return (lambda v: v in choices, f"must be one of {', '.join(choices)}")
+
+
+def _key(key: str, parse, default: str, check=None):
+    """One row of the config table: a RunConfig field read from `key`.
+
+    parse turns the setting's text into the field value or raises
+    ValueError; check is an optional (predicate, requirement) pair that
+    the parsed value must satisfy.
+    """
+    return dataclasses.field(metadata={"key": key, "parse": parse,
+                                       "default": default, "check": check})
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """Fully validated settings for one invocation.
+
+    Every field built with `_key` is one row of the config table.  The
+    rules that tie keys together run on construction, which also builds
+    the library objects (params, grid, stepper, verify_grid), so a bad
+    configuration never starts computing.
+    """
+
+    settings: dict[str, str]
+    g: float = _key("physical.g", _to_float, "9.81")
+    h1: float = _key("physical.h1", _to_float, "500.0")
+    rho: float = _key("physical.rho", _to_float, "1000.0")
+    rho1: float = _key("physical.rho1", _to_float, "997.0")
+    epsilon: float = _key("model.epsilon", _to_float, "0.1", _strictly_between(0.0, 1.0))
+    delta: float = _key("model.delta", _to_float, "0.25", _strictly_between(0.0, 0.5))
+    grid_n: int = _key("grid.n", _to_int, "512")
+    grid_length: float = _key("grid.length", _to_float, "40.0")
+    scheme: str = _key("stepper.scheme", str.strip, "strang-split")
+    dt: float = _key("stepper.dt", _to_float, "1e-3")
+    dealias: bool = _key("stepper.dealias", _to_bool, "on")
+    cfl_guard: float = _key("stepper.cfl_guard", _to_float, "10.0")
+    t_end: float = _key("run.t_end", _to_float, "10.0", _POSITIVE)
+    diagnostics_every: int = _key("run.diagnostics_every", _to_int, "100", _at_least(1))
+    snapshot_every: int | None = _key(
+        "run.snapshot_every", _to_cadence, "0",
+        (lambda v: v is None or v > 0, "must be zero (ends only) or positive"))
+    system: str = _key("run.system", str.strip, "reduced", _one_of(*SYSTEMS))
+    time_scale: str = _key("run.time_scale", str.strip, "tau", _one_of(*TIME_SCALES))
+    gauge_diagnostics: bool = _key("run.gauge_diagnostics", _to_bool, "on")
+    ic_r_kind: str = _key("ic.r.kind", str.strip, "gaussian",
+                          _one_of("gaussian", "soliton", "noise", "zero"))
+    ic_r_amplitude: float = _key("ic.r.amplitude", _to_float, "0.1")
+    ic_r_width: float = _key("ic.r.width", _to_float, "2.0")
+    ic_r_center: float = _key("ic.r.center", _to_float, "0.0")
+    ic_r_nu: float = _key("ic.r.nu", _to_float, "1.0")
+    ic_r_keep: float = _key("ic.r.keep", _to_float, "0.16666666666666666",
+                            (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"))
+    ic_r_mean_zero: bool = _key("ic.r.mean_zero", _to_bool, "on")
+    ic_q_kind: str = _key("ic.q.kind", str.strip, "gaussian", _one_of("gaussian", "zero"))
+    ic_q_amplitude: float = _key("ic.q.amplitude", _to_float, "0.05")
+    ic_q_width: float = _key("ic.q.width", _to_float, "3.0")
+    ic_q_center: float = _key("ic.q.center", _to_float, "0.0")
+    ic_q_carrier: int = _key("ic.q.carrier_mode", _to_int, "3")
+    k_min: float = _key("dispersion.k_min", _to_float, "1e-3")
+    k_max: float = _key("dispersion.k_max", _to_float, "10.0")
+    k_count: int = _key("dispersion.count", _to_int, "100", _at_least(2))
+    verify_n: int = _key("verify.n", _to_int, "256")
+    verify_length: float = _key("verify.length", _to_float, "40.0")
+    verify_fields: int = _key("verify.fields", _to_int, "5", _at_least(1))
+    sweep_key: str = _key("sweep.key", str.strip, "")
+    sweep_values: tuple[str, ...] = _key("sweep.values", _to_list, "")
+    sweep_workers: int = _key("sweep.workers", _to_int, "4", _at_least(1))
+    out_dir: str = _key("output.dir", str.strip, "out")
+    seed: int = _key("seed", _to_int, "0")
+    params: PhysicalParams = dataclasses.field(init=False)
+    grid: Grid = dataclasses.field(init=False)
+    stepper: StepperConfig = dataclasses.field(init=False)
+    verify_grid: Grid = dataclasses.field(init=False)
+
+    @classmethod
+    def from_settings(cls, settings: dict[str, str]) -> "RunConfig":
+        values = {}
+        for row in _ROWS:
+            key, check = row.metadata["key"], row.metadata["check"]
+            text = settings[key]
+            try:
+                values[row.name] = row.metadata["parse"](text)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+            if check is not None and not check[0](values[row.name]):
+                raise ConfigError(f"{key}: {check[1]}, got {text.strip()!r}")
+        return cls(settings=dict(settings), **values)
+
+    def __post_init__(self):
+        if self.time_scale == "tau1" and self.system != "full":
+            raise ConfigError(f"{_KEY['time_scale']}: tau1 needs the full system")
+        if self.ic_r_kind == "gaussian" and not self.ic_r_width > 0.0:
+            raise ConfigError(f"{_KEY['ic_r_width']}: must be positive for a gaussian")
+        if self.ic_r_kind == "soliton" and not self.ic_r_nu > 0.0:
+            raise ConfigError(f"{_KEY['ic_r_nu']}: must be positive for a soliton")
+        if self.ic_q_kind == "gaussian" and not self.ic_q_width > 0.0:
+            raise ConfigError(f"{_KEY['ic_q_width']}: must be positive for a gaussian")
+        if not 0.0 < self.k_min < self.k_max:
+            raise ConfigError("dispersion range must satisfy 0 < k_min < k_max")
+        # DomainError is a ValueError, so each constructor's own check reports here
+        built = {
+            "params": _build("physical", PhysicalParams,
+                             self.g, self.h1, self.rho, self.rho1),
+            "grid": _build("grid", Grid, self.grid_n, self.grid_length),
+            "stepper": _build("stepper", StepperConfig, self.dt, self.scheme,
+                              self.dealias, self.cfl_guard),
+            "verify_grid": _build("verify grid", Grid, self.verify_n, self.verify_length),
+        }
+        # the rule run() applies, checked before any output is written
+        _build(_KEY["t_end"], step_count, self.t_end, self.dt)
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
+
+    def coefficients(self):
+        return derive_coefficients(self.params, self.epsilon, self.delta)
+
+
+_ROWS = tuple(f for f in dataclasses.fields(RunConfig) if "key" in f.metadata)
+_DEFAULTS = {row.metadata["key"]: row.metadata["default"] for row in _ROWS}
+_KEY = {row.name: row.metadata["key"] for row in _ROWS}
+
+
+def _build(what: str, make, *args):
+    """make(*args), its ValueError reported as a config error about `what`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def load_settings(path: str | None) -> dict[str, str]:
@@ -182,171 +280,6 @@ def load_settings(path: str | None) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         settings[key] = value
     return settings
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Fully validated settings for one invocation.
-
-    Built through from_settings, which checks every module precondition
-    up front so a bad configuration never starts computing.
-    """
-
-    params: PhysicalParams
-    epsilon: float
-    delta: float
-    grid: Grid
-    stepper: StepperConfig
-    t_end: float
-    diagnostics_every: int
-    snapshot_every: int | None
-    system: str
-    time_scale: str
-    gauge_diagnostics: bool
-    ic_r_kind: str
-    ic_r_amplitude: float
-    ic_r_width: float
-    ic_r_center: float
-    ic_r_nu: float
-    ic_r_keep: float
-    ic_r_mean_zero: bool
-    ic_q_kind: str
-    ic_q_amplitude: float
-    ic_q_width: float
-    ic_q_center: float
-    ic_q_carrier: int
-    k_min: float
-    k_max: float
-    k_count: int
-    verify_n: int
-    verify_length: float
-    verify_fields: int
-    sweep_key: str
-    sweep_values: tuple[str, ...]
-    sweep_workers: int
-    out_dir: str
-    seed: int
-    settings: dict[str, str]
-
-    @classmethod
-    def from_settings(cls, settings: dict[str, str]) -> "RunConfig":
-        get = settings.__getitem__
-        try:
-            params = PhysicalParams(
-                g=_to_float("physical.g", get("physical.g")),
-                h1=_to_float("physical.h1", get("physical.h1")),
-                rho=_to_float("physical.rho", get("physical.rho")),
-                rho1=_to_float("physical.rho1", get("physical.rho1")),
-            )
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from None
-        epsilon = _to_float("model.epsilon", get("model.epsilon"))
-        if not 0.0 < epsilon < 1.0:
-            raise ConfigError("model.epsilon must lie strictly between 0 and 1")
-        delta = _to_float("model.delta", get("model.delta"))
-        if not 0.0 < delta < 0.5:
-            raise ConfigError("model.delta must lie strictly between 0 and 1/2")
-        try:
-            grid = Grid(_to_int("grid.n", get("grid.n")),
-                        _to_float("grid.length", get("grid.length")))
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from None
-        try:
-            stepper = StepperConfig(
-                dt=_to_float("stepper.dt", get("stepper.dt")),
-                scheme=get("stepper.scheme").strip(),
-                dealias=_to_bool("stepper.dealias", get("stepper.dealias")),
-                cfl_guard=_to_float("stepper.cfl_guard", get("stepper.cfl_guard")),
-                strict_dealias=_to_bool("stepper.strict_dealias",
-                                        get("stepper.strict_dealias")),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"stepper: {exc}") from None
-        t_end = _to_float("run.t_end", get("run.t_end"))
-        if not t_end > 0.0:
-            raise ConfigError("run.t_end must be positive")
-        cadence = _to_int("run.diagnostics_every", get("run.diagnostics_every"))
-        if cadence < 1:
-            raise ConfigError("run.diagnostics_every must be a positive step count")
-        snap = _to_int("run.snapshot_every", get("run.snapshot_every"))
-        if snap < 0:
-            raise ConfigError("run.snapshot_every must be zero (ends only) or positive")
-        system = get("run.system").strip()
-        if system not in ("reduced", "full"):
-            raise ConfigError(f"run.system must be reduced or full, got {system!r}")
-        time_scale = get("run.time_scale").strip()
-        if time_scale not in ("tau", "tau1"):
-            raise ConfigError(f"run.time_scale must be tau or tau1, got {time_scale!r}")
-        if time_scale == "tau1" and system != "full":
-            raise ConfigError("run.time_scale tau1 applies to the full system only")
-        ic_r_kind = get("ic.r.kind").strip()
-        if ic_r_kind not in _R_KINDS:
-            raise ConfigError(f"ic.r.kind must be one of {_R_KINDS}, got {ic_r_kind!r}")
-        ic_q_kind = get("ic.q.kind").strip()
-        if ic_q_kind not in _Q_KINDS:
-            raise ConfigError(f"ic.q.kind must be one of {_Q_KINDS}, got {ic_q_kind!r}")
-        ic_r_width = _to_float("ic.r.width", get("ic.r.width"))
-        ic_q_width = _to_float("ic.q.width", get("ic.q.width"))
-        if ic_r_kind == "gaussian" and not ic_r_width > 0.0:
-            raise ConfigError("ic.r.width must be positive")
-        if ic_q_kind == "gaussian" and not ic_q_width > 0.0:
-            raise ConfigError("ic.q.width must be positive")
-        ic_r_nu = _to_float("ic.r.nu", get("ic.r.nu"))
-        if ic_r_kind == "soliton" and not ic_r_nu > 0.0:
-            raise ConfigError("ic.r.nu must be positive")
-        ic_r_keep = _to_float("ic.r.keep", get("ic.r.keep"))
-        if not 0.0 < ic_r_keep <= 1.0:
-            raise ConfigError("ic.r.keep must lie in (0, 1]")
-        k_min = _to_float("dispersion.k_min", get("dispersion.k_min"))
-        k_max = _to_float("dispersion.k_max", get("dispersion.k_max"))
-        k_count = _to_int("dispersion.count", get("dispersion.count"))
-        if not 0.0 < k_min < k_max:
-            raise ConfigError("dispersion range must satisfy 0 < k_min < k_max")
-        if k_count < 2:
-            raise ConfigError("dispersion.count must be at least 2")
-        try:
-            verify_grid = Grid(_to_int("verify.n", get("verify.n")),
-                               _to_float("verify.length", get("verify.length")))
-        except ValueError as exc:
-            raise ConfigError(f"verify grid: {exc}") from None
-        verify_fields = _to_int("verify.fields", get("verify.fields"))
-        if verify_fields < 1:
-            raise ConfigError("verify.fields must be at least 1")
-        sweep_values = tuple(v.strip() for v in get("sweep.values").split(",") if v.strip())
-        sweep_workers = _to_int("sweep.workers", get("sweep.workers"))
-        if sweep_workers < 1:
-            raise ConfigError("sweep.workers must be at least 1")
-        return cls(
-            params=params, epsilon=epsilon, delta=delta, grid=grid, stepper=stepper,
-            t_end=t_end, diagnostics_every=cadence, snapshot_every=snap or None,
-            system=system, time_scale=time_scale,
-            gauge_diagnostics=_to_bool("run.gauge_diagnostics", get("run.gauge_diagnostics")),
-            ic_r_kind=ic_r_kind,
-            ic_r_amplitude=_to_float("ic.r.amplitude", get("ic.r.amplitude")),
-            ic_r_width=ic_r_width,
-            ic_r_center=_to_float("ic.r.center", get("ic.r.center")),
-            ic_r_nu=ic_r_nu, ic_r_keep=ic_r_keep,
-            ic_r_mean_zero=_to_bool("ic.r.mean_zero", get("ic.r.mean_zero")),
-            ic_q_kind=ic_q_kind,
-            ic_q_amplitude=_to_float("ic.q.amplitude", get("ic.q.amplitude")),
-            ic_q_width=ic_q_width,
-            ic_q_center=_to_float("ic.q.center", get("ic.q.center")),
-            ic_q_carrier=_to_int("ic.q.carrier_mode", get("ic.q.carrier_mode")),
-            k_min=k_min, k_max=k_max, k_count=k_count,
-            verify_n=verify_grid.n, verify_length=verify_grid.length,
-            verify_fields=verify_fields,
-            sweep_key=get("sweep.key").strip(), sweep_values=sweep_values,
-            sweep_workers=sweep_workers,
-            out_dir=get("output.dir").strip(), seed=_to_int("seed", get("seed")),
-            settings=dict(settings),
-        )
-
-    @property
-    def verify_grid(self) -> Grid:
-        return Grid(self.verify_n, self.verify_length)
-
-    def coefficients(self):
-        return derive_coefficients(self.params, self.epsilon, self.delta)
 
 
 def build_initial_state(cfg: RunConfig) -> SystemState:
@@ -444,179 +377,23 @@ def cmd_dispersion(cfg: RunConfig, args) -> int:
 # verification suites
 # --------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
-    name: str
-    residual: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return np.isfinite(self.residual) and self.residual <= self.tol
-
-
-# theta is consumed while the table is built, so perturbing it afterwards
-# would change nothing; k is the abscissa, not a symbol
-_SYMBOL_NAMES = tuple(f.name for f in dataclasses.fields(SymbolTable)
-                      if f.name not in ("k", "theta"))
-
-
-@contextmanager
-def _perturbed(name: str | None):
-    """Scale one symbol-table entry by 1.001 for the duration (smoke test)."""
-    if name is None:
-        yield
-        return
-    if name not in _SYMBOL_NAMES:
-        raise ConfigError(
-            f"--perturb {name!r} is not a symbol; choose from {', '.join(_SYMBOL_NAMES)}")
-    base = _coeffs.symbol_table
-
-    def patched(params, k):
-        st = base(params, k)
-        return dataclasses.replace(st, **{name: getattr(st, name) * 1.001})
-
-    _coeffs.symbol_table = patched
-    _hamiltonian.symbol_table = patched
-    try:
-        yield
-    finally:
-        _coeffs.symbol_table = base
-        _hamiltonian.symbol_table = base
-
-
-def _random_four(grid: Grid, rng: np.random.Generator, scale: float) -> FourField:
-    def one() -> RealField:
-        return band_limited_noise(grid, rng, amplitude=scale)
-    return FourField.original(one(), one(), one(), one())
-
-
-def _checks_symbols(cfg: RunConfig) -> list[CheckResult]:
-    params = cfg.params
-    k = np.geomspace(cfg.k_min, cfg.k_max, cfg.k_count)
-    st = _coeffs.symbol_table(params, k)
-    w2_int = dispersion_internal(params, k)
-    w2_sur = dispersion_surface(params, k)
-    quartic = max(float(np.max(quartic_residual(params, k, w2_int))),
-                  float(np.max(quartic_residual(params, k, w2_sur))))
-    # closed-form eigenvalues of [[qa, qb], [qb, qc]] against the two branches
-    half_tr = 0.5 * (st.qa + st.qc)
-    disc = np.sqrt(np.maximum(half_tr * half_tr - (st.qa * st.qc - st.qb * st.qb), 0.0))
-    lo, hi = half_tr - disc, half_tr + disc
-    scale = np.maximum(np.abs(hi), 1e-300)
-    eigen = max(float(np.max(np.abs(lo - st.omega2) / scale)),
-                float(np.max(np.abs(hi - st.omega1_sq) / scale)))
-    unit_p = float(np.max(np.abs(st.a_plus ** 2 + st.b_plus ** 2 - 1.0)))
-    unit_m = float(np.max(np.abs(st.a_minus ** 2 + st.b_minus ** 2 - 1.0)))
-    sympl = float(np.max(np.abs(st.a_minus * st.b_plus - st.a_plus * st.b_minus - 1.0)))
-    ortho = float(np.max(np.abs(st.a_plus * st.a_minus + st.b_plus * st.b_minus)))
-    kappa8 = abs(cfg.coefficients().kappa8)
-    return [
-        CheckResult("dispersion-quartic", quartic, 1e-10),
-        CheckResult("eigen-decoupling", eigen, 1e-10),
-        CheckResult("mixing-unit-plus", unit_p, 1e-12),
-        CheckResult("mixing-unit-minus", unit_m, 1e-12),
-        CheckResult("mixing-symplectic", sympl, 1e-12),
-        CheckResult("mixing-orthogonal", ortho, 1e-12),
-        CheckResult("resonance", resonance_residual(params), 1e-12),
-        CheckResult("kappa8-zero", kappa8, 1e-12),
-    ]
-
-
-def _checks_hamiltonian(cfg: RunConfig) -> list[CheckResult]:
-    params = cfg.params
-    grid = cfg.verify_grid
-    rng = np.random.default_rng(cfg.seed)
-    worst_h2 = worst_h3 = worst_split = worst_round = 0.0
-    for _ in range(cfg.verify_fields):
-        f = _random_four(grid, rng, scale=0.05 * params.h1)
-        fn = normal_transform(f, params)
-        h2_o, h2_n = eval_H2(f, params), eval_H2(fn, params)
-        h3_o, h3_n = eval_H3(f, params), eval_H3(fn, params)
-        worst_h2 = max(worst_h2, abs(h2_o - h2_n) / max(abs(h2_o), 1e-300))
-        worst_h3 = max(worst_h3, abs(h3_o - h3_n) / max(abs(h3_o), 1e-300))
-        parts = h3_terms(f, params)
-        split = parts["I"] - parts["II"] + parts["III"]
-        worst_split = max(worst_split, abs(split - h3_o) / max(abs(h3_o), 1e-300))
-        back = inverse_transform(fn, params)
-        for name in ("eta", "xi", "eta1", "xi1"):
-            orig = getattr(f, name).values
-            got = getattr(back, name).values
-            ref = max(float(np.max(np.abs(orig))), 1e-300)
-            worst_round = max(worst_round, float(np.max(np.abs(got - orig))) / ref)
-    return [
-        CheckResult("h2-equivalence", worst_h2, 1e-10),
-        CheckResult("h3-equivalence", worst_h3, 1e-10),
-        CheckResult("cubic-decomposition", worst_split, 1e-10),
-        CheckResult("transform-roundtrip", worst_round, 1e-12),
-    ]
-
-
-def _checks_gauge(cfg: RunConfig) -> list[CheckResult]:
-    co = cfg.coefficients()
-    grid = cfg.verify_grid
-    rng = np.random.default_rng(cfg.seed + 1)
-    worst_mod = worst_ode = worst_rec = 0.0
-    for _ in range(cfg.verify_fields):
-        # narrow band keeps the oscillatory gauge phase resolved on the grid
-        r = band_limited_noise(grid, rng, amplitude=0.1, keep=1.0 / 6.0)
-        gs = gauge(r, co)
-        sup = float(np.max(np.abs(r.values)))
-        worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(gs.psi_plus.values) - 1.0))))
-        # divide out the stiff phase-equation coefficient so the residual
-        # measures cancellation quality, not the magnitude of 3a
-        worst_ode = max(worst_ode, gauge_ode_residual(gs, co) / (3.0 * abs(co.a) * sup))
-        dr = deriv(r).values
-        rec = reconstruct_dr(gs).values
-        ref = max(float(np.max(np.abs(dr))), 1e-300)
-        worst_rec = max(worst_rec, float(np.max(np.abs(rec - dr))) / ref)
-    return [
-        CheckResult("gauge-unimodular", worst_mod, 1e-12),
-        CheckResult("gauge-ode", worst_ode, 1e-8),
-        CheckResult("gauge-reconstruction", worst_rec, 1e-10),
-    ]
-
-
-def _checks_projection(cfg: RunConfig) -> list[CheckResult]:
-    grid = cfg.verify_grid
-    rng = np.random.default_rng(cfg.seed + 2)
-    worst_h2id = worst_partition = worst_hsplit = worst_absd = 0.0
-    for _ in range(cfg.verify_fields):
-        f = band_limited_noise(grid, rng, amplitude=1.0)
-        hh = hilbert(hilbert(f)).values
-        worst_h2id = max(worst_h2id, float(np.max(np.abs(hh + f.values))))
-        both = project(f, 1).values + project(f, -1).values
-        worst_partition = max(worst_partition, float(np.max(np.abs(both - f.values))))
-        split = -1j * (project(f, 1).values - project(f, -1).values)
-        worst_hsplit = max(worst_hsplit, float(np.max(np.abs(split - hilbert(f).values))))
-        lhs = absd(f).values
-        rhs = deriv(hilbert(f)).values
-        worst_absd = max(worst_absd, float(np.max(np.abs(lhs - rhs))))
-    return [
-        CheckResult("hilbert-squared", worst_h2id, 1e-12),
-        CheckResult("projection-partition", worst_partition, 1e-12),
-        CheckResult("hilbert-projection-split", worst_hsplit, 1e-12),
-        CheckResult("absd-factorization", worst_absd, 1e-12),
-    ]
-
-
-_SUITES = {
-    "verify": (_checks_symbols, _checks_hamiltonian, _checks_gauge, _checks_projection),
-    "verify-hamiltonian": (_checks_hamiltonian,),
-    "verify-gauge": (_checks_gauge,),
-}
-
-
 def cmd_verify(cfg: RunConfig, args) -> int:
     selection = None
     if getattr(args, "checks", None) is not None:
         selection = tuple(c.strip() for c in args.checks.split(",") if c.strip())
         if not selection:
             raise ConfigError("--checks selected an empty suite")
-    results: list[CheckResult] = []
-    with _perturbed(getattr(args, "perturb", None)):
-        for suite in _SUITES[args.command]:
-            results.extend(suite(cfg))
+    symbols = symbol_table
+    if getattr(args, "perturb", None) is not None:
+        try:
+            symbols = perturbed(args.perturb)
+        except ValueError as exc:
+            raise ConfigError(f"--perturb {exc}") from None
+    # "verify" runs every suite, "verify-NAME" the suite NAME
+    suite = args.command.partition("-")[2] or "all"
+    k = np.geomspace(cfg.k_min, cfg.k_max, cfg.k_count)
+    results = run_suite(suite, cfg.params, cfg.coefficients(), k, cfg.verify_grid,
+                        cfg.verify_fields, cfg.seed, symbols)
     if selection is not None:
         known = {r.name for r in results}
         missing = [c for c in selection if c not in known]
@@ -713,18 +490,19 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if not cfg.sweep_key or not cfg.sweep_values:
-        raise ConfigError("sweep requires sweep.key and a comma-separated sweep.values")
+        raise ConfigError(f"sweep requires {_KEY['sweep_key']} and a comma-separated "
+                          f"{_KEY['sweep_values']}")
     if cfg.sweep_key not in _DEFAULTS:
-        raise ConfigError(f"sweep.key {cfg.sweep_key!r} is not a config key")
+        raise ConfigError(f"{_KEY['sweep_key']}: {cfg.sweep_key!r} is not a config key")
     if cfg.sweep_key in ("output.dir", "sweep.key", "sweep.values", "sweep.workers"):
-        raise ConfigError(f"sweep.key {cfg.sweep_key!r} cannot be swept")
+        raise ConfigError(f"{_KEY['sweep_key']}: {cfg.sweep_key!r} cannot be swept")
     base = Path(cfg.out_dir)
     jobs: list[tuple[str, RunConfig]] = []
     for value in cfg.sweep_values:
         settings = dict(cfg.settings)
         settings[cfg.sweep_key] = value
         tag = f"{cfg.sweep_key}={value}".replace("/", "_")
-        settings["output.dir"] = str(base / tag)
+        settings[_KEY["out_dir"]] = str(base / tag)
         jobs.append((tag, RunConfig.from_settings(settings)))
 
     def one(job: tuple[str, RunConfig]) -> int:
@@ -761,12 +539,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="flat key = value config file")
     common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="output directory (overrides output.dir)")
+                        help=f"output directory (overrides {_KEY['out_dir']})")
     common.add_argument("--preset", choices=sorted(PRESETS),
                         default=argparse.SUPPRESS,
                         help="named physical parameter set")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="random seed (overrides seed)")
+                        help=f"random seed (overrides {_KEY['seed']})")
     parser = argparse.ArgumentParser(
         prog="bonls", parents=[common],
         description="two-layer wave model: coefficients, identities, simulation")
@@ -800,10 +578,8 @@ def main(argv: list[str] | None = None) -> int:
         settings = load_settings(getattr(args, "config", None))
         if hasattr(args, "preset"):
             preset = PRESETS[args.preset]
-            settings["physical.g"] = _fmt(preset.g)
-            settings["physical.h1"] = _fmt(preset.h1)
-            settings["physical.rho"] = _fmt(preset.rho)
-            settings["physical.rho1"] = _fmt(preset.rho1)
+            for name in ("g", "h1", "rho", "rho1"):
+                settings[_KEY[name]] = _fmt(getattr(preset, name))
         if hasattr(args, "seed"):
             settings["seed"] = str(args.seed)
         if hasattr(args, "out"):

@@ -19,9 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from .coeffs import (PhysicalParams, dispersion_internal, dispersion_surface,
-                     symbol_table)
+from .coeffs import (PhysicalParams, SymbolTable, dispersion_internal,
+                     dispersion_surface, symbol_table)
 from .spectral import Grid, RealField, dealias_mask
+
+# Evaluator of the symbol table; the verify suites pass a perturbed one
+# to check that the identities really constrain each symbol.
+Symbols = Callable[[PhysicalParams, np.ndarray], SymbolTable]
 
 __all__ = [
     "CoordinateMismatch",
@@ -136,14 +140,15 @@ def _mult_real(m: np.ndarray, f: RealField) -> RealField:
     return RealField(f.grid, _mult(m, f.values).real)
 
 
-def normal_transform(f: FourField, params: PhysicalParams) -> FourField:
+def normal_transform(f: FourField, params: PhysicalParams,
+                     symbols: Symbols = symbol_table) -> FourField:
     """Decouple (eta, xi, eta1, xi1) into the mode pairs (mu, zeta, mu1, zeta1).
 
     The 4x4 multiplier matrix mixes the two elevations (weighted by
     sqrt(g(rho-rho1)), sqrt(g rho1)) and, reciprocally, the two potentials.
     """
     f._require(ORIGINAL)
-    st = symbol_table(params, f.grid.k)
+    st = symbols(params, f.grid.k)
     sq_d = np.sqrt(params.g * (params.rho - params.rho1))
     sq_1 = np.sqrt(params.g * params.rho1)
     eta, xi, eta1, xi1 = (x.values for x in (f.f1, f.f2, f.f3, f.f4))
@@ -155,14 +160,15 @@ def normal_transform(f: FourField, params: PhysicalParams) -> FourField:
     return FourField.normal(*(RealField(grid, v.real) for v in (mu, zeta, mu1, zeta1)))
 
 
-def inverse_transform(f: FourField, params: PhysicalParams) -> FourField:
+def inverse_transform(f: FourField, params: PhysicalParams,
+                      symbols: Symbols = symbol_table) -> FourField:
     """Reassemble the original coordinates from the mode pairs.
 
     Exact inverse of normal_transform because the mixing multipliers
     satisfy a- b+ - a+ b- = 1 at every wavenumber.
     """
     f._require(NORMAL)
-    st = symbol_table(params, f.grid.k)
+    st = symbols(params, f.grid.k)
     sq_d = np.sqrt(params.g * (params.rho - params.rho1))
     sq_1 = np.sqrt(params.g * params.rho1)
     mu, zeta, mu1, zeta1 = (x.values for x in (f.f1, f.f2, f.f3, f.f4))
@@ -177,10 +183,10 @@ def inverse_transform(f: FourField, params: PhysicalParams) -> FourField:
 class _Workspace:
     """Per-call bundle of multiplier symbols and dealiased factor helpers."""
 
-    def __init__(self, grid: Grid, params: PhysicalParams):
+    def __init__(self, grid: Grid, params: PhysicalParams, symbols: Symbols):
         self.grid = grid
         self.params = params
-        self.st = symbol_table(params, grid.k)
+        self.st = symbols(params, grid.k)
         self.mask = dealias_mask(grid)
         rho, rho1 = params.rho, params.rho1
         st = self.st
@@ -205,7 +211,8 @@ class _Workspace:
         return float(self.grid.dx * np.sum(integrand).real)
 
 
-def eval_H2(f: FourField, params: PhysicalParams) -> float:
+def eval_H2(f: FourField, params: PhysicalParams,
+            symbols: Symbols = symbol_table) -> float:
     """Quadratic energy of the four-field state.
 
     In the original coordinates the kinetic block is the symmetric form
@@ -214,7 +221,7 @@ def eval_H2(f: FourField, params: PhysicalParams) -> float:
     it is (1/2) integral of zeta w^2(D) zeta + mu^2 + zeta1 w1^2(D) zeta1
     + mu1^2.
     """
-    ws = _Workspace(f.grid, params)
+    ws = _Workspace(f.grid, params, symbols)
     rho, rho1, g = params.rho, params.rho1, params.g
     if f.tag == ORIGINAL:
         eta, xi, eta1, xi1 = (x.values for x in (f.f1, f.f2, f.f3, f.f4))
@@ -238,15 +245,16 @@ def eval_H2(f: FourField, params: PhysicalParams) -> float:
     return 0.5 * ws.quad(integrand)
 
 
-def eval_H3(f: FourField, params: PhysicalParams) -> float:
+def eval_H3(f: FourField, params: PhysicalParams,
+            symbols: Symbols = symbol_table) -> float:
     """Cubic energy of the four-field state (grouped five-term integrand).
 
     For the normal tag this is the sum of the five mode-coupling terms;
     h3_terms exposes the individual contributions in either system.
     """
     if f.tag == NORMAL:
-        return float(sum(h3_terms(f, params).values()))
-    ws = _Workspace(f.grid, params)
+        return float(sum(h3_terms(f, params, symbols).values()))
+    ws = _Workspace(f.grid, params, symbols)
     rho, rho1 = params.rho, params.rho1
     eta, xi, eta1, xi1 = (x.values for x in (f.f1, f.f2, f.f3, f.f4))
     eta_c = ws.factor(None, eta)
@@ -264,14 +272,15 @@ def eval_H3(f: FourField, params: PhysicalParams) -> float:
     return 0.5 * ws.quad(integrand)
 
 
-def h3_terms(f: FourField, params: PhysicalParams) -> dict[str, float]:
+def h3_terms(f: FourField, params: PhysicalParams,
+             symbols: Symbols = symbol_table) -> dict[str, float]:
     """Per-term breakdown of the cubic energy.
 
     Original tag: the kinetic-energy split {"I", "II", "III"}, whose signed
     sum I - II + III reproduces eval_H3.  Normal tag: the five coupling
     terms {"R1", ..., "R5"}.
     """
-    ws = _Workspace(f.grid, params)
+    ws = _Workspace(f.grid, params, symbols)
     rho, rho1, g = params.rho, params.rho1, params.g
     if f.tag == ORIGINAL:
         eta, xi, eta1, xi1 = (x.values for x in (f.f1, f.f2, f.f3, f.f4))

@@ -51,6 +51,7 @@ __all__ = [
     "rhs_reduced",
     "rhs_full",
     "step",
+    "step_count",
     "conserved",
     "run",
     "bo_soliton",
@@ -102,17 +103,14 @@ class StepperConfig:
     scheme is one of "strang-split" (exact linear propagators around an
     RK4 substep for the nonlinearity) or "etdrk4" (exponential
     integrator with contour-evaluated coefficients).  dealias applies the
-    two-thirds rule to every pointwise product; strict_dealias restricts
-    the advection product to the quarter band on top of that, the
-    truncation analogue of padding at rate 1/2 for the cubic energy term.
-    cfl_guard is the sup-norm of r beyond which the step raises BlowUp.
+    two-thirds rule to every pointwise product.  cfl_guard is the sup-norm
+    of r beyond which the step raises BlowUp.
     """
 
     dt: float
     scheme: str = "strang-split"
     dealias: bool = True
     cfl_guard: float = 10.0
-    strict_dealias: bool = False
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -156,11 +154,6 @@ class Trajectory:
     reality_residue: float
 
 
-def _quarter_mask(grid: Grid) -> np.ndarray:
-    j = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    return (np.abs(j) <= grid.n // 4).astype(float)
-
-
 class _Rhs:
     """Right-hand side in spectrum space, split into linear and nonlinear parts.
 
@@ -171,7 +164,7 @@ class _Rhs:
     """
 
     def __init__(self, grid: Grid, coeffs: ModelCoefficients, full: bool,
-                 dealias: bool = True, strict: bool = False, scale: float = 1.0):
+                 dealias: bool = True, scale: float = 1.0):
         self.grid = grid
         self.coeffs = coeffs
         self.full = full
@@ -182,10 +175,6 @@ class _Rhs:
         self.lin_r = 1j * scale * _phase("V", coeffs, grid)
         self.lin_q = 1j * scale * _phase("U", coeffs, grid)
         self.mask = dealias_mask(grid).astype(float) if dealias else None
-        if strict and dealias:
-            self.advection_mask = _quarter_mask(grid)
-        else:
-            self.advection_mask = self.mask
 
     def _cut(self, spec: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
         return spec if mask is None else spec * mask
@@ -201,7 +190,7 @@ class _Rhs:
 
         # advection written as the perfect derivative (c/2)(r^2)_x; with the
         # two-thirds cut this equals the literal product r r_x
-        rr = self._cut(np.fft.fft(r * r), self.advection_mask)
+        rr = self._cut(np.fft.fft(r * r), m)
         nr = (0.5 * co.c) * (self.ik * rr)
 
         hdr = np.fft.ifft(self.hil * (self.ik * rs)).real
@@ -240,7 +229,7 @@ class _Rhs:
 
 
 def _make_rhs(grid: Grid, coeffs: ModelCoefficients, system: str,
-              dealias: bool, strict: bool, time_scale: str) -> _Rhs:
+              dealias: bool, time_scale: str) -> _Rhs:
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
     if time_scale not in TIME_SCALES:
@@ -250,8 +239,7 @@ def _make_rhs(grid: Grid, coeffs: ModelCoefficients, system: str,
         if system != "full":
             raise ValueError("the alternative slow time applies to the full system only")
         scale = 1.0 / coeffs.epsilon
-    return _Rhs(grid, coeffs, full=(system == "full"),
-                dealias=dealias, strict=strict, scale=scale)
+    return _Rhs(grid, coeffs, full=(system == "full"), dealias=dealias, scale=scale)
 
 
 def rhs_reduced(s: SystemState, coeffs: ModelCoefficients,
@@ -262,7 +250,7 @@ def rhs_reduced(s: SystemState, coeffs: ModelCoefficients,
     dealias is set.  Every r term carries an outer derivative, so the mean
     of dr/dt vanishes identically (the k = 0 coefficient is exactly zero).
     """
-    rhs = _make_rhs(s.grid, coeffs, "reduced", dealias, False, "tau")
+    rhs = _make_rhs(s.grid, coeffs, "reduced", dealias, "tau")
     dr, dq = rhs.total(s.r.spectrum, s.q.spectrum)
     return (RealField.from_spectrum(s.grid, dr),
             ComplexField.from_spectrum(s.grid, dq))
@@ -279,7 +267,7 @@ def rhs_full(s: SystemState, coeffs: ModelCoefficients, dealias: bool = True,
     alternative slow time (one power of epsilon slower), which rescales
     the whole right-hand side by 1/epsilon.
     """
-    rhs = _make_rhs(s.grid, coeffs, "full", dealias, False, time_scale)
+    rhs = _make_rhs(s.grid, coeffs, "full", dealias, time_scale)
     dr, dq = rhs.total(s.r.spectrum, s.q.spectrum)
     return (RealField.from_spectrum(s.grid, dr),
             ComplexField.from_spectrum(s.grid, dq))
@@ -366,19 +354,38 @@ class _EtdStepper:
 
 def _build_stepper(grid: Grid, cfg: StepperConfig, coeffs: ModelCoefficients,
                    system: str, time_scale: str):
-    rhs = _make_rhs(grid, coeffs, system, cfg.dealias, cfg.strict_dealias, time_scale)
+    rhs = _make_rhs(grid, coeffs, system, cfg.dealias, time_scale)
     if cfg.scheme == "strang-split":
         return _StrangStepper(grid, cfg, coeffs, rhs)
     return _EtdStepper(grid, cfg, coeffs, rhs)
+
+
+def _require_finite(s: SystemState) -> None:
+    # a non-finite input is bad data, not a blow-up: there is no last good state
+    if not (np.all(np.isfinite(s.r.values)) and np.all(np.isfinite(s.q.values))):
+        raise ValueError("r and q must be finite")
+
+
+def step_count(span: float, dt: float) -> int:
+    """Number of steps of size dt that cover span exactly.
+
+    Raises ValueError when span is not a positive integer multiple of dt.
+    """
+    n_steps = int(round(span / dt))
+    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError("t_end - t0 must be an integer multiple of dt")
+    return n_steps
 
 
 def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
          system: str = "reduced", time_scale: str = "tau") -> SystemState:
     """Advance one state by cfg.dt with the configured scheme.
 
-    Raises BlowUp (carrying the input state as the last good one) when the
-    sup norm of r leaves the guard interval or stops being finite.
+    Raises ValueError when r or q is not finite on entry, and BlowUp
+    (carrying the input state as the last good one) when the sup norm of
+    r leaves the guard interval or stops being finite.
     """
+    _require_finite(s)
     stepper = _build_stepper(s.grid, cfg, coeffs, system, time_scale)
     r_spec, q_spec = stepper.advance(s.r.spectrum, s.q.spectrum)
     t = s.t + cfg.dt
@@ -433,7 +440,7 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     residual) are recorded every diagnostics_every steps and at both ends.
     Snapshots are kept at the same ends plus every snapshot_every steps
     when given.  BlowUp propagates with the failing time and the last
-    finite state attached.
+    finite state attached; a non-finite initial state raises ValueError.
     """
     if not t_end > initial.t:
         raise ValueError("t_end must lie beyond the initial time")
@@ -441,10 +448,8 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
         raise ValueError("diagnostics_every must be a positive step count")
     if snapshot_every is not None and snapshot_every < 1:
         raise ValueError("snapshot_every must be a positive step count")
-    span = t_end - initial.t
-    n_steps = int(round(span / cfg.dt))
-    if n_steps < 1 or abs(n_steps * cfg.dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError("t_end - t0 must be an integer multiple of dt")
+    _require_finite(initial)
+    n_steps = step_count(t_end - initial.t, cfg.dt)
 
     grid = initial.grid
     stepper = _build_stepper(grid, cfg, coeffs, system, time_scale)

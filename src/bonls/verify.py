@@ -1,0 +1,210 @@
+"""Numerical identity checks behind every algebraic step of the model.
+
+Four groups of checks, each returning one CheckResult per identity:
+
+    symbols      dispersion quartic, eigen-decoupling of the kinetic block,
+                 the mixing-multiplier identities, resonance, kappa8 = 0
+    hamiltonian  H2/H3 equal in original and normal coordinates, the
+                 I - II + III split of H3, the transform round trip
+    gauge        unimodularity, the phase ODE, derivative reconstruction
+    projection   Hilbert transform and wavenumber-projection identities
+
+The symbol-table evaluator is an argument: `perturbed` builds one that
+scales a single symbol by 1.001, and a suite that still passes with it
+would not constrain that symbol.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+
+from .coeffs import (
+    ModelCoefficients,
+    PhysicalParams,
+    SymbolTable,
+    dispersion_internal,
+    dispersion_surface,
+    quartic_residual,
+    resonance_residual,
+    symbol_table,
+)
+from .gauge import gauge, gauge_ode_residual, reconstruct_dr
+from .hamiltonian import (
+    FourField,
+    Symbols,
+    eval_H2,
+    eval_H3,
+    h3_terms,
+    inverse_transform,
+    normal_transform,
+)
+from .spectral import Grid, RealField, absd, band_limited_noise, deriv, hilbert, project
+
+__all__ = ["CheckResult", "SUITES", "SYMBOL_NAMES", "perturbed", "run_suite"]
+
+
+@dataclasses.dataclass(frozen=True)
+class CheckResult:
+    name: str
+    residual: float
+    tol: float
+
+    @property
+    def ok(self) -> bool:
+        return np.isfinite(self.residual) and self.residual <= self.tol
+
+
+# theta is consumed while the table is built, so perturbing it afterwards
+# would change nothing; k is the abscissa, not a symbol
+SYMBOL_NAMES = tuple(f.name for f in dataclasses.fields(SymbolTable)
+                     if f.name not in ("k", "theta"))
+
+
+def perturbed(name: str) -> Symbols:
+    """symbol_table with the one entry `name` scaled by 1.001 (a mutation test)."""
+    if name not in SYMBOL_NAMES:
+        raise ValueError(
+            f"{name!r} is not a symbol; choose from {', '.join(SYMBOL_NAMES)}")
+
+    def scaled(params: PhysicalParams, k) -> SymbolTable:
+        st = symbol_table(params, k)
+        return dataclasses.replace(st, **{name: getattr(st, name) * 1.001})
+
+    return scaled
+
+
+def _random_four(grid: Grid, rng: np.random.Generator, scale: float) -> FourField:
+    def one() -> RealField:
+        return band_limited_noise(grid, rng, amplitude=scale)
+    return FourField.original(one(), one(), one(), one())
+
+
+def _checks_symbols(params: PhysicalParams, coeffs: ModelCoefficients,
+                    k: np.ndarray, symbols: Symbols) -> list[CheckResult]:
+    st = symbols(params, k)
+    w2_int = dispersion_internal(params, k)
+    w2_sur = dispersion_surface(params, k)
+    quartic = max(float(np.max(quartic_residual(params, k, w2_int))),
+                  float(np.max(quartic_residual(params, k, w2_sur))))
+    # closed-form eigenvalues of [[qa, qb], [qb, qc]] against the two branches
+    half_tr = 0.5 * (st.qa + st.qc)
+    disc = np.sqrt(np.maximum(half_tr * half_tr - (st.qa * st.qc - st.qb * st.qb), 0.0))
+    lo, hi = half_tr - disc, half_tr + disc
+    scale = np.maximum(np.abs(hi), 1e-300)
+    eigen = max(float(np.max(np.abs(lo - st.omega2) / scale)),
+                float(np.max(np.abs(hi - st.omega1_sq) / scale)))
+    unit_p = float(np.max(np.abs(st.a_plus ** 2 + st.b_plus ** 2 - 1.0)))
+    unit_m = float(np.max(np.abs(st.a_minus ** 2 + st.b_minus ** 2 - 1.0)))
+    sympl = float(np.max(np.abs(st.a_minus * st.b_plus - st.a_plus * st.b_minus - 1.0)))
+    ortho = float(np.max(np.abs(st.a_plus * st.a_minus + st.b_plus * st.b_minus)))
+    return [
+        CheckResult("dispersion-quartic", quartic, 1e-10),
+        CheckResult("eigen-decoupling", eigen, 1e-10),
+        CheckResult("mixing-unit-plus", unit_p, 1e-12),
+        CheckResult("mixing-unit-minus", unit_m, 1e-12),
+        CheckResult("mixing-symplectic", sympl, 1e-12),
+        CheckResult("mixing-orthogonal", ortho, 1e-12),
+        CheckResult("resonance", resonance_residual(params), 1e-12),
+        CheckResult("kappa8-zero", abs(coeffs.kappa8), 1e-12),
+    ]
+
+
+def _checks_hamiltonian(params: PhysicalParams, grid: Grid, fields: int, seed: int,
+                        symbols: Symbols) -> list[CheckResult]:
+    rng = np.random.default_rng(seed)
+    worst_h2 = worst_h3 = worst_split = worst_round = 0.0
+    for _ in range(fields):
+        f = _random_four(grid, rng, scale=0.05 * params.h1)
+        fn = normal_transform(f, params, symbols)
+        h2_o, h2_n = eval_H2(f, params, symbols), eval_H2(fn, params, symbols)
+        h3_o, h3_n = eval_H3(f, params, symbols), eval_H3(fn, params, symbols)
+        worst_h2 = max(worst_h2, abs(h2_o - h2_n) / max(abs(h2_o), 1e-300))
+        worst_h3 = max(worst_h3, abs(h3_o - h3_n) / max(abs(h3_o), 1e-300))
+        parts = h3_terms(f, params, symbols)
+        split = parts["I"] - parts["II"] + parts["III"]
+        worst_split = max(worst_split, abs(split - h3_o) / max(abs(h3_o), 1e-300))
+        back = inverse_transform(fn, params, symbols)
+        for name in ("eta", "xi", "eta1", "xi1"):
+            orig = getattr(f, name).values
+            got = getattr(back, name).values
+            ref = max(float(np.max(np.abs(orig))), 1e-300)
+            worst_round = max(worst_round, float(np.max(np.abs(got - orig))) / ref)
+    return [
+        CheckResult("h2-equivalence", worst_h2, 1e-10),
+        CheckResult("h3-equivalence", worst_h3, 1e-10),
+        CheckResult("cubic-decomposition", worst_split, 1e-10),
+        CheckResult("transform-roundtrip", worst_round, 1e-12),
+    ]
+
+
+def _checks_gauge(coeffs: ModelCoefficients, grid: Grid, fields: int,
+                  seed: int) -> list[CheckResult]:
+    rng = np.random.default_rng(seed + 1)
+    worst_mod = worst_ode = worst_rec = 0.0
+    for _ in range(fields):
+        # narrow band keeps the oscillatory gauge phase resolved on the grid
+        r = band_limited_noise(grid, rng, amplitude=0.1, keep=1.0 / 6.0)
+        gs = gauge(r, coeffs)
+        sup = float(np.max(np.abs(r.values)))
+        worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(gs.psi_plus.values) - 1.0))))
+        # divide out the stiff phase-equation coefficient so the residual
+        # measures cancellation quality, not the magnitude of 3a
+        worst_ode = max(worst_ode,
+                        gauge_ode_residual(gs, coeffs) / (3.0 * abs(coeffs.a) * sup))
+        dr = deriv(r).values
+        rec = reconstruct_dr(gs).values
+        ref = max(float(np.max(np.abs(dr))), 1e-300)
+        worst_rec = max(worst_rec, float(np.max(np.abs(rec - dr))) / ref)
+    return [
+        CheckResult("gauge-unimodular", worst_mod, 1e-12),
+        CheckResult("gauge-ode", worst_ode, 1e-8),
+        CheckResult("gauge-reconstruction", worst_rec, 1e-10),
+    ]
+
+
+def _checks_projection(grid: Grid, fields: int, seed: int) -> list[CheckResult]:
+    rng = np.random.default_rng(seed + 2)
+    worst_h2id = worst_partition = worst_hsplit = worst_absd = 0.0
+    for _ in range(fields):
+        f = band_limited_noise(grid, rng, amplitude=1.0)
+        hh = hilbert(hilbert(f)).values
+        worst_h2id = max(worst_h2id, float(np.max(np.abs(hh + f.values))))
+        both = project(f, 1).values + project(f, -1).values
+        worst_partition = max(worst_partition, float(np.max(np.abs(both - f.values))))
+        split = -1j * (project(f, 1).values - project(f, -1).values)
+        worst_hsplit = max(worst_hsplit, float(np.max(np.abs(split - hilbert(f).values))))
+        lhs = absd(f).values
+        rhs = deriv(hilbert(f)).values
+        worst_absd = max(worst_absd, float(np.max(np.abs(lhs - rhs))))
+    return [
+        CheckResult("hilbert-squared", worst_h2id, 1e-12),
+        CheckResult("projection-partition", worst_partition, 1e-12),
+        CheckResult("hilbert-projection-split", worst_hsplit, 1e-12),
+        CheckResult("absd-factorization", worst_absd, 1e-12),
+    ]
+
+
+SUITES = {
+    "all": ("symbols", "hamiltonian", "gauge", "projection"),
+    "hamiltonian": ("hamiltonian",),
+    "gauge": ("gauge",),
+}
+
+
+def run_suite(suite: str, params: PhysicalParams, coeffs: ModelCoefficients,
+              k: np.ndarray, grid: Grid, fields: int, seed: int,
+              symbols: Symbols = symbol_table) -> list[CheckResult]:
+    """Every check of one SUITES entry, in report order.
+
+    k is the wavenumber sample for the symbol identities; grid, fields and
+    seed set the random fields the other identities are evaluated on.
+    """
+    groups = {
+        "symbols": lambda: _checks_symbols(params, coeffs, k, symbols),
+        "hamiltonian": lambda: _checks_hamiltonian(params, grid, fields, seed, symbols),
+        "gauge": lambda: _checks_gauge(coeffs, grid, fields, seed),
+        "projection": lambda: _checks_projection(grid, fields, seed),
+    }
+    return [result for group in SUITES[suite] for result in groups[group]()]

@@ -140,6 +140,9 @@ def test_sweep_values_are_split_and_stripped():
     ("verify.fields", "0", "verify.fields"),
     ("sweep.workers", "0", "sweep.workers"),
     ("grid.length", "nonsense", "grid.length"),
+    ("stepper.dt", "3e-3", "multiple of dt"),
+    ("ic.q.amplitude", "nan", "ic.q.amplitude"),
+    ("run.t_end", "inf", "run.t_end"),
 ])
 def test_bad_settings_are_rejected_eagerly(key, value, match):
     with pytest.raises(ConfigError, match=match):

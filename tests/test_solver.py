@@ -258,17 +258,6 @@ def test_run_conservation_properties():
     assert all(row.gauge_residual < 1e-6 for row in traj.diagnostics)
 
 
-def test_strict_dealias_run():
-    grid = Grid(128, 40.0)
-    s0 = bump_state(grid)
-    cfg = StepperConfig(dt=2e-3, strict_dealias=True)
-    traj = run(s0, cfg, BENCH, t_end=0.5, diagnostics_every=250,
-               gauge_diagnostics=False)
-    d0, d1 = traj.diagnostics[0], traj.diagnostics[-1]
-    assert abs(d1.e2 - d0.e2) <= 1e-10
-    assert abs(d1.mean_r - d0.mean_r) <= 1e-13
-
-
 def test_envelope_decouples_without_back_reaction():
     # beta = 0 leaves q under the free flow (mode magnitudes preserved) and
     # removes the envelope forcing from r entirely
@@ -328,6 +317,21 @@ def test_run_blow_up_reports_last_finite_state():
     assert err.state is not None
     assert err.state.t == 0.0
     assert np.max(np.abs(err.state.r.values - s0.r.values)) <= 1e-14
+
+
+@pytest.mark.parametrize("field, bad", [("r", np.nan), ("q", np.inf)])
+def test_non_finite_input_is_rejected_not_a_blow_up(field, bad):
+    grid = Grid(64, 20.0)
+    s = bump_state(grid)
+    if field == "r":
+        s = SystemState(RealField(grid, np.where(grid.x == 0.0, bad, s.r.values)), s.q)
+    else:
+        s = SystemState(s.r, ComplexField(grid, np.where(grid.x == 0.0, bad, s.q.values)))
+    cfg = StepperConfig(dt=1e-2)
+    with pytest.raises(ValueError, match="finite"):
+        step(s, cfg, BENCH)
+    with pytest.raises(ValueError, match="finite"):
+        run(s, cfg, BENCH, t_end=0.1)
 
 
 # ---------------------------------------------------------------- convergence
