@@ -7,7 +7,7 @@ Subcommands
     verify-hamiltonian  the coordinate-equivalence subset
     verify-gauge        the gauge-transformation subset
     simulate            time integration with snapshot/diagnostic artifacts
-    sweep               fan a simulation out over one config key
+    sweep               one simulation per value of one config key, in order
 
 Configs are flat ``key = value`` text files with dotted keys.  Every key,
 with its parser, default and check, is one row of the RunConfig table;
@@ -24,7 +24,6 @@ import dataclasses
 import logging
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +73,11 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
+
+
+def _write_tsv(path: Path, header: str, table: np.ndarray) -> None:
+    """Rows of floats under a header, tab-separated, in `_fmt`'s digits."""
+    np.savetxt(path, table, fmt="%.17g", delimiter="\t", header=header, comments="")
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +168,6 @@ class RunConfig:
     grid_length: float = _key("grid.length", _to_float, "40.0")
     scheme: str = _key("stepper.scheme", str.strip, "strang-split")
     dt: float = _key("stepper.dt", _to_float, "1e-3")
-    dealias: bool = _key("stepper.dealias", _to_bool, "on")
     cfl_guard: float = _key("stepper.cfl_guard", _to_float, "10.0")
     t_end: float = _key("run.t_end", _to_float, "10.0", _POSITIVE)
     diagnostics_every: int = _key("run.diagnostics_every", _to_int, "100", _at_least(1))
@@ -196,7 +199,6 @@ class RunConfig:
     verify_fields: int = _key("verify.fields", _to_int, "5", _at_least(1))
     sweep_key: str = _key("sweep.key", str.strip, "")
     sweep_values: tuple[str, ...] = _key("sweep.values", _to_list, "")
-    sweep_workers: int = _key("sweep.workers", _to_int, "4", _at_least(1))
     out_dir: str = _key("output.dir", str.strip, "out")
     seed: int = _key("seed", _to_int, "0")
     params: PhysicalParams = dataclasses.field(init=False)
@@ -235,7 +237,7 @@ class RunConfig:
                              self.g, self.h1, self.rho, self.rho1),
             "grid": _build("grid", Grid, self.grid_n, self.grid_length),
             "stepper": _build("stepper", StepperConfig, self.dt, self.scheme,
-                              self.dealias, self.cfl_guard),
+                              self.cfl_guard),
             "verify_grid": _build("verify grid", Grid, self.verify_n, self.verify_length),
         }
         # the rule run() applies, checked before any output is written
@@ -362,11 +364,8 @@ def cmd_dispersion(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "dispersion.tsv"
-    with path.open("w") as fh:
-        fh.write("k\tomega2_internal\tomega2_surface\tresidual_internal\tresidual_surface\n")
-        for i in range(k.size):
-            fh.write("\t".join(_fmt(v) for v in
-                               (k[i], w2_int[i], w2_sur[i], res_int[i], res_sur[i])) + "\n")
+    _write_tsv(path, "k\tomega2_internal\tomega2_surface\tresidual_internal\tresidual_surface",
+               np.column_stack((k, w2_int, w2_sur, res_int, res_sur)))
     worst = max(float(np.max(res_int)), float(np.max(res_sur)))
     print(f"wrote {path} ({k.size} wavenumbers)")
     print(f"max quartic residual = {_fmt(worst)}")
@@ -418,14 +417,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # --------------------------------------------------------------------------
 
 def _write_snapshot(path: Path, state: SystemState) -> None:
-    with path.open("w") as fh:
-        fh.write(f"# t = {_fmt(state.t)}\n")
-        fh.write("x\tr\tre_q\tim_q\n")
-        x = state.grid.x
-        r = state.r.values
-        q = state.q.values
-        for i in range(state.grid.n):
-            fh.write("\t".join(_fmt(v) for v in (x[i], r[i], q[i].real, q[i].imag)) + "\n")
+    q = state.q.values
+    _write_tsv(path, f"# t = {_fmt(state.t)}\nx\tr\tre_q\tim_q",
+               np.column_stack((state.grid.x, state.r.values, q.real, q.imag)))
 
 
 def _write_metadata(path: Path, cfg: RunConfig, co, status: str,
@@ -467,12 +461,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
               f"last good snapshot written to {out / 'snapshot_last_good.tsv'}")
         return EXIT_BLOWUP
     diag_path = out / "diagnostics.tsv"
-    with diag_path.open("w") as fh:
-        fh.write("t\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual\n")
-        for row in traj.diagnostics:
-            fh.write("\t".join(_fmt(v) for v in
-                               (row.t, row.e1, row.e2, row.e3,
-                                row.mean_r, row.max_r, row.gauge_residual)) + "\n")
+    _write_tsv(diag_path, "t\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual",
+               np.array([(row.t, row.e1, row.e2, row.e3, row.mean_r, row.max_r,
+                          row.gauge_residual) for row in traj.diagnostics]))
     for index, snap in enumerate(traj.snapshots):
         _write_snapshot(out / f"snapshot_{index:04d}.tsv", snap)
     _write_metadata(out / "metadata.txt", cfg, co, "ok", {
@@ -494,7 +485,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                           f"{_KEY['sweep_values']}")
     if cfg.sweep_key not in _DEFAULTS:
         raise ConfigError(f"{_KEY['sweep_key']}: {cfg.sweep_key!r} is not a config key")
-    if cfg.sweep_key in ("output.dir", "sweep.key", "sweep.values", "sweep.workers"):
+    if cfg.sweep_key in ("output.dir", "sweep.key", "sweep.values"):
         raise ConfigError(f"{_KEY['sweep_key']}: {cfg.sweep_key!r} cannot be swept")
     base = Path(cfg.out_dir)
     jobs: list[tuple[str, RunConfig]] = []
@@ -504,16 +495,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         tag = f"{cfg.sweep_key}={value}".replace("/", "_")
         settings[_KEY["out_dir"]] = str(base / tag)
         jobs.append((tag, RunConfig.from_settings(settings)))
-
-    def one(job: tuple[str, RunConfig]) -> int:
-        tag, sub = job
-        code = cmd_simulate(sub, args)
-        log.info("sweep %s -> exit %d", tag, code)
-        return code
-
-    workers = min(cfg.sweep_workers, len(jobs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        codes = list(pool.map(one, jobs))
+    # every member is checked above before the first one runs
+    codes = []
+    for tag, sub in jobs:
+        codes.append(cmd_simulate(sub, args))
+        log.info("sweep %s -> exit %d", tag, codes[-1])
     print(f"sweep over {cfg.sweep_key}: {len(jobs)} runs, "
           f"{sum(1 for c in codes if c == EXIT_OK)} ok")
     return EXIT_BLOWUP if any(c == EXIT_BLOWUP for c in codes) else EXIT_OK

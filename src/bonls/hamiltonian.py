@@ -135,11 +135,6 @@ def _mult(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.fft.ifft(m * np.fft.fft(v))
 
 
-def _mult_real(m: np.ndarray, f: RealField) -> RealField:
-    """Apply an even real multiplier, which preserves realness."""
-    return RealField(f.grid, _mult(m, f.values).real)
-
-
 def normal_transform(f: FourField, params: PhysicalParams,
                      symbols: Symbols = symbol_table) -> FourField:
     """Decouple (eta, xi, eta1, xi1) into the mode pairs (mu, zeta, mu1, zeta1).
@@ -349,8 +344,8 @@ class DnoFirstOrder:
     g22_01: Callable[[RealField], RealField]
 
 
-def dno_first_order(params: PhysicalParams, eta: RealField,
-                    eta1: RealField) -> DnoFirstOrder:
+def dno_first_order(params: PhysicalParams, eta: RealField, eta1: RealField,
+                    symbols: Symbols = symbol_table) -> DnoFirstOrder:
     """Build the first-order Dirichlet-Neumann closures for given elevations.
 
     Each operator is a multiplier sandwich L (w . (R phi)) with the
@@ -360,7 +355,7 @@ def dno_first_order(params: PhysicalParams, eta: RealField,
     if eta.grid != eta1.grid:
         raise ValueError("eta and eta1 must share one grid")
     grid = eta.grid
-    st = symbol_table(params, grid.k)
+    st = symbols(params, grid.k)
     mask = dealias_mask(grid)
     k = grid.k.astype(float)
     absk = np.abs(k)

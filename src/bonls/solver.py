@@ -98,18 +98,17 @@ class SystemState:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Step size, scheme selection, and safety switches.
+    """Step size, scheme selection, and the blow-up guard.
 
     scheme is one of "strang-split" (exact linear propagators around an
     RK4 substep for the nonlinearity) or "etdrk4" (exponential
-    integrator with contour-evaluated coefficients).  dealias applies the
+    integrator with contour-evaluated coefficients).  Both apply the
     two-thirds rule to every pointwise product.  cfl_guard is the sup-norm
     of r beyond which the step raises BlowUp.
     """
 
     dt: float
     scheme: str = "strang-split"
-    dealias: bool = True
     cfl_guard: float = 10.0
 
     def __post_init__(self):
@@ -160,12 +159,12 @@ class _Rhs:
     The linear symbols reuse the propagator phases from `spectral`, so a
     stepper built on them matches the exact flows bit for bit on the
     linear terms.  `scale` converts between the two slow-time
-    normalizations of the full system.
+    normalizations of the full system.  Every product factor and every
+    product is cut to the two-thirds band.
     """
 
     def __init__(self, grid: Grid, coeffs: ModelCoefficients, full: bool,
-                 dealias: bool = True, scale: float = 1.0):
-        self.grid = grid
+                 scale: float = 1.0):
         self.coeffs = coeffs
         self.full = full
         self.scale = scale
@@ -174,35 +173,32 @@ class _Rhs:
         self.hil = _mult_hilbert(grid)
         self.lin_r = 1j * scale * _phase("V", coeffs, grid)
         self.lin_q = 1j * scale * _phase("U", coeffs, grid)
-        self.mask = dealias_mask(grid).astype(float) if dealias else None
-
-    def _cut(self, spec: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-        return spec if mask is None else spec * mask
+        self.mask = dealias_mask(grid).astype(float)
 
     def nonlinear(self, r_spec: np.ndarray, q_spec: np.ndarray):
         """Spectra of the non-dispersive terms; the r part has exact zero mean."""
         co = self.coeffs
         m = self.mask
-        rs = self._cut(r_spec, m)
-        qs = self._cut(q_spec, m)
+        rs = r_spec * m
+        qs = q_spec * m
         r = np.fft.ifft(rs).real
         q = np.fft.ifft(qs)
 
         # advection written as the perfect derivative (c/2)(r^2)_x; with the
         # two-thirds cut this equals the literal product r r_x
-        rr = self._cut(np.fft.fft(r * r), m)
+        rr = np.fft.fft(r * r) * m
         nr = (0.5 * co.c) * (self.ik * rr)
 
         hdr = np.fft.ifft(self.hil * (self.ik * rs)).real
         dr = np.fft.ifft(self.ik * rs).real
-        p_rh = self._cut(np.fft.fft(r * hdr), m)
-        p_rd = self._cut(np.fft.fft(r * dr), m)
+        p_rh = np.fft.fft(r * hdr) * m
+        p_rd = np.fft.fft(r * dr) * m
         nr = nr - co.d * (self.ik * p_rh + self.absk * p_rd)
 
-        qq = self._cut(np.fft.fft((q * np.conj(q)).real), m)
+        qq = np.fft.fft((q * np.conj(q)).real) * m
         nr = nr + co.beta * (self.ik * qq)
 
-        rq = self._cut(np.fft.fft(r * q), m)
+        rq = np.fft.fft(r * q) * m
         nq = (1j * co.beta) * rq
 
         if self.full:
@@ -210,13 +206,13 @@ class _Rhs:
             dq = np.fft.ifft(self.ik * qs)
             # with D = -i d/dx the bracket q conj(Dq) + conj(q) Dq is the
             # real density 2 Im(conj(q) q_x)
-            flux = self._cut(np.fft.fft(2.0 * np.imag(np.conj(q) * dq)), m)
+            flux = np.fft.fft(2.0 * np.imag(np.conj(q) * dq)) * m
             nr = nr - (eps * co.kt3) * (self.ik * flux)
             nr = nr - (eps * co.kt4) * (self.ik * (self.absk * qq))
-            p_rdq = self._cut(np.fft.fft(r * dq), m)
+            p_rdq = np.fft.fft(r * dq) * m
             nq = nq - (eps * co.kt3) * (self.ik * rq + p_rdq)
             absr = np.fft.ifft(self.absk * rs).real
-            nq = nq - (1j * eps * co.kt4) * self._cut(np.fft.fft(q * absr), m)
+            nq = nq - (1j * eps * co.kt4) * (np.fft.fft(q * absr) * m)
 
         if self.scale != 1.0:
             nr = self.scale * nr
@@ -229,7 +225,7 @@ class _Rhs:
 
 
 def _make_rhs(grid: Grid, coeffs: ModelCoefficients, system: str,
-              dealias: bool, time_scale: str) -> _Rhs:
+              time_scale: str) -> _Rhs:
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
     if time_scale not in TIME_SCALES:
@@ -239,24 +235,24 @@ def _make_rhs(grid: Grid, coeffs: ModelCoefficients, system: str,
         if system != "full":
             raise ValueError("the alternative slow time applies to the full system only")
         scale = 1.0 / coeffs.epsilon
-    return _Rhs(grid, coeffs, full=(system == "full"), dealias=dealias, scale=scale)
+    return _Rhs(grid, coeffs, full=(system == "full"), scale=scale)
 
 
-def rhs_reduced(s: SystemState, coeffs: ModelCoefficients,
-                dealias: bool = True) -> tuple[RealField, ComplexField]:
+def rhs_reduced(s: SystemState, coeffs: ModelCoefficients) -> tuple[RealField, ComplexField]:
     """Time derivative (dr/dt, dq/dt) of the reduced system.
 
-    Products are evaluated pseudospectrally under the two-thirds rule when
-    dealias is set.  Every r term carries an outer derivative, so the mean
-    of dr/dt vanishes identically (the k = 0 coefficient is exactly zero).
+    Products are evaluated pseudospectrally under the two-thirds rule, which
+    makes every quadratic product alias-free.  Every r term carries an outer
+    derivative, so the mean of dr/dt vanishes identically (the k = 0
+    coefficient is exactly zero).
     """
-    rhs = _make_rhs(s.grid, coeffs, "reduced", dealias, "tau")
+    rhs = _make_rhs(s.grid, coeffs, "reduced", "tau")
     dr, dq = rhs.total(s.r.spectrum, s.q.spectrum)
     return (RealField.from_spectrum(s.grid, dr),
             ComplexField.from_spectrum(s.grid, dq))
 
 
-def rhs_full(s: SystemState, coeffs: ModelCoefficients, dealias: bool = True,
+def rhs_full(s: SystemState, coeffs: ModelCoefficients,
              time_scale: str = "tau") -> tuple[RealField, ComplexField]:
     """Slow-time derivative (dr/dtau, dq/dtau) of the full system.
 
@@ -267,7 +263,7 @@ def rhs_full(s: SystemState, coeffs: ModelCoefficients, dealias: bool = True,
     alternative slow time (one power of epsilon slower), which rescales
     the whole right-hand side by 1/epsilon.
     """
-    rhs = _make_rhs(s.grid, coeffs, "full", dealias, time_scale)
+    rhs = _make_rhs(s.grid, coeffs, "full", time_scale)
     dr, dq = rhs.total(s.r.spectrum, s.q.spectrum)
     return (RealField.from_spectrum(s.grid, dr),
             ComplexField.from_spectrum(s.grid, dq))
@@ -276,13 +272,11 @@ def rhs_full(s: SystemState, coeffs: ModelCoefficients, dealias: bool = True,
 class _StrangStepper:
     """Half linear flow, RK4 on the nonlinearity, half linear flow."""
 
-    def __init__(self, grid: Grid, cfg: StepperConfig,
-                 coeffs: ModelCoefficients, rhs: _Rhs):
+    def __init__(self, dt: float, rhs: _Rhs):
         self.rhs = rhs
-        self.dt = cfg.dt
-        half = 0.5 * cfg.dt * rhs.scale
-        self.half_r = np.exp(1j * half * _phase("V", coeffs, grid))
-        self.half_q = np.exp(1j * half * _phase("U", coeffs, grid))
+        self.dt = dt
+        self.half_r = np.exp(0.5 * dt * rhs.lin_r)
+        self.half_q = np.exp(0.5 * dt * rhs.lin_q)
 
     def advance(self, r_spec: np.ndarray, q_spec: np.ndarray):
         r = self.half_r * r_spec
@@ -325,14 +319,13 @@ class _EtdStepper:
 
     CONTOUR_POINTS = 64
 
-    def __init__(self, grid: Grid, cfg: StepperConfig,
-                 coeffs: ModelCoefficients, rhs: _Rhs):
+    def __init__(self, dt: float, rhs: _Rhs):
         self.rhs = rhs
         m = self.CONTOUR_POINTS
         (self.er, self.e2r, self.qr,
-         self.f1r, self.f2r, self.f3r) = _etd_tables(cfg.dt, rhs.lin_r, m)
+         self.f1r, self.f2r, self.f3r) = _etd_tables(dt, rhs.lin_r, m)
         (self.eq, self.e2q, self.qq,
-         self.f1q, self.f2q, self.f3q) = _etd_tables(cfg.dt, rhs.lin_q, m)
+         self.f1q, self.f2q, self.f3q) = _etd_tables(dt, rhs.lin_q, m)
 
     def advance(self, r_spec: np.ndarray, q_spec: np.ndarray):
         n0r, n0q = self.rhs.nonlinear(r_spec, q_spec)
@@ -354,10 +347,27 @@ class _EtdStepper:
 
 def _build_stepper(grid: Grid, cfg: StepperConfig, coeffs: ModelCoefficients,
                    system: str, time_scale: str):
-    rhs = _make_rhs(grid, coeffs, system, cfg.dealias, time_scale)
+    rhs = _make_rhs(grid, coeffs, system, time_scale)
     if cfg.scheme == "strang-split":
-        return _StrangStepper(grid, cfg, coeffs, rhs)
-    return _EtdStepper(grid, cfg, coeffs, rhs)
+        return _StrangStepper(cfg.dt, rhs)
+    return _EtdStepper(cfg.dt, rhs)
+
+
+def _guarded_step(stepper, cfg: StepperConfig, r_spec: np.ndarray,
+                  q_spec: np.ndarray, t: float, last_good):
+    """Advance the spectra by one step and check the sup norm of r.
+
+    Returns the new spectra and the inverse transform of r, whose real
+    part is the new r and whose imaginary part is transform roundoff.
+    Raises BlowUp at time t, carrying last_good() as the last finite
+    state, when the sup norm of r stops being finite or exceeds the guard.
+    """
+    r_spec, q_spec = stepper.advance(r_spec, q_spec)
+    w = np.fft.ifft(r_spec)
+    sup = float(np.max(np.abs(w.real)))
+    if not np.isfinite(sup) or sup > cfg.cfl_guard:
+        raise BlowUp(t, sup, state=last_good())
+    return r_spec, q_spec, w
 
 
 def _require_finite(s: SystemState) -> None:
@@ -387,12 +397,9 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     """
     _require_finite(s)
     stepper = _build_stepper(s.grid, cfg, coeffs, system, time_scale)
-    r_spec, q_spec = stepper.advance(s.r.spectrum, s.q.spectrum)
     t = s.t + cfg.dt
-    w = np.fft.ifft(r_spec)
-    sup = float(np.max(np.abs(w.real)))
-    if not np.isfinite(sup) or sup > cfg.cfl_guard:
-        raise BlowUp(t, sup, state=s)
+    _, q_spec, w = _guarded_step(stepper, cfg, s.r.spectrum, s.q.spectrum, t,
+                                 lambda: s)
     return SystemState(RealField(s.grid, w.real),
                        ComplexField.from_spectrum(s.grid, q_spec), t)
 
@@ -455,10 +462,11 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     stepper = _build_stepper(grid, cfg, coeffs, system, time_scale)
     r_spec = initial.r.spectrum.astype(complex).copy()
     q_spec = initial.q.spectrum.astype(complex).copy()
+    r_vals = np.fft.ifft(r_spec).real
 
-    def state_at(rs: np.ndarray, qs: np.ndarray, t: float) -> SystemState:
-        return SystemState(RealField(grid, np.fft.ifft(rs).real),
-                           ComplexField.from_spectrum(grid, qs.copy()), t)
+    def state_at(rv: np.ndarray, qs: np.ndarray, t: float) -> SystemState:
+        return SystemState(RealField(grid, rv),
+                           ComplexField.from_spectrum(grid, qs), t)
 
     def diag_row(st: SystemState) -> DiagnosticsRow:
         tri = conserved(st, coeffs)
@@ -468,24 +476,23 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
                               float(np.max(np.abs(st.r.values))),
                               residual)
 
-    snapshots = [state_at(r_spec, q_spec, initial.t)]
+    snapshots = [state_at(r_vals, q_spec, initial.t)]
     rows = [diag_row(snapshots[0])]
     worst_imag = 0.0
+    t = initial.t
     for i in range(1, n_steps + 1):
-        prev_r, prev_q, prev_t = r_spec, q_spec, initial.t + (i - 1) * cfg.dt
-        r_spec, q_spec = stepper.advance(r_spec, q_spec)
+        prev_r, prev_q, prev_t = r_vals, q_spec, t
         t = initial.t + i * cfg.dt
-        w = np.fft.ifft(r_spec)
-        sup = float(np.max(np.abs(w.real)))
-        imag = float(np.max(np.abs(w.imag)))
-        if not np.isfinite(sup) or sup > cfg.cfl_guard:
-            raise BlowUp(t, sup, state=state_at(prev_r, prev_q, prev_t))
-        worst_imag = max(worst_imag, imag)
+        r_spec, q_spec, w = _guarded_step(
+            stepper, cfg, r_spec, q_spec, t,
+            lambda: state_at(prev_r, prev_q, prev_t))
+        r_vals = w.real
+        worst_imag = max(worst_imag, float(np.max(np.abs(w.imag))))
         at_end = i == n_steps
         want_diag = at_end or i % diagnostics_every == 0
         want_snap = at_end or (snapshot_every is not None and i % snapshot_every == 0)
         if want_diag or want_snap:
-            st = state_at(r_spec, q_spec, t)
+            st = state_at(r_vals, q_spec, t)
             if want_diag:
                 rows.append(diag_row(st))
             if want_snap:

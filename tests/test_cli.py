@@ -13,6 +13,8 @@ from bonls.cli import (
     _DEFAULTS,
     ConfigError,
     RunConfig,
+    _fmt,
+    _write_tsv,
     build_initial_state,
     load_settings,
     main,
@@ -138,7 +140,6 @@ def test_sweep_values_are_split_and_stripped():
     ("dispersion.k_min", "-1", "dispersion range"),
     ("dispersion.count", "1", "dispersion.count"),
     ("verify.fields", "0", "verify.fields"),
-    ("sweep.workers", "0", "sweep.workers"),
     ("grid.length", "nonsense", "grid.length"),
     ("stepper.dt", "3e-3", "multiple of dt"),
     ("ic.q.amplitude", "nan", "ic.q.amplitude"),
@@ -339,6 +340,16 @@ ic.r.kind = noise
     assert diag_bytes("s7a", "7") != diag_bytes("s8", "8")
 
 
+def test_tsv_writer_matches_fmt_on_special_values(tmp_path):
+    table = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 5e-324],
+                      [1.0 / 3.0, -1e300, 2.0]])
+    path = tmp_path / "t.tsv"
+    _write_tsv(path, "# note\na\tb\tc", table)
+    want = "# note\na\tb\tc\n" + "".join(
+        "\t".join(_fmt(v) for v in row) + "\n" for row in table)
+    assert path.read_text() == want
+
+
 def test_simulate_blow_up_leaves_evidence(tmp_path, capsys):
     path = write_config(tmp_path, QUICK_RUN + """
 ic.r.amplitude = 0.5
@@ -365,7 +376,6 @@ stepper.dt = 1e-3
 run.diagnostics_every = 10
 sweep.key = ic.r.amplitude
 sweep.values = 0.02, 0.04
-sweep.workers = 2
 """)
     out_dir = tmp_path / "sweep"
     assert main(["--config", path, "--out", str(out_dir), "sweep"]) == 0
@@ -374,6 +384,46 @@ sweep.workers = 2
         assert (sub / "diagnostics.tsv").exists()
         assert f"ic.r.amplitude = {value}" in (sub / "metadata.txt").read_text()
     assert "2 runs, 2 ok" in capsys.readouterr().out
+
+
+def test_sweep_members_match_standalone_runs(tmp_path):
+    member = BENCH_LINES + """
+grid.n = 64
+run.t_end = 0.02
+stepper.dt = 1e-3
+run.diagnostics_every = 5
+run.snapshot_every = 10
+"""
+    path = write_config(tmp_path, member + "sweep.key = ic.r.amplitude\n"
+                        "sweep.values = 0.02, 0.04\n")
+    assert main(["--config", path, "--out", str(tmp_path / "sweep"), "sweep"]) == 0
+    for value in ("0.02", "0.04"):
+        alone = write_config(tmp_path, member + f"ic.r.amplitude = {value}\n",
+                             f"alone{value}.conf")
+        assert main(["--config", alone, "--out", str(tmp_path / value), "simulate"]) == 0
+        for name in ("diagnostics.tsv", "snapshot_0002.tsv"):
+            swept = tmp_path / "sweep" / f"ic.r.amplitude={value}" / name
+            assert swept.read_bytes() == (tmp_path / value / name).read_bytes()
+
+
+def test_sweep_blow_up_exits_3_and_keeps_other_members(tmp_path, capsys):
+    path = write_config(tmp_path, QUICK_RUN + """
+stepper.cfl_guard = 0.4
+sweep.key = ic.r.amplitude
+sweep.values = 0.5, 0.02
+""")
+    out_dir = tmp_path / "sweep"
+    assert main(["--config", path, "--out", str(out_dir), "sweep"]) == 3
+    boom = out_dir / "ic.r.amplitude=0.5"
+    assert "status = blow-up" in (boom / "metadata.txt").read_text()
+    assert (boom / "snapshot_last_good.tsv").exists()
+    ok = out_dir / "ic.r.amplitude=0.02"
+    assert "status = ok" in (ok / "metadata.txt").read_text()
+    # t = 0, 0.01, ..., 0.05 at diagnostics_every = 10 steps
+    assert len((ok / "diagnostics.tsv").read_text().splitlines()) == 1 + 6
+    assert sorted(f.name for f in ok.glob("snapshot_*.tsv")) == [
+        "snapshot_0000.tsv", "snapshot_0001.tsv", "snapshot_0002.tsv"]
+    assert "2 runs, 1 ok" in capsys.readouterr().out
 
 
 def test_sweep_rejects_bad_keys(tmp_path):

@@ -21,6 +21,7 @@ from bonls.hamiltonian import (
     normal_transform,
 )
 from bonls.spectral import Grid, RealField, band_limited_noise, dealias_mask, inner
+from bonls.verify import perturbed
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -280,6 +281,16 @@ def test_dno_g11_10_identity():
     want = (sandwich(st_.g11) - sandwich(grid.k)).real
     got = ops.g11_10(phi).values
     assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+
+
+def test_dno_takes_the_symbol_evaluator_by_argument():
+    """A perturbed g11 reaches g11_10 through the symbols argument."""
+    grid = Grid(128, 20.0)
+    eta = band_limited_noise(grid, RNG, amplitude=0.05)
+    phi = band_limited_noise(grid, RNG)
+    plain = dno_first_order(BENCH, eta, zeros(grid)).g11_10(phi).values
+    bent = dno_first_order(BENCH, eta, zeros(grid), perturbed("g11")).g11_10(phi).values
+    assert np.max(np.abs(bent - plain)) > 1e-6 * np.max(np.abs(plain))
 
 
 def test_dno_requires_shared_grid():

@@ -319,6 +319,23 @@ def test_run_blow_up_reports_last_finite_state():
     assert np.max(np.abs(err.state.r.values - s0.r.values)) <= 1e-14
 
 
+@pytest.mark.parametrize("system, time_scale",
+                         [("reduced", "tau"), ("full", "tau"), ("full", "tau1")])
+@pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
+def test_step_loop_and_run_are_one_integrator(scheme, system, time_scale):
+    grid = Grid(128, 40.0)
+    s0 = bump_state(grid)
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    s = s0
+    for _ in range(200):
+        s = step(s, cfg, BENCH, system=system, time_scale=time_scale)
+    end = run(s0, cfg, BENCH, t_end=0.2, diagnostics_every=200, system=system,
+              time_scale=time_scale, gauge_diagnostics=False).snapshots[-1]
+    assert s.t == pytest.approx(end.t)
+    for got, want in ((s.r.values, end.r.values), (s.q.values, end.q.values)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("field, bad", [("r", np.nan), ("q", np.inf)])
 def test_non_finite_input_is_rejected_not_a_blow_up(field, bad):
     grid = Grid(64, 20.0)
