@@ -493,6 +493,10 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         settings = dict(cfg.settings)
         settings[cfg.sweep_key] = value
         tag = f"{cfg.sweep_key}={value}".replace("/", "_")
+        if any(tag == done for done, _ in jobs):
+            # a second member would overwrite the first one's directory
+            raise ConfigError(f"{_KEY['sweep_values']}: {value!r} gives the member "
+                              f"directory {tag!r} twice")
         settings[_KEY["out_dir"]] = str(base / tag)
         jobs.append((tag, RunConfig.from_settings(settings)))
     # every member is checked above before the first one runs

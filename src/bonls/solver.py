@@ -37,7 +37,6 @@ from .spectral import (
     dealias_mask,
     deriv,
     _mult_deriv,
-    _mult_hilbert,
     _phase,
 )
 
@@ -158,65 +157,60 @@ class _Rhs:
 
     The linear symbols reuse the propagator phases from `spectral`, so a
     stepper built on them matches the exact flows bit for bit on the
-    linear terms.  `scale` converts between the two slow-time
-    normalizations of the full system.  Every product factor and every
-    product is cut to the two-thirds band.
+    linear terms.  Both product factors are cut to the two-thirds band,
+    and each product is transformed once and enters through one weight:
+    the multipliers of every term it feeds, times the two-thirds cut,
+    times `scale`, which converts between the two slow-time
+    normalizations of the full system.  Under the cut
+    cut(r r_x) = (ik/2) cut(r^2) and H r_x = |D| r, so the advection term
+    and |D|(r r_x) share the weight on r^2.
     """
 
     def __init__(self, grid: Grid, coeffs: ModelCoefficients, full: bool,
                  scale: float = 1.0):
-        self.coeffs = coeffs
+        co = coeffs
         self.full = full
-        self.scale = scale
-        self.ik = _mult_deriv(grid, 1)
-        self.absk = np.abs(grid.k)
-        self.hil = _mult_hilbert(grid)
-        self.lin_r = 1j * scale * _phase("V", coeffs, grid)
-        self.lin_q = 1j * scale * _phase("U", coeffs, grid)
+        self.ik = ik = _mult_deriv(grid, 1)
+        self.absk = absk = np.abs(grid.k)
+        self.lin_r = 1j * scale * _phase("V", co, grid)
+        self.lin_q = 1j * scale * _phase("U", co, grid)
         self.mask = dealias_mask(grid).astype(float)
+        # products into dr: r^2, r |D|r, |q|^2 and (full) the kt3 flux;
+        # into dq: r q and (full) r q_x and q |D|r
+        w = scale * self.mask
+        w_qq = co.beta * ik
+        w_rq = 1j * co.beta
+        if full:
+            e3 = co.epsilon * co.kt3
+            e4 = co.epsilon * co.kt4
+            w_qq = w_qq - e4 * (ik * absk)
+            w_rq = w_rq - e3 * ik
+            self.w_flux = (-e3 * w) * ik
+            self.w_rdq = -e3 * w
+            self.w_qdr = (-1j * e4) * w
+        self.w_rr = (0.5 * w) * ik * (co.c - co.d * absk)
+        self.w_rdr = (-co.d * w) * ik
+        self.w_qq = w * w_qq
+        self.w_rq = w * w_rq
 
     def nonlinear(self, r_spec: np.ndarray, q_spec: np.ndarray):
         """Spectra of the non-dispersive terms; the r part has exact zero mean."""
-        co = self.coeffs
-        m = self.mask
-        rs = r_spec * m
-        qs = q_spec * m
+        rs = r_spec * self.mask
+        qs = q_spec * self.mask
         r = np.fft.ifft(rs).real
         q = np.fft.ifft(qs)
-
-        # advection written as the perfect derivative (c/2)(r^2)_x; with the
-        # two-thirds cut this equals the literal product r r_x
-        rr = np.fft.fft(r * r) * m
-        nr = (0.5 * co.c) * (self.ik * rr)
-
-        hdr = np.fft.ifft(self.hil * (self.ik * rs)).real
-        dr = np.fft.ifft(self.ik * rs).real
-        p_rh = np.fft.fft(r * hdr) * m
-        p_rd = np.fft.fft(r * dr) * m
-        nr = nr - co.d * (self.ik * p_rh + self.absk * p_rd)
-
-        qq = np.fft.fft((q * np.conj(q)).real) * m
-        nr = nr + co.beta * (self.ik * qq)
-
-        rq = np.fft.fft(r * q) * m
-        nq = (1j * co.beta) * rq
-
+        adr = np.fft.ifft(self.absk * rs).real  # |D| r, which is H r_x
+        nr = (self.w_rr * np.fft.fft(r * r)
+              + self.w_rdr * np.fft.fft(r * adr)
+              + self.w_qq * np.fft.fft((q * np.conj(q)).real))
+        nq = self.w_rq * np.fft.fft(r * q)
         if self.full:
-            eps = co.epsilon
             dq = np.fft.ifft(self.ik * qs)
             # with D = -i d/dx the bracket q conj(Dq) + conj(q) Dq is the
             # real density 2 Im(conj(q) q_x)
-            flux = np.fft.fft(2.0 * np.imag(np.conj(q) * dq)) * m
-            nr = nr - (eps * co.kt3) * (self.ik * flux)
-            nr = nr - (eps * co.kt4) * (self.ik * (self.absk * qq))
-            p_rdq = np.fft.fft(r * dq) * m
-            nq = nq - (eps * co.kt3) * (self.ik * rq + p_rdq)
-            absr = np.fft.ifft(self.absk * rs).real
-            nq = nq - (1j * eps * co.kt4) * (np.fft.fft(q * absr) * m)
-
-        if self.scale != 1.0:
-            nr = self.scale * nr
-            nq = self.scale * nq
+            nr = nr + self.w_flux * np.fft.fft(2.0 * np.imag(np.conj(q) * dq))
+            nq = (nq + self.w_rdq * np.fft.fft(r * dq)
+                  + self.w_qdr * np.fft.fft(q * adr))
         return nr, nq
 
     def total(self, r_spec: np.ndarray, q_spec: np.ndarray):

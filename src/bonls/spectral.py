@@ -47,7 +47,7 @@ class Grid:
 
     n must be a power of two (at least 8) so that transforms are cheap and
     the two-thirds dealiasing cut used by the time steppers is exact for
-    quadratic and cubic products.
+    quadratic products (see `dealias_mask`).
     """
 
     n: int
@@ -157,8 +157,10 @@ def inner(f: Field, g: Field) -> complex:
 def dealias_mask(grid: Grid) -> np.ndarray:
     """Two-thirds-rule mode mask: True where |mode index| <= n//3.
 
-    Factors of pointwise products restricted to this band make quadratic
-    and cubic products alias-free on a power-of-two grid.
+    Restricting both factors of a pointwise product to this band makes
+    the product alias-free inside the band on a power-of-two grid.  A
+    product of three such factors is not: its aliases reach the band, and
+    only its mean (hence a quadrature of it) is exact.
     """
     j = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
     return np.abs(j) <= grid.n // 3

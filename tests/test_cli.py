@@ -434,6 +434,12 @@ def test_sweep_rejects_bad_keys(tmp_path):
                                           "b.conf"), "sweep"]) == 2
     assert main(["--config", write_config(tmp_path, base + "sweep.key = nope.key\n",
                                           "c.conf"), "sweep"]) == 2
+    # two values naming one member directory: refused before any run
+    out_dir = tmp_path / "dup"
+    dup = BENCH_LINES + "sweep.key = ic.r.amplitude\nsweep.values = 0.05, 0.05, 0.1\n"
+    assert main(["--config", write_config(tmp_path, dup, "d.conf"), "--out", str(out_dir),
+                 "sweep"]) == 2
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------- exit codes

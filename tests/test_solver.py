@@ -96,6 +96,52 @@ def test_rhs_single_mode_coupling():
     assert np.max(np.abs(dq.values - want)) <= 1e-13
 
 
+def test_rhs_single_mode_nonlinear_oracle():
+    # closed forms of the c, d, kt3 and kt4 terms on r = R cos(m x),
+    # q = A exp(i k x); without dispersion only the products remain
+    grid = Grid(64, 2.0 * np.pi)
+    R, A = 0.3, 0.2 + 0.1j
+    m, k = 2.0, 3.0
+    x = grid.x
+    co = dataclasses.replace(BENCH, a=0.0, b=0.0, alpha=0.0)
+    s = SystemState(RealField(grid, R * np.cos(m * x)),
+                    ComplexField(grid, A * np.exp(1j * k * x)))
+    # c r r_x = -(c m / 2) R^2 sin 2mx; (r H r_x)_x and |D|(r r_x) each give
+    # -m^2 R^2 sin 2mx; |q|^2 and the kt3 flux are constant, so drop out
+    want_r = (2.0 * co.d * m * m - 0.5 * co.c * m) * R * R * np.sin(2.0 * m * x)
+    e3, e4 = co.epsilon * co.kt3, co.epsilon * co.kt4
+    want_q = 0.5 * R * A * sum(
+        1j * (co.beta - e3 * (2.0 * k + sgn * m) - e4 * m) * np.exp(1j * (k + sgn * m) * x)
+        for sgn in (1.0, -1.0))
+    dr_red, _ = rhs_reduced(s, co)
+    dr_full, dq_full = rhs_full(s, co)
+    assert np.max(np.abs(dr_red.values - want_r)) <= 1e-13
+    assert np.max(np.abs(dr_full.values - want_r)) <= 1e-13
+    assert np.max(np.abs(dq_full.values - want_q)) <= 1e-13
+
+
+def test_rhs_transform_budget(monkeypatch):
+    # each product is transformed once: the reduced right-hand side makes
+    # 3 inverse and 4 forward transforms, the full one 4 and 7, plus one
+    # inverse transform for each returned field
+    grid = Grid(128, 40.0)
+    s = bump_state(grid)
+    _ = s.r.spectrum, s.q.spectrum  # cache the input spectra
+    calls = {"n": 0}
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls["n"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    for rhs, budget in ((rhs_reduced, 9), (rhs_full, 13)):
+        calls["n"] = 0
+        rhs(s, BENCH)
+        assert calls["n"] <= budget, rhs.__name__
+
+
 def test_rhs_full_reduces_when_kt_vanishes():
     grid = Grid(128, 40.0)
     s = bump_state(grid)
