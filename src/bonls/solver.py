@@ -23,6 +23,7 @@ Conserved quantities tracked along a run:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,13 @@ __all__ = [
 SCHEMES = ("strang-split", "etdrk4")
 SYSTEMS = ("reduced", "full")
 TIME_SCALES = ("tau", "tau1")
+
+# Steppers kept for reuse, one per distinct (grid, config, coefficients,
+# system, time scale); each holds a few read-only arrays of length n.
+_STEPPER_MEMO_SIZE = 8
+# Rows of the (n, CONTOUR_POINTS) contour temporaries evaluated at once by
+# `_etd_tables`, so their size stays bounded as n grows.
+_CONTOUR_ROWS = 512
 
 
 class BlowUp(RuntimeError):
@@ -292,19 +300,24 @@ def _etd_tables(h: float, lin: np.ndarray, m: int):
     arguments, so each is averaged over a unit circle around h*L.  The
     contour points come in conjugate pairs and the means stay complex,
     which preserves the Hermitian symmetry of real data for the purely
-    imaginary symbols used here.
+    imaginary symbols used here.  The means are taken over blocks of
+    `_CONTOUR_ROWS` modes; each is a reduction along its own row, so the
+    blocking changes no bit of the result.
     """
     z = h * lin
     e_full = np.exp(z)
     e_half = np.exp(0.5 * z)
-    angles = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-    zc = z[:, None] + np.exp(1j * angles)[None, :]
-    ez = np.exp(zc)
-    zc3 = zc * zc * zc
-    q = h * np.mean((np.exp(0.5 * zc) - 1.0) / zc, axis=1)
-    f1 = h * np.mean((-4.0 - zc + ez * (4.0 - 3.0 * zc + zc * zc)) / zc3, axis=1)
-    f2 = h * np.mean((2.0 + zc + ez * (zc - 2.0)) / zc3, axis=1)
-    f3 = h * np.mean((-4.0 - 3.0 * zc - zc * zc + ez * (4.0 - zc)) / zc3, axis=1)
+    circle = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.5) / m))
+    q, f1, f2, f3 = (np.empty_like(z) for _ in range(4))
+    for lo in range(0, z.size, _CONTOUR_ROWS):
+        rows = slice(lo, lo + _CONTOUR_ROWS)
+        zc = z[rows, None] + circle[None, :]
+        ez = np.exp(zc)
+        zc3 = zc * zc * zc
+        q[rows] = h * np.mean((np.exp(0.5 * zc) - 1.0) / zc, axis=1)
+        f1[rows] = h * np.mean((-4.0 - zc + ez * (4.0 - 3.0 * zc + zc * zc)) / zc3, axis=1)
+        f2[rows] = h * np.mean((2.0 + zc + ez * (zc - 2.0)) / zc3, axis=1)
+        f3[rows] = h * np.mean((-4.0 - 3.0 * zc - zc * zc + ez * (4.0 - zc)) / zc3, axis=1)
     return e_full, e_half, q, f1, f2, f3
 
 
@@ -339,12 +352,26 @@ class _EtdStepper:
         return r, q
 
 
+@functools.lru_cache(maxsize=_STEPPER_MEMO_SIZE)
 def _build_stepper(grid: Grid, cfg: StepperConfig, coeffs: ModelCoefficients,
                    system: str, time_scale: str):
+    """The stepper of one configuration, memoised on its frozen arguments.
+
+    `step` and `run` share it, so equal arguments build the right-hand
+    side and the ETD tables once.  Every array the stepper holds is made
+    read-only, because every caller gets the same instance.  A bad system
+    or time scale raises on every call: only results are memoised.
+    """
     rhs = _make_rhs(grid, coeffs, system, time_scale)
     if cfg.scheme == "strang-split":
-        return _StrangStepper(cfg.dt, rhs)
-    return _EtdStepper(cfg.dt, rhs)
+        stepper = _StrangStepper(cfg.dt, rhs)
+    else:
+        stepper = _EtdStepper(cfg.dt, rhs)
+    for part in (rhs, stepper):
+        for value in vars(part).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return stepper
 
 
 def _guarded_step(stepper, cfg: StepperConfig, r_spec: np.ndarray,
@@ -384,6 +411,11 @@ def step_count(span: float, dt: float) -> int:
 def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
          system: str = "reduced", time_scale: str = "tau") -> SystemState:
     """Advance one state by cfg.dt with the configured scheme.
+
+    The stepper (right-hand side weights and, for etdrk4, the contour
+    tables) is reused across calls with equal arguments, the one `run`
+    builds included, so a loop of step() calls costs about what `run`
+    does per step.
 
     Raises ValueError when r or q is not finite on entry, and BlowUp
     (carrying the input state as the last good one) when the sup norm of

@@ -9,6 +9,7 @@ import logging
 import numpy as np
 import pytest
 
+from bonls import solver
 from bonls.cli import (
     _DEFAULTS,
     ConfigError,
@@ -404,6 +405,34 @@ run.snapshot_every = 10
         for name in ("diagnostics.tsv", "snapshot_0002.tsv"):
             swept = tmp_path / "sweep" / f"ic.r.amplitude={value}" / name
             assert swept.read_bytes() == (tmp_path / value / name).read_bytes()
+
+
+@pytest.mark.parametrize("key, values, steppers", [
+    ("ic.q.amplitude", "0.01, 0.02, 0.03", 1),  # members share one stepper
+    ("stepper.dt", "1e-3, 2e-3, 5e-3", 3),
+])
+def test_sweep_builds_etd_tables_once_per_stepper(tmp_path, monkeypatch, key, values,
+                                                   steppers):
+    calls = {"n": 0}
+    original = solver._etd_tables
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_etd_tables", counted)
+    solver._build_stepper.cache_clear()
+    path = write_config(tmp_path, BENCH_LINES + f"""
+grid.n = 64
+run.t_end = 0.02
+stepper.dt = 1e-3
+stepper.scheme = etdrk4
+run.diagnostics_every = 10
+sweep.key = {key}
+sweep.values = {values}
+""")
+    assert main(["--config", path, "--out", str(tmp_path / "sweep"), "sweep"]) == 0
+    assert calls["n"] == 2 * steppers  # one table set for r, one for q
 
 
 def test_sweep_blow_up_exits_3_and_keeps_other_members(tmp_path, capsys):

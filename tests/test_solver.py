@@ -12,6 +12,7 @@ try:
 except ImportError:
     HAS_HYPOTHESIS = False
 
+from bonls import solver
 from bonls.coeffs import PhysicalParams, derive_coefficients
 from bonls.solver import (
     BlowUp,
@@ -395,6 +396,150 @@ def test_non_finite_input_is_rejected_not_a_blow_up(field, bad):
         step(s, cfg, BENCH)
     with pytest.raises(ValueError, match="finite"):
         run(s, cfg, BENCH, t_end=0.1)
+
+
+# ---------------------------------------------------------------- stepper memo
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of right-hand sides and ETD tables built, from an empty memo."""
+    counts = {"rhs": 0, "tables": 0}
+    for name, key in (("_make_rhs", "rhs"), ("_etd_tables", "tables")):
+        original = getattr(solver, name)
+
+        def counted(*args, _original=original, _key=key, **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    solver._build_stepper.cache_clear()
+    yield counts
+    solver._build_stepper.cache_clear()
+
+
+def test_equal_arguments_share_one_stepper(builds):
+    cfg = StepperConfig(dt=1e-3, scheme="etdrk4")
+    s = bump_state(Grid(512, 40.0))
+    step(s, cfg, BENCH)
+    # equal but not identical: a fresh grid, config and coefficient derivation
+    fresh = derive_coefficients(PhysicalParams(g=1.0, h1=1.0, rho=2.0, rho1=1.0),
+                                epsilon=0.35, delta=0.25)
+    assert fresh == BENCH and fresh is not BENCH
+    s = bump_state(Grid(512, 40.0))
+    step(s, StepperConfig(dt=1e-3, scheme="etdrk4"), fresh)
+    run(s, StepperConfig(dt=1e-3, scheme="etdrk4"), fresh, t_end=2e-3,
+        gauge_diagnostics=False)
+    assert builds == {"rhs": 1, "tables": 2}  # one table set for r, one for q
+    variants = [
+        (StepperConfig(dt=2e-3, scheme="etdrk4"), BENCH, "reduced", "tau"),
+        (StepperConfig(dt=1e-3), BENCH, "reduced", "tau"),  # strang: no tables
+        (cfg, BENCH, "full", "tau"),
+        (cfg, BENCH, "full", "tau1"),
+        (cfg, dataclasses.replace(BENCH, beta=0.5 * BENCH.beta), "reduced", "tau"),
+    ]
+    for built, (c, co, system, time_scale) in enumerate(variants, start=2):
+        for _ in range(2):
+            step(s, c, co, system=system, time_scale=time_scale)
+        assert builds["rhs"] == built
+    assert builds["tables"] == 2 * 5
+    step(s, cfg, BENCH)
+    assert builds["rhs"] == 1 + len(variants)
+
+
+def test_stepper_memo_is_bounded(builds):
+    s = bump_state(Grid(64, 20.0))
+    dts = [1e-3 * (i + 1) for i in range(solver._STEPPER_MEMO_SIZE + 1)]
+    for dt in dts:
+        step(s, StepperConfig(dt=dt), BENCH)
+    assert builds["rhs"] == len(dts)
+    step(s, StepperConfig(dt=dts[-1]), BENCH)
+    assert builds["rhs"] == len(dts)
+    step(s, StepperConfig(dt=dts[0]), BENCH)  # the oldest entry was dropped
+    assert builds["rhs"] == len(dts) + 1
+
+
+def test_stepper_errors_are_raised_on_every_call(builds):
+    s = zero_state(Grid(64, 10.0))
+    cfg = StepperConfig(dt=1e-3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown system"):
+            step(s, cfg, BENCH, system="both")
+        with pytest.raises(ValueError, match="full system"):
+            step(s, cfg, BENCH, system="reduced", time_scale="tau1")
+    assert builds["rhs"] == 4
+    assert solver._build_stepper.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("system, budget", [("reduced", 29), ("full", 45)])
+@pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
+def test_later_steps_build_nothing(builds, monkeypatch, scheme, system, budget):
+    # after the first call a step() builds no right-hand side and no table;
+    # it transforms what the guarded step does (budget), plus the forward
+    # transform of the incoming r and the inverse one giving the new q samples
+    grid = Grid(128, 40.0)
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    s = step(bump_state(grid), cfg, BENCH, system=system)
+    built = dict(builds)
+    calls = {"n": 0}
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls["n"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    n_calls = 5
+    for _ in range(n_calls):
+        s = step(s, cfg, BENCH, system=system)
+    assert builds == built
+    assert calls["n"] <= n_calls * (budget + 2)
+
+
+@pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
+def test_memoised_stepper_arrays_are_read_only(scheme):
+    grid = Grid(128, 40.0)
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    s = bump_state(grid)
+    before = step(s, cfg, BENCH, system="full")
+    stepper = solver._build_stepper(grid, cfg, BENCH, "full", "tau")
+    arrays = [v for part in (stepper, stepper.rhs) for v in vars(part).values()
+              if isinstance(v, np.ndarray)]
+    # the 12 ETD tables or the 2 half-step phases, and the full system's 12
+    # right-hand side arrays (linear symbols, mask and product weights)
+    assert len(arrays) == (12 if scheme == "etdrk4" else 2) + 12
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[1] = 0.0
+    after = step(s, cfg, BENCH, system="full")
+    assert np.array_equal(after.r.values, before.r.values)
+    assert np.array_equal(after.q.values, before.q.values)
+
+
+def _one_shot_etd_tables(h, lin, m):
+    # the contour means over the whole (n, m) array at once
+    z = h * lin
+    angles = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+    zc = z[:, None] + np.exp(1j * angles)[None, :]
+    ez = np.exp(zc)
+    zc3 = zc * zc * zc
+    return (np.exp(z), np.exp(0.5 * z),
+            h * np.mean((np.exp(0.5 * zc) - 1.0) / zc, axis=1),
+            h * np.mean((-4.0 - zc + ez * (4.0 - 3.0 * zc + zc * zc)) / zc3, axis=1),
+            h * np.mean((2.0 + zc + ez * (zc - 2.0)) / zc3, axis=1),
+            h * np.mean((-4.0 - 3.0 * zc - zc * zc + ez * (4.0 - zc)) / zc3, axis=1))
+
+
+@pytest.mark.parametrize("time_scale", ["tau", "tau1"])
+@pytest.mark.parametrize("symbol", ["lin_r", "lin_q"])
+@pytest.mark.parametrize("n", [8, 4096])
+def test_blocked_etd_tables_match_one_shot_contour_means(n, symbol, time_scale):
+    assert n < solver._CONTOUR_ROWS or n > 2 * solver._CONTOUR_ROWS
+    lin = getattr(solver._make_rhs(Grid(n, 40.0), BENCH, "full", time_scale), symbol)
+    m = solver._EtdStepper.CONTOUR_POINTS
+    for got, want in zip(solver._etd_tables(1e-2, lin, m),
+                         _one_shot_etd_tables(1e-2, lin, m), strict=True):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- convergence
