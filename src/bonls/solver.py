@@ -62,9 +62,11 @@ SCHEMES = ("strang-split", "etdrk4")
 SYSTEMS = ("reduced", "full")
 TIME_SCALES = ("tau", "tau1")
 
-# Steppers kept for reuse, one per distinct (grid, config, coefficients,
-# system, time scale); each holds a few read-only arrays of length n.
-_STEPPER_MEMO_SIZE = 8
+# Steppers kept for reuse, one per distinct (grid, dt, scheme, coefficients,
+# system, time scale).  Every measured use (a step() loop, run() after
+# step(), an ic.*/seed sweep) reuses the latest one only, and each holds
+# up to 24 arrays of length n, so the memo keeps one.
+_STEPPER_MEMO_SIZE = 1
 # Rows of the (n, CONTOUR_POINTS) contour temporaries evaluated at once by
 # `_etd_tables`, so their size stays bounded as n grows.
 _CONTOUR_ROWS = 512
@@ -353,20 +355,23 @@ class _EtdStepper:
 
 
 @functools.lru_cache(maxsize=_STEPPER_MEMO_SIZE)
-def _build_stepper(grid: Grid, cfg: StepperConfig, coeffs: ModelCoefficients,
+def _build_stepper(grid: Grid, dt: float, scheme: str, coeffs: ModelCoefficients,
                    system: str, time_scale: str):
     """The stepper of one configuration, memoised on its frozen arguments.
 
     `step` and `run` share it, so equal arguments build the right-hand
-    side and the ETD tables once.  Every array the stepper holds is made
-    read-only, because every caller gets the same instance.  A bad system
-    or time scale raises on every call: only results are memoised.
+    side and the ETD tables once.  It takes dt and scheme rather than the
+    whole StepperConfig: the blow-up guard plays no part in it, so runs
+    that differ only in cfl_guard share one stepper.  Every array the
+    stepper holds is made read-only, because every caller gets the same
+    instance.  A bad system or time scale raises on every call: only
+    results are memoised.
     """
     rhs = _make_rhs(grid, coeffs, system, time_scale)
-    if cfg.scheme == "strang-split":
-        stepper = _StrangStepper(cfg.dt, rhs)
+    if scheme == "strang-split":
+        stepper = _StrangStepper(dt, rhs)
     else:
-        stepper = _EtdStepper(cfg.dt, rhs)
+        stepper = _EtdStepper(dt, rhs)
     for part in (rhs, stepper):
         for value in vars(part).values():
             if isinstance(value, np.ndarray):
@@ -422,7 +427,8 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     r leaves the guard interval or stops being finite.
     """
     _require_finite(s)
-    stepper = _build_stepper(s.grid, cfg, coeffs, system, time_scale)
+    stepper = _build_stepper(s.grid, cfg.dt, cfg.scheme, coeffs, system,
+                             time_scale)
     t = s.t + cfg.dt
     _, q_spec, w = _guarded_step(stepper, cfg, s.r.spectrum, s.q.spectrum, t,
                                  lambda: s)
@@ -485,7 +491,7 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     n_steps = step_count(t_end - initial.t, cfg.dt)
 
     grid = initial.grid
-    stepper = _build_stepper(grid, cfg, coeffs, system, time_scale)
+    stepper = _build_stepper(grid, cfg.dt, cfg.scheme, coeffs, system, time_scale)
     r_spec = initial.r.spectrum.astype(complex).copy()
     q_spec = initial.q.spectrum.astype(complex).copy()
     r_vals = np.fft.ifft(r_spec).real

@@ -409,6 +409,7 @@ run.snapshot_every = 10
 
 @pytest.mark.parametrize("key, values, steppers", [
     ("ic.q.amplitude", "0.01, 0.02, 0.03", 1),  # members share one stepper
+    ("stepper.cfl_guard", "5, 6, 7", 1),  # the guard is not part of the stepper
     ("stepper.dt", "1e-3, 2e-3, 5e-3", 3),
 ])
 def test_sweep_builds_etd_tables_once_per_stepper(tmp_path, monkeypatch, key, values,

@@ -430,6 +430,9 @@ def test_equal_arguments_share_one_stepper(builds):
     run(s, StepperConfig(dt=1e-3, scheme="etdrk4"), fresh, t_end=2e-3,
         gauge_diagnostics=False)
     assert builds == {"rhs": 1, "tables": 2}  # one table set for r, one for q
+    # the blow-up guard is checked outside the stepper: no rebuild
+    step(s, StepperConfig(dt=1e-3, scheme="etdrk4", cfl_guard=5.0), BENCH)
+    assert builds == {"rhs": 1, "tables": 2}
     variants = [
         (StepperConfig(dt=2e-3, scheme="etdrk4"), BENCH, "reduced", "tau"),
         (StepperConfig(dt=1e-3), BENCH, "reduced", "tau"),  # strang: no tables
@@ -442,8 +445,8 @@ def test_equal_arguments_share_one_stepper(builds):
             step(s, c, co, system=system, time_scale=time_scale)
         assert builds["rhs"] == built
     assert builds["tables"] == 2 * 5
-    step(s, cfg, BENCH)
-    assert builds["rhs"] == 1 + len(variants)
+    step(s, cfg, BENCH)  # only the latest configuration is kept
+    assert builds["rhs"] == 2 + len(variants)
 
 
 def test_stepper_memo_is_bounded(builds):
@@ -502,7 +505,7 @@ def test_memoised_stepper_arrays_are_read_only(scheme):
     cfg = StepperConfig(dt=1e-3, scheme=scheme)
     s = bump_state(grid)
     before = step(s, cfg, BENCH, system="full")
-    stepper = solver._build_stepper(grid, cfg, BENCH, "full", "tau")
+    stepper = solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, "full", "tau")
     arrays = [v for part in (stepper, stepper.rhs) for v in vars(part).values()
               if isinstance(v, np.ndarray)]
     # the 12 ETD tables or the 2 half-step phases, and the full system's 12
