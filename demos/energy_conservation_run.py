@@ -47,8 +47,6 @@ for row in rows:
           f"{abs(row.e2 - e2_0) / abs(e2_0):10.3e}  "
           f"{abs(row.e3 - e3_0) / abs(e3_0):10.3e}  "
           f"{row.mean_r:10.3e}  {row.gauge_residual:10.3e}")
-print(f"\nworst imaginary leak in r over the whole run: "
-      f"{traj.reality_residue:.3e}")
 
 # %%
 # the same run, pictured; skipped silently on a box without matplotlib

@@ -469,7 +469,6 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     _write_metadata(out / "metadata.txt", cfg, co, "ok", {
         "snapshots": str(len(traj.snapshots)),
         "diagnostics_rows": str(len(traj.diagnostics)),
-        "reality_residue": _fmt(traj.reality_residue),
     })
     first, last = traj.diagnostics[0], traj.diagnostics[-1]
     drift = abs(last.e1 - first.e1) / max(abs(first.e1), 1e-300)

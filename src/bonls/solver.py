@@ -13,6 +13,11 @@ coefficients were derived in.  Both hand the dispersive part to the exact
 multipliers from `spectral`, so the stiff third-derivative term never
 restricts the step size.
 
+The steppers carry r as its `rfft` half-spectrum (n//2 + 1 modes) from
+the entry of `run` or `step` to the blow-up guard, so r stays real by
+construction.  Each nonlinear evaluation makes four stacked transforms,
+and a guarded step of either scheme on either system makes 17.
+
 Conserved quantities tracked along a run:
 
     E1 = int( -(b/2) r|D|r - (a/2) r_x^2 - alpha |q_x|^2
@@ -151,25 +156,25 @@ class DiagnosticsRow:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots plus the diagnostics series of one run.
-
-    reality_residue is the largest imaginary contamination seen in r at
-    any step; the scheme keeps it at transform roundoff.
-    """
+    """Snapshots plus the diagnostics series of one run."""
 
     snapshots: tuple[SystemState, ...]
     diagnostics: tuple[DiagnosticsRow, ...]
-    reality_residue: float
 
 
 class _Rhs:
     """Right-hand side in spectrum space, split into linear and nonlinear parts.
 
-    The linear symbols reuse the propagator phases from `spectral`, so a
-    stepper built on them matches the exact flows bit for bit on the
-    linear terms.  Both product factors are cut to the two-thirds band,
-    and each product is transformed once and enters through one weight:
-    the multipliers of every term it feeds, times the two-thirds cut,
+    r is carried as its `rfft` half-spectrum (n//2 + 1 modes) and q as its
+    full spectrum.  The linear symbols reuse the propagator phases from
+    `spectral`, so a stepper built on them matches the exact flows bit for
+    bit on the linear terms.  Both product factors are cut to the
+    two-thirds band; the cut is folded into the operators that make the
+    factors (`in_r`, the stacked r and |D|r, and `in_q`, q or the stacked
+    q and q_x), so one inverse transform yields each stack.  The real
+    products go through one `rfft` and the products with q through one
+    `fft`, and each stack enters through one (rows, modes) weight: the
+    multipliers of every term a product feeds, times the two-thirds cut,
     times `scale`, which converts between the two slow-time
     normalizations of the full system.  Under the cut
     cut(r r_x) = (ik/2) cut(r^2) and H r_x = |D| r, so the advection term
@@ -179,53 +184,52 @@ class _Rhs:
     def __init__(self, grid: Grid, coeffs: ModelCoefficients, full: bool,
                  scale: float = 1.0):
         co = coeffs
+        self.n = grid.n
         self.full = full
-        self.ik = ik = _mult_deriv(grid, 1)
-        self.absk = absk = np.abs(grid.k)
-        self.lin_r = 1j * scale * _phase("V", co, grid)
+        half = slice(0, grid.n // 2 + 1)
+        ik = _mult_deriv(grid, 1)
+        absk = np.abs(grid.k)
+        mask = dealias_mask(grid).astype(float)
+        self.lin_r = (1j * scale * _phase("V", co, grid))[half]
         self.lin_q = 1j * scale * _phase("U", co, grid)
-        self.mask = dealias_mask(grid).astype(float)
-        # products into dr: r^2, r |D|r, |q|^2 and (full) the kt3 flux;
-        # into dq: r q and (full) r q_x and q |D|r
-        w = scale * self.mask
+        self.in_r = np.stack([mask, mask * absk])[:, half]
+        self.in_q = np.stack([mask, mask * ik]) if full else mask
+        # real products into dr: r^2, r |D|r, |q|^2 and (full) the kt3 flux;
+        # products into dq: r q and (full) r q_x and q |D|r
+        w = scale * mask
         w_qq = co.beta * ik
         w_rq = 1j * co.beta
+        w_r = [(0.5 * w) * ik * (co.c - co.d * absk), (-co.d * w) * ik]
         if full:
             e3 = co.epsilon * co.kt3
             e4 = co.epsilon * co.kt4
-            w_qq = w_qq - e4 * (ik * absk)
-            w_rq = w_rq - e3 * ik
-            self.w_flux = (-e3 * w) * ik
-            self.w_rdq = -e3 * w
-            self.w_qdr = (-1j * e4) * w
-        self.w_rr = (0.5 * w) * ik * (co.c - co.d * absk)
-        self.w_rdr = (-co.d * w) * ik
-        self.w_qq = w * w_qq
-        self.w_rq = w * w_rq
+            w_r += [w * (w_qq - e4 * (ik * absk)), (-e3 * w) * ik]
+            self.w_q = np.stack([w * (w_rq - e3 * ik), -e3 * w, (-1j * e4) * w])
+        else:
+            w_r.append(w * w_qq)
+            self.w_q = w * w_rq
+        self.w_r = np.stack(w_r)[:, half]
 
-    def nonlinear(self, r_spec: np.ndarray, q_spec: np.ndarray):
+    def nonlinear(self, r_hat: np.ndarray, q_spec: np.ndarray):
         """Spectra of the non-dispersive terms; the r part has exact zero mean."""
-        rs = r_spec * self.mask
-        qs = q_spec * self.mask
-        r = np.fft.ifft(rs).real
-        q = np.fft.ifft(qs)
-        adr = np.fft.ifft(self.absk * rs).real  # |D| r, which is H r_x
-        nr = (self.w_rr * np.fft.fft(r * r)
-              + self.w_rdr * np.fft.fft(r * adr)
-              + self.w_qq * np.fft.fft((q * np.conj(q)).real))
-        nq = self.w_rq * np.fft.fft(r * q)
+        r, adr = np.fft.irfft(self.in_r * r_hat, self.n)  # |D| r is H r_x
         if self.full:
-            dq = np.fft.ifft(self.ik * qs)
+            q, dq = np.fft.ifft(self.in_q * q_spec)
             # with D = -i d/dx the bracket q conj(Dq) + conj(q) Dq is the
             # real density 2 Im(conj(q) q_x)
-            nr = nr + self.w_flux * np.fft.fft(2.0 * np.imag(np.conj(q) * dq))
-            nq = (nq + self.w_rdq * np.fft.fft(r * dq)
-                  + self.w_qdr * np.fft.fft(q * adr))
+            real = (r * r, r * adr, (q * np.conj(q)).real,
+                    2.0 * np.imag(np.conj(q) * dq))
+            nq = (self.w_q * np.fft.fft(np.stack((r * q, r * dq, q * adr)))).sum(0)
+        else:
+            q = np.fft.ifft(self.in_q * q_spec)
+            real = (r * r, r * adr, (q * np.conj(q)).real)
+            nq = self.w_q * np.fft.fft(r * q)
+        nr = (self.w_r * np.fft.rfft(np.stack(real))).sum(0)
         return nr, nq
 
-    def total(self, r_spec: np.ndarray, q_spec: np.ndarray):
-        nr, nq = self.nonlinear(r_spec, q_spec)
-        return self.lin_r * r_spec + nr, self.lin_q * q_spec + nq
+    def total(self, r_hat: np.ndarray, q_spec: np.ndarray):
+        nr, nq = self.nonlinear(r_hat, q_spec)
+        return self.lin_r * r_hat + nr, self.lin_q * q_spec + nq
 
 
 def _make_rhs(grid: Grid, coeffs: ModelCoefficients, system: str,
@@ -250,10 +254,7 @@ def rhs_reduced(s: SystemState, coeffs: ModelCoefficients) -> tuple[RealField, C
     derivative, so the mean of dr/dt vanishes identically (the k = 0
     coefficient is exactly zero).
     """
-    rhs = _make_rhs(s.grid, coeffs, "reduced", "tau")
-    dr, dq = rhs.total(s.r.spectrum, s.q.spectrum)
-    return (RealField.from_spectrum(s.grid, dr),
-            ComplexField.from_spectrum(s.grid, dq))
+    return _rhs_fields(s, _make_rhs(s.grid, coeffs, "reduced", "tau"))
 
 
 def rhs_full(s: SystemState, coeffs: ModelCoefficients,
@@ -267,9 +268,12 @@ def rhs_full(s: SystemState, coeffs: ModelCoefficients,
     alternative slow time (one power of epsilon slower), which rescales
     the whole right-hand side by 1/epsilon.
     """
-    rhs = _make_rhs(s.grid, coeffs, "full", time_scale)
-    dr, dq = rhs.total(s.r.spectrum, s.q.spectrum)
-    return (RealField.from_spectrum(s.grid, dr),
+    return _rhs_fields(s, _make_rhs(s.grid, coeffs, "full", time_scale))
+
+
+def _rhs_fields(s: SystemState, rhs: _Rhs) -> tuple[RealField, ComplexField]:
+    dr, dq = rhs.total(np.fft.rfft(s.r.values), s.q.spectrum)
+    return (RealField(s.grid, np.fft.irfft(dr, s.grid.n)),
             ComplexField.from_spectrum(s.grid, dq))
 
 
@@ -302,17 +306,22 @@ def _etd_tables(h: float, lin: np.ndarray, m: int):
     arguments, so each is averaged over a unit circle around h*L.  The
     contour points come in conjugate pairs and the means stay complex,
     which preserves the Hermitian symmetry of real data for the purely
-    imaginary symbols used here.  The means are taken over blocks of
-    `_CONTOUR_ROWS` modes; each is a reduction along its own row, so the
-    blocking changes no bit of the result.
+    imaginary symbols used here.  The means are taken over near-equal
+    blocks of at most `_CONTOUR_ROWS` modes.  Each mean is a reduction
+    along its own row, but numpy's complex arithmetic can round a very
+    short block differently (a one-row tail block was off by one ulp), so
+    the rows are split evenly rather than leaving a short tail; split so,
+    the tables matched the one-shot means bit for bit for n = 2048 to 16384.
     """
     z = h * lin
     e_full = np.exp(z)
     e_half = np.exp(0.5 * z)
     circle = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.5) / m))
     q, f1, f2, f3 = (np.empty_like(z) for _ in range(4))
-    for lo in range(0, z.size, _CONTOUR_ROWS):
-        rows = slice(lo, lo + _CONTOUR_ROWS)
+    blocks = -(-z.size // _CONTOUR_ROWS)
+    edges = [z.size * i // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = slice(lo, hi)
         zc = z[rows, None] + circle[None, :]
         ez = np.exp(zc)
         zc3 = zc * zc * zc
@@ -379,21 +388,21 @@ def _build_stepper(grid: Grid, dt: float, scheme: str, coeffs: ModelCoefficients
     return stepper
 
 
-def _guarded_step(stepper, cfg: StepperConfig, r_spec: np.ndarray,
+def _guarded_step(stepper, cfg: StepperConfig, r_hat: np.ndarray,
                   q_spec: np.ndarray, t: float, last_good):
     """Advance the spectra by one step and check the sup norm of r.
 
-    Returns the new spectra and the inverse transform of r, whose real
-    part is the new r and whose imaginary part is transform roundoff.
-    Raises BlowUp at time t, carrying last_good() as the last finite
-    state, when the sup norm of r stops being finite or exceeds the guard.
+    r_hat is the `rfft` half-spectrum of r.  Returns the new spectra and
+    the samples of the new r.  Raises BlowUp at time t, carrying
+    last_good() as the last finite state, when the sup norm of r stops
+    being finite or exceeds the guard.
     """
-    r_spec, q_spec = stepper.advance(r_spec, q_spec)
-    w = np.fft.ifft(r_spec)
-    sup = float(np.max(np.abs(w.real)))
+    r_hat, q_spec = stepper.advance(r_hat, q_spec)
+    r = np.fft.irfft(r_hat, stepper.rhs.n)
+    sup = float(np.max(np.abs(r)))
     if not np.isfinite(sup) or sup > cfg.cfl_guard:
         raise BlowUp(t, sup, state=last_good())
-    return r_spec, q_spec, w
+    return r_hat, q_spec, r
 
 
 def _require_finite(s: SystemState) -> None:
@@ -430,9 +439,9 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     stepper = _build_stepper(s.grid, cfg.dt, cfg.scheme, coeffs, system,
                              time_scale)
     t = s.t + cfg.dt
-    _, q_spec, w = _guarded_step(stepper, cfg, s.r.spectrum, s.q.spectrum, t,
-                                 lambda: s)
-    return SystemState(RealField(s.grid, w.real),
+    _, q_spec, r = _guarded_step(stepper, cfg, np.fft.rfft(s.r.values),
+                                 s.q.spectrum, t, lambda: s)
+    return SystemState(RealField(s.grid, r),
                        ComplexField.from_spectrum(s.grid, q_spec), t)
 
 
@@ -492,9 +501,9 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
 
     grid = initial.grid
     stepper = _build_stepper(grid, cfg.dt, cfg.scheme, coeffs, system, time_scale)
-    r_spec = initial.r.spectrum.astype(complex).copy()
-    q_spec = initial.q.spectrum.astype(complex).copy()
-    r_vals = np.fft.ifft(r_spec).real
+    r_hat = np.fft.rfft(initial.r.values)
+    q_spec = initial.q.spectrum
+    r_vals = initial.r.values
 
     def state_at(rv: np.ndarray, qs: np.ndarray, t: float) -> SystemState:
         return SystemState(RealField(grid, rv),
@@ -510,16 +519,13 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
 
     snapshots = [state_at(r_vals, q_spec, initial.t)]
     rows = [diag_row(snapshots[0])]
-    worst_imag = 0.0
     t = initial.t
     for i in range(1, n_steps + 1):
         prev_r, prev_q, prev_t = r_vals, q_spec, t
         t = initial.t + i * cfg.dt
-        r_spec, q_spec, w = _guarded_step(
-            stepper, cfg, r_spec, q_spec, t,
+        r_hat, q_spec, r_vals = _guarded_step(
+            stepper, cfg, r_hat, q_spec, t,
             lambda: state_at(prev_r, prev_q, prev_t))
-        r_vals = w.real
-        worst_imag = max(worst_imag, float(np.max(np.abs(w.imag))))
         at_end = i == n_steps
         want_diag = at_end or i % diagnostics_every == 0
         want_snap = at_end or (snapshot_every is not None and i % snapshot_every == 0)
@@ -529,7 +535,7 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
                 rows.append(diag_row(st))
             if want_snap:
                 snapshots.append(st)
-    return Trajectory(tuple(snapshots), tuple(rows), worst_imag)
+    return Trajectory(tuple(snapshots), tuple(rows))
 
 
 def bo_soliton(grid: Grid, nu: float, center: float = 0.0) -> RealField:

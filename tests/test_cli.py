@@ -307,13 +307,20 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_simulate_is_deterministic(tmp_path):
-    path = write_config(tmp_path, QUICK_RUN)
+@pytest.mark.parametrize("system", ["reduced", "full"])
+@pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
+def test_simulate_is_deterministic(tmp_path, scheme, system):
+    path = write_config(tmp_path, QUICK_RUN + f"stepper.scheme = {scheme}\n"
+                        f"run.system = {system}\n")
     for name in ("one", "two"):
+        solver._build_stepper.cache_clear()  # the second run builds its own stepper
         assert main(["--config", path, "--out", str(tmp_path / name), "simulate"]) == 0
     a, b = tmp_path / "one", tmp_path / "two"
-    assert (a / "diagnostics.tsv").read_bytes() == (b / "diagnostics.tsv").read_bytes()
-    assert (a / "snapshot_0002.tsv").read_bytes() == (b / "snapshot_0002.tsv").read_bytes()
+    names = sorted(p.name for p in a.glob("*.tsv"))
+    assert names == sorted(p.name for p in b.glob("*.tsv"))
+    assert "diagnostics.tsv" in names and "snapshot_0002.tsv" in names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def meta_lines(p):
         return [l for l in (p / "metadata.txt").read_text().splitlines()
