@@ -190,9 +190,9 @@ class _Rhs:
         ik = _mult_deriv(grid, 1)
         absk = np.abs(grid.k)
         mask = dealias_mask(grid).astype(float)
-        self.lin_r = (1j * scale * _phase("V", co, grid))[half]
+        self.lin_r = 1j * scale * _phase("V", co, grid)[half]
         self.lin_q = 1j * scale * _phase("U", co, grid)
-        self.in_r = np.stack([mask, mask * absk])[:, half]
+        self.in_r = np.stack([mask[half], (mask * absk)[half]])
         self.in_q = np.stack([mask, mask * ik]) if full else mask
         # real products into dr: r^2, r |D|r, |q|^2 and (full) the kt3 flux;
         # products into dq: r q and (full) r q_x and q |D|r
@@ -208,7 +208,7 @@ class _Rhs:
         else:
             w_r.append(w * w_qq)
             self.w_q = w * w_rq
-        self.w_r = np.stack(w_r)[:, half]
+        self.w_r = np.stack([row[half] for row in w_r])
 
     def nonlinear(self, r_hat: np.ndarray, q_spec: np.ndarray):
         """Spectra of the non-dispersive terms; the r part has exact zero mean."""
@@ -219,12 +219,12 @@ class _Rhs:
             # real density 2 Im(conj(q) q_x)
             real = (r * r, r * adr, (q * np.conj(q)).real,
                     2.0 * np.imag(np.conj(q) * dq))
-            nq = (self.w_q * np.fft.fft(np.stack((r * q, r * dq, q * adr)))).sum(0)
+            nq = (self.w_q * np.fft.fft(np.array((r * q, r * dq, q * adr)))).sum(0)
         else:
             q = np.fft.ifft(self.in_q * q_spec)
             real = (r * r, r * adr, (q * np.conj(q)).real)
             nq = self.w_q * np.fft.fft(r * q)
-        nr = (self.w_r * np.fft.rfft(np.stack(real))).sum(0)
+        nr = (self.w_r * np.fft.rfft(np.array(real))).sum(0)
         return nr, nq
 
     def total(self, r_hat: np.ndarray, q_spec: np.ndarray):
