@@ -70,7 +70,8 @@ TIME_SCALES = ("tau", "tau1")
 # Steppers kept for reuse, one per distinct (grid, dt, scheme, coefficients,
 # system, time scale).  Every measured use (a step() loop, run() after
 # step(), an ic.*/seed sweep) reuses the latest one only, and each holds
-# up to 24 arrays of length n, so the memo keeps one.
+# up to 18 arrays (some stacked) of length n or n//2 + 1, so the memo
+# keeps one.
 _STEPPER_MEMO_SIZE = 1
 # Rows of the (n, CONTOUR_POINTS) contour temporaries evaluated at once by
 # `_etd_tables`, so their size stays bounded as n grows.
@@ -310,8 +311,9 @@ def _etd_tables(h: float, lin: np.ndarray, m: int):
     blocks of at most `_CONTOUR_ROWS` modes.  Each mean is a reduction
     along its own row, but numpy's complex arithmetic can round a very
     short block differently (a one-row tail block was off by one ulp), so
-    the rows are split evenly rather than leaving a short tail; split so,
-    the tables matched the one-shot means bit for bit for n = 2048 to 16384.
+    no short tail block is left; split so, the tables match the one-shot
+    means bit for bit (checked for n = 2048 to 16384, on r's half grid
+    and q's full grid).
     """
     z = h * lin
     e_full = np.exp(z)

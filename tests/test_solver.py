@@ -209,7 +209,7 @@ def test_rhs_transform_budget(monkeypatch):
     # inverse transform for each returned field
     grid = Grid(128, 40.0)
     s = bump_state(grid)
-    _ = s.r.spectrum, s.q.spectrum  # cache the input spectra
+    _ = s.q.spectrum  # cache the input spectrum of q
     calls = count_transforms(monkeypatch)
     for rhs in (rhs_reduced, rhs_full):
         calls["n"] = 0
