@@ -75,9 +75,26 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+# Rows formatted by one %-operation each, so the text of one block at a
+# time is held in memory.
+_TSV_BLOCK_ROWS = 512
+
+
 def _write_tsv(path: Path, header: str, table: np.ndarray) -> None:
-    """Rows of floats under a header, tab-separated, in `_fmt`'s digits."""
-    np.savetxt(path, table, fmt="%.17g", delimiter="\t", header=header, comments="")
+    """Rows of floats under a header, tab-separated, in `_fmt`'s digits.
+
+    The bytes are those of np.savetxt(path, table, fmt="%.17g",
+    delimiter="\t", header=header, comments=""), nan, inf and -0
+    included.  Each block of rows is formatted by one
+    (row_format * rows) % values operation, about twice as fast as
+    savetxt's row-by-row formatting.
+    """
+    row = "\t".join(["%.17g"] * table.shape[1]) + "\n"
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(table), _TSV_BLOCK_ROWS):
+            block = table[lo:lo + _TSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 # --------------------------------------------------------------------------

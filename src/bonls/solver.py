@@ -16,7 +16,16 @@ restricts the step size.
 The steppers carry r as its `rfft` half-spectrum (n//2 + 1 modes) from
 the entry of `run` or `step` to the blow-up guard, so r stays real by
 construction.  Each nonlinear evaluation makes four stacked transforms,
-and a guarded step of either scheme on either system makes 17.
+and a guarded step of either scheme on either system makes 17.  The ETD
+tables of both fields are built on the half grid; the q symbol is even,
+so its tables are mirrored onto the full grid.
+
+The states `run` records carry the stepper's spectra: r's is its
+half-spectrum mirrored, with no transform, and q's is the one its samples
+come from.  `conserved` sums the quadratic terms over those spectra
+(Parseval) and uses samples only for the cubic ones, and the gauge
+residual builds the gauge factor psi+ alone, so a diagnostics row costs
+about 5 transforms, the inverse transform for the q samples included.
 
 Conserved quantities tracked along a run:
 
@@ -34,14 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import ModelCoefficients
-from .gauge import gauge, gauge_ode_residual
 from .spectral import (
     ComplexField,
     Grid,
     RealField,
-    absd,
     dealias_mask,
-    deriv,
     _mult_deriv,
     _phase,
 )
@@ -344,8 +350,13 @@ class _EtdStepper:
         m = self.CONTOUR_POINTS
         (self.er, self.e2r, self.qr,
          self.f1r, self.f2r, self.f3r) = _etd_tables(dt, rhs.lin_r, m)
+        # the q symbol is even in k (bit for bit), so its tables are built
+        # on the half grid and mode j takes the row of mode n - j
+        h = rhs.n // 2 + 1
+        mirror = np.concatenate((np.arange(h), np.arange(h - 2, 0, -1)))
         (self.eq, self.e2q, self.qq,
-         self.f1q, self.f2q, self.f3q) = _etd_tables(dt, rhs.lin_q, m)
+         self.f1q, self.f2q, self.f3q) = (
+            table[mirror] for table in _etd_tables(dt, rhs.lin_q[:h], m))
 
     def advance(self, r_spec: np.ndarray, q_spec: np.ndarray):
         n0r, n0q = self.rhs.nonlinear(r_spec, q_spec)
@@ -407,6 +418,20 @@ def _guarded_step(stepper, cfg: StepperConfig, r_hat: np.ndarray,
     return r_hat, q_spec, r
 
 
+def _state_of(grid: Grid, r: np.ndarray, r_hat: np.ndarray, q_spec: np.ndarray,
+              t: float) -> SystemState:
+    """The state at time t from the samples of r and the stepper's spectra.
+
+    r's full spectrum is its half-spectrum r_hat mirrored, with no
+    transform; the q samples take one inverse transform.  Both spectra are
+    cached on the fields, so `conserved` and the gauge residual start from
+    them.
+    """
+    r_spec = np.concatenate((r_hat, np.conj(r_hat[grid.n // 2 - 1:0:-1])))
+    return SystemState(RealField(grid, r, r_spec),
+                       ComplexField.from_spectrum(grid, q_spec), t)
+
+
 def _require_finite(s: SystemState) -> None:
     # a non-finite input is bad data, not a blow-up: there is no last good state
     if not (np.all(np.isfinite(s.r.values)) and np.all(np.isfinite(s.q.values))):
@@ -441,43 +466,68 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     stepper = _build_stepper(s.grid, cfg.dt, cfg.scheme, coeffs, system,
                              time_scale)
     t = s.t + cfg.dt
-    _, q_spec, r = _guarded_step(stepper, cfg, np.fft.rfft(s.r.values),
-                                 s.q.spectrum, t, lambda: s)
-    return SystemState(RealField(s.grid, r),
-                       ComplexField.from_spectrum(s.grid, q_spec), t)
+    r_hat, q_spec, r = _guarded_step(stepper, cfg, np.fft.rfft(s.r.values),
+                                     s.q.spectrum, t, lambda: s)
+    return _state_of(s.grid, r, r_hat, q_spec, t)
 
 
 def conserved(s: SystemState, coeffs: ModelCoefficients) -> ConservedTriple:
-    """Evaluate (E1, E2, E3) by spectrally accurate quadrature."""
-    dx = s.grid.dx
+    """Evaluate (E1, E2, E3) by spectrally accurate quadrature.
+
+    The quadratic terms (r|D|r, r_x^2, |q_x|^2, r^2/2 and Im conj(q) q_x)
+    are sums over the spectra by Parseval, with the multipliers of
+    `absd` and `deriv`; the cubic terms and E2 are sums over samples.
+    On a state whose spectra are cached, as every state `run` and `step`
+    return, this costs one inverse transform, for the samples of |D| r.
+    """
+    grid = s.grid
+    n = grid.n
+    r_spec = s.r.spectrum
+    q_spec = s.q.spectrum
+    absk = np.abs(grid.k)
+    k1 = _mult_deriv(grid, 1).imag  # k, with deriv's Nyquist mode dropped
+    r2 = (r_spec * np.conj(r_spec)).real
+    q2 = (q_spec * np.conj(q_spec)).real
     rv = s.r.values
     qv = s.q.values
-    adr = absd(s.r).values
-    drv = deriv(s.r).values
-    dqv = deriv(s.q).values
+    adr = np.fft.irfft((absk * r_spec)[:n // 2 + 1], n)
     qsq = (qv * np.conj(qv)).real
-    e1 = dx * float(np.sum(
-        -0.5 * coeffs.b * rv * adr
-        - 0.5 * coeffs.a * drv * drv
-        - coeffs.alpha * (dqv * np.conj(dqv)).real
-        - (coeffs.c / 6.0) * rv * rv * rv
-        - coeffs.beta * rv * qsq
-        + 0.5 * coeffs.d * rv * rv * adr))
-    e2 = dx * float(np.sum(qsq))
-    e3 = dx * (0.5 * float(np.sum(rv * rv))
-               + float(np.sum(np.imag(np.conj(qv) * dqv))))
-    return ConservedTriple(e1, e2, e3)
+    parseval = grid.dx / n
+    quadratic = parseval * float(np.sum(
+        (-0.5 * coeffs.b * absk - 0.5 * coeffs.a * k1 * k1) * r2
+        - coeffs.alpha * k1 * k1 * q2))
+    cubic = grid.dx * float(np.sum(
+        rv * (-(coeffs.c / 6.0) * rv * rv - coeffs.beta * qsq
+              + 0.5 * coeffs.d * rv * adr)))
+    e2 = grid.dx * float(np.sum(qsq))
+    e3 = parseval * float(np.sum(0.5 * r2 + k1 * q2))
+    return ConservedTriple(quadratic + cubic, e2, e3)
 
 
 def _gauge_residual(r: RealField, coeffs: ModelCoefficients) -> float:
-    # The gauge phase integrates r, which requires a periodic primitive;
-    # project out the conserved mean and gauge the oscillatory part.
+    """gauge_ode_residual(gauge(r - mean(r))), from r's spectrum and psi+ alone.
+
+    The gauge phase integrates r, which requires a periodic primitive, so
+    the conserved mean is projected out and the oscillatory part gauged.
+    Only the factor psi+ enters the defining relation 3a psi' + 2id psi r
+    = 0, so the w+- pair is never built: one `irfft` for the
+    antiderivative and one `fft`/`ifft` pair for psi'.  Nan when a = 0,
+    where the gauge is undefined.
+    """
     if coeffs.a == 0.0:
         return float("nan")
-    spec = r.spectrum.copy()
-    spec[0] = 0.0
-    gs = gauge(RealField.from_spectrum(r.grid, spec), coeffs)
-    return gauge_ode_residual(gs, coeffs)
+    grid = r.grid
+    n, h = grid.n, grid.n // 2 + 1
+    ik = _mult_deriv(grid, 1)
+    # 1/(ik) off the mean and Nyquist modes, as `antiderivative` divides
+    inv = np.zeros(h, dtype=complex)
+    inv[1:-1] = 1.0 / ik[1:h - 1]
+    phase = -(2.0 * coeffs.d / (3.0 * coeffs.a)) * np.fft.irfft(r.spectrum[:h] * inv, n)
+    psi = np.exp(1j * phase)
+    dpsi = np.fft.ifft(ik * np.fft.fft(psi))
+    source = r.values - np.mean(r.values)
+    res = 3.0 * coeffs.a * dpsi + 2.0j * coeffs.d * psi * source
+    return float(np.max(np.abs(res)))
 
 
 def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
@@ -507,10 +557,6 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     q_spec = initial.q.spectrum
     r_vals = initial.r.values
 
-    def state_at(rv: np.ndarray, qs: np.ndarray, t: float) -> SystemState:
-        return SystemState(RealField(grid, rv),
-                           ComplexField.from_spectrum(grid, qs), t)
-
     def diag_row(st: SystemState) -> DiagnosticsRow:
         tri = conserved(st, coeffs)
         residual = _gauge_residual(st.r, coeffs) if gauge_diagnostics else float("nan")
@@ -519,20 +565,19 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
                               float(np.max(np.abs(st.r.values))),
                               residual)
 
-    snapshots = [state_at(r_vals, q_spec, initial.t)]
+    snapshots = [_state_of(grid, r_vals, r_hat, q_spec, initial.t)]
     rows = [diag_row(snapshots[0])]
     t = initial.t
     for i in range(1, n_steps + 1):
-        prev_r, prev_q, prev_t = r_vals, q_spec, t
+        prev = r_vals, r_hat, q_spec, t
         t = initial.t + i * cfg.dt
         r_hat, q_spec, r_vals = _guarded_step(
-            stepper, cfg, r_hat, q_spec, t,
-            lambda: state_at(prev_r, prev_q, prev_t))
+            stepper, cfg, r_hat, q_spec, t, lambda: _state_of(grid, *prev))
         at_end = i == n_steps
         want_diag = at_end or i % diagnostics_every == 0
         want_snap = at_end or (snapshot_every is not None and i % snapshot_every == 0)
         if want_diag or want_snap:
-            st = state_at(r_vals, q_spec, t)
+            st = _state_of(grid, r_vals, r_hat, q_spec, t)
             if want_diag:
                 rows.append(diag_row(st))
             if want_snap:

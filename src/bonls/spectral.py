@@ -83,21 +83,25 @@ class Field:
     """Periodic samples on a Grid with a lazily cached spectrum.
 
     The spectrum is the plain numpy FFT of the samples, computed at most
-    once.  Fields are cheap value objects; operators return new instances
-    and never mutate their input.
+    once, unless the samples were computed from a spectrum: then that
+    spectrum is kept (`from_spectrum`, or the `spectrum` argument).
+    Fields are cheap value objects; operators return new instances and
+    never mutate their input.
     """
 
     _dtype: type = complex
 
     __slots__ = ("grid", "values", "_spec")
 
-    def __init__(self, grid: Grid, values):
+    def __init__(self, grid: Grid, values, spectrum: np.ndarray | None = None):
         arr = np.asarray(values, dtype=self._dtype)
         if arr.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} samples, got shape {arr.shape}")
+        if spectrum is not None and spectrum.shape != (grid.n,):
+            raise ValueError(f"expected {grid.n} modes, got shape {spectrum.shape}")
         self.grid = grid
         self.values = arr
-        self._spec = None
+        self._spec = spectrum
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -110,9 +114,7 @@ class Field:
         spec = np.asarray(spectrum, dtype=complex)
         if spec.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} modes, got shape {spec.shape}")
-        out = cls(grid, cls._samples_of(spec))
-        out._spec = spec.copy()
-        return out
+        return cls(grid, cls._samples_of(spec), spec.copy())
 
     @staticmethod
     def _samples_of(spec: np.ndarray) -> np.ndarray:

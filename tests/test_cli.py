@@ -358,6 +358,20 @@ def test_tsv_writer_matches_fmt_on_special_values(tmp_path):
     assert path.read_text() == want
 
 
+@pytest.mark.parametrize("rows", [1, 511, 512, 513, 8193])
+def test_tsv_writer_matches_savetxt_bytes(tmp_path, rows):
+    # blocks of rows, the last one short, give savetxt's bytes
+    table = np.random.default_rng(rows).standard_normal((rows, 7)) * 1e3
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    table[0, :5] = specials
+    table[-1, 2:] = specials[::-1]
+    header = "# t = 0.5\nt\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual"
+    _write_tsv(tmp_path / "blocked.tsv", header, table)
+    np.savetxt(tmp_path / "savetxt.tsv", table, fmt="%.17g", delimiter="\t",
+               header=header, comments="")
+    assert (tmp_path / "blocked.tsv").read_bytes() == (tmp_path / "savetxt.tsv").read_bytes()
+
+
 def test_simulate_blow_up_leaves_evidence(tmp_path, capsys):
     path = write_config(tmp_path, QUICK_RUN + """
 ic.r.amplitude = 0.5

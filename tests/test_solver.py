@@ -14,6 +14,7 @@ except ImportError:
 
 from bonls import solver
 from bonls.coeffs import PhysicalParams, derive_coefficients
+from bonls.gauge import gauge, gauge_ode_residual
 from bonls.solver import (
     BlowUp,
     StepperConfig,
@@ -364,6 +365,77 @@ def test_conserved_closed_forms_on_single_modes():
     assert tri.e3 == pytest.approx(R * R * L / 4.0 + k_q * A * A * L, rel=1e-12)
 
 
+def sample_space_conserved(s, co):
+    # the quadrature over samples that `conserved` replaced, kept as its oracle
+    dx = s.grid.dx
+    rv = s.r.values
+    qv = s.q.values
+    adr = absd(s.r).values
+    drv = deriv(s.r).values
+    dqv = deriv(s.q).values
+    qsq = (qv * np.conj(qv)).real
+    e1 = dx * float(np.sum(
+        -0.5 * co.b * rv * adr
+        - 0.5 * co.a * drv * drv
+        - co.alpha * (dqv * np.conj(dqv)).real
+        - (co.c / 6.0) * rv * rv * rv
+        - co.beta * rv * qsq
+        + 0.5 * co.d * rv * rv * adr))
+    e2 = dx * float(np.sum(qsq))
+    e3 = dx * (0.5 * float(np.sum(rv * rv))
+               + float(np.sum(np.imag(np.conj(qv) * dqv))))
+    return e1, e2, e3
+
+
+@pytest.mark.parametrize("system", ["reduced", "full"])
+@pytest.mark.parametrize("kind", ["bump", "noise"])
+@pytest.mark.parametrize("n", [128, 2048])
+def test_spectral_conserved_matches_sample_quadrature(n, kind, system):
+    # Parseval sums for the quadratic terms, samples for the cubic ones: the
+    # same triple to roundoff, on a freshly sampled state (spectra computed
+    # on demand) and on the states run records (spectra from the stepper)
+    grid = Grid(n, 40.0)
+    s0 = bump_state(grid) if kind == "bump" else lower_third_state(grid, np.random.default_rng(n))
+    traj = run(s0, StepperConfig(dt=1e-3, scheme="etdrk4"), BENCH, t_end=5e-3,
+               diagnostics_every=5, snapshot_every=5, system=system,
+               gauge_diagnostics=False)
+    fresh = SystemState(RealField(grid, s0.r.values), ComplexField(grid, s0.q.values))
+    for s in (fresh, *traj.snapshots):
+        tri = conserved(s, BENCH)
+        for got, want in zip((tri.e1, tri.e2, tri.e3), sample_space_conserved(s, BENCH)):
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_conserved_on_a_stepped_state_costs_at_most_two_transforms(monkeypatch):
+    s = step(bump_state(Grid(128, 40.0)), StepperConfig(dt=1e-3, scheme="etdrk4"),
+             BENCH, system="full")
+    calls = count_transforms(monkeypatch)
+    conserved(s, BENCH)
+    assert calls["n"] <= 2
+
+
+def test_gauge_residual_matches_the_gauge_module():
+    # psi+ alone, from r's spectrum, against the gauge layer's full path;
+    # noise keeps a nonzero mean, which both project out
+    grid = Grid(512, 40.0)
+    rng = np.random.default_rng(3)
+    fields = [bump_state(grid).r,
+              band_limited_noise(grid, rng, amplitude=0.2, keep=0.5, mean_zero=False),
+              bo_soliton(grid, nu=1.0, center=2.0)]
+    for r in fields:
+        want = gauge_ode_residual(
+            gauge(RealField(grid, r.values - np.mean(r.values)), BENCH), BENCH)
+        got = solver._gauge_residual(RealField(grid, r.values), BENCH)
+        assert abs(got - want) <= 1e-12
+        s = SystemState(r, gaussian_envelope(grid, 0.05, 3.0, carrier_mode=3))
+        end = run(s, StepperConfig(dt=1e-3), BENCH, t_end=2e-3,
+                  diagnostics_every=2).snapshots[-1]
+        want = gauge_ode_residual(
+            gauge(RealField(grid, end.r.values - np.mean(end.r.values)), BENCH), BENCH)
+        assert abs(solver._gauge_residual(end.r, BENCH) - want) <= 1e-12
+    assert np.isnan(solver._gauge_residual(fields[0], dataclasses.replace(BENCH, a=0.0)))
+
+
 def test_run_conservation_properties():
     grid = Grid(256, 40.0)
     s0 = bump_state(grid, r_sup=0.1)
@@ -569,6 +641,21 @@ def test_later_steps_build_nothing(builds, monkeypatch, scheme, system):
     assert calls["n"] <= n_calls * (17 + 2)
 
 
+def test_diagnostics_row_transform_budget(monkeypatch):
+    # a diagnostics row takes its spectra from the stepper: one inverse
+    # transform for the q samples, one for |D| r in `conserved`, and three
+    # for the gauge residual (the antiderivative and psi')
+    grid = Grid(128, 40.0)
+    s0 = bump_state(grid)
+    _ = s0.q.spectrum  # cache the input spectrum of q
+    cfg = StepperConfig(dt=1e-3, scheme="etdrk4")
+    solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, "full", "tau")
+    calls = count_transforms(monkeypatch)
+    traj = run(s0, cfg, BENCH, t_end=1e-2, diagnostics_every=1, system="full")
+    assert len(traj.diagnostics) == 11
+    assert calls["n"] <= 1 + 10 * 17 + 11 * 5  # the start-up rfft of r
+
+
 @pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
 def test_memoised_stepper_arrays_are_read_only(scheme):
     grid = Grid(128, 40.0)
@@ -614,6 +701,19 @@ def test_blocked_etd_tables_match_one_shot_contour_means(n, symbol, time_scale):
     for got, want in zip(solver._etd_tables(1e-2, lin, m),
                          _one_shot_etd_tables(1e-2, lin, m), strict=True):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("time_scale", ["tau", "tau1"])
+@pytest.mark.parametrize("n", [8, 512, 4096])
+def test_etdrk4_q_tables_built_on_the_half_grid_match_the_full_grid(n, time_scale):
+    # the q symbol is even, so the tables built on n//2 + 1 modes and
+    # mirrored equal the contour means over all n modes bit for bit
+    rhs = solver._make_rhs(Grid(n, 40.0), BENCH, "full", time_scale)
+    stepper = solver._EtdStepper(1e-2, rhs)
+    got = (stepper.eq, stepper.e2q, stepper.qq, stepper.f1q, stepper.f2q, stepper.f3q)
+    want = _one_shot_etd_tables(1e-2, rhs.lin_q, solver._EtdStepper.CONTOUR_POINTS)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------- convergence
