@@ -75,8 +75,8 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-# Rows formatted by one %-operation each, so the text of one block at a
-# time is held in memory.
+# Rows per %-operation in `_write_tsv`: only one block's text is held in
+# memory at a time.
 _TSV_BLOCK_ROWS = 512
 
 
