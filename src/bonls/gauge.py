@@ -11,6 +11,7 @@ out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,18 +40,30 @@ class GaugedState:
 
     psi_minus is the exact complex conjugate of psi_plus, and w_minus
     agrees with conj(w_plus) to roundoff; both redundant halves are kept
-    because downstream formulas use them symmetrically.
+    because downstream formulas use them symmetrically.  The w+- pair is
+    built on first use: the defining ODE (`gauge_ode_residual`) reads
+    psi_plus alone.
     """
 
     psi_plus: ComplexField
     psi_minus: ComplexField
-    w_plus: ComplexField
-    w_minus: ComplexField
     source: RealField
 
     @property
     def grid(self) -> Grid:
         return self.source.grid
+
+    @cached_property
+    def w_plus(self) -> ComplexField:
+        """Psi+ d/dx P+ r."""
+        dp = deriv(project(self.source, 1)).values
+        return ComplexField(self.grid, self.psi_plus.values * dp)
+
+    @cached_property
+    def w_minus(self) -> ComplexField:
+        """Psi- d/dx P- r."""
+        dp = deriv(project(self.source, -1)).values
+        return ComplexField(self.grid, self.psi_minus.values * dp)
 
 
 def antiderivative(f: RealField) -> RealField:
@@ -79,19 +92,16 @@ def gauge(r: RealField, coeffs: ModelCoefficients) -> GaugedState:
     """Gauge factors exp(-+(2id/3a) * antiderivative(r)) and w-+ for r.
 
     The exponent is purely imaginary, so the factors are unimodular by
-    construction; w+- = Psi+- d/dx P+- r.
+    construction; w+- = Psi+- d/dx P+- r.  Once r's spectrum is cached
+    this makes one inverse transform, for the antiderivative; the w+-
+    pair costs four more when first read.
     """
     grid = r.grid
     phase = -(2.0 * coeffs.d / (3.0 * coeffs.a)) * antiderivative(r).values
     psi_p = np.exp(1j * phase)
-    psi_m = np.conj(psi_p)
-    dp_plus = deriv(project(r, 1)).values
-    dp_minus = deriv(project(r, -1)).values
     return GaugedState(
         psi_plus=ComplexField(grid, psi_p),
-        psi_minus=ComplexField(grid, psi_m),
-        w_plus=ComplexField(grid, psi_p * dp_plus),
-        w_minus=ComplexField(grid, psi_m * dp_minus),
+        psi_minus=ComplexField(grid, np.conj(psi_p)),
         source=r,
     )
 

@@ -24,8 +24,9 @@ The states `run` records carry the stepper's spectra: r's is its
 half-spectrum mirrored, with no transform, and q's is the one its samples
 come from.  `conserved` sums the quadratic terms over those spectra
 (Parseval) and uses samples only for the cubic ones, and the gauge
-residual builds the gauge factor psi+ alone, so a diagnostics row costs
-about 5 transforms, the inverse transform for the q samples included.
+residual reads only the gauge factor psi+ (`gauge` builds the w+- pair
+when it is read), so a diagnostics row costs 5 transforms, the inverse
+transform for the q samples included.
 
 Conserved quantities tracked along a run:
 
@@ -43,11 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import ModelCoefficients
+from .gauge import gauge, gauge_ode_residual
 from .spectral import (
     ComplexField,
     Grid,
     RealField,
+    absd,
     dealias_mask,
+    _mean_free,
     _mult_deriv,
     _phase,
 )
@@ -318,8 +322,10 @@ def _etd_tables(h: float, lin: np.ndarray, m: int):
     along its own row, but numpy's complex arithmetic can round a very
     short block differently (a one-row tail block was off by one ulp), so
     no short tail block is left; split so, the tables match the one-shot
-    means bit for bit (checked for n = 2048 to 16384, on r's half grid
-    and q's full grid).
+    means bit for bit (checked for n = 2048 to 16384).  `_EtdStepper`
+    builds the tables of both fields on the half grid, and q's mirrored
+    tables equal the one-shot means over all n modes bit for bit
+    (`test_etdrk4_q_tables_built_on_the_half_grid_match_the_full_grid`).
     """
     z = h * lin
     e_full = np.exp(z)
@@ -427,8 +433,7 @@ def _state_of(grid: Grid, r: np.ndarray, r_hat: np.ndarray, q_spec: np.ndarray,
     cached on the fields, so `conserved` and the gauge residual start from
     them.
     """
-    r_spec = np.concatenate((r_hat, np.conj(r_hat[grid.n // 2 - 1:0:-1])))
-    return SystemState(RealField(grid, r, r_spec),
+    return SystemState(RealField._from_rfft(grid, r, r_hat),
                        ComplexField.from_spectrum(grid, q_spec), t)
 
 
@@ -481,7 +486,6 @@ def conserved(s: SystemState, coeffs: ModelCoefficients) -> ConservedTriple:
     return, this costs one inverse transform, for the samples of |D| r.
     """
     grid = s.grid
-    n = grid.n
     r_spec = s.r.spectrum
     q_spec = s.q.spectrum
     absk = np.abs(grid.k)
@@ -490,9 +494,9 @@ def conserved(s: SystemState, coeffs: ModelCoefficients) -> ConservedTriple:
     q2 = (q_spec * np.conj(q_spec)).real
     rv = s.r.values
     qv = s.q.values
-    adr = np.fft.irfft((absk * r_spec)[:n // 2 + 1], n)
+    adr = absd(s.r).values
     qsq = (qv * np.conj(qv)).real
-    parseval = grid.dx / n
+    parseval = grid.dx / grid.n
     quadratic = parseval * float(np.sum(
         (-0.5 * coeffs.b * absk - 0.5 * coeffs.a * k1 * k1) * r2
         - coeffs.alpha * k1 * k1 * q2))
@@ -505,29 +509,13 @@ def conserved(s: SystemState, coeffs: ModelCoefficients) -> ConservedTriple:
 
 
 def _gauge_residual(r: RealField, coeffs: ModelCoefficients) -> float:
-    """gauge_ode_residual(gauge(r - mean(r))), from r's spectrum and psi+ alone.
-
-    The gauge phase integrates r, which requires a periodic primitive, so
-    the conserved mean is projected out and the oscillatory part gauged.
-    Only the factor psi+ enters the defining relation 3a psi' + 2id psi r
-    = 0, so the w+- pair is never built: one `irfft` for the
-    antiderivative and one `fft`/`ifft` pair for psi'.  Nan when a = 0,
-    where the gauge is undefined.
-    """
+    # The gauge phase integrates r, which requires a periodic primitive;
+    # project out the conserved mean and gauge the oscillatory part.  With
+    # r's spectrum cached this makes three transforms: the antiderivative
+    # and psi+'s derivative (the w+- pair is never read).
     if coeffs.a == 0.0:
         return float("nan")
-    grid = r.grid
-    n, h = grid.n, grid.n // 2 + 1
-    ik = _mult_deriv(grid, 1)
-    # 1/(ik) off the mean and Nyquist modes, as `antiderivative` divides
-    inv = np.zeros(h, dtype=complex)
-    inv[1:-1] = 1.0 / ik[1:h - 1]
-    phase = -(2.0 * coeffs.d / (3.0 * coeffs.a)) * np.fft.irfft(r.spectrum[:h] * inv, n)
-    psi = np.exp(1j * phase)
-    dpsi = np.fft.ifft(ik * np.fft.fft(psi))
-    source = r.values - np.mean(r.values)
-    res = 3.0 * coeffs.a * dpsi + 2.0j * coeffs.d * psi * source
-    return float(np.max(np.abs(res)))
+    return gauge_ode_residual(gauge(_mean_free(r), coeffs), coeffs)
 
 
 def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,

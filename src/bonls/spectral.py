@@ -83,25 +83,21 @@ class Field:
     """Periodic samples on a Grid with a lazily cached spectrum.
 
     The spectrum is the plain numpy FFT of the samples, computed at most
-    once, unless the samples were computed from a spectrum: then that
-    spectrum is kept (`from_spectrum`, or the `spectrum` argument).
-    Fields are cheap value objects; operators return new instances and
-    never mutate their input.
+    once.  Fields are cheap value objects; operators return new instances
+    and never mutate their input.
     """
 
     _dtype: type = complex
 
     __slots__ = ("grid", "values", "_spec")
 
-    def __init__(self, grid: Grid, values, spectrum: np.ndarray | None = None):
+    def __init__(self, grid: Grid, values):
         arr = np.asarray(values, dtype=self._dtype)
         if arr.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} samples, got shape {arr.shape}")
-        if spectrum is not None and spectrum.shape != (grid.n,):
-            raise ValueError(f"expected {grid.n} modes, got shape {spectrum.shape}")
         self.grid = grid
         self.values = arr
-        self._spec = spectrum
+        self._spec = None
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -114,7 +110,9 @@ class Field:
         spec = np.asarray(spectrum, dtype=complex)
         if spec.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} modes, got shape {spec.shape}")
-        return cls(grid, cls._samples_of(spec), spec.copy())
+        out = cls(grid, cls._samples_of(spec))
+        out._spec = spec.copy()
+        return out
 
     @staticmethod
     def _samples_of(spec: np.ndarray) -> np.ndarray:
@@ -131,6 +129,17 @@ class RealField(Field):
     _dtype = float
 
     __slots__ = ()
+
+    @classmethod
+    def _from_rfft(cls, grid: Grid, values: np.ndarray, r_hat: np.ndarray) -> "RealField":
+        """Real samples with their `rfft` half-spectrum r_hat, given by the caller.
+
+        The cached full spectrum is r_hat mirrored by Hermitian symmetry,
+        with no transform; it equals the FFT of the samples to roundoff.
+        """
+        out = cls(grid, values)
+        out._spec = np.concatenate((r_hat, np.conj(r_hat[grid.n // 2 - 1:0:-1])))
+        return out
 
     @staticmethod
     def _samples_of(spec: np.ndarray) -> np.ndarray:
@@ -205,6 +214,18 @@ def _mult_project(grid: Grid, sign: int) -> np.ndarray:
     m[0] = 0.5
     m[grid.nyquist] = 0.5
     return m
+
+
+def _mean_free(f: RealField) -> RealField:
+    """f minus its mean; the spectrum is f's with the mean mode zeroed.
+
+    Once f's spectrum is cached this makes no transform.
+    """
+    spec = f.spectrum.copy()
+    spec[0] = 0.0
+    out = RealField(f.grid, f.values - np.mean(f.values))
+    out._spec = spec
+    return out
 
 
 def _apply(f: Field, mult: np.ndarray, cls: type | None = None) -> Field:

@@ -414,9 +414,10 @@ def test_conserved_on_a_stepped_state_costs_at_most_two_transforms(monkeypatch):
     assert calls["n"] <= 2
 
 
-def test_gauge_residual_matches_the_gauge_module():
-    # psi+ alone, from r's spectrum, against the gauge layer's full path;
-    # noise keeps a nonzero mean, which both project out
+def test_gauge_residual_from_cached_spectra_matches_fresh_samples():
+    # the run's residual reads r's cached (mirrored) spectrum and removes
+    # the mean without a transform; it must agree with the gauge layer fed
+    # freshly sampled mean-free fields.  Noise keeps a nonzero mean.
     grid = Grid(512, 40.0)
     rng = np.random.default_rng(3)
     fields = [bump_state(grid).r,

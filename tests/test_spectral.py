@@ -27,6 +27,7 @@ from bonls.spectral import (
     inner,
     project,
     propagator,
+    _mean_free,
 )
 
 try:
@@ -101,6 +102,21 @@ def test_field_round_trip():
     f = noise(grid)
     back = RealField.from_spectrum(grid, f.spectrum)
     assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+
+@pytest.mark.parametrize("n", [8, 128, 4096])
+def test_private_constructors_cache_the_fft_of_their_samples(n):
+    # spectra cached without a transform: the mirrored rfft half-spectrum,
+    # and the mean-free copy with its mean mode zeroed
+    grid = Grid(n, 20.0)
+    v = noise(grid).values + 0.3
+    f = RealField._from_rfft(grid, v, np.fft.rfft(v))
+    assert np.max(np.abs(f.spectrum - np.fft.fft(v))) <= 1e-13 * np.max(np.abs(np.fft.fft(v)))
+    g = _mean_free(f)
+    assert np.array_equal(g.values, v - np.mean(v))
+    assert g.spectrum[0] == 0.0
+    assert np.array_equal(g.spectrum[1:], f.spectrum[1:])
+    assert f.spectrum[0] != 0.0  # the input keeps its own spectrum
 
 
 def test_real_field_rejects_complex_spectrum_content():
