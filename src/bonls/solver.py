@@ -16,9 +16,13 @@ restricts the step size.
 The steppers carry r as its `rfft` half-spectrum (n//2 + 1 modes) from
 the entry of `run` or `step` to the blow-up guard, so r stays real by
 construction.  Each nonlinear evaluation makes four stacked transforms,
-and a guarded step of either scheme on either system makes 17.  The ETD
-tables of both fields are built on the half grid; the q symbol is even,
-so its tables are mirrored onto the full grid.
+and a guarded step of either scheme on either system makes 17.  Products
+that share a Fourier multiplier are summed before their transform, and
+the product rule folds the full system's three products with q into one
+(see `_Rhs`), so an evaluation moves 4 (reduced) or 6 (full) n-point
+complex transforms' worth of data.  The ETD tables of both fields are
+built on the half grid; the q symbol is even, so its tables are mirrored
+onto the full grid.
 
 The states `run` records carry the stepper's spectra: r's is its
 half-spectrum mirrored, with no transform, and q's is the one its samples
@@ -181,15 +185,27 @@ class _Rhs:
     `spectral`, so a stepper built on them matches the exact flows bit for
     bit on the linear terms.  Both product factors are cut to the
     two-thirds band; the cut is folded into the operators that make the
-    factors (`in_r`, the stacked r and |D|r, and `in_q`, q or the stacked
-    q and q_x), so one inverse transform yields each stack.  The real
-    products go through one `rfft` and the products with q through one
-    `fft`, and each stack enters through one (rows, modes) weight: the
-    multipliers of every term a product feeds, times the two-thirds cut,
-    times `scale`, which converts between the two slow-time
-    normalizations of the full system.  Under the cut
-    cut(r r_x) = (ik/2) cut(r^2) and H r_x = |D| r, so the advection term
-    and |D|(r r_x) share the weight on r^2.
+    factors (`in_r`, the stacked r and |D|r, plus r_x on the full system,
+    and `in_q`, q or the stacked q and q_x), so one inverse transform
+    yields each stack.
+
+    Products that share a Fourier multiplier are summed in physical space
+    and transformed once.  The real products go through one `rfft` of the
+    rows r^2, beta |q|^2 - d r|D|r (full: minus the kt3 flux) and, on the
+    full system, |q|^2 for the kt4 term; they enter dr through one
+    (rows, modes) weight.  The products with q go through one `fft` of a
+    single row.  Each weight holds the multipliers of the terms a row
+    feeds, times the two-thirds cut, times `scale`, which converts between
+    the two slow-time normalizations of the full system.
+
+    Two identities hold under the cut, because a product of two cut
+    factors is alias-free inside the band.  cut(r r_x) = (ik/2) cut(r^2)
+    and H r_x = |D| r, so the advection term and |D|(r r_x) share the
+    weight on r^2.  The product rule ik cut(r q) = cut(r_x q + r q_x) turns
+    the kt3 term of dq into products with no multiplier of their own, so
+    on the full system
+    dq = w (q (i beta r - e3 r_x - i e4 |D|r) - 2 e3 r q_x), and at q = 0
+    the full system equals the reduced one bit for bit.
     """
 
     def __init__(self, grid: Grid, coeffs: ModelCoefficients, full: bool,
@@ -197,46 +213,52 @@ class _Rhs:
         co = coeffs
         self.n = grid.n
         self.full = full
+        self.beta = co.beta
+        self.d = co.d
+        self.e3 = co.epsilon * co.kt3
+        self.e4 = co.epsilon * co.kt4
         half = slice(0, grid.n // 2 + 1)
         ik = _mult_deriv(grid, 1)
         absk = np.abs(grid.k)
         mask = dealias_mask(grid).astype(float)
         self.lin_r = 1j * scale * _phase("V", co, grid)[half]
         self.lin_q = 1j * scale * _phase("U", co, grid)
-        self.in_r = np.stack([mask[half], (mask * absk)[half]])
-        self.in_q = np.stack([mask, mask * ik]) if full else mask
-        # real products into dr: r^2, r |D|r, |q|^2 and (full) the kt3 flux;
-        # products into dq: r q and (full) r q_x and q |D|r
         w = scale * mask
-        w_qq = co.beta * ik
-        w_rq = 1j * co.beta
-        w_r = [(0.5 * w) * ik * (co.c - co.d * absk), (-co.d * w) * ik]
+        in_r = [mask, mask * absk]
+        w_r = [(0.5 * w) * ik * (co.c - co.d * absk), w * ik]
         if full:
-            e3 = co.epsilon * co.kt3
-            e4 = co.epsilon * co.kt4
-            w_r += [w * (w_qq - e4 * (ik * absk)), (-e3 * w) * ik]
-            self.w_q = np.stack([w * (w_rq - e3 * ik), -e3 * w, (-1j * e4) * w])
+            in_r.append(mask * ik)
+            w_r.append((-self.e4 * w) * ik * absk)
+            self.in_q = np.stack([mask, mask * ik])
+            self.w_q = w
         else:
-            w_r.append(w * w_qq)
-            self.w_q = w * w_rq
+            self.in_q = mask
+            self.w_q = w * (1j * co.beta)
+        self.in_r = np.stack([row[half] for row in in_r])
         self.w_r = np.stack([row[half] for row in w_r])
 
     def nonlinear(self, r_hat: np.ndarray, q_spec: np.ndarray):
         """Spectra of the non-dispersive terms; the r part has exact zero mean."""
-        r, adr = np.fft.irfft(self.in_r * r_hat, self.n)  # |D| r is H r_x
         if self.full:
+            r, adr, rx = np.fft.irfft(self.in_r * r_hat, self.n)  # |D| r is H r_x
             q, dq = np.fft.ifft(self.in_q * q_spec)
+        else:
+            r, adr = np.fft.irfft(self.in_r * r_hat, self.n)
+            q = np.fft.ifft(self.in_q * q_spec)
+        qsq = (q * np.conj(q)).real
+        flux = self.beta * qsq - self.d * (r * adr)
+        if self.full:
             # with D = -i d/dx the bracket q conj(Dq) + conj(q) Dq is the
             # real density 2 Im(conj(q) q_x)
-            real = (r * r, r * adr, (q * np.conj(q)).real,
-                    2.0 * np.imag(np.conj(q) * dq))
-            nq = (self.w_q * np.fft.fft(np.array((r * q, r * dq, q * adr)))).sum(0)
+            flux = flux - (2.0 * self.e3) * np.imag(np.conj(q) * dq)
+            real = (r * r, flux, qsq)
+            prod = (q * (1j * (self.beta * r - self.e4 * adr) - self.e3 * rx)
+                    - (2.0 * self.e3) * r * dq)
         else:
-            q = np.fft.ifft(self.in_q * q_spec)
-            real = (r * r, r * adr, (q * np.conj(q)).real)
-            nq = self.w_q * np.fft.fft(r * q)
+            real = (r * r, flux)
+            prod = r * q
         nr = (self.w_r * np.fft.rfft(np.array(real))).sum(0)
-        return nr, nq
+        return nr, self.w_q * np.fft.fft(prod)
 
     def total(self, r_hat: np.ndarray, q_spec: np.ndarray):
         nr, nq = self.nonlinear(r_hat, q_spec)
@@ -283,7 +305,7 @@ def rhs_full(s: SystemState, coeffs: ModelCoefficients,
 
 
 def _rhs_fields(s: SystemState, rhs: _Rhs) -> tuple[RealField, ComplexField]:
-    dr, dq = rhs.total(np.fft.rfft(s.r.values), s.q.spectrum)
+    dr, dq = rhs.total(s.r._rfft(), s.q.spectrum)
     return (RealField(s.grid, np.fft.irfft(dr, s.grid.n)),
             ComplexField.from_spectrum(s.grid, dq))
 
@@ -338,11 +360,13 @@ def _etd_tables(h: float, lin: np.ndarray, m: int):
         rows = slice(lo, hi)
         zc = z[rows, None] + circle[None, :]
         ez = np.exp(zc)
-        zc3 = zc * zc * zc
+        zc2 = zc * zc
+        zc3 = zc2 * zc
+        three_zc = 3.0 * zc
         q[rows] = h * np.mean((np.exp(0.5 * zc) - 1.0) / zc, axis=1)
-        f1[rows] = h * np.mean((-4.0 - zc + ez * (4.0 - 3.0 * zc + zc * zc)) / zc3, axis=1)
+        f1[rows] = h * np.mean((-4.0 - zc + ez * (4.0 - three_zc + zc2)) / zc3, axis=1)
         f2[rows] = h * np.mean((2.0 + zc + ez * (zc - 2.0)) / zc3, axis=1)
-        f3[rows] = h * np.mean((-4.0 - 3.0 * zc - zc * zc + ez * (4.0 - zc)) / zc3, axis=1)
+        f3[rows] = h * np.mean((-4.0 - three_zc - zc2 + ez * (4.0 - zc)) / zc3, axis=1)
     return e_full, e_half, q, f1, f2, f3
 
 
@@ -460,8 +484,10 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
 
     The stepper (right-hand side weights and, for etdrk4, the contour
     tables) is reused across calls with equal arguments, the one `run`
-    builds included, so a loop of step() calls costs about what `run`
-    does per step.
+    builds included.  On a state that `step` or `run` returned, r's
+    half-spectrum is the stepper's own, so a loop of step() calls gives
+    the fields `run` does bit for bit and makes one transform per step
+    more than `run`: the inverse transform for the new q samples.
 
     Raises ValueError when r or q is not finite on entry, and BlowUp
     (carrying the input state as the last good one) when the sup norm of
@@ -471,8 +497,8 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     stepper = _build_stepper(s.grid, cfg.dt, cfg.scheme, coeffs, system,
                              time_scale)
     t = s.t + cfg.dt
-    r_hat, q_spec, r = _guarded_step(stepper, cfg, np.fft.rfft(s.r.values),
-                                     s.q.spectrum, t, lambda: s)
+    r_hat, q_spec, r = _guarded_step(stepper, cfg, s.r._rfft(), s.q.spectrum,
+                                     t, lambda: s)
     return _state_of(s.grid, r, r_hat, q_spec, t)
 
 
@@ -541,7 +567,7 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
 
     grid = initial.grid
     stepper = _build_stepper(grid, cfg.dt, cfg.scheme, coeffs, system, time_scale)
-    r_hat = np.fft.rfft(initial.r.values)
+    r_hat = initial.r._rfft()
     q_spec = initial.q.spectrum
     r_vals = initial.r.values
 

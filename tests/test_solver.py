@@ -273,6 +273,81 @@ def test_slow_time_requires_full_system():
         step(s, StepperConfig(dt=1e-3), BENCH, system="reduced", time_scale="tau1")
 
 
+def _stacked_rows_nonlinear(grid, co, full, scale, r_hat, q_spec):
+    # oracle for `_Rhs.nonlinear`: one transformed row per product, each
+    # under its own weight, with nothing summed in physical space
+    n = grid.n
+    half = slice(0, n // 2 + 1)
+    ik = solver._mult_deriv(grid, 1)
+    absk = np.abs(grid.k)
+    mask = solver.dealias_mask(grid).astype(float)
+    w = scale * mask
+    w_r = [(0.5 * w) * ik * (co.c - co.d * absk), (-co.d * w) * ik]
+    r, adr = np.fft.irfft(np.stack([mask[half], (mask * absk)[half]]) * r_hat, n)
+    if full:
+        e3, e4 = co.epsilon * co.kt3, co.epsilon * co.kt4
+        w_r += [w * (co.beta * ik - e4 * (ik * absk)), (-e3 * w) * ik]
+        w_q = np.stack([w * (1j * co.beta - e3 * ik), -e3 * w, (-1j * e4) * w])
+        q, dq = np.fft.ifft(np.stack([mask, mask * ik]) * q_spec)
+        real = (r * r, r * adr, (q * np.conj(q)).real, 2.0 * np.imag(np.conj(q) * dq))
+        nq = (w_q * np.fft.fft(np.array((r * q, r * dq, q * adr)))).sum(0)
+    else:
+        w_r.append(w * co.beta * ik)
+        q = np.fft.ifft(mask * q_spec)
+        real = (r * r, r * adr, (q * np.conj(q)).real)
+        nq = (w * 1j * co.beta) * np.fft.fft(r * q)
+    w_r = np.stack([row[half] for row in w_r])
+    return (w_r * np.fft.rfft(np.array(real))).sum(0), nq
+
+
+@pytest.mark.parametrize("kind", ["bump", "noise"])
+@pytest.mark.parametrize("system, time_scale",
+                         [("reduced", "tau"), ("full", "tau"), ("full", "tau1")])
+@pytest.mark.parametrize("n", [128, 512])
+def test_folded_rows_match_one_row_per_product(n, system, time_scale, kind):
+    # summing the products that share a multiplier, and the product rule
+    # ik cut(r q) = cut(r_x q + r q_x), change the kernel at roundoff only
+    grid = Grid(n, 40.0)
+    if kind == "bump":
+        s = bump_state(grid, r_sup=0.2, q_amp=0.15)
+    else:
+        s = lower_third_state(grid, np.random.default_rng(n))
+    rhs = solver._make_rhs(grid, BENCH, system, time_scale)
+    scale = 1.0 / BENCH.epsilon if time_scale == "tau1" else 1.0
+    r_hat = np.fft.rfft(s.r.values)
+    got = rhs.nonlinear(r_hat, s.q.spectrum)
+    want = _stacked_rows_nonlinear(grid, BENCH, system == "full", scale, r_hat,
+                                   s.q.spectrum)
+    for g, w in zip(got, want, strict=True):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("system, budget", [("reduced", 2633), ("full", 3917)])
+@pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
+def test_guarded_step_transform_volume(monkeypatch, scheme, system, budget):
+    # samples passed to numpy.fft by one guarded step at n = 128: four
+    # evaluations of the stacked (r, |D|r[, r_x]) half-spectra (65 modes a
+    # row), q[, q_x], the real product rows and the one product row with
+    # q, plus the guard's 65 modes; one row per product passed 3145 and 5193
+    grid = Grid(128, 40.0)
+    s = bump_state(grid)
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    stepper = solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, system, "tau")
+    r_hat = np.fft.rfft(s.r.values)
+    q_spec = s.q.spectrum
+    passed = {"samples": 0}
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def sized(a, *args, _original=original, **kwargs):
+            passed["samples"] += np.asarray(a).size
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, sized)
+    solver._guarded_step(stepper, cfg, r_hat, q_spec, cfg.dt, lambda: s)
+    assert passed["samples"] <= budget
+
+
 # ---------------------------------------------------------------- stepping
 
 def test_stepper_config_validation():
@@ -530,6 +605,35 @@ def test_step_loop_and_run_are_one_integrator(scheme, system, time_scale):
     assert s.t == pytest.approx(end.t)
     for got, want in ((s.r.values, end.r.values), (s.q.values, end.q.values)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("system", ["reduced", "full"])
+@pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
+def test_step_loop_gives_the_fields_of_run_bit_for_bit(scheme, system):
+    # a state from step() carries the stepper's half-spectrum of r, so the
+    # loop takes no transform of r that run() does not (the times may differ)
+    grid = Grid(128, 40.0)
+    s0 = bump_state(grid)
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    s = s0
+    for _ in range(20):
+        s = step(s, cfg, BENCH, system=system)
+    end = run(s0, cfg, BENCH, t_end=2e-2, diagnostics_every=20, system=system,
+              gauge_diagnostics=False).snapshots[-1]
+    assert np.array_equal(s.r.values, end.r.values)
+    assert np.array_equal(s.q.values, end.q.values)
+
+
+@pytest.mark.parametrize("system", ["reduced", "full"])
+@pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
+def test_later_step_transforms_what_run_does_and_the_q_samples(monkeypatch, scheme,
+                                                               system):
+    grid = Grid(128, 40.0)
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    s = step(bump_state(grid), cfg, BENCH, system=system)
+    calls = count_transforms(monkeypatch)
+    step(s, cfg, BENCH, system=system)
+    assert calls["n"] <= 17 + 1
 
 
 @pytest.mark.parametrize("field, bad", [("r", np.nan), ("q", np.inf)])
