@@ -79,11 +79,7 @@ def antiderivative(f: RealField) -> RealField:
     if mean > _MEAN_TOL:
         raise NonZeroMean(f"field mean {mean:.3e} exceeds {_MEAN_TOL:.0e}; "
                           "a periodic antiderivative needs mean zero")
-    k = grid.k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(k != 0.0, 1.0 / (1j * k), 0.0)
-    inv[grid.nyquist] = 0.0
-    out = spec * inv
+    out = spec * grid.inv_ik
     out[0] = 0.0
     return RealField(grid, np.fft.ifft(out).real)
 

@@ -73,10 +73,33 @@ class Grid:
         """Wavenumbers 2*pi*j/length in FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
+    @cached_property
+    def abs_k(self) -> np.ndarray:
+        """|k|, the multiplier of |D| (read-only)."""
+        return _read_only(np.abs(self.k))
+
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """ik, the first-derivative multiplier, Nyquist mode dropped (read-only)."""
+        return _read_only(_mult_deriv(self, 1))
+
+    @cached_property
+    def inv_ik(self) -> np.ndarray:
+        """1/(ik) where ik is nonzero, else 0: the antiderivative's multiplier (read-only)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(self.k != 0.0, 1.0 / (1j * self.k), 0.0)
+        inv[self.nyquist] = 0.0
+        return _read_only(inv)
+
     @property
     def nyquist(self) -> int:
         """Index of the unpaired (Nyquist) mode in FFT order."""
         return self.n // 2
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class Field:
@@ -246,7 +269,7 @@ def deriv(f: Field, order: int = 1) -> Field:
     """Spectral derivative of the given order; odd orders drop the Nyquist mode."""
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
-    return _apply(f, _mult_deriv(f.grid, order))
+    return _apply(f, f.grid.ik if order == 1 else _mult_deriv(f.grid, order))
 
 
 def hilbert(f: Field) -> Field:
@@ -256,7 +279,7 @@ def hilbert(f: Field) -> Field:
 
 def absd(f: Field) -> Field:
     """|D| f: spectrum times |k| (even multiplier, Nyquist kept)."""
-    return _apply(f, np.abs(f.grid.k))
+    return _apply(f, f.grid.abs_k)
 
 
 def project(f: Field, sign: int) -> ComplexField:

@@ -1,6 +1,8 @@
 """Time stepping: right-hand sides, linear exactness, conservation, convergence."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from bonls.spectral import (
     ComplexField,
     Grid,
     RealField,
+    _mult_deriv,
     absd,
     band_limited_noise,
     deriv,
@@ -278,7 +281,7 @@ def _stacked_rows_nonlinear(grid, co, full, scale, r_hat, q_spec):
     # under its own weight, with nothing summed in physical space
     n = grid.n
     half = slice(0, n // 2 + 1)
-    ik = solver._mult_deriv(grid, 1)
+    ik = _mult_deriv(grid, 1)
     absk = np.abs(grid.k)
     mask = solver.dealias_mask(grid).astype(float)
     w = scale * mask
@@ -749,7 +752,8 @@ def test_later_steps_build_nothing(builds, monkeypatch, scheme, system):
 def test_diagnostics_row_transform_budget(monkeypatch):
     # a diagnostics row takes its spectra from the stepper: one inverse
     # transform for the q samples, one for |D| r in `conserved`, and three
-    # for the gauge residual (the antiderivative and psi')
+    # for the gauge residual (the antiderivative and psi'); the first row
+    # takes the caller's q and its cached spectrum, so it needs no q samples
     grid = Grid(128, 40.0)
     s0 = bump_state(grid)
     _ = s0.q.spectrum  # cache the input spectrum of q
@@ -758,7 +762,8 @@ def test_diagnostics_row_transform_budget(monkeypatch):
     calls = count_transforms(monkeypatch)
     traj = run(s0, cfg, BENCH, t_end=1e-2, diagnostics_every=1, system="full")
     assert len(traj.diagnostics) == 11
-    assert calls["n"] <= 1 + 10 * 17 + 11 * 5  # the start-up rfft of r
+    assert calls["n"] <= 1 + 10 * 17 + 4 + 10 * 5  # the start-up rfft of r
+    assert np.array_equal(traj.snapshots[0].q.values, s0.q.values)
 
 
 @pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
@@ -782,8 +787,9 @@ def test_memoised_stepper_arrays_are_read_only(scheme):
     assert np.array_equal(after.q.values, before.q.values)
 
 
-def _one_shot_etd_tables(h, lin, m):
-    # the contour means over the whole (n, m) array at once
+def _one_shot_etd_tables(h, lin, m=64):
+    # Kassam & Trefethen's contour means over the whole (n, m) array at
+    # once: an independent construction of the tables
     z = h * lin
     angles = 2.0 * np.pi * (np.arange(m) + 0.5) / m
     zc = z[:, None] + np.exp(1j * angles)[None, :]
@@ -796,29 +802,111 @@ def _one_shot_etd_tables(h, lin, m):
             h * np.mean((-4.0 - 3.0 * zc - zc * zc + ez * (4.0 - zc)) / zc3, axis=1))
 
 
+def test_etd_tables_match_40_digit_references():
+    # on the imaginary axis (the symbols of both fields are imaginary),
+    # both sides of the switch from series to closed form, and one ulp
+    # either side of it
+    mpmath = pytest.importorskip("mpmath")
+    switch = solver._SERIES_RADIUS
+    y = np.concatenate([np.geomspace(1e-8, 1e3, 400),
+                        [np.nextafter(switch, 0.0), switch, np.nextafter(switch, 2.0)]])
+    z = 1j * np.concatenate([y, -y])
+    got = solver._etd_tables(1.0, z)
+    want = []
+    # 64 working digits keep 40 after the closed forms cancel at |z| = 1e-8
+    with mpmath.workdps(64):
+        for v in z:
+            zz = mpmath.mpc(v)
+            e = mpmath.exp(zz)
+            z3 = zz ** 3
+            want.append([complex(t) for t in (
+                e, mpmath.exp(zz / 2), (mpmath.exp(zz / 2) - 1) / zz,
+                (-4 - zz + e * (4 - 3 * zz + zz * zz)) / z3,
+                (2 + zz + e * (zz - 2)) / z3,
+                (-4 - 3 * zz - zz * zz + e * (4 - zz)) / z3)])
+    for g, w in zip(got, np.array(want).T, strict=True):
+        assert np.all(np.abs(g - w) <= 1e-14 * np.abs(w))
+
+
 @pytest.mark.parametrize("time_scale", ["tau", "tau1"])
 @pytest.mark.parametrize("symbol", ["lin_r", "lin_q"])
-@pytest.mark.parametrize("n", [8, 4096])
-def test_blocked_etd_tables_match_one_shot_contour_means(n, symbol, time_scale):
-    assert n < solver._CONTOUR_ROWS or n > 2 * solver._CONTOUR_ROWS
+@pytest.mark.parametrize("n", [8, 512, 8192])
+def test_etd_tables_match_contour_means(n, symbol, time_scale):
+    # the contour means lose digits where the unit circle passes near 0,
+    # at |h L| ~ 1: there they are off by up to 1.2e-12 of the table
+    # (f1 at n = 512, against 40-digit references)
     lin = getattr(solver._make_rhs(Grid(n, 40.0), BENCH, "full", time_scale), symbol)
-    m = solver._EtdStepper.CONTOUR_POINTS
-    for got, want in zip(solver._etd_tables(1e-2, lin, m),
-                         _one_shot_etd_tables(1e-2, lin, m), strict=True):
-        assert np.array_equal(got, want)
+    for got, want in zip(solver._etd_tables(1e-2, lin),
+                         _one_shot_etd_tables(1e-2, lin), strict=True):
+        assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("time_scale", ["tau", "tau1"])
 @pytest.mark.parametrize("n", [8, 512, 4096])
 def test_etdrk4_q_tables_built_on_the_half_grid_match_the_full_grid(n, time_scale):
     # the q symbol is even, so the tables built on n//2 + 1 modes and
-    # mirrored equal the contour means over all n modes bit for bit
+    # mirrored equal the tables over all n modes bit for bit
     rhs = solver._make_rhs(Grid(n, 40.0), BENCH, "full", time_scale)
     stepper = solver._EtdStepper(1e-2, rhs)
     got = (stepper.eq, stepper.e2q, stepper.qq, stepper.f1q, stepper.f2q, stepper.f3q)
-    want = _one_shot_etd_tables(1e-2, rhs.lin_q, solver._EtdStepper.CONTOUR_POINTS)
+    want = solver._etd_tables(1e-2, rhs.lin_q)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
+
+
+# ---------------------------------------------------------------- work arrays
+
+@pytest.mark.parametrize("system", ["reduced", "full"])
+@pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
+def test_returned_spectra_share_no_memory_with_work_arrays(scheme, system):
+    grid = Grid(128, 40.0)
+    s = bump_state(grid)
+    stepper = solver._build_stepper(grid, 1e-3, scheme, BENCH, system, "tau")
+    r_hat = np.fft.rfft(s.r.values)
+    first = stepper.rhs.nonlinear(r_hat, s.q.spectrum)
+    kept = [a.copy() for a in first]
+    advanced = stepper.advance(r_hat, s.q.spectrum)
+    second = stepper.rhs.nonlinear(*advanced)
+    work = list(stepper.rhs._local.work.values())
+    assert work
+    for out in (*first, *advanced, *second):
+        assert not any(np.shares_memory(out, a) for a in work)
+    # a second evaluation leaves the first one's outputs as they were
+    for a, b in zip(first, kept, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_threads_stepping_one_memoised_stepper_match_sequential_steps():
+    grid = Grid(512, 40.0)
+    cfg = StepperConfig(dt=1e-3, scheme="etdrk4")
+    starts = [bump_state(grid, r_sup=0.05 * (i + 1), q_amp=0.02 * (i + 1), carrier=i)
+              for i in range(4)]
+
+    def loop(s):
+        for _ in range(20):
+            s = step(s, cfg, BENCH, system="full")
+        return s
+
+    want = [loop(s) for s in starts]
+    got = [None] * len(starts)
+
+    def worker(i):
+        got[i] = loop(starts[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(starts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.r.values, w.r.values)
+        assert np.array_equal(g.q.values, w.q.values)
 
 
 # ---------------------------------------------------------------- convergence
