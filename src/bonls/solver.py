@@ -476,8 +476,9 @@ def _build_stepper(grid: Grid, dt: float, scheme: str, coeffs: ModelCoefficients
     whole StepperConfig: the blow-up guard plays no part in it, so runs
     that differ only in cfl_guard share one stepper.  Every array the
     stepper holds is made read-only, because every caller gets the same
-    instance.  A bad system or time scale raises on every call: only
-    results are memoised.
+    instance; the transform work arrays are not its attributes but held
+    per thread (`_Rhs._work`).  A bad system or time scale raises on every
+    call: only results are memoised.
     """
     rhs = _make_rhs(grid, coeffs, system, time_scale)
     if scheme == "strang-split":

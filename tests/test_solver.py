@@ -830,7 +830,7 @@ def test_etd_tables_match_40_digit_references():
 
 @pytest.mark.parametrize("time_scale", ["tau", "tau1"])
 @pytest.mark.parametrize("symbol", ["lin_r", "lin_q"])
-@pytest.mark.parametrize("n", [8, 512, 8192])
+@pytest.mark.parametrize("n", [8, 512, 4096, 8192])
 def test_etd_tables_match_contour_means(n, symbol, time_scale):
     # the contour means lose digits where the unit circle passes near 0,
     # at |h L| ~ 1: there they are off by up to 1.2e-12 of the table
