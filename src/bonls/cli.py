@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import logging
 import math
 import sys
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _tsv
 from .coeffs import (
     DomainError,
     PhysicalParams,
@@ -75,26 +76,16 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-# Rows per %-operation in `_write_tsv`: only one block's text is held in
-# memory at a time.
-_TSV_BLOCK_ROWS = 512
-
-
-def _write_tsv(path: Path, header: str, table: np.ndarray) -> None:
+def _write_tsv(path: Path, header: str, table: np.ndarray,
+               write=_tsv.write_table) -> None:
     """Rows of floats under a header, tab-separated, in `_fmt`'s digits.
 
-    The bytes are those of np.savetxt(path, table, fmt="%.17g",
-    delimiter="\t", header=header, comments=""), nan, inf and -0
-    included.  Each block of rows is formatted by one
-    (row_format * rows) % values operation, about twice as fast as
-    savetxt's row-by-row formatting.
+    The bytes are those of np.savetxt with fmt="%.17g" (see
+    `_tsv.write_table`); write=writer.send hands the table to a
+    `_tsv.Writer` process instead of writing it here.
     """
-    row = "\t".join(["%.17g"] * table.shape[1]) + "\n"
-    with path.open("w") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(table), _TSV_BLOCK_ROWS):
-            block = table[lo:lo + _TSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    table = np.asarray(table, dtype=np.float64)
+    write(path, header, table.shape[1], table.tobytes())
 
 
 # --------------------------------------------------------------------------
@@ -433,10 +424,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # simulate / sweep
 # --------------------------------------------------------------------------
 
-def _write_snapshot(path: Path, state: SystemState) -> None:
+def _write_snapshot(path: Path, state: SystemState, write=_tsv.write_table) -> None:
     q = state.q.values
     _write_tsv(path, f"# t = {_fmt(state.t)}\nx\tr\tre_q\tim_q",
-               np.column_stack((state.grid.x, state.r.values, q.real, q.imag)))
+               np.column_stack((state.grid.x, state.r.values, q.real, q.imag)), write)
 
 
 def _write_metadata(path: Path, cfg: RunConfig, co, status: str,
@@ -460,29 +451,35 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     log.info("simulate: %s system, %s, n=%d, dt=%s, t_end=%s",
              cfg.system, cfg.stepper.scheme, cfg.grid.n,
              _fmt(cfg.stepper.dt), _fmt(cfg.t_end))
-    try:
-        traj = run(initial, cfg.stepper, co, cfg.t_end,
-                   diagnostics_every=cfg.diagnostics_every,
-                   snapshot_every=cfg.snapshot_every,
-                   system=cfg.system, time_scale=cfg.time_scale,
-                   gauge_diagnostics=cfg.gauge_diagnostics)
-    except BlowUp as exc:
-        log.error("blow-up: %s", exc)
-        if exc.state is not None:
-            _write_snapshot(out / "snapshot_last_good.tsv", exc.state)
-        _write_metadata(out / "metadata.txt", cfg, co, "blow-up", {
-            "failing_time": _fmt(exc.time),
-            "failing_sup_norm": _fmt(exc.sup),
-        })
-        print(f"blow-up at t = {_fmt(exc.time)}; "
-              f"last good snapshot written to {out / 'snapshot_last_good.tsv'}")
-        return EXIT_BLOWUP
-    diag_path = out / "diagnostics.tsv"
-    _write_tsv(diag_path, "t\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual",
-               np.array([(row.t, row.e1, row.e2, row.e3, row.mean_r, row.max_r,
-                          row.gauge_residual) for row in traj.diagnostics]))
-    for index, snap in enumerate(traj.snapshots):
-        _write_snapshot(out / f"snapshot_{index:04d}.tsv", snap)
+    names = (out / f"snapshot_{i:04d}.tsv" for i in itertools.count())
+    # a writer process formats each table while the run steps on, in the
+    # order sent; it is reaped, and its failure raised, before metadata.txt
+    with _tsv.Writer() as writer:
+        try:
+            traj = run(initial, cfg.stepper, co, cfg.t_end,
+                       diagnostics_every=cfg.diagnostics_every,
+                       snapshot_every=cfg.snapshot_every,
+                       system=cfg.system, time_scale=cfg.time_scale,
+                       gauge_diagnostics=cfg.gauge_diagnostics,
+                       on_snapshot=lambda st: _write_snapshot(next(names), st,
+                                                              writer.send))
+        except BlowUp as exc:
+            log.error("blow-up: %s", exc)
+            if exc.state is not None:
+                _write_snapshot(out / "snapshot_last_good.tsv", exc.state, writer.send)
+            writer.close()
+            _write_metadata(out / "metadata.txt", cfg, co, "blow-up", {
+                "failing_time": _fmt(exc.time),
+                "failing_sup_norm": _fmt(exc.sup),
+            })
+            print(f"blow-up at t = {_fmt(exc.time)}; "
+                  f"last good snapshot written to {out / 'snapshot_last_good.tsv'}")
+            return EXIT_BLOWUP
+        diag_path = out / "diagnostics.tsv"
+        _write_tsv(diag_path, "t\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual",
+                   np.array([(row.t, row.e1, row.e2, row.e3, row.mean_r, row.max_r,
+                              row.gauge_residual) for row in traj.diagnostics]),
+                   writer.send)
     _write_metadata(out / "metadata.txt", cfg, co, "ok", {
         "snapshots": str(len(traj.snapshots)),
         "diagnostics_rows": str(len(traj.diagnostics)),

@@ -48,6 +48,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -608,14 +609,17 @@ def _gauge_residual(r: RealField, coeffs: ModelCoefficients) -> float:
 def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
         t_end: float, diagnostics_every: int = 100,
         snapshot_every: int | None = None, system: str = "reduced",
-        time_scale: str = "tau", gauge_diagnostics: bool = True) -> Trajectory:
+        time_scale: str = "tau", gauge_diagnostics: bool = True,
+        on_snapshot: Callable[[SystemState], None] | None = None) -> Trajectory:
     """Integrate to t_end, collecting diagnostics and snapshots.
 
     Diagnostics rows (conserved triple, mean and sup of r, gauge ODE
     residual) are recorded every diagnostics_every steps and at both ends.
     Snapshots are kept at the same ends plus every snapshot_every steps
-    when given.  BlowUp propagates with the failing time and the last
-    finite state attached; a non-finite initial state raises ValueError.
+    when given; on_snapshot, if given, is called with each snapshot as it
+    is kept, before the next step.  BlowUp propagates with the failing time
+    and the last finite state attached; a non-finite initial state raises
+    ValueError.
     """
     if not t_end > initial.t:
         raise ValueError("t_end must lie beyond the initial time")
@@ -643,6 +647,8 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     # the first state keeps the caller's q, whose spectrum q_spec is cached
     snapshots = [SystemState(RealField._from_rfft(grid, r_vals, r_hat), initial.q,
                              initial.t)]
+    if on_snapshot is not None:
+        on_snapshot(snapshots[0])
     rows = [diag_row(snapshots[0])]
     t = initial.t
     for i in range(1, n_steps + 1):
@@ -659,6 +665,8 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
                 rows.append(diag_row(st))
             if want_snap:
                 snapshots.append(st)
+                if on_snapshot is not None:
+                    on_snapshot(st)
     return Trajectory(tuple(snapshots), tuple(rows))
 
 

@@ -1,15 +1,17 @@
 """Command-line layer: config parsing, exit codes, artifacts on disk.
 
-Everything goes through main(argv) in process; no subprocesses.
+Everything goes through main(argv) in process; the only subprocess is the
+table writer that simulate starts, and every test must have reaped it.
 """
 
 import dataclasses
 import logging
+import os
 
 import numpy as np
 import pytest
 
-from bonls import solver
+from bonls import _tsv, cli, solver
 from bonls.cli import (
     _DEFAULTS,
     ConfigError,
@@ -32,6 +34,14 @@ def _quiet_logging():
     root.addHandler(handler)
     yield
     root.removeHandler(handler)
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    yield
+    # ChildProcessError: no child at all, neither running nor unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 BENCH_LINES = """
@@ -360,16 +370,21 @@ def test_tsv_writer_matches_fmt_on_special_values(tmp_path):
 
 @pytest.mark.parametrize("rows", [1, 511, 512, 513, 8193])
 def test_tsv_writer_matches_savetxt_bytes(tmp_path, rows):
-    # blocks of rows, the last one short, give savetxt's bytes
+    # blocks of rows, the last one short, give savetxt's bytes, written here
+    # or by the writer process
     table = np.random.default_rng(rows).standard_normal((rows, 7)) * 1e3
     specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
     table[0, :5] = specials
     table[-1, 2:] = specials[::-1]
     header = "# t = 0.5\nt\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual"
     _write_tsv(tmp_path / "blocked.tsv", header, table)
+    with _tsv.Writer() as writer:
+        _write_tsv(tmp_path / "streamed.tsv", header, table, writer.send)
     np.savetxt(tmp_path / "savetxt.tsv", table, fmt="%.17g", delimiter="\t",
                header=header, comments="")
-    assert (tmp_path / "blocked.tsv").read_bytes() == (tmp_path / "savetxt.tsv").read_bytes()
+    want = (tmp_path / "savetxt.tsv").read_bytes()
+    assert (tmp_path / "blocked.tsv").read_bytes() == want
+    assert (tmp_path / "streamed.tsv").read_bytes() == want
 
 
 def test_simulate_blow_up_leaves_evidence(tmp_path, capsys):
@@ -386,6 +401,77 @@ stepper.cfl_guard = 0.4
     assert "failing_sup_norm = " in meta
     assert not (out_dir / "diagnostics.tsv").exists()
     assert "blow-up at t = 0.001" in capsys.readouterr().out
+    # the initial state was streamed before the step that blew up
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "metadata.txt", "snapshot_0000.tsv", "snapshot_last_good.tsv"]
+    first = (out_dir / "snapshot_0000.tsv").read_text()
+    assert first.startswith("# t = 0\nx\tr\tre_q\tim_q\n")
+    # the last good state is the initial one, its q rebuilt from the spectrum
+    np.testing.assert_allclose(np.loadtxt(out_dir / "snapshot_0000.tsv", skiprows=2),
+                               np.loadtxt(out_dir / "snapshot_last_good.tsv", skiprows=2),
+                               rtol=0.0, atol=1e-15)
+
+
+def _run_with_hook(monkeypatch, hook):
+    """Make cmd_simulate's run call hook(on_snapshot, state) for each snapshot."""
+    real_run = cli.run
+
+    def hooked(*args, on_snapshot, **kwargs):
+        return real_run(*args, on_snapshot=lambda st: hook(on_snapshot, st), **kwargs)
+
+    monkeypatch.setattr(cli, "run", hooked)
+
+
+def test_writer_failure_names_the_snapshot_path(tmp_path, monkeypatch):
+    out_dir = tmp_path / "run"
+
+    def clobber(send, state):
+        if state.t == 0.0:
+            # the output directory becomes a regular file under the writer
+            out_dir.rmdir()
+            out_dir.write_text("")
+        send(state)
+
+    _run_with_hook(monkeypatch, clobber)
+    path = write_config(tmp_path, QUICK_RUN)
+    with pytest.raises(OSError, match=str(out_dir / "snapshot_0000.tsv")):
+        main(["--config", path, "--out", str(out_dir), "simulate"])
+    assert out_dir.read_text() == ""
+
+
+def test_killed_writer_raises_instead_of_hanging(tmp_path, monkeypatch):
+    real_send = _tsv.Writer.send
+
+    def send_then_kill(self, *args):
+        real_send(self, *args)
+        self._proc.kill()
+        self._proc.wait()
+
+    monkeypatch.setattr(_tsv.Writer, "send", send_then_kill)
+    path = write_config(tmp_path, QUICK_RUN)
+    out_dir = tmp_path / "run"
+    with pytest.raises(OSError, match="snapshot_0001.tsv"):
+        main(["--config", path, "--out", str(out_dir), "simulate"])
+    assert not (out_dir / "metadata.txt").exists()
+
+
+def test_interrupt_propagates_and_keeps_the_snapshots_sent(tmp_path, monkeypatch):
+    path = write_config(tmp_path, QUICK_RUN)
+    assert main(["--config", path, "--out", str(tmp_path / "whole"), "simulate"]) == 0
+
+    def interrupt(send, state):
+        send(state)
+        if state.t > 0.0:
+            raise KeyboardInterrupt
+
+    _run_with_hook(monkeypatch, interrupt)
+    out_dir = tmp_path / "cut"
+    with pytest.raises(KeyboardInterrupt):
+        main(["--config", path, "--out", str(out_dir), "simulate"])
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "snapshot_0000.tsv", "snapshot_0001.tsv"]
+    for name in ("snapshot_0000.tsv", "snapshot_0001.tsv"):
+        assert (out_dir / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
 # ---------------------------------------------------------------- sweep

@@ -566,6 +566,37 @@ def test_run_cadence_and_snapshots():
     assert all(np.isnan(row.gauge_residual) for row in traj.diagnostics)
 
 
+def test_run_hands_each_snapshot_over_before_the_next_step(monkeypatch):
+    grid = Grid(64, 20.0)
+    steps = []
+    real_step = solver._guarded_step
+
+    def counted(*args):
+        steps.append(None)
+        return real_step(*args)
+
+    monkeypatch.setattr(solver, "_guarded_step", counted)
+    seen = []
+    traj = run(bump_state(grid, r_sup=0.05), StepperConfig(dt=1e-2), BENCH, t_end=1.0,
+               diagnostics_every=10, snapshot_every=30, gauge_diagnostics=False,
+               on_snapshot=lambda st: seen.append((st, len(steps))))
+    # the very objects of the trajectory, in order
+    assert [id(st) for st, _ in seen] == [id(st) for st in traj.snapshots]
+    assert [taken for _, taken in seen] == [0, 30, 60, 90, 100]
+
+    class Refused(Exception):
+        pass
+
+    def refuse(st):
+        if st.t > 0.0:
+            raise Refused
+
+    with pytest.raises(Refused):
+        run(bump_state(grid, r_sup=0.05), StepperConfig(dt=1e-2), BENCH, t_end=1.0,
+            snapshot_every=30, gauge_diagnostics=False, on_snapshot=refuse)
+    assert len(steps) == 100 + 30
+
+
 def test_run_validates_cadence_arguments():
     grid = Grid(64, 20.0)
     s = zero_state(grid)
