@@ -11,6 +11,7 @@ system).  SI units throughout.
 
 from __future__ import annotations
 
+import decimal
 import math
 import warnings
 from dataclasses import dataclass
@@ -411,25 +412,45 @@ class ExpansionConstants:
     A5_1: float
 
 
+def _small_k_constants(g, h1, rho, rho1, sqrt):
+    # Generic over the number type (float with math.sqrt, Decimal with
+    # Decimal.sqrt); returns the fields of ExpansionConstants in order.
+    gamma = (rho - rho1) / rho
+    a0 = sqrt(gamma)
+    b0 = sqrt(rho1 / rho)
+    A4_0 = sqrt(g * (rho - rho1) / (rho1 * rho))
+    A5_0 = -sqrt(g * rho1 * (rho - rho1) / rho)
+    return (a0, -(rho1 / rho) * a0 * h1,
+            b0, gamma * b0 * h1,
+            (h1 / rho) * sqrt(g * rho1 * (rho - rho1) / rho),
+            A4_0, -(rho1 / rho) * h1 * A4_0,
+            A5_0, -(rho1 / rho) * h1 * A5_0)
+
+
+def _kappa8(params: PhysicalParams) -> float:
+    # The two terms of kappa8 cancel in exact arithmetic, but each is of
+    # size ~h1 sqrt(g), so a float evaluation leaves a residue of about
+    # eps |term| (above 1e-12 once h1 reaches a few thousand metres).
+    # Evaluating the same constants and formula in 40 digits from the
+    # exactly representable parameters leaves only the formula's own error.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        g, h1, rho, rho1 = (decimal.Decimal(v) for v in
+                            (params.g, params.h1, params.rho, params.rho1))
+        sqrt = decimal.Decimal.sqrt
+        (_, ap1, _, bp1, _, A4_0, _, A5_0, _) = _small_k_constants(
+            g, h1, rho, rho1, sqrt)
+        sq_d = sqrt(g * (rho - rho1))
+        sq_1 = sqrt(g * rho1)
+        kappa8 = (rho1 / (2 * sq_d)) * bp1 * A4_0 ** 2 \
+            + (1 / (2 * rho1 * sq_1)) * ap1 * A5_0 ** 2
+        return float(kappa8)
+
+
 def expansion_constants(params: PhysicalParams) -> ExpansionConstants:
     """Closed-form small-k expansion constants of a+, b+, A3, A4, A5."""
-    g, h1, rho, rho1 = params.g, params.h1, params.rho, params.rho1
-    gamma = params.gamma
-    a0 = math.sqrt(gamma)
-    b0 = math.sqrt(rho1 / rho)
-    A4_0 = math.sqrt(g * (rho - rho1) / (rho1 * rho))
-    A5_0 = -math.sqrt(g * rho1 * (rho - rho1) / rho)
-    return ExpansionConstants(
-        a_plus_0=a0,
-        a_plus_1=-(rho1 / rho) * a0 * h1,
-        b_plus_0=b0,
-        b_plus_1=gamma * b0 * h1,
-        A3_0=(h1 / rho) * math.sqrt(g * rho1 * (rho - rho1) / rho),
-        A4_0=A4_0,
-        A4_1=-(rho1 / rho) * h1 * A4_0,
-        A5_0=A5_0,
-        A5_1=-(rho1 / rho) * h1 * A5_0,
-    )
+    return ExpansionConstants(*_small_k_constants(
+        params.g, params.h1, params.rho, params.rho1, math.sqrt))
 
 
 # --------------------------------------------------------------------------
@@ -585,8 +606,7 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
     kappa7 = (rho / sq_d * ec.A3_0 * G3
               - rho1 / sq_d * ec.A4_1 * G4
               - 1.0 / (rho1 * sq_1) * ec.A5_1 * G5)
-    kappa8 = (rho1 / (2.0 * sq_d)) * bp1 * ec.A4_0 ** 2 \
-        + (1.0 / (2.0 * rho1 * sq_1)) * ap1 * ec.A5_0 ** 2
+    kappa8 = _kappa8(params)
 
     s2c0 = math.sqrt(2.0 * c0)
     sc02 = math.sqrt(c0 / 2.0)
