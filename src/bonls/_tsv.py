@@ -14,9 +14,10 @@ from its stdin:
     header  UTF-8 text, written before the rows
     values  row-major native float64
 
-It ignores SIGINT and writes every whole frame it receives; a frame cut
-short by EOF is dropped.  When it cannot write a table it prints the
-error on its stderr, writes the frame's index to STATUS_FD and exits 1.
+It runs in a session of its own, out of reach of a terminal's Ctrl-C, and
+writes every whole frame it receives; a frame cut short by EOF is dropped.
+When it cannot write a table it prints the error on its stderr, writes the
+table's path to STATUS_FD and exits 1.
 
 This module imports nothing beyond the standard library, and nothing from
 bonls: on Python 3.10 `-I` still puts the script's directory on sys.path.
@@ -25,7 +26,6 @@ bonls: on Python 3.10 `-I` still puts the script's directory on sys.path.
 from __future__ import annotations
 
 import os
-import signal
 import struct
 import sys
 
@@ -72,7 +72,7 @@ class Writer:
     def __init__(self):
         self._proc = None
         self._status = -1
-        self._paths: list = []
+        self._last = None  # the path of the latest table sent
 
     def __enter__(self) -> "Writer":
         return self
@@ -85,7 +85,7 @@ class Writer:
         if self._proc is None:
             self._start()
         raw_path, raw_header = os.fsencode(path), header.encode()
-        self._paths.append(path)
+        self._last = path
         try:
             self._proc.stdin.write(_FRAME.pack(len(raw_path), len(raw_header), columns,
                                                len(data)) + raw_path + raw_header)
@@ -106,10 +106,10 @@ class Writer:
         except BrokenPipeError:
             pass  # the exit status says why
         code = proc.wait()
-        failed = os.read(self._status, 32)
+        failed = os.read(self._status, 1 << 16)
         os.close(self._status)
         if check and code != 0:
-            path = self._paths[int(failed)] if failed else self._paths[-1]
+            path = os.fsdecode(failed) if failed else self._last
             raise OSError(f"{path}: not written, the table writer exited with "
                           f"status {code}")
 
@@ -118,12 +118,12 @@ class Writer:
         # and the child, which runs this file, needs neither module
         import subprocess
 
-        self._paths = []
         status, child_end = os.pipe()
         try:
             self._proc = subprocess.Popen(
                 [sys.executable, "-I", "-S", __file__, str(child_end)],
-                stdin=subprocess.PIPE, pass_fds=(child_end,))
+                stdin=subprocess.PIPE, pass_fds=(child_end,),
+                start_new_session=True)
         except BaseException:
             os.close(status)
             raise
@@ -141,7 +141,6 @@ class Writer:
 
 def _serve(stream, status_fd: int) -> int:
     """The child's loop: read frames from stream and write their tables."""
-    index = 0
     while True:
         head = stream.read(_FRAME.size)
         if len(head) < _FRAME.size:
@@ -156,13 +155,11 @@ def _serve(stream, status_fd: int) -> int:
             write_table(path, names[n_path:].decode(), columns, data)
         except OSError as exc:
             print(f"table writer: {exc}", file=sys.stderr)
-            os.write(status_fd, b"%d" % index)
+            os.write(status_fd, names[:n_path])
             return 1
-        index += 1
 
 
 if __name__ == "__main__":
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     code = _serve(sys.stdin.buffer, int(sys.argv[1]))
     # every table file is closed by now; skipping the interpreter's teardown
     # saves the caller, who waits for this exit, a few ms

@@ -14,7 +14,7 @@ with its parser, default and check, is one row of the RunConfig table;
 unknown keys are errors, so a typo fails fast instead of silently running
 defaults.  Exit codes: 0 ok, 1 verification failure, 2 config error
 (including a non-finite number, or a run time that is not a whole number
-of steps), 3 blow-up.
+of steps), 3 blow-up, 4 an artifact that could not be written.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from .solver import (
     StepperConfig,
     SystemState,
     bo_soliton,
+    _integrate as run,
     gaussian_envelope,
-    run,
     step_count,
 )
 from .spectral import ComplexField, Grid, RealField, band_limited_noise, gaussian_bump
@@ -63,6 +63,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
+EXIT_IO = 4
 
 
 class ConfigError(ValueError):
@@ -293,13 +294,13 @@ def load_settings(path: str | None) -> dict[str, str]:
 
 
 def build_initial_state(cfg: RunConfig) -> SystemState:
-    """Initial (r, q) from the ic.* settings; the seed feeds noise kinds only."""
+    """Initial (r, q) from the ic.* settings; only noise kinds draw on the seed."""
     grid = cfg.grid
-    rng = np.random.default_rng(cfg.seed)
     kind = cfg.ic_r_kind
     if kind == "zero":
         r_vals = np.zeros(grid.n)
     elif kind == "noise":
+        rng = np.random.default_rng(cfg.seed)
         r_vals = band_limited_noise(grid, rng, amplitude=cfg.ic_r_amplitude,
                                     keep=cfg.ic_r_keep,
                                     mean_zero=cfg.ic_r_mean_zero).values
@@ -451,22 +452,21 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     log.info("simulate: %s system, %s, n=%d, dt=%s, t_end=%s",
              cfg.system, cfg.stepper.scheme, cfg.grid.n,
              _fmt(cfg.stepper.dt), _fmt(cfg.t_end))
-    names = (out / f"snapshot_{i:04d}.tsv" for i in itertools.count())
-    # a writer process formats each table while the run steps on, in the
-    # order sent; it is reaped, and its failure raised, before metadata.txt
+    sent = itertools.count()
+    # each table goes to a writer process, in order, and run keeps no snapshot;
+    # the writer is reaped, and its failure raised, before metadata.txt
     with _tsv.Writer() as writer:
         try:
-            traj = run(initial, cfg.stepper, co, cfg.t_end,
+            rows = run(initial, cfg.stepper, co, cfg.t_end,
                        diagnostics_every=cfg.diagnostics_every,
                        snapshot_every=cfg.snapshot_every,
                        system=cfg.system, time_scale=cfg.time_scale,
                        gauge_diagnostics=cfg.gauge_diagnostics,
-                       on_snapshot=lambda st: _write_snapshot(next(names), st,
-                                                              writer.send))
+                       on_snapshot=lambda st: _write_snapshot(
+                           out / f"snapshot_{next(sent):04d}.tsv", st, writer.send))
         except BlowUp as exc:
             log.error("blow-up: %s", exc)
-            if exc.state is not None:
-                _write_snapshot(out / "snapshot_last_good.tsv", exc.state, writer.send)
+            _write_snapshot(out / "snapshot_last_good.tsv", exc.state, writer.send)
             writer.close()
             _write_metadata(out / "metadata.txt", cfg, co, "blow-up", {
                 "failing_time": _fmt(exc.time),
@@ -478,17 +478,17 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         diag_path = out / "diagnostics.tsv"
         _write_tsv(diag_path, "t\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual",
                    np.array([(row.t, row.e1, row.e2, row.e3, row.mean_r, row.max_r,
-                              row.gauge_residual) for row in traj.diagnostics]),
+                              row.gauge_residual) for row in rows]),
                    writer.send)
+    snapshots = next(sent)  # the count of snapshots sent
     _write_metadata(out / "metadata.txt", cfg, co, "ok", {
-        "snapshots": str(len(traj.snapshots)),
-        "diagnostics_rows": str(len(traj.diagnostics)),
+        "snapshots": str(snapshots),
+        "diagnostics_rows": str(len(rows)),
     })
-    first, last = traj.diagnostics[0], traj.diagnostics[-1]
+    first, last = rows[0], rows[-1]
     drift = abs(last.e1 - first.e1) / max(abs(first.e1), 1e-300)
-    log.info("done: %d diagnostics rows, E1 relative drift %.3e",
-             len(traj.diagnostics), drift)
-    print(f"wrote {diag_path} and {len(traj.snapshots)} snapshots to {out}")
+    log.info("done: %d diagnostics rows, E1 relative drift %.3e", len(rows), drift)
+    print(f"wrote {diag_path} and {snapshots} snapshots to {out}")
     return EXIT_OK
 
 
@@ -595,6 +595,9 @@ def main(argv: list[str] | None = None) -> int:
     except BlowUp as exc:
         log.error("%s", exc)
         return EXIT_BLOWUP
+    except OSError as exc:
+        log.error("%s", exc)  # names the artifact that was not written
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -111,8 +111,8 @@ class BlowUp(RuntimeError):
     """Sup-norm guard tripped: the step size (or the data) is too large.
 
     Carries the failing time, the offending sup norm, and the last state
-    that was still finite (None when the very first step failed before a
-    snapshot existed).
+    that was still finite: the step's input, or, when the first step of
+    `run` fails, its first snapshot itself.
     """
 
     def __init__(self, time: float, sup: float, state: "SystemState | None" = None):
@@ -621,6 +621,25 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     and the last finite state attached; a non-finite initial state raises
     ValueError.
     """
+    snapshots = []
+
+    def keep(st: SystemState) -> None:
+        snapshots.append(st)
+        if on_snapshot is not None:
+            on_snapshot(st)
+
+    rows = _integrate(initial, cfg, coeffs, t_end, diagnostics_every, snapshot_every,
+                      system, time_scale, gauge_diagnostics, keep)
+    return Trajectory(tuple(snapshots), rows)
+
+
+def _integrate(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
+               t_end: float, diagnostics_every: int = 100,
+               snapshot_every: int | None = None, system: str = "reduced",
+               time_scale: str = "tau", gauge_diagnostics: bool = True,
+               on_snapshot: Callable[[SystemState], None] | None = None
+               ) -> tuple[DiagnosticsRow, ...]:
+    """`run`'s loop: it hands each snapshot to on_snapshot, keeps none, returns the rows."""
     if not t_end > initial.t:
         raise ValueError("t_end must lie beyond the initial time")
     if diagnostics_every < 1:
@@ -635,6 +654,7 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     r_hat = initial.r._rfft()
     q_spec = initial.q.spectrum
     r_vals = initial.r.values
+    emit = on_snapshot or (lambda st: None)
 
     def diag_row(st: SystemState) -> DiagnosticsRow:
         tri = conserved(st, coeffs)
@@ -645,17 +665,14 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
                               residual)
 
     # the first state keeps the caller's q, whose spectrum q_spec is cached
-    snapshots = [SystemState(RealField._from_rfft(grid, r_vals, r_hat), initial.q,
-                             initial.t)]
-    if on_snapshot is not None:
-        on_snapshot(snapshots[0])
-    rows = [diag_row(snapshots[0])]
-    t = initial.t
+    st = SystemState(RealField._from_rfft(grid, r_vals, r_hat), initial.q, initial.t)
+    emit(st)
+    rows = [diag_row(st)]
     for i in range(1, n_steps + 1):
-        prev = r_vals, r_hat, q_spec, t
         t = initial.t + i * cfg.dt
         r_hat, q_spec, r_vals = _guarded_step(
-            stepper, cfg, r_hat, q_spec, t, lambda: _state_of(grid, *prev))
+            stepper, cfg, r_hat, q_spec, t, lambda: st if i == 1 else _state_of(grid, *prev))
+        prev = r_vals, r_hat, q_spec, t
         at_end = i == n_steps
         want_diag = at_end or i % diagnostics_every == 0
         want_snap = at_end or (snapshot_every is not None and i % snapshot_every == 0)
@@ -664,10 +681,8 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
             if want_diag:
                 rows.append(diag_row(st))
             if want_snap:
-                snapshots.append(st)
-                if on_snapshot is not None:
-                    on_snapshot(st)
-    return Trajectory(tuple(snapshots), tuple(rows))
+                emit(st)
+    return tuple(rows)
 
 
 def bo_soliton(grid: Grid, nu: float, center: float = 0.0) -> RealField:

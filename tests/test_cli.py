@@ -1,12 +1,17 @@
 """Command-line layer: config parsing, exit codes, artifacts on disk.
 
-Everything goes through main(argv) in process; the only subprocess is the
-table writer that simulate starts, and every test must have reaped it.
+Everything goes through main(argv) in process; the only subprocesses are
+the table writer that simulate starts and one fresh interpreter that
+records simulate's imports, and every test must have reaped them.
 """
 
 import dataclasses
 import logging
 import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,10 +411,9 @@ stepper.cfl_guard = 0.4
         "metadata.txt", "snapshot_0000.tsv", "snapshot_last_good.tsv"]
     first = (out_dir / "snapshot_0000.tsv").read_text()
     assert first.startswith("# t = 0\nx\tr\tre_q\tim_q\n")
-    # the last good state is the initial one, its q rebuilt from the spectrum
-    np.testing.assert_allclose(np.loadtxt(out_dir / "snapshot_0000.tsv", skiprows=2),
-                               np.loadtxt(out_dir / "snapshot_last_good.tsv", skiprows=2),
-                               rtol=0.0, atol=1e-15)
+    # the last good state is the first snapshot itself
+    assert ((out_dir / "snapshot_last_good.tsv").read_bytes()
+            == (out_dir / "snapshot_0000.tsv").read_bytes())
 
 
 def _run_with_hook(monkeypatch, hook):
@@ -422,7 +426,7 @@ def _run_with_hook(monkeypatch, hook):
     monkeypatch.setattr(cli, "run", hooked)
 
 
-def test_writer_failure_names_the_snapshot_path(tmp_path, monkeypatch):
+def test_writer_failure_names_the_snapshot_path(tmp_path, monkeypatch, caplog):
     out_dir = tmp_path / "run"
 
     def clobber(send, state):
@@ -434,12 +438,13 @@ def test_writer_failure_names_the_snapshot_path(tmp_path, monkeypatch):
 
     _run_with_hook(monkeypatch, clobber)
     path = write_config(tmp_path, QUICK_RUN)
-    with pytest.raises(OSError, match=str(out_dir / "snapshot_0000.tsv")):
-        main(["--config", path, "--out", str(out_dir), "simulate"])
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == cli.EXIT_IO
+    assert str(out_dir / "snapshot_0000.tsv") in caplog.records[-1].getMessage()
     assert out_dir.read_text() == ""
+    assert not (out_dir / "metadata.txt").exists()
 
 
-def test_killed_writer_raises_instead_of_hanging(tmp_path, monkeypatch):
+def test_killed_writer_raises_instead_of_hanging(tmp_path, monkeypatch, caplog):
     real_send = _tsv.Writer.send
 
     def send_then_kill(self, *args):
@@ -450,8 +455,8 @@ def test_killed_writer_raises_instead_of_hanging(tmp_path, monkeypatch):
     monkeypatch.setattr(_tsv.Writer, "send", send_then_kill)
     path = write_config(tmp_path, QUICK_RUN)
     out_dir = tmp_path / "run"
-    with pytest.raises(OSError, match="snapshot_0001.tsv"):
-        main(["--config", path, "--out", str(out_dir), "simulate"])
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == cli.EXIT_IO
+    assert str(out_dir / "snapshot_0001.tsv") in caplog.records[-1].getMessage()
     assert not (out_dir / "metadata.txt").exists()
 
 
@@ -472,6 +477,54 @@ def test_interrupt_propagates_and_keeps_the_snapshots_sent(tmp_path, monkeypatch
         "snapshot_0000.tsv", "snapshot_0001.tsv"]
     for name in ("snapshot_0000.tsv", "snapshot_0001.tsv"):
         assert (out_dir / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_simulate_memory_does_not_grow_with_the_snapshot_count(tmp_path):
+    # each snapshot is freed once sent, so ten times the snapshots must not
+    # raise the traced peak by the arrays of one
+    def peak(steps):
+        path = write_config(tmp_path, BENCH_LINES + f"""
+grid.n = 1024
+stepper.dt = 1e-3
+run.t_end = {steps * 1e-3!r}
+run.diagnostics_every = 1000
+run.snapshot_every = 1
+""", name=f"{steps}.conf")
+        solver._build_stepper.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main(["--config", path, "--out", str(tmp_path / str(steps)),
+                         "simulate"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-call costs (imports, caches) land here
+    st = build_initial_state(bench_settings({"grid.n": "1024"}))
+    one_snapshot = sum(a.nbytes for a in (st.r.values, st.r.spectrum,
+                                          st.q.values, st.q.spectrum))
+    assert peak(200) - peak(20) < one_snapshot
+
+
+def test_gaussian_simulate_never_imports_numpy_random(tmp_path):
+    # a fresh interpreter, so no other test has imported numpy.random yet;
+    # the noise run afterwards shows the check can see the import
+    path = write_config(tmp_path, QUICK_RUN)
+    noise = write_config(tmp_path, QUICK_RUN + "ic.r.kind = noise\n", name="noise.conf")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys\n"
+         "from bonls.cli import main\n"
+         "for conf, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+         "    assert main(['--config', conf, '--out', out, 'simulate']) == 0\n"
+         "    print('numpy.random' in sys.modules)\n",
+         path, str(tmp_path / "gaussian"), noise, str(tmp_path / "noise")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    seen = [line for line in child.stdout.splitlines() if line in ("False", "True")]
+    assert seen == ["False", "True"]
 
 
 # ---------------------------------------------------------------- sweep
