@@ -24,8 +24,14 @@ import dataclasses
 import itertools
 import logging
 import math
+import os
 import sys
 from pathlib import Path
+
+# bonls's only BLAS calls are vector norms, so the worker thread OpenBLAS
+# starts on numpy's import only spins.  A value the user sets wins, and
+# the package's other modules leave BLAS threading as it was.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -15,12 +15,14 @@ restricts the step size.
 
 The steppers carry r as its `rfft` half-spectrum (n//2 + 1 modes) from
 the entry of `run` or `step` to the blow-up guard, so r stays real by
-construction.  Each nonlinear evaluation makes four stacked transforms,
-and a guarded step of either scheme on either system makes 17.  Products
-that share a Fourier multiplier are summed before their transform, and
-the product rule folds the full system's three products with q into one
-(see `_Rhs`), so an evaluation moves 4 (reduced) or 6 (full) n-point
-complex transforms' worth of data.  Each thread keeps one set of
+construction.  Two real fields share each complex transform (see
+`_Rhs`), so a nonlinear evaluation makes 2 transform calls (reduced) or
+3 (full), a guarded step 9 or 13, and the packing couples the two
+fields' roundoff, by up to 8e-13 of the largest mode at n = 8192.
+Products that share a Fourier multiplier are summed before their
+transform, and the product rule folds the full system's three products
+with q into one, so an evaluation moves 4 (reduced) or 6.5 (full)
+n-point complex transforms' worth of data.  Each thread keeps one set of
 transform work arrays per right-hand side and reuses it across
 evaluations, so a nonlinear evaluation allocates no transform buffers.
 The ETD tables are the phi functions in closed form, or from their
@@ -89,7 +91,7 @@ TIME_SCALES = ("tau", "tau1")
 # Steppers kept for reuse, one per distinct (grid, dt, scheme, coefficients,
 # system, time scale).  Every measured use (a step() loop, run() after
 # step(), an ic.*/seed sweep) reuses the latest one only, and each holds
-# up to 18 arrays (some stacked) of length n or n//2 + 1, so the memo
+# up to 19 arrays (some stacked) of length n or n//2 + 1, so the memo
 # keeps one.
 _STEPPER_MEMO_SIZE = 1
 # |h L| below which `_etd_tables` sums Taylor series in place of the closed
@@ -201,57 +203,66 @@ class _Rhs:
     `spectral`, so a stepper built on them matches the exact flows bit for
     bit on the linear terms.  Both product factors are cut to the
     two-thirds band; the cut is folded into the operators that make the
-    factors (`in_r`, the stacked r and |D|r, plus r_x on the full system,
-    and `in_q`, q or the stacked q and q_x), so one inverse transform
-    yields each stack.
+    factors (`in_r` and `in_q`), so one inverse transform yields them all.
 
-    Products that share a Fourier multiplier are summed in physical space
-    and transformed once.  The real products go through one `rfft` of the
-    rows r^2, beta |q|^2 - d r|D|r (full: minus the kt3 flux) and, on the
-    full system, |q|^2 for the kt4 term; they enter dr through one
-    (rows, modes) weight.  The products with q go through one `fft` of a
-    single row.  Each weight holds the multipliers of the terms a row
-    feeds, times the two-thirds cut, times `scale`, which converts between
-    the two slow-time normalizations of the full system.
+    Two real fields share each complex transform as its real and
+    imaginary parts.  One `ifft` of stacked rows gives r + i d|D|r (r's
+    half-spectrum mirrored, with no transform, times mask (1 + i d|k|))
+    and q, and on the full system also s = i beta r - i e4 |D|r - e3 r_x,
+    the whole multiplier of q in dq, and q_x.  One `fft` takes
+    r^2 + i flux, with flux = beta |q|^2 - r d|D|r (full: minus the kt3
+    flux), and the product with q.  With G0 the first row's spectrum,
+    dr = A G0 + B conj(G0(-k)), where A = (w0 - i w1)/2 and
+    B = (w0 + i w1)/2 hold the weights of r^2 and of the flux; both
+    vanish at k = 0 and at the Nyquist mode, so dr has exact zero mean.
+    The full system adds one `rfft` of |q|^2 for the kt4 term: an
+    evaluation makes 2 (reduced) or 3 (full) transform calls.  The
+    packing couples the roundoff of a row's two fields: against one row
+    per product the worst mode moves by up to 1e-14 of max|N| at n = 512
+    and 8e-13 at n = 8192 (3e-15 and 6e-14 unpacked).  Each weight holds
+    the multipliers of the terms a row feeds, times the two-thirds cut,
+    times `scale`, which converts between the two slow-time normalizations
+    of the full system.
 
     Two identities hold under the cut, because a product of two cut
     factors is alias-free inside the band.  cut(r r_x) = (ik/2) cut(r^2)
     and H r_x = |D| r, so the advection term and |D|(r r_x) share the
     weight on r^2.  The product rule ik cut(r q) = cut(r_x q + r q_x) turns
     the kt3 term of dq into products with no multiplier of their own, so
-    on the full system
-    dq = w (q (i beta r - e3 r_x - i e4 |D|r) - 2 e3 r q_x), and at q = 0
-    the full system equals the reduced one bit for bit.
+    on the full system dq = w (q s - 2 e3 r q_x), and at q = 0 the full
+    system equals the reduced one bit for bit.
     """
 
     def __init__(self, grid: Grid, coeffs: ModelCoefficients, full: bool,
                  scale: float = 1.0):
         co = coeffs
-        self.n = grid.n
+        self.n = n = grid.n
         self.full = full
         self.beta = co.beta
-        self.d = co.d
         self.e3 = co.epsilon * co.kt3
-        self.e4 = co.epsilon * co.kt4
-        half = slice(0, grid.n // 2 + 1)
+        e4 = co.epsilon * co.kt4
+        h = n // 2 + 1
         ik = grid.ik
         absk = grid.abs_k
         mask = dealias_mask(grid).astype(float)
-        self.lin_r = 1j * scale * _phase("V", co, grid)[half]
+        self.lin_r = 1j * scale * _phase("V", co, grid)[:h]
         self.lin_q = 1j * scale * _phase("U", co, grid)
         w = scale * mask
-        in_r = [mask, mask * absk]
-        w_r = [(0.5 * w) * ik * (co.c - co.d * absk), w * ik]
+        w0 = ((0.5 * w) * ik * (co.c - co.d * absk))[:h]  # on r^2
+        w1 = (w * ik)[:h]  # on the flux
+        w_r = [0.5 * (w0 - 1j * w1), 0.5 * (w0 + 1j * w1)]
+        in_r = [mask * (1.0 + 1j * co.d * absk)]
+        in_q = [mask.astype(complex)]
         if full:
-            in_r.append(mask * ik)
-            w_r.append((-self.e4 * w) * ik * absk)
-            self.in_q = np.stack([mask, mask * ik])
-            self.w_q = w
+            in_r.append(mask * (1j * co.beta - 1j * e4 * absk - self.e3 * ik))
+            in_q.append(mask * ik)
+            w_r.append(((-e4 * w) * ik * absk)[:h])  # on |q|^2
+            self.w_q = w.astype(complex)
         else:
-            self.in_q = mask
             self.w_q = w * (1j * co.beta)
-        self.in_r = np.stack([row[half] for row in in_r])
-        self.w_r = np.stack([row[half] for row in w_r])
+        self.in_r, self.in_q, self.w_r = map(np.stack, (in_r, in_q, w_r))
+        # (n - k) mod n for the half-spectrum modes k
+        self.flip = np.concatenate(([0], np.arange(n - 1, n - h, -1)))
         self._local = threading.local()
 
     def _work(self, batch: tuple) -> dict:
@@ -259,22 +270,28 @@ class _Rhs:
 
         They are built on first use and rebuilt when the leading axes
         change, and each thread has its own, so threads may share one
-        memoised stepper.  `nonlinear` writes the factor inputs, the
-        inverse transforms, the real product rows and the forward
-        transforms into them, and never returns one.
+        memoised stepper.  `nonlinear` reads and writes them through the
+        views kept here, which cost no indexing per evaluation, and never
+        returns one.  Both transforms run in place (numpy's ufuncs give
+        overlapping operands the result of separate ones), so the factor
+        spectra turn into the factors and the products into their spectra.
         """
         local = self._local
         if getattr(local, "batch", None) != batch:
-            n = self.n
-            fq_shape = batch + self.in_q.shape
+            n, m = self.n, self.in_r.shape[0]
+            h = n // 2 + 1
+            spec = np.empty(batch + (n,), complex)  # r's full spectrum
+            fac = np.empty(batch + (m + self.in_q.shape[0], n), complex)
+            prod = np.empty(batch + (2, n), complex)
             local.work = {
-                "fr": np.empty(batch + self.in_r.shape, complex),
-                "fq": np.empty(fq_shape, complex),
-                "rows": np.empty(batch + (self.in_r.shape[0], n)),
-                "qs": np.empty(fq_shape, complex),
-                "real": np.empty(batch + (self.w_r.shape[0], n)),
-                "real_hat": np.empty(batch + self.w_r.shape, complex),
-                "prod_hat": np.empty(batch + (n,), complex),
+                "spec_lo": spec[..., :h], "spec_hi": spec[..., h:],
+                "spec_row": spec[..., None, :], "fac": fac, "fac_r": fac[..., :m, :],
+                "fac_q": fac[..., m:, :], "r": fac[..., 0, :].real,
+                "dadr": fac[..., 0, :].imag, "q": fac[..., m, :], "prod": prod,
+                "rr": prod[..., 0, :].real, "flux": prod[..., 0, :].imag,
+                "prod_q": prod[..., 1, :], "g0": prod[..., 0, :],
+                "g0_half": prod[..., 0, :h], "g1": prod[..., 1, :],
+                "qsq_hat": np.empty(batch + (h,), complex),
             }
             local.batch = batch
         return local.work
@@ -286,32 +303,29 @@ class _Rhs:
         carried through.
         """
         w = self._work(r_hat.shape[:-1])
-        rows = np.fft.irfft(np.multiply(self.in_r, r_hat[..., None, :], out=w["fr"]),
-                            self.n, out=w["rows"])
-        r, adr = rows[..., 0, :], rows[..., 1, :]  # |D| r is H r_x
-        if self.full:
-            rx = rows[..., 2, :]
-            qs = np.fft.ifft(np.multiply(self.in_q, q_spec[..., None, :], out=w["fq"]),
-                             out=w["qs"])
-            q, dq = qs[..., 0, :], qs[..., 1, :]
-        else:
-            q = np.fft.ifft(np.multiply(self.in_q, q_spec, out=w["fq"]), out=w["qs"])
-        real = w["real"]
-        np.multiply(r, r, out=real[..., 0, :])
+        np.copyto(w["spec_lo"], r_hat)
+        np.conj(r_hat[..., -2:0:-1], out=w["spec_hi"])
+        np.multiply(self.in_r, w["spec_row"], out=w["fac_r"])
+        np.multiply(self.in_q, q_spec[..., None, :], out=w["fac_q"])
+        np.fft.ifft(w["fac"], out=w["fac"])
+        r, dadr, q = w["r"], w["dadr"], w["q"]  # d |D| r, and |D| r is H r_x
+        np.multiply(r, r, out=w["rr"])
         qsq = (q * np.conj(q)).real
-        flux = self.beta * qsq - self.d * (r * adr)
+        flux = np.subtract(self.beta * qsq, r * dadr, out=w["flux"])
         if self.full:
+            s, dq = w["fac"][..., 1, :], w["fac"][..., -1, :]
             # with D = -i d/dx the bracket q conj(Dq) + conj(q) Dq is the
             # real density 2 Im(conj(q) q_x)
-            flux = flux - (2.0 * self.e3) * np.imag(np.conj(q) * dq)
-            real[..., 2, :] = qsq
-            prod = (q * (1j * (self.beta * r - self.e4 * adr) - self.e3 * rx)
-                    - (2.0 * self.e3) * r * dq)
+            flux -= (2.0 * self.e3) * np.imag(np.conj(q) * dq)
+            np.subtract(q * s, (2.0 * self.e3) * r * dq, out=w["prod_q"])
         else:
-            prod = r * q
-        real[..., 1, :] = flux
-        nr = (self.w_r * np.fft.rfft(real, out=w["real_hat"])).sum(-2)
-        return nr, self.w_q * np.fft.fft(prod, out=w["prod_hat"])
+            np.multiply(r, q, out=w["prod_q"])
+        np.fft.fft(w["prod"], out=w["prod"])
+        nr = (self.w_r[0] * w["g0_half"]
+              + self.w_r[1] * np.conj(w["g0"].take(self.flip, axis=-1)))
+        if self.full:
+            nr += self.w_r[2] * np.fft.rfft(qsq, out=w["qsq_hat"])
+        return nr, self.w_q * w["g1"]
 
     def total(self, r_hat: np.ndarray, q_spec: np.ndarray):
         nr, nq = self.nonlinear(r_hat, q_spec)

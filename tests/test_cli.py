@@ -1,8 +1,9 @@
 """Command-line layer: config parsing, exit codes, artifacts on disk.
 
 Everything goes through main(argv) in process; the only subprocesses are
-the table writer that simulate starts and one fresh interpreter that
-records simulate's imports, and every test must have reaped them.
+the table writer that simulate starts and the fresh interpreters that
+record simulate's imports and the CLI's BLAS threads, and every test must
+have reaped them.
 """
 
 import dataclasses
@@ -506,14 +507,19 @@ run.snapshot_every = 1
     assert peak(200) - peak(20) < one_snapshot
 
 
+def _fresh_interpreter_env(**overrides):
+    """os.environ with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))), **overrides)
+
+
 def test_gaussian_simulate_never_imports_numpy_random(tmp_path):
     # a fresh interpreter, so no other test has imported numpy.random yet;
     # the noise run afterwards shows the check can see the import
     path = write_config(tmp_path, QUICK_RUN)
     noise = write_config(tmp_path, QUICK_RUN + "ic.r.kind = noise\n", name="noise.conf")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _fresh_interpreter_env()
     child = subprocess.run(
         [sys.executable, "-c", "import sys\n"
          "from bonls.cli import main\n"
@@ -525,6 +531,26 @@ def test_gaussian_simulate_never_imports_numpy_random(tmp_path):
     assert child.returncode == 0, child.stderr
     seen = [line for line in child.stdout.splitlines() if line in ("False", "True")]
     assert seen == ["False", "True"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="threads are counted in /proc/self/task")
+def test_cli_runs_openblas_on_one_thread_unless_the_user_sets_it():
+    # importing numpy starts an OpenBLAS worker thread that only spins;
+    # the CLI asks for one thread before that import, and keeps a preset value
+    code = ("import os\nimport bonls.cli\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n")
+
+    def threads_and_setting(env):
+        child = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        return child.stdout.split()
+
+    unset = _fresh_interpreter_env()
+    unset.pop("OPENBLAS_NUM_THREADS", None)
+    assert threads_and_setting(unset) == ["1", "1"]
+    assert threads_and_setting(_fresh_interpreter_env(OPENBLAS_NUM_THREADS="2"))[1] == "2"
 
 
 # ---------------------------------------------------------------- sweep
