@@ -598,9 +598,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DomainError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
-    except BlowUp as exc:
-        log.error("%s", exc)
-        return EXIT_BLOWUP
     except OSError as exc:
         log.error("%s", exc)  # names the artifact that was not written
         return EXIT_IO

@@ -48,6 +48,7 @@ Conserved quantities tracked along a run:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from collections.abc import Callable
@@ -113,8 +114,9 @@ class BlowUp(RuntimeError):
     """Sup-norm guard tripped: the step size (or the data) is too large.
 
     Carries the failing time, the offending sup norm, and the last state
-    that was still finite: the step's input, or, when the first step of
-    `run` fails, its first snapshot itself.
+    that was still finite, the one the failing step started from: the
+    state given to `step`, the first snapshot of `run` when its first step
+    fails, else the state of the step before.
     """
 
     def __init__(self, time: float, sup: float, state: "SystemState | None" = None):
@@ -507,23 +509,6 @@ def _build_stepper(grid: Grid, dt: float, scheme: str, coeffs: ModelCoefficients
     return stepper
 
 
-def _guarded_step(stepper, cfg: StepperConfig, r_hat: np.ndarray,
-                  q_spec: np.ndarray, t: float, last_good):
-    """Advance the spectra by one step and check the sup norm of r.
-
-    r_hat is the `rfft` half-spectrum of r.  Returns the new spectra and
-    the samples of the new r.  Raises BlowUp at time t, carrying
-    last_good() as the last finite state, when the sup norm of r stops
-    being finite or exceeds the guard.
-    """
-    r_hat, q_spec = stepper.advance(r_hat, q_spec)
-    r = np.fft.irfft(r_hat, stepper.rhs.n)
-    sup = float(np.max(np.abs(r)))
-    if not np.isfinite(sup) or sup > cfg.cfl_guard:
-        raise BlowUp(t, sup, state=last_good())
-    return r_hat, q_spec, r
-
-
 def _state_of(grid: Grid, r: np.ndarray, r_hat: np.ndarray, q_spec: np.ndarray,
               t: float) -> SystemState:
     """The state at time t from the samples of r and the stepper's spectra.
@@ -543,6 +528,39 @@ def _require_finite(s: SystemState) -> None:
         raise ValueError("r and q must be finite")
 
 
+def _steps(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
+           system: str, time_scale: str):
+    """The steps of s by cfg.dt, without end: every integrator path runs this loop.
+
+    s and the system are checked here, before any step is asked for: a
+    non-finite r or q, or a bad system or time scale, raises ValueError.
+    The generator returned yields (t, r, r_hat, q_spec) after each step:
+    the new time, the samples of r, its `rfft` half-spectrum and q's
+    spectrum.  A step raises BlowUp at its time when the sup norm of r
+    stops being finite or exceeds the guard, carrying the last finite
+    state: s itself on the first step, else the state of the step before.
+    """
+    _require_finite(s)
+    stepper = _build_stepper(s.grid, cfg.dt, cfg.scheme, coeffs, system, time_scale)
+    return _stepping(stepper, cfg, s)
+
+
+def _stepping(stepper, cfg: StepperConfig, s: SystemState):
+    # s is dropped once the first step succeeds, so a run keeps no input
+    # state alive
+    grid, t0, dt = s.grid, s.t, cfg.dt
+    t, r, r_hat, q_spec = t0, None, s.r._rfft(), s.q.spectrum
+    for i in itertools.count(1):
+        next_hat, next_q = stepper.advance(r_hat, q_spec)
+        next_r = np.fft.irfft(next_hat, grid.n)
+        sup = float(np.max(np.abs(next_r)))
+        if not np.isfinite(sup) or sup > cfg.cfl_guard:
+            raise BlowUp(t0 + i * dt, sup, s or _state_of(grid, r, r_hat, q_spec, t))
+        s = None
+        t, r, r_hat, q_spec = t0 + i * dt, next_r, next_hat, next_q
+        yield t, r, r_hat, q_spec
+
+
 def step_count(span: float, dt: float) -> int:
     """Number of steps of size dt that cover span exactly.
 
@@ -558,9 +576,10 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
          system: str = "reduced", time_scale: str = "tau") -> SystemState:
     """Advance one state by cfg.dt with the configured scheme.
 
-    The stepper (right-hand side weights and, for etdrk4, the
-    phi-function tables) is reused across calls with equal arguments, the
-    one `run` builds included.  On a state that `step` or `run` returned, r's
+    This is the one-step case of the loop `run` runs (`_steps`).  The
+    stepper (right-hand side weights and, for etdrk4, the phi-function
+    tables) is reused across calls with equal arguments, the one `run`
+    builds included.  On a state that `step` or `run` returned, r's
     half-spectrum is the stepper's own, so a loop of step() calls gives
     the fields `run` does bit for bit and makes one transform per step
     more than `run`: the inverse transform for the new q samples.
@@ -569,12 +588,7 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     (carrying the input state as the last good one) when the sup norm of
     r leaves the guard interval or stops being finite.
     """
-    _require_finite(s)
-    stepper = _build_stepper(s.grid, cfg.dt, cfg.scheme, coeffs, system,
-                             time_scale)
-    t = s.t + cfg.dt
-    r_hat, q_spec, r = _guarded_step(stepper, cfg, s.r._rfft(), s.q.spectrum,
-                                     t, lambda: s)
+    t, r, r_hat, q_spec = next(_steps(s, cfg, coeffs, system, time_scale))
     return _state_of(s.grid, r, r_hat, q_spec, t)
 
 
@@ -623,36 +637,26 @@ def _gauge_residual(r: RealField, coeffs: ModelCoefficients) -> float:
 def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
         t_end: float, diagnostics_every: int = 100,
         snapshot_every: int | None = None, system: str = "reduced",
-        time_scale: str = "tau", gauge_diagnostics: bool = True,
-        on_snapshot: Callable[[SystemState], None] | None = None) -> Trajectory:
+        time_scale: str = "tau", gauge_diagnostics: bool = True) -> Trajectory:
     """Integrate to t_end, collecting diagnostics and snapshots.
 
     Diagnostics rows (conserved triple, mean and sup of r, gauge ODE
     residual) are recorded every diagnostics_every steps and at both ends.
     Snapshots are kept at the same ends plus every snapshot_every steps
-    when given; on_snapshot, if given, is called with each snapshot as it
-    is kept, before the next step.  BlowUp propagates with the failing time
-    and the last finite state attached; a non-finite initial state raises
-    ValueError.
+    when given.  BlowUp propagates with the failing time and the last
+    finite state attached; a non-finite initial state raises ValueError.
     """
     snapshots = []
-
-    def keep(st: SystemState) -> None:
-        snapshots.append(st)
-        if on_snapshot is not None:
-            on_snapshot(st)
-
     rows = _integrate(initial, cfg, coeffs, t_end, diagnostics_every, snapshot_every,
-                      system, time_scale, gauge_diagnostics, keep)
+                      system, time_scale, gauge_diagnostics, on_snapshot=snapshots.append)
     return Trajectory(tuple(snapshots), rows)
 
 
 def _integrate(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
                t_end: float, diagnostics_every: int = 100,
                snapshot_every: int | None = None, system: str = "reduced",
-               time_scale: str = "tau", gauge_diagnostics: bool = True,
-               on_snapshot: Callable[[SystemState], None] | None = None
-               ) -> tuple[DiagnosticsRow, ...]:
+               time_scale: str = "tau", gauge_diagnostics: bool = True, *,
+               on_snapshot: Callable[[SystemState], None]) -> tuple[DiagnosticsRow, ...]:
     """`run`'s loop: it hands each snapshot to on_snapshot, keeps none, returns the rows."""
     if not t_end > initial.t:
         raise ValueError("t_end must lie beyond the initial time")
@@ -660,15 +664,8 @@ def _integrate(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficien
         raise ValueError("diagnostics_every must be a positive step count")
     if snapshot_every is not None and snapshot_every < 1:
         raise ValueError("snapshot_every must be a positive step count")
-    _require_finite(initial)
     n_steps = step_count(t_end - initial.t, cfg.dt)
-
     grid = initial.grid
-    stepper = _build_stepper(grid, cfg.dt, cfg.scheme, coeffs, system, time_scale)
-    r_hat = initial.r._rfft()
-    q_spec = initial.q.spectrum
-    r_vals = initial.r.values
-    emit = on_snapshot or (lambda st: None)
 
     def diag_row(st: SystemState) -> DiagnosticsRow:
         tri = conserved(st, coeffs)
@@ -678,24 +675,23 @@ def _integrate(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficien
                               float(np.max(np.abs(st.r.values))),
                               residual)
 
-    # the first state keeps the caller's q, whose spectrum q_spec is cached
-    st = SystemState(RealField._from_rfft(grid, r_vals, r_hat), initial.q, initial.t)
-    emit(st)
+    # the first state keeps the caller's q and r's half-spectrum, which the
+    # first step starts from; it is checked before it is handed over
+    st = SystemState(RealField._from_rfft(grid, initial.r.values, initial.r._rfft()),
+                     initial.q, initial.t)
+    steps = _steps(st, cfg, coeffs, system, time_scale)
+    on_snapshot(st)
     rows = [diag_row(st)]
-    for i in range(1, n_steps + 1):
-        t = initial.t + i * cfg.dt
-        r_hat, q_spec, r_vals = _guarded_step(
-            stepper, cfg, r_hat, q_spec, t, lambda: st if i == 1 else _state_of(grid, *prev))
-        prev = r_vals, r_hat, q_spec, t
+    for i, (t, r, r_hat, q_spec) in zip(range(1, n_steps + 1), steps):
         at_end = i == n_steps
         want_diag = at_end or i % diagnostics_every == 0
         want_snap = at_end or (snapshot_every is not None and i % snapshot_every == 0)
         if want_diag or want_snap:
-            st = _state_of(grid, r_vals, r_hat, q_spec, t)
+            st = _state_of(grid, r, r_hat, q_spec, t)
             if want_diag:
                 rows.append(diag_row(st))
             if want_snap:
-                emit(st)
+                on_snapshot(st)
     return tuple(rows)
 
 

@@ -1,8 +1,10 @@
 """Time stepping: right-hand sides, linear exactness, conservation, convergence."""
 
 import dataclasses
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -336,9 +338,10 @@ def test_guarded_step_transform_volume(monkeypatch, scheme, system, budget):
     grid = Grid(128, 40.0)
     s = bump_state(grid)
     cfg = StepperConfig(dt=1e-3, scheme=scheme)
-    stepper = solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, system, "tau")
-    r_hat = np.fft.rfft(s.r.values)
-    q_spec = s.q.spectrum
+    solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, system, "tau")
+    # both spectra cached, so the step makes no start-up transform
+    s = SystemState(RealField._from_rfft(grid, s.r.values, np.fft.rfft(s.r.values)), s.q)
+    s.q.spectrum
     passed = {"samples": 0}
     for name in ("fft", "ifft", "rfft", "irfft"):
         original = getattr(np.fft, name)
@@ -348,7 +351,7 @@ def test_guarded_step_transform_volume(monkeypatch, scheme, system, budget):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, sized)
-    solver._guarded_step(stepper, cfg, r_hat, q_spec, cfg.dt, lambda: s)
+    next(solver._steps(s, cfg, BENCH, system, "tau"))
     assert passed["samples"] <= budget
 
 
@@ -386,6 +389,40 @@ def test_step_blow_up_guard():
     assert err.time == pytest.approx(1e-3)
     assert err.sup > 0.25
     assert err.state is s
+
+
+def test_step_loop_frees_its_input_state():
+    # a long run holds no copy of its first state, nor its cached spectra
+    grid = Grid(64, 20.0)
+    s = bump_state(grid, r_sup=0.05)
+    held = weakref.ref(s)
+    steps = solver._steps(s, StepperConfig(dt=1e-2), BENCH, "reduced", "tau")
+    next(steps)
+    next(steps)
+    del s
+    gc.collect()
+    assert held() is None
+
+
+def test_blow_up_after_the_first_step_carries_the_step_before():
+    grid = Grid(64, 20.0)
+    s0 = bump_state(grid, r_sup=3.0)
+    # at this step size the sup norm of r creeps up, step by step
+    free = run(s0, StepperConfig(dt=0.3), BENCH, t_end=6.0, snapshot_every=1,
+               gauge_diagnostics=False)
+    sups = [float(np.max(np.abs(st.r.values))) for st in free.snapshots]
+    guard = 0.5 * (max(sups[:5]) + max(sups))
+    failing = next(i for i, sup in enumerate(sups) if sup > guard)
+    assert failing > 5
+    with pytest.raises(BlowUp) as info:
+        run(s0, StepperConfig(dt=0.3, cfl_guard=guard), BENCH, t_end=6.0,
+            gauge_diagnostics=False)
+    err = info.value
+    before = free.snapshots[failing - 1]
+    assert err.time == free.snapshots[failing].t
+    assert err.state.t == before.t
+    assert np.array_equal(err.state.r.values, before.r.values)
+    assert np.array_equal(err.state.q.spectrum, before.q.spectrum)
 
 
 def test_zero_state_is_a_fixed_point():
@@ -568,19 +605,28 @@ def test_run_cadence_and_snapshots():
 
 
 def test_run_hands_each_snapshot_over_before_the_next_step(monkeypatch):
+    # _integrate is the loop under run and the CLI's snapshot stream alike
     grid = Grid(64, 20.0)
     steps = []
-    real_step = solver._guarded_step
+    real_advance = solver._StrangStepper.advance
 
-    def counted(*args):
+    def counted(self, *args):
         steps.append(None)
-        return real_step(*args)
+        return real_advance(self, *args)
 
-    monkeypatch.setattr(solver, "_guarded_step", counted)
+    monkeypatch.setattr(solver._StrangStepper, "advance", counted)
     seen = []
+    real_integrate = solver._integrate
+
+    def hooked(*args, on_snapshot, **kwargs):
+        def sink(st):
+            seen.append((st, len(steps)))
+            on_snapshot(st)
+        return real_integrate(*args, on_snapshot=sink, **kwargs)
+
+    monkeypatch.setattr(solver, "_integrate", hooked)
     traj = run(bump_state(grid, r_sup=0.05), StepperConfig(dt=1e-2), BENCH, t_end=1.0,
-               diagnostics_every=10, snapshot_every=30, gauge_diagnostics=False,
-               on_snapshot=lambda st: seen.append((st, len(steps))))
+               diagnostics_every=10, snapshot_every=30, gauge_diagnostics=False)
     # the very objects of the trajectory, in order
     assert [id(st) for st, _ in seen] == [id(st) for st in traj.snapshots]
     assert [taken for _, taken in seen] == [0, 30, 60, 90, 100]
@@ -593,8 +639,9 @@ def test_run_hands_each_snapshot_over_before_the_next_step(monkeypatch):
             raise Refused
 
     with pytest.raises(Refused):
-        run(bump_state(grid, r_sup=0.05), StepperConfig(dt=1e-2), BENCH, t_end=1.0,
-            snapshot_every=30, gauge_diagnostics=False, on_snapshot=refuse)
+        real_integrate(bump_state(grid, r_sup=0.05), StepperConfig(dt=1e-2), BENCH,
+                       t_end=1.0, snapshot_every=30, gauge_diagnostics=False,
+                       on_snapshot=refuse)
     assert len(steps) == 100 + 30
 
 
