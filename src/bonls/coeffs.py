@@ -112,18 +112,6 @@ def k_csch(k, h1):
     return _x_csch(np.asarray(k, dtype=float) * h1) / h1
 
 
-def _coth_c(z):
-    # analytic coth for scalar z with Re z > 0
-    e = np.exp(-2.0 * z)
-    return (1.0 + e) / (1.0 - e)
-
-
-def _csch_c(z):
-    # analytic 1/sinh for scalar z with Re z > 0
-    e = np.exp(-z)
-    return 2.0 * e / (1.0 - e * e)
-
-
 # --------------------------------------------------------------------------
 # dispersion relations
 # --------------------------------------------------------------------------
@@ -215,31 +203,6 @@ def _mixing_from_theta(theta):
         a_m = np.where(hp, 1.0, np.where(hm, -inv, a_m))
         b_p = np.where(hp, 1.0, np.where(hm, -inv, b_p))
         b_m = np.where(hp, -inv, np.where(hm, -1.0, b_m))
-    return a_p, a_m, b_p, b_m
-
-
-def _mixing_scalar(theta):
-    # complex scalar variant of _mixing_from_theta (analytic near real axis)
-    if abs(theta.real) > _THETA_HUGE:
-        inv = 1.0 / theta
-        if theta.real > 0:
-            return inv, 1.0 + 0j, 1.0 + 0j, -inv
-        return 1.0 + 0j, -inv, -inv, -1.0 + 0j
-    s = np.sqrt(4.0 + theta * theta)
-    if theta.real >= 0:
-        inner_p = 2.0 + 0.5 * theta * (theta + s)
-        inner_m = 2.0 * s / (s + theta)
-    else:
-        inner_p = 2.0 * s / (s - theta)
-        inner_m = 2.0 + 0.5 * theta * (theta - s)
-    a_p = inner_p ** -0.5
-    a_m = inner_m ** -0.5
-    if theta.real >= 0:
-        b_p = 0.5 * a_p * (theta + s)
-        b_m = -2.0 * a_m / (theta + s)
-    else:
-        b_p = 2.0 * a_p / (s - theta)
-        b_m = 0.5 * a_m * (theta - s)
     return a_p, a_m, b_p, b_m
 
 
@@ -342,51 +305,6 @@ def symbol_table(params: PhysicalParams, k) -> SymbolTable:
         if np.any(np.isnan(getattr(table, name))):
             raise LimitUndefined(f"NaN survived limit substitution in {name}")
     return table
-
-
-# --------------------------------------------------------------------------
-# scalar analytic symbol path (k > 0 branch, complex-step safe)
-# --------------------------------------------------------------------------
-
-class _ScalarSymbols:
-    """Symbols at a single wavenumber with Re k > 0, no abs/sign used.
-
-    Safe for complex-step differentiation: every operation is analytic in
-    k near the positive real axis.
-    """
-
-    __slots__ = ("qa", "qb", "qc", "a_p", "a_m", "b_p", "b_m",
-                 "B1", "B2", "B3", "B4", "B5", "omega1")
-
-    def __init__(self, params: PhysicalParams, k):
-        g, h1, rho, rho1 = params.g, params.h1, params.rho, params.rho1
-        drho = rho - rho1
-        k = k + 0j
-        g0 = k
-        g11 = k * _coth_c(h1 * k)
-        g12 = -k * _csch_c(h1 * k)
-        b0 = rho * g11 + rho1 * g0
-        self.qa = g * drho * g0 * g11 / b0
-        self.qb = -g * math.sqrt(rho1 * drho) * g0 * g12 / b0
-        self.qc = g * g0 * (rho1 * g11 + rho * g0) / b0
-        theta = (self.qc - self.qa) / self.qb
-        self.a_p, self.a_m, self.b_p, self.b_m = _mixing_scalar(theta)
-        sq_d = math.sqrt(g * drho)
-        sq_1 = math.sqrt(g * rho1)
-        self.B1 = (self.b_m * self.qa - self.a_m * self.qb) / sq_d
-        self.B2 = (self.a_m * self.qc - self.b_m * self.qb) / sq_1
-        self.B3 = self.B1  # sgn(k) = 1 on this branch
-        self.B4 = (self.b_m * sq_d * k * g0 / b0
-                   + rho / (rho1 * sq_d) * self.a_m * self.qb)
-        self.B5 = -sq_1 * k * self.a_m
-        self.omega1 = np.sqrt(g * k)
-
-
-def _fd_derivative(f, k0, h):
-    # central difference with one Richardson step
-    d1 = (f(k0 + h) - f(k0 - h)) / (2.0 * h)
-    d2 = (f(k0 + 0.5 * h) - f(k0 - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
 
 
 # --------------------------------------------------------------------------
@@ -527,9 +445,11 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
 
     Notes
     -----
-    Values at the resonant wavenumber k0 use the analytic k > 0 branch of
-    the symbols; the two derivative quantities feeding kt3 use central
-    differences with one Richardson step at h = 1e-5 k0.
+    The symbols come from one `symbol_table` call at the five wavenumbers
+    k0 + h (-1, -1/2, 0, 1/2, 1) with h = 1e-5 k0, so the derivation reads
+    only symbols that the `bonls.verify` identities check.  Values at k0
+    are the middle point; the derivative quantities feeding kt3 are central
+    differences over h and h/2 combined by one Richardson step.
     """
     if not (0.0 < delta < 0.5):
         raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
@@ -554,55 +474,43 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
     sq_d = math.sqrt(g * drho)
     sq_1 = math.sqrt(g * rho1)
 
-    def f_sq(j):
-        # k -> B_j(k)^2 / omega1(k)
-        def f(k):
-            s = _ScalarSymbols(params, k)
-            bj = getattr(s, f"B{j}")
-            return bj * bj / s.omega1
-        return f
-
-    def f_bm_b4(k):
-        s = _ScalarSymbols(params, k)
-        return s.b_m * s.B4
-
-    def f_am_b5(k):
-        s = _ScalarSymbols(params, k)
-        return s.a_m * s.B5
-
+    # each row of f is one product of symbols at k0 + h (-1, -1/2, 0, 1/2, 1):
+    # F_j = B_j^2 / omega1 for j = 1..5, then G3, G4, G5 = b- B3, b- B4, a- B5
     h = 1e-5 * k0
-    F = {j: f_sq(j)(k0).real for j in range(1, 6)}
-    Fp = {j: _fd_derivative(f_sq(j), k0, h).real for j in range(1, 6)}
-    at_k0 = _ScalarSymbols(params, k0)
-    G3 = (at_k0.b_m * at_k0.B3).real
-    G4 = f_bm_b4(k0).real
-    G5 = f_am_b5(k0).real
-    G4p = _fd_derivative(f_bm_b4, k0, h).real
-    G5p = _fd_derivative(f_am_b5, k0, h).real
+    st = symbol_table(params, k0 + h * np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
+    w1 = np.sqrt(st.omega1_sq)
+    f = np.array([st.B1 * st.B1 / w1, st.B2 * st.B2 / w1, st.B3 * st.B3 / w1,
+                  st.B4 * st.B4 / w1, st.B5 * st.B5 / w1,
+                  st.b_minus * st.B3, st.b_minus * st.B4, st.a_minus * st.B5])
+    F1, F2, F3, F4, F5, G3, G4, G5 = f[:, 2].tolist()
+    # central differences over h and h/2, combined by one Richardson step
+    d1 = (f[:, 4] - f[:, 0]) / (2.0 * h)
+    d2 = (f[:, 3] - f[:, 1]) / h
+    Fp1, Fp2, Fp3, Fp4, Fp5, _, G4p, G5p = ((4.0 * d2 - d1) / 3.0).tolist()
 
     kappa = (rho1 / (2.0 * sq_d)) * bp0 * ec.A4_0 ** 2 \
         + (1.0 / (2.0 * rho1 * sq_1)) * ap0 * ec.A5_0 ** 2
-    kappa1 = (-0.5 * math.sqrt(drho / g) * bp0 * F[1]
-              + 0.5 * math.sqrt(rho1 / g) * ap0 * F[2]
-              + rho / (2.0 * sq_d) * bp0 * F[3]
-              - rho1 / (2.0 * sq_d) * bp0 * F[4]
-              - 1.0 / (2.0 * rho1 * sq_1) * ap0 * F[5])
+    kappa1 = (-0.5 * math.sqrt(drho / g) * bp0 * F1
+              + 0.5 * math.sqrt(rho1 / g) * ap0 * F2
+              + rho / (2.0 * sq_d) * bp0 * F3
+              - rho1 / (2.0 * sq_d) * bp0 * F4
+              - 1.0 / (2.0 * rho1 * sq_1) * ap0 * F5)
     kappa2 = (-rho1 / sq_d * ec.A4_0 * G4
               - 1.0 / (rho1 * sq_1) * ec.A5_0 * G5)
     kappa3 = (rho1 / sq_d * bp0 * ec.A4_0 * ec.A4_1
               + 1.0 / (rho1 * sq_1) * ap0 * ec.A5_0 * ec.A5_1)
-    kappa4 = (-0.25 * math.sqrt(drho / g) * bp0 * Fp[1]
-              + 0.25 * math.sqrt(rho1 / g) * ap0 * Fp[2]
-              + rho / (4.0 * sq_d) * bp0 * Fp[3]
-              - rho1 / (4.0 * sq_d) * bp0 * Fp[4]
-              - 1.0 / (4.0 * rho1 * sq_1) * ap0 * Fp[5])
+    kappa4 = (-0.25 * math.sqrt(drho / g) * bp0 * Fp1
+              + 0.25 * math.sqrt(rho1 / g) * ap0 * Fp2
+              + rho / (4.0 * sq_d) * bp0 * Fp3
+              - rho1 / (4.0 * sq_d) * bp0 * Fp4
+              - 1.0 / (4.0 * rho1 * sq_1) * ap0 * Fp5)
     kappa5 = (-rho1 / (2.0 * sq_d) * ec.A4_0 * G4p
               - 1.0 / (2.0 * rho1 * sq_1) * ec.A5_0 * G5p)
-    kappa6 = (-0.5 * math.sqrt(drho / g) * bp1 * F[1]
-              + 0.5 * math.sqrt(rho1 / g) * ap1 * F[2]
-              + rho / (2.0 * sq_d) * bp1 * F[3]
-              - rho1 / (2.0 * sq_d) * bp1 * F[4]
-              - 1.0 / (2.0 * rho1 * sq_1) * ap1 * F[5])
+    kappa6 = (-0.5 * math.sqrt(drho / g) * bp1 * F1
+              + 0.5 * math.sqrt(rho1 / g) * ap1 * F2
+              + rho / (2.0 * sq_d) * bp1 * F3
+              - rho1 / (2.0 * sq_d) * bp1 * F4
+              - 1.0 / (2.0 * rho1 * sq_1) * ap1 * F5)
     kappa7 = (rho / sq_d * ec.A3_0 * G3
               - rho1 / sq_d * ec.A4_1 * G4
               - 1.0 / (rho1 * sq_1) * ec.A5_1 * G5)

@@ -231,6 +231,16 @@ def test_coeffs_skips_asymptotics_away_from_small_gamma(tmp_path, capsys):
     assert "small-gamma" not in out
 
 
+def test_small_density_contrast_runs(tmp_path, capsys):
+    # rho1 / rho = 0.9999: csch(h1 k0) underflows, and NaN coefficients
+    # would print as nan and stop the run at its first step
+    path = write_config(tmp_path, "physical.rho = 1000\nphysical.rho1 = 999.9\n"
+                                  "run.t_end = 0.1\n")
+    assert main(["--config", path, "coeffs"]) == 0
+    assert "nan" not in capsys.readouterr().out.split()
+    assert main(["--config", path, "--out", str(tmp_path / "run"), "simulate"]) == 0
+
+
 def test_preset_flag_selects_parameters(capsys):
     assert main(["--preset", "oregon", "coeffs"]) == 0
     out = capsys.readouterr().out

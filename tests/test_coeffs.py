@@ -28,7 +28,6 @@ from bonls.coeffs import (
     resonance_residual,
     symbol_table,
 )
-from bonls.coeffs import _fd_derivative, _ScalarSymbols
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -37,6 +36,8 @@ except ImportError:
     HAS_HYPOTHESIS = False
 
 BENCH = PhysicalParams(g=1.0, h1=1.0, rho=2.0, rho1=1.0)
+# a realistic ocean contrast: csch(h1 k0) = csch(2500) underflows in floats
+SHARP = PhysicalParams(g=9.81, h1=500.0, rho=1000.0, rho1=999.9)
 
 
 # --------------------------------------------------------------------------
@@ -64,9 +65,66 @@ def eig_oracle(params, k):
     return np.linalg.eigvalsh(m)
 
 
-def complex_step(f, k0, h=1e-30):
-    """Derivative of an analytic scalar function by complex step."""
-    return f(k0 + 1j * h).imag / h
+def kappa_oracle(params):
+    """(value, largest term of its sum) of kappa1..kappa7, in 50 digits.
+
+    Independent of symbol_table: the k > 0 symbols at k0 are transcribed
+    from their closed forms into mpmath, with the cancellation-free form
+    a- = (2s/(s + theta))^(-1/2) (the naive 2 + theta^2/2 - theta s/2
+    loses every digit once theta ~ 1e36, as at the Andaman preset), and
+    the derivatives are mpmath's.  Only the small-k constants are shared.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        g, h1, rho, rho1 = (mpmath.mpf(v) for v in
+                            (params.g, params.h1, params.rho, params.rho1))
+        drho = rho - rho1
+        sq_d, sq_1 = mpmath.sqrt(g * drho), mpmath.sqrt(g * rho1)
+        k0 = rho / (4 * h1 * drho)
+
+        def products(k):
+            # B1^2/w1 .. B5^2/w1, b- B3, b- B4, a- B5 (B3 = B1 for k > 0)
+            g11 = k * mpmath.coth(h1 * k)
+            b0 = rho * g11 + rho1 * k
+            qa = g * drho * k * g11 / b0
+            qb = g * mpmath.sqrt(rho1 * drho) * k * k * mpmath.csch(h1 * k) / b0
+            qc = g * k * (rho1 * g11 + rho * k) / b0
+            theta = (qc - qa) / qb
+            assert theta > 0  # (2 rho1 - rho) >= 0 in every set tested
+            s = mpmath.sqrt(4 + theta * theta)
+            a_m = (2 * s / (s + theta)) ** mpmath.mpf(-0.5)
+            b_m = -2 * a_m / (theta + s)
+            B1 = (b_m * qa - a_m * qb) / sq_d
+            B2 = (a_m * qc - b_m * qb) / sq_1
+            B4 = b_m * sq_d * k * k / b0 + rho / (rho1 * sq_d) * a_m * qb
+            B5 = -sq_1 * k * a_m
+            w1 = mpmath.sqrt(g * k)
+            return [B1 ** 2 / w1, B2 ** 2 / w1, B1 ** 2 / w1, B4 ** 2 / w1,
+                    B5 ** 2 / w1, b_m * B1, b_m * B4, a_m * B5]
+
+        F1, F2, F3, F4, F5, G3, G4, G5 = products(k0)
+        Fp1, Fp2, Fp3, Fp4, Fp5, G4p, G5p = (
+            mpmath.diff(lambda k, j=j: products(k)[j], k0) for j in (0, 1, 2, 3, 4, 6, 7))
+        ap0, ap1, bp0, bp1, A3_0, A4_0, A4_1, A5_0, A5_1 = map(
+            mpmath.mpf, dataclasses.astuple(expansion_constants(params)))
+
+        def f_terms(wb, wa, f1, f2, f3, f4, f5):
+            # the sum shared by kappa1, kappa4 and kappa6
+            return [-wb * mpmath.sqrt(drho / g) * f1, wa * mpmath.sqrt(rho1 / g) * f2,
+                    wb * rho / sq_d * f3, -wb * rho1 / sq_d * f4, -wa / (rho1 * sq_1) * f5]
+
+        terms = {
+            "kappa1": f_terms(bp0 / 2, ap0 / 2, F1, F2, F3, F4, F5),
+            "kappa2": [-rho1 / sq_d * A4_0 * G4, -A5_0 * G5 / (rho1 * sq_1)],
+            "kappa3": [rho1 / sq_d * bp0 * A4_0 * A4_1, ap0 * A5_0 * A5_1 / (rho1 * sq_1)],
+            "kappa4": f_terms(bp0 / 4, ap0 / 4, Fp1, Fp2, Fp3, Fp4, Fp5),
+            "kappa5": [-rho1 / (2 * sq_d) * A4_0 * G4p, -A5_0 * G5p / (2 * rho1 * sq_1)],
+            "kappa6": f_terms(bp1 / 2, ap1 / 2, F1, F2, F3, F4, F5),
+            "kappa7": [rho / sq_d * A3_0 * G3, -rho1 / sq_d * A4_1 * G4,
+                       -A5_1 * G5 / (rho1 * sq_1)],
+        }
+        return {name: (float(mpmath.fsum(t)), float(max(abs(x) for x in t)))
+                for name, t in terms.items()}
 
 
 # --------------------------------------------------------------------------
@@ -234,33 +292,19 @@ def test_coefficient_rows_cover_every_field():
         assert tag
 
 
-def test_fd_derivatives_match_complex_step():
-    """The two derivative quantities behind kt3, two independent methods."""
-    co = derive_coefficients(BENCH, epsilon=0.35, delta=0.25)
-    k0 = co.k0
-    h = 1e-5 * k0
+@pytest.mark.parametrize("params", [ANDAMAN, OREGON, BENCH, SHARP],
+                         ids=["andaman", "oregon", "bench", "gamma-1e-4"])
+def test_kappas_match_mpmath_oracle(params):
+    """kappa1..kappa7, values and derivatives at k0, against 50 digits.
 
-    def b_sq_over_omega(j):
-        def f(k):
-            s = _ScalarSymbols(BENCH, k)
-            bj = getattr(s, f"B{j}")
-            return bj * bj / s.omega1
-        return f
-
-    for j in range(1, 6):
-        f = b_sq_over_omega(j)
-        fd = _fd_derivative(f, k0, h).real
-        cs = complex_step(f, k0)
-        scale = max(abs(cs), 1e-12)
-        assert abs(fd - cs) / scale <= 1e-8, f"B{j}^2/w1 derivative: fd={fd} cs={cs}"
-
-    def bm_b4(k):
-        s = _ScalarSymbols(BENCH, k)
-        return s.b_m * s.B4
-
-    fd = _fd_derivative(bm_b4, k0, h).real
-    cs = complex_step(bm_b4, k0)
-    assert abs(fd - cs) / max(abs(cs), 1e-12) <= 1e-8
+    Each error is measured against the largest term of its sum: kappa1,
+    kappa4 and kappa6 vanish to the oracle's 50 digits, so the float sums
+    are roundoff.
+    """
+    co = derive_coefficients(params, epsilon=0.1, delta=0.25)
+    for name, (want, largest) in kappa_oracle(params).items():
+        err = abs(getattr(co, name) - want) / largest
+        assert err <= 1e-9, f"{name}: {getattr(co, name)!r} vs {want!r} ({err:.1e})"
 
 
 # --------------------------------------------------------------------------
@@ -298,6 +342,21 @@ def test_asymptotic_kt_close_at_small_gamma():
         4.0 * params.h1 ** 0.25 * math.sqrt(2.0 * params.rho1))
     assert asy.kt == pytest.approx(want, rel=1e-13)
     assert abs(exact.kt - asy.kt) / abs(asy.kt) <= 1e-6
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 1e-6, 1e-9])
+def test_small_contrast_coefficients_are_finite(gamma):
+    # h1 k0 = 1 / (4 gamma) >= 2500, so csch(h1 k0) underflows to 0 and
+    # theta = (qc - qa) / qb is infinite; the a-/b- limits carry it
+    params = _params_at_gamma(gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        co = derive_coefficients(params, epsilon=0.1, delta=0.25)
+    for field in dataclasses.fields(co):
+        assert math.isfinite(getattr(co, field.name)), field.name
+    asy = asymptotic_coefficients(params)
+    for name in ("kt", "kt1", "kt2", "kt3", "kt4"):
+        assert getattr(co, name) == pytest.approx(getattr(asy, name), rel=1e-6), name
 
 
 def test_asymptotic_improves_with_gamma():
