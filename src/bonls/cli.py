@@ -14,7 +14,8 @@ with its parser, default and check, is one row of the RunConfig table;
 unknown keys are errors, so a typo fails fast instead of silently running
 defaults.  Exit codes: 0 ok, 1 verification failure, 2 config error
 (including a non-finite number, or a run time that is not a whole number
-of steps), 3 blow-up, 4 an artifact that could not be written.
+of steps), 3 blow-up, 4 an artifact that could not be written, 130 a
+simulation stopped by Ctrl-C.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_IO = 4
+EXIT_INTERRUPTED = 130  # the shell's code for a process ended by SIGINT
 
 
 class ConfigError(ValueError):
@@ -460,7 +462,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
              _fmt(cfg.stepper.dt), _fmt(cfg.t_end))
     sent = itertools.count()
     # each table goes to a writer process, in order, and run keeps no snapshot;
-    # the writer is reaped, and its failure raised, before metadata.txt
+    # the writer is reaped, and its failure raised, before metadata.txt.  It
+    # runs in a session of its own, so Ctrl-C reaches only this process, and
+    # an interrupted run still has every snapshot it sent written
     with _tsv.Writer() as writer:
         try:
             rows = run(initial, cfg.stepper, co, cfg.t_end,
@@ -481,6 +485,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             print(f"blow-up at t = {_fmt(exc.time)}; "
                   f"last good snapshot written to {out / 'snapshot_last_good.tsv'}")
             return EXIT_BLOWUP
+        except KeyboardInterrupt:
+            log.error("interrupted")
+            writer.close()
+            _write_metadata(out / "metadata.txt", cfg, co, "interrupted", {})
+            print(f"interrupted; the snapshots taken so far are in {out}")
+            return EXIT_INTERRUPTED
         diag_path = out / "diagnostics.tsv"
         _write_tsv(diag_path, "t\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual",
                    np.array([(row.t, row.e1, row.e2, row.e3, row.mean_r, row.max_r,
@@ -523,8 +533,12 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     for tag, sub in jobs:
         codes.append(cmd_simulate(sub, args))
         log.info("sweep %s -> exit %d", tag, codes[-1])
-    print(f"sweep over {cfg.sweep_key}: {len(jobs)} runs, "
+        if codes[-1] == EXIT_INTERRUPTED:
+            break
+    print(f"sweep over {cfg.sweep_key}: {len(codes)} of {len(jobs)} runs, "
           f"{sum(1 for c in codes if c == EXIT_OK)} ok")
+    if EXIT_INTERRUPTED in codes:
+        return EXIT_INTERRUPTED
     return EXIT_BLOWUP if any(c == EXIT_BLOWUP for c in codes) else EXIT_OK
 
 

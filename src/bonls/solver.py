@@ -13,29 +13,26 @@ coefficients were derived in.  Both hand the dispersive part to the exact
 multipliers from `spectral`, so the stiff third-derivative term never
 restricts the step size.
 
-The steppers carry r as its `rfft` half-spectrum (n//2 + 1 modes) from
-the entry of `run` or `step` to the blow-up guard, so r stays real by
-construction.  Two real fields share each complex transform (see
+The steppers carry one complex vector y = [r_hat | q_spec], r's `rfft`
+half-spectrum (n//2 + 1 modes) then q's spectrum, from the entry of `run`
+or `step` to the blow-up guard, so r stays real by construction and each
+stage is one array operation against one set of diagonal tables (Kassam
+& Trefethen 2005).  Two real fields share each complex transform (see
 `_Rhs`), so a nonlinear evaluation makes 2 transform calls (reduced) or
-3 (full), a guarded step 9 or 13, and the packing couples the two
-fields' roundoff, by up to 8e-13 of the largest mode at n = 8192.
-Products that share a Fourier multiplier are summed before their
-transform, and the product rule folds the full system's three products
-with q into one, so an evaluation moves 4 (reduced) or 6.5 (full)
-n-point complex transforms' worth of data.  Each thread keeps one set of
-transform work arrays per right-hand side and reuses it across
-evaluations, so a nonlinear evaluation allocates no transform buffers.
-The ETD tables are the phi functions in closed form, or from their
-Taylor series near zero; both fields' tables are built on the half grid,
-and the q symbol is even, so its tables are mirrored onto the full grid.
+3 (full).  Products that share a Fourier multiplier are summed before
+their transform, and the product rule folds the full system's three
+products with q into one, so an evaluation moves 4 (reduced) or 6.5
+(full) n-point complex transforms' worth of data.
 
-The states `run` records carry the stepper's spectra: r's is its
-half-spectrum mirrored, with no transform, and q's is the one its samples
-come from.  `conserved` sums the quadratic terms over those spectra
+The guard bounds sup|r| <= (2/n) sum|r_hat| with no transform and takes
+r's samples for the exact check only when that bound reaches the guard
+(less 1e-12 of it), so a step with no diagnostics row or snapshot makes
+8 transform calls (reduced) or 12 (full).  The states `run` records
+carry the stepper's spectra: r's is its half-spectrum mirrored, and q's
+is a view of y.  `conserved` sums the quadratic terms over them
 (Parseval) and uses samples only for the cubic ones, and the gauge
-residual reads only the gauge factor psi+ (`gauge` builds the w+- pair
-when it is read), so a diagnostics row costs 5 transforms, the inverse
-transform for the q samples included.
+residual reads only the gauge factor psi+, so a diagnostics row costs 6
+transforms, the inverse transforms for the r and q samples included.
 
 Conserved quantities tracked along a run:
 
@@ -52,7 +49,7 @@ import itertools
 import math
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,8 +89,8 @@ TIME_SCALES = ("tau", "tau1")
 # Steppers kept for reuse, one per distinct (grid, dt, scheme, coefficients,
 # system, time scale).  Every measured use (a step() loop, run() after
 # step(), an ic.*/seed sweep) reuses the latest one only, and each holds
-# up to 19 arrays (some stacked) of length n or n//2 + 1, so the memo
-# keeps one.
+# up to 13 arrays (some stacked or joined) of length n, n//2 + 1 or
+# n//2 + 1 + n, so the memo keeps one.
 _STEPPER_MEMO_SIZE = 1
 # |h L| below which `_etd_tables` sums Taylor series in place of the closed
 # forms, and the number of terms summed: the terms dropped there come to
@@ -134,6 +131,8 @@ class SystemState:
     r: RealField
     q: ComplexField
     t: float = 0.0
+    # the stepper's vector [r_hat | q_spec] of a state `step` or `run` built
+    _y: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r.grid != self.q.grid:
@@ -200,12 +199,13 @@ class Trajectory:
 class _Rhs:
     """Right-hand side in spectrum space, split into linear and nonlinear parts.
 
-    r is carried as its `rfft` half-spectrum (n//2 + 1 modes) and q as its
-    full spectrum.  The linear symbols reuse the propagator phases from
-    `spectral`, so a stepper built on them matches the exact flows bit for
-    bit on the linear terms.  Both product factors are cut to the
-    two-thirds band; the cut is folded into the operators that make the
-    factors (`in_r` and `in_q`), so one inverse transform yields them all.
+    It acts on y = [r_hat | q_spec], r's `rfft` half-spectrum (n//2 + 1
+    modes) and q's spectrum.  The linear symbols reuse the propagator
+    phases from `spectral`, so a stepper built on them matches the exact
+    flows bit for bit on the linear terms.  Both product factors are cut
+    to the two-thirds band; the cut is folded into the operators that
+    make the factors (`in_r` and `in_q`), so one inverse transform yields
+    them all.
 
     Two real fields share each complex transform as its real and
     imaginary parts.  One `ifft` of stacked rows gives r + i d|D|r (r's
@@ -298,17 +298,17 @@ class _Rhs:
             local.batch = batch
         return local.work
 
-    def nonlinear(self, r_hat: np.ndarray, q_spec: np.ndarray):
-        """Spectra of the non-dispersive terms; the r part has exact zero mean.
+    def nonlinear(self, y: np.ndarray) -> np.ndarray:
+        """Fresh spectrum of the non-dispersive terms of y = [r_hat | q_spec].
 
-        Both are fresh arrays.  A leading batch axis on r_hat and q_spec is
-        carried through.
+        Its r part has exact zero mean; a leading batch axis is carried through.
         """
-        w = self._work(r_hat.shape[:-1])
-        np.copyto(w["spec_lo"], r_hat)
-        np.conj(r_hat[..., -2:0:-1], out=w["spec_hi"])
+        h = self.n // 2 + 1
+        w = self._work(y.shape[:-1])
+        np.copyto(w["spec_lo"], y[..., :h])
+        np.conj(y[..., h - 2:0:-1], out=w["spec_hi"])
         np.multiply(self.in_r, w["spec_row"], out=w["fac_r"])
-        np.multiply(self.in_q, q_spec[..., None, :], out=w["fac_q"])
+        np.multiply(self.in_q, y[..., None, h:], out=w["fac_q"])
         np.fft.ifft(w["fac"], out=w["fac"])
         r, dadr, q = w["r"], w["dadr"], w["q"]  # d |D| r, and |D| r is H r_x
         np.multiply(r, r, out=w["rr"])
@@ -323,15 +323,13 @@ class _Rhs:
         else:
             np.multiply(r, q, out=w["prod_q"])
         np.fft.fft(w["prod"], out=w["prod"])
-        nr = (self.w_r[0] * w["g0_half"]
-              + self.w_r[1] * np.conj(w["g0"].take(self.flip, axis=-1)))
+        out = np.empty_like(y)
+        nr = np.multiply(self.w_r[0], w["g0_half"], out=out[..., :h])
+        nr += self.w_r[1] * np.conj(w["g0"].take(self.flip, axis=-1))
         if self.full:
             nr += self.w_r[2] * np.fft.rfft(qsq, out=w["qsq_hat"])
-        return nr, self.w_q * w["g1"]
-
-    def total(self, r_hat: np.ndarray, q_spec: np.ndarray):
-        nr, nq = self.nonlinear(r_hat, q_spec)
-        return self.lin_r * r_hat + nr, self.lin_q * q_spec + nq
+        np.multiply(self.w_q, w["g1"], out=out[..., h:])
+        return out
 
 
 def _make_rhs(grid: Grid, coeffs: ModelCoefficients, system: str,
@@ -374,9 +372,10 @@ def rhs_full(s: SystemState, coeffs: ModelCoefficients,
 
 
 def _rhs_fields(s: SystemState, rhs: _Rhs) -> tuple[RealField, ComplexField]:
-    dr, dq = rhs.total(s.r._rfft(), s.q.spectrum)
-    return (RealField(s.grid, np.fft.irfft(dr, s.grid.n)),
-            ComplexField.from_spectrum(s.grid, dq))
+    h, y = s.grid.n // 2 + 1, _spectra(s)
+    dy = np.concatenate((rhs.lin_r, rhs.lin_q)) * y + rhs.nonlinear(y)
+    return (RealField(s.grid, np.fft.irfft(dy[:h], s.grid.n)),
+            ComplexField.from_spectrum(s.grid, dy[h:]))
 
 
 class _StrangStepper:
@@ -385,20 +384,16 @@ class _StrangStepper:
     def __init__(self, dt: float, rhs: _Rhs):
         self.rhs = rhs
         self.dt = dt
-        self.half_r = np.exp(0.5 * dt * rhs.lin_r)
-        self.half_q = np.exp(0.5 * dt * rhs.lin_q)
+        self.half = np.exp(0.5 * dt * np.concatenate((rhs.lin_r, rhs.lin_q)))
 
-    def advance(self, r_spec: np.ndarray, q_spec: np.ndarray):
-        r = self.half_r * r_spec
-        q = self.half_q * q_spec
+    def advance(self, y: np.ndarray) -> np.ndarray:
+        y = self.half * y
         h = self.dt
-        ar, aq = self.rhs.nonlinear(r, q)
-        br, bq = self.rhs.nonlinear(r + (0.5 * h) * ar, q + (0.5 * h) * aq)
-        cr, cq = self.rhs.nonlinear(r + (0.5 * h) * br, q + (0.5 * h) * bq)
-        dr, dq = self.rhs.nonlinear(r + h * cr, q + h * cq)
-        r = r + (h / 6.0) * (ar + 2.0 * (br + cr) + dr)
-        q = q + (h / 6.0) * (aq + 2.0 * (bq + cq) + dq)
-        return self.half_r * r, self.half_q * q
+        a = self.rhs.nonlinear(y)
+        b = self.rhs.nonlinear(y + (0.5 * h) * a)
+        c = self.rhs.nonlinear(y + (0.5 * h) * b)
+        d = self.rhs.nonlinear(y + h * c)
+        return self.half * (y + (h / 6.0) * (a + 2.0 * (b + c) + d))
 
 
 def _horner(coefficients, z: np.ndarray) -> np.ndarray:
@@ -449,38 +444,30 @@ class _EtdStepper:
     """Fourth-order exponential time differencing with RK staging.
 
     The coefficient tables (`_etd_tables`) are the exact phi-function
-    combinations, built once per stepper with no temporaries wider than
-    the grid.
+    combinations, built once per stepper and joined over [r_hat | q_spec];
+    e, e2 and q are Kassam & Trefethen's E, E2 and Q.
     """
 
     def __init__(self, dt: float, rhs: _Rhs):
         self.rhs = rhs
-        (self.er, self.e2r, self.qr,
-         self.f1r, self.f2r, self.f3r) = _etd_tables(dt, rhs.lin_r)
         # the q symbol is even in k (bit for bit), so its tables are built
         # on the half grid and mode j takes the row of mode n - j
         h = rhs.n // 2 + 1
         mirror = np.concatenate((np.arange(h), np.arange(h - 2, 0, -1)))
-        (self.eq, self.e2q, self.qq,
-         self.f1q, self.f2q, self.f3q) = (
-            table[mirror] for table in _etd_tables(dt, rhs.lin_q[:h]))
+        (self.e, self.e2, self.q, self.f1, self.f2, self.f3) = (
+            np.concatenate((tr, tq[mirror])) for tr, tq in
+            zip(_etd_tables(dt, rhs.lin_r), _etd_tables(dt, rhs.lin_q[:h])))
 
-    def advance(self, r_spec: np.ndarray, q_spec: np.ndarray):
-        n0r, n0q = self.rhs.nonlinear(r_spec, q_spec)
-        ar = self.e2r * r_spec + self.qr * n0r
-        aq = self.e2q * q_spec + self.qq * n0q
-        nar, naq = self.rhs.nonlinear(ar, aq)
-        br = self.e2r * r_spec + self.qr * nar
-        bq = self.e2q * q_spec + self.qq * naq
-        nbr, nbq = self.rhs.nonlinear(br, bq)
-        cr = self.e2r * ar + self.qr * (2.0 * nbr - n0r)
-        cq = self.e2q * aq + self.qq * (2.0 * nbq - n0q)
-        ncr, ncq = self.rhs.nonlinear(cr, cq)
-        r = (self.er * r_spec + self.f1r * n0r
-             + 2.0 * self.f2r * (nar + nbr) + self.f3r * ncr)
-        q = (self.eq * q_spec + self.f1q * n0q
-             + 2.0 * self.f2q * (naq + nbq) + self.f3q * ncq)
-        return r, q
+    def advance(self, y: np.ndarray) -> np.ndarray:
+        n0 = self.rhs.nonlinear(y)
+        a = self.e2 * y + self.q * n0
+        na = self.rhs.nonlinear(a)
+        b = self.e2 * y + self.q * na
+        nb = self.rhs.nonlinear(b)
+        c = self.e2 * a + self.q * (2.0 * nb - n0)
+        nc = self.rhs.nonlinear(c)
+        return (self.e * y + self.f1 * n0
+                + 2.0 * self.f2 * (na + nb) + self.f3 * nc)
 
 
 @functools.lru_cache(maxsize=_STEPPER_MEMO_SIZE)
@@ -509,17 +496,27 @@ def _build_stepper(grid: Grid, dt: float, scheme: str, coeffs: ModelCoefficients
     return stepper
 
 
-def _state_of(grid: Grid, r: np.ndarray, r_hat: np.ndarray, q_spec: np.ndarray,
-              t: float) -> SystemState:
-    """The state at time t from the samples of r and the stepper's spectra.
+def _spectra(s: SystemState) -> np.ndarray:
+    # the stepper's vector [r_hat | q_spec] of s: the one s keeps, else joined
+    return s._y if s._y is not None else np.concatenate((s.r._rfft(), s.q.spectrum))
 
-    r's full spectrum is its half-spectrum r_hat mirrored, with no
-    transform; the q samples take one inverse transform.  Both spectra are
-    cached on the fields, so `conserved` and the gauge residual start from
-    them.
+
+def _state_of(grid: Grid, y: np.ndarray, t: float, r: np.ndarray | None) -> SystemState:
+    """The state at time t from the stepper's vector y = [r_hat | q_spec].
+
+    r's samples are r, when the guard took them, else one inverse
+    transform, and q's one inverse transform.  q's spectrum is a view of y,
+    which the state keeps read-only, so a step from it joins no spectra.
     """
-    return SystemState(RealField._from_rfft(grid, r, r_hat),
-                       ComplexField.from_spectrum(grid, q_spec), t)
+    h = grid.n // 2 + 1
+    if r is None:
+        r = np.fft.irfft(y[:h], grid.n)
+    y.flags.writeable = False
+    q = ComplexField(grid, np.fft.ifft(y[h:]))
+    q._spec = y[h:]
+    st = SystemState(RealField._from_rfft(grid, r, y[:h]), q, t)
+    object.__setattr__(st, "_y", y)
+    return st
 
 
 def _require_finite(s: SystemState) -> None:
@@ -534,9 +531,9 @@ def _steps(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
 
     s and the system are checked here, before any step is asked for: a
     non-finite r or q, or a bad system or time scale, raises ValueError.
-    The generator returned yields (t, r, r_hat, q_spec) after each step:
-    the new time, the samples of r, its `rfft` half-spectrum and q's
-    spectrum.  A step raises BlowUp at its time when the sup norm of r
+    The generator returned yields (t, y, r) after each step: the new time,
+    the vector [r_hat | q_spec] and r's samples if the guard took them,
+    else None.  A step raises BlowUp at its time when the sup norm of r
     stops being finite or exceeds the guard, carrying the last finite
     state: s itself on the first step, else the state of the step before.
     """
@@ -547,18 +544,21 @@ def _steps(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
 
 def _stepping(stepper, cfg: StepperConfig, s: SystemState):
     # s is dropped once the first step succeeds, so a run keeps no input
-    # state alive
+    # state alive; the margin on the bound keeps transform roundoff from
+    # flipping a trip
     grid, t0, dt = s.grid, s.t, cfg.dt
-    t, r, r_hat, q_spec = t0, None, s.r._rfft(), s.q.spectrum
+    h, limit = grid.n // 2 + 1, cfg.cfl_guard * (1.0 - 1e-12)
+    t, y, r = t0, _spectra(s), None
     for i in itertools.count(1):
-        next_hat, next_q = stepper.advance(r_hat, q_spec)
-        next_r = np.fft.irfft(next_hat, grid.n)
-        sup = float(np.max(np.abs(next_r)))
-        if not np.isfinite(sup) or sup > cfg.cfl_guard:
-            raise BlowUp(t0 + i * dt, sup, s or _state_of(grid, r, r_hat, q_spec, t))
+        next_y, next_r = stepper.advance(y), None
+        if not (2.0 / grid.n) * float(np.sum(np.abs(next_y[:h]))) <= limit:
+            next_r = np.fft.irfft(next_y[:h], grid.n)
+            sup = float(np.max(np.abs(next_r)))
+            if not np.isfinite(sup) or sup > cfg.cfl_guard:
+                raise BlowUp(t0 + i * dt, sup, s or _state_of(grid, y, t, r))
         s = None
-        t, r, r_hat, q_spec = t0 + i * dt, next_r, next_hat, next_q
-        yield t, r, r_hat, q_spec
+        t, y, r = t0 + i * dt, next_y, next_r
+        yield t, y, r
 
 
 def step_count(span: float, dt: float) -> int:
@@ -579,17 +579,17 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     This is the one-step case of the loop `run` runs (`_steps`).  The
     stepper (right-hand side weights and, for etdrk4, the phi-function
     tables) is reused across calls with equal arguments, the one `run`
-    builds included.  On a state that `step` or `run` returned, r's
-    half-spectrum is the stepper's own, so a loop of step() calls gives
-    the fields `run` does bit for bit and makes one transform per step
-    more than `run`: the inverse transform for the new q samples.
+    builds included.  A state that `step` or `run` returned keeps the
+    stepper's vector, so a loop of step() calls gives the fields `run`
+    does bit for bit and makes two transforms per step more than a plain
+    step of `run`: the inverse transforms for the new r and q samples.
 
     Raises ValueError when r or q is not finite on entry, and BlowUp
     (carrying the input state as the last good one) when the sup norm of
     r leaves the guard interval or stops being finite.
     """
-    t, r, r_hat, q_spec = next(_steps(s, cfg, coeffs, system, time_scale))
-    return _state_of(s.grid, r, r_hat, q_spec, t)
+    t, y, r = next(_steps(s, cfg, coeffs, system, time_scale))
+    return _state_of(s.grid, y, t, r)
 
 
 def conserved(s: SystemState, coeffs: ModelCoefficients) -> ConservedTriple:
@@ -682,12 +682,12 @@ def _integrate(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficien
     steps = _steps(st, cfg, coeffs, system, time_scale)
     on_snapshot(st)
     rows = [diag_row(st)]
-    for i, (t, r, r_hat, q_spec) in zip(range(1, n_steps + 1), steps):
+    for i, (t, y, r) in zip(range(1, n_steps + 1), steps):
         at_end = i == n_steps
         want_diag = at_end or i % diagnostics_every == 0
         want_snap = at_end or (snapshot_every is not None and i % snapshot_every == 0)
         if want_diag or want_snap:
-            st = _state_of(grid, r, r_hat, q_spec, t)
+            st = _state_of(grid, y, t, r)
             if want_diag:
                 rows.append(diag_row(st))
             if want_snap:

@@ -482,12 +482,14 @@ def test_interrupt_propagates_and_keeps_the_snapshots_sent(tmp_path, monkeypatch
 
     _run_with_hook(monkeypatch, interrupt)
     out_dir = tmp_path / "cut"
-    with pytest.raises(KeyboardInterrupt):
-        main(["--config", path, "--out", str(out_dir), "simulate"])
+    # the interrupt ends simulate with its own code, not a traceback
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == \
+        cli.EXIT_INTERRUPTED
     assert sorted(p.name for p in out_dir.iterdir()) == [
-        "snapshot_0000.tsv", "snapshot_0001.tsv"]
+        "metadata.txt", "snapshot_0000.tsv", "snapshot_0001.tsv"]
     for name in ("snapshot_0000.tsv", "snapshot_0001.tsv"):
         assert (out_dir / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+    assert "status = interrupted" in (out_dir / "metadata.txt").read_text()
 
 
 def test_simulate_memory_does_not_grow_with_the_snapshot_count(tmp_path):
@@ -650,6 +652,26 @@ sweep.values = 0.5, 0.02
     assert sorted(f.name for f in ok.glob("snapshot_*.tsv")) == [
         "snapshot_0000.tsv", "snapshot_0001.tsv", "snapshot_0002.tsv"]
     assert "2 runs, 1 ok" in capsys.readouterr().out
+
+
+def test_sweep_stops_at_the_first_interrupted_member(tmp_path, monkeypatch, capsys):
+    def interrupt(send, state):
+        send(state)
+        if state.t > 0.0:
+            raise KeyboardInterrupt
+
+    _run_with_hook(monkeypatch, interrupt)
+    path = write_config(tmp_path, QUICK_RUN + """
+sweep.key = ic.r.amplitude
+sweep.values = 0.02, 0.04
+""")
+    out_dir = tmp_path / "sweep"
+    assert main(["--config", path, "--out", str(out_dir), "sweep"]) == \
+        cli.EXIT_INTERRUPTED
+    cut = out_dir / "ic.r.amplitude=0.02"
+    assert "status = interrupted" in (cut / "metadata.txt").read_text()
+    assert not (out_dir / "ic.r.amplitude=0.04").exists()
+    assert "1 of 2 runs, 0 ok" in capsys.readouterr().out
 
 
 def test_sweep_rejects_bad_keys(tmp_path):

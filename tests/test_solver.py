@@ -320,10 +320,10 @@ def test_folded_rows_match_one_row_per_product(n, system, time_scale, kind):
     rhs = solver._make_rhs(grid, BENCH, system, time_scale)
     scale = 1.0 / BENCH.epsilon if time_scale == "tau1" else 1.0
     r_hat = np.fft.rfft(s.r.values)
-    got = rhs.nonlinear(r_hat, s.q.spectrum)
+    got = rhs.nonlinear(np.concatenate((r_hat, s.q.spectrum)))
     want = _stacked_rows_nonlinear(grid, BENCH, system == "full", scale, r_hat,
                                    s.q.spectrum)
-    for g, w in zip(got, want, strict=True):
+    for g, w in zip(np.split(got, [n // 2 + 1]), want, strict=True):
         assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
 
@@ -333,8 +333,8 @@ def test_guarded_step_transform_volume(monkeypatch, scheme, system, budget):
     # samples passed to numpy.fft by one guarded step at n = 128: four
     # evaluations of the packed factor rows (r + i d|D|r and q, on the full
     # system also s and q_x), the two packed product rows and, on the full
-    # system, |q|^2, plus the guard's 65 modes: 2113 and 3649; one row per
-    # product passed 3145 and 5193
+    # system, |q|^2: 2048 and 3584; the guard, whose bound holds here,
+    # passes none.  One row per product passed 3145 and 5193
     grid = Grid(128, 40.0)
     s = bump_state(grid)
     cfg = StepperConfig(dt=1e-3, scheme=scheme)
@@ -706,9 +706,10 @@ def test_step_loop_gives_the_fields_of_run_bit_for_bit(scheme, system):
     assert np.array_equal(s.q.values, end.q.values)
 
 
-# transform calls of one guarded step: four nonlinear evaluations of 2
-# (reduced) or 3 (full) calls, and the guard's inverse transform of r
-GUARDED_STEP_CALLS = {"reduced": 9, "full": 13}
+# transform calls of one guarded step whose bound (2/n) sum|r_hat| stays
+# under the guard: four nonlinear evaluations of 2 (reduced) or 3 (full)
+# calls, and no inverse transform of r
+GUARDED_STEP_CALLS = {"reduced": 8, "full": 12}
 
 
 @pytest.mark.parametrize("system", ["reduced", "full"])
@@ -720,7 +721,81 @@ def test_later_step_transforms_what_run_does_and_the_q_samples(monkeypatch, sche
     s = step(bump_state(grid), cfg, BENCH, system=system)
     calls = count_transforms(monkeypatch)
     step(s, cfg, BENCH, system=system)
-    assert calls["n"] <= GUARDED_STEP_CALLS[system] + 1
+    # the returned state's r and q samples take one inverse transform each
+    assert calls["n"] <= GUARDED_STEP_CALLS[system] + 2
+
+
+def guard_bound(r_hat, n):
+    # the guard's transform-free bound on sup|r|
+    return (2.0 / n) * float(np.sum(np.abs(r_hat)))
+
+
+def test_bound_over_the_guard_with_the_sup_under_it_does_not_trip():
+    # two modes whose peaks never line up: sup|r| stays under the guard
+    # while the bound (2/n) sum|r_hat| exceeds it on every step
+    grid = Grid(128, 40.0)
+    kx = 2.0 * np.pi * grid.x / grid.length
+    s0 = SystemState(RealField(grid, 0.1 * (np.sin(kx) + np.sin(2.0 * kx))),
+                     gaussian_envelope(grid, 0.02, 3.0, carrier_mode=2))
+    cfg = StepperConfig(dt=1e-2, cfl_guard=1e3)
+    free = run(s0, cfg, BENCH, t_end=0.5, snapshot_every=1, gauge_diagnostics=False)
+    later = free.snapshots[1:]
+    sup = max(float(np.max(np.abs(st.r.values))) for st in later)
+    bound = min(guard_bound(st.r._rfft(), grid.n) for st in later)
+    assert sup < bound
+    guarded = run(s0, dataclasses.replace(cfg, cfl_guard=0.5 * (sup + bound)), BENCH,
+                  t_end=0.5, snapshot_every=1, gauge_diagnostics=False)
+    for got, want in zip(guarded.snapshots, free.snapshots, strict=True):
+        assert np.array_equal(got.r.values, want.r.values)
+        assert np.array_equal(got.q.spectrum, want.q.spectrum)
+
+
+def test_guard_equal_to_the_sup_of_a_single_mode_trips_as_the_exact_check_does():
+    grid = Grid(64, 20.0)
+    kx = 2.0 * np.pi * 3 * grid.x / grid.length
+    s = SystemState(RealField(grid, 0.2 * np.cos(kx)),
+                    ComplexField(grid, np.zeros(grid.n, dtype=complex)))
+    cfg = StepperConfig(dt=1e-3)
+    sup = float(np.max(np.abs(step(s, cfg, BENCH).r.values)))
+    # a guard equal to the sup to the last bit: the bound cannot clear it,
+    # so the exact check runs (it hands over r's samples) and passes
+    _, y, r = next(solver._steps(s, dataclasses.replace(cfg, cfl_guard=sup), BENCH,
+                                 "reduced", "tau"))
+    assert r is not None
+    assert guard_bound(y[:grid.n // 2 + 1], grid.n) > sup * (1.0 - 1e-12)
+    # one ulp below it, the step trips with that sup and the input state
+    with pytest.raises(BlowUp) as info:
+        step(s, dataclasses.replace(cfg, cfl_guard=np.nextafter(sup, 0.0)), BENCH)
+    assert info.value.sup == sup
+    assert info.value.time == cfg.dt
+    assert info.value.state is s
+
+
+def test_run_makes_eight_transform_calls_per_plain_reduced_step(monkeypatch):
+    # 200 reduced Strang steps at n = 128 with rows at steps 0, 100 and 200.
+    # Each step makes 4 iffts of the factor rows and 4 ffts of the product
+    # rows, and the guard's bound needs no transform.  Each row makes an
+    # ifft for |D| r in `conserved`, and an fft and two iffts for the gauge
+    # residual.  The states of the two later rows take an irfft for their r
+    # samples and an ifft for their q samples; the first takes the start-up
+    # rfft of r
+    grid = Grid(128, 40.0)
+    s0 = bump_state(grid)
+    _ = s0.q.spectrum  # cache the input spectrum of q
+    solver._build_stepper(grid, 1e-3, "strang-split", BENCH, "reduced", "tau")
+    calls = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    traj = run(s0, StepperConfig(dt=1e-3), BENCH, t_end=0.2, diagnostics_every=100)
+    assert len(traj.diagnostics) == 3
+    assert calls == {"fft": 4 * 200 + 3, "ifft": 4 * 200 + 3 * 3 + 2, "rfft": 1,
+                     "irfft": 2}
 
 
 @pytest.mark.parametrize("field, bad", [("r", np.nan), ("q", np.inf)])
@@ -817,8 +892,8 @@ def test_stepper_errors_are_raised_on_every_call(builds):
 @pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
 def test_later_steps_build_nothing(builds, monkeypatch, scheme, system):
     # after the first call a step() builds no right-hand side and no table;
-    # it transforms what the guarded step does, plus the half-spectrum of
-    # the incoming r and the inverse transform giving the new q samples
+    # it transforms what the guarded step does, plus the inverse transforms
+    # giving the new r and q samples
     grid = Grid(128, 40.0)
     cfg = StepperConfig(dt=1e-3, scheme=scheme)
     s = step(bump_state(grid), cfg, BENCH, system=system)
@@ -833,9 +908,9 @@ def test_later_steps_build_nothing(builds, monkeypatch, scheme, system):
 
 def test_diagnostics_row_transform_budget(monkeypatch):
     # a diagnostics row takes its spectra from the stepper: one inverse
-    # transform for the q samples, one for |D| r in `conserved`, and three
-    # for the gauge residual (the antiderivative and psi'); the first row
-    # takes the caller's q and its cached spectrum, so it needs no q samples
+    # transform each for the r and q samples, one for |D| r in `conserved`,
+    # and three for the gauge residual (the antiderivative and psi'); the
+    # first row takes the caller's r, q and q's cached spectrum
     grid = Grid(128, 40.0)
     s0 = bump_state(grid)
     _ = s0.q.spectrum  # cache the input spectrum of q
@@ -845,7 +920,7 @@ def test_diagnostics_row_transform_budget(monkeypatch):
     traj = run(s0, cfg, BENCH, t_end=1e-2, diagnostics_every=1, system="full")
     assert len(traj.diagnostics) == 11
     # the start-up rfft of r, ten guarded steps, the first row and ten more
-    assert calls["n"] <= 1 + 10 * GUARDED_STEP_CALLS["full"] + 4 + 10 * 5
+    assert calls["n"] <= 1 + 10 * GUARDED_STEP_CALLS["full"] + 4 + 10 * 6
     assert np.array_equal(traj.snapshots[0].q.values, s0.q.values)
 
 
@@ -858,11 +933,11 @@ def test_memoised_stepper_arrays_are_read_only(scheme):
     stepper = solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, "full", "tau")
     arrays = [v for part in (stepper, stepper.rhs) for v in vars(part).values()
               if isinstance(v, np.ndarray)]
-    # the 12 ETD tables or the 2 half-step phases, and the full system's 7
-    # right-hand side arrays (linear symbols, the stacked operators making
-    # the product factors, the stacked product weights and the index of
-    # the mirrored modes)
-    assert len(arrays) == (12 if scheme == "etdrk4" else 2) + 7
+    # the 6 joined ETD tables or the joined half-step phases, and the full
+    # system's 7 right-hand side arrays (linear symbols, the stacked
+    # operators making the product factors, the stacked product weights and
+    # the index of the mirrored modes)
+    assert len(arrays) == (6 if scheme == "etdrk4" else 1) + 7
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[1] = 0.0
@@ -929,13 +1004,14 @@ def test_etd_tables_match_contour_means(n, symbol, time_scale):
 @pytest.mark.parametrize("n", [8, 512, 4096])
 def test_etdrk4_q_tables_built_on_the_half_grid_match_the_full_grid(n, time_scale):
     # the q symbol is even, so the tables built on n//2 + 1 modes and
-    # mirrored equal the tables over all n modes bit for bit
+    # mirrored equal the tables over all n modes bit for bit; each joined
+    # table holds them after r's n//2 + 1 modes
     rhs = solver._make_rhs(Grid(n, 40.0), BENCH, "full", time_scale)
     stepper = solver._EtdStepper(1e-2, rhs)
-    got = (stepper.eq, stepper.e2q, stepper.qq, stepper.f1q, stepper.f2q, stepper.f3q)
+    got = (stepper.e, stepper.e2, stepper.q, stepper.f1, stepper.f2, stepper.f3)
     want = solver._etd_tables(1e-2, rhs.lin_q)
     for g, w in zip(got, want, strict=True):
-        assert np.array_equal(g, w)
+        assert np.array_equal(g[n // 2 + 1:], w)
 
 
 # ---------------------------------------------------------------- work arrays
@@ -946,18 +1022,19 @@ def test_returned_spectra_share_no_memory_with_work_arrays(scheme, system):
     grid = Grid(128, 40.0)
     s = bump_state(grid)
     stepper = solver._build_stepper(grid, 1e-3, scheme, BENCH, system, "tau")
-    r_hat = np.fft.rfft(s.r.values)
-    first = stepper.rhs.nonlinear(r_hat, s.q.spectrum)
-    kept = [a.copy() for a in first]
-    advanced = stepper.advance(r_hat, s.q.spectrum)
-    second = stepper.rhs.nonlinear(*advanced)
+    y = np.concatenate((np.fft.rfft(s.r.values), s.q.spectrum))
+    first = stepper.rhs.nonlinear(y)
+    kept = first.copy()
+    advanced = stepper.advance(y)
+    second = stepper.rhs.nonlinear(advanced)
+    stepped = step(s, StepperConfig(dt=1e-3, scheme=scheme), BENCH, system=system)
     work = list(stepper.rhs._local.work.values())
     assert work
-    for out in (*first, *advanced, *second):
+    for out in (first, advanced, second, stepped.r.spectrum, stepped.r._rfft(),
+                stepped.q.spectrum):
         assert not any(np.shares_memory(out, a) for a in work)
     # a second evaluation leaves the first one's outputs as they were
-    for a, b in zip(first, kept, strict=True):
-        assert np.array_equal(a, b)
+    assert np.array_equal(first, kept)
 
 
 @pytest.mark.parametrize("system", ["reduced", "full"])
@@ -970,15 +1047,16 @@ def test_batch_members_match_their_unbatched_results_bit_for_bit(n, scheme, syst
     grid = Grid(n, 40.0)
     states = [bump_state(grid, r_sup=0.05 * (i + 1), q_amp=0.02 * (i + 1), carrier=i)
               for i in range(3)]
-    r_hat = np.stack([np.fft.rfft(s.r.values) for s in states])
-    q_spec = np.stack([s.q.spectrum for s in states])
+    y = np.stack([np.concatenate((np.fft.rfft(s.r.values), s.q.spectrum))
+                  for s in states])
+    assert y.shape == (len(states), n // 2 + 1 + n)
     stepper = solver._build_stepper(grid, 1e-3, scheme, BENCH, system, "tau")
     for apply in (stepper.rhs.nonlinear, stepper.advance):
-        batched = apply(r_hat, q_spec)
+        batched = apply(y)
         for i in range(len(states)):
-            for got, want in zip(batched, apply(r_hat[i], q_spec[i]), strict=True):
-                assert got.shape[1:] == want.shape
-                assert np.array_equal(got[i], want)
+            want = apply(y[i])
+            assert batched.shape[1:] == want.shape
+            assert np.array_equal(batched[i], want)
 
 
 def test_threads_stepping_one_memoised_stepper_match_sequential_steps():
@@ -1092,6 +1170,24 @@ def test_gaussian_envelope_carrier():
 
 
 if HAS_HYPOTHESIS:
+
+    @given(n=st.sampled_from([8, 64, 512]), kind=st.sampled_from(["random", "single",
+                                                                   "nyquist"]),
+           scale=st.floats(1e-6, 1e6), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_guard_bound_is_at_least_the_sup(n, kind, scale, seed):
+        # sup|r| <= (1/n) sum over all n modes of |r_hat| <= (2/n) sum over
+        # the half-spectrum; the guard trusts the bound only below
+        # cfl_guard (1 - 1e-12), which leaves room for transform roundoff
+        rng = np.random.default_rng(seed)
+        h = n // 2 + 1
+        r_hat = scale * (rng.standard_normal(h) + 1j * rng.standard_normal(h))
+        if kind == "single":
+            r_hat = np.where(np.arange(h) == rng.integers(h), r_hat, 0.0)
+        elif kind == "nyquist":
+            r_hat = np.where(np.arange(h) == h - 1, r_hat.real, 0.0)
+        sup = float(np.max(np.abs(np.fft.irfft(r_hat, n))))
+        assert sup * (1.0 - 1e-12) <= guard_bound(r_hat, n)
 
     @given(amplitude=st.floats(0.01, 0.3), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=15, deadline=None)
