@@ -14,8 +14,8 @@ with its parser, default and check, is one row of the RunConfig table;
 unknown keys are errors, so a typo fails fast instead of silently running
 defaults.  Exit codes: 0 ok, 1 verification failure, 2 config error
 (including a non-finite number, or a run time that is not a whole number
-of steps), 3 blow-up, 4 an artifact that could not be written, 130 a
-simulation stopped by Ctrl-C.
+of steps), 3 blow-up, 4 an artifact that could not be written, 130
+Ctrl-C (a simulation stopped by it keeps the snapshots it took).
 """
 
 from __future__ import annotations
@@ -615,6 +615,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         log.error("%s", exc)  # names the artifact that was not written
         return EXIT_IO
+    except KeyboardInterrupt:  # outside a run, which handles its own
+        log.error("interrupted")
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -445,11 +445,18 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
 
     Notes
     -----
-    The symbols come from one `symbol_table` call at the five wavenumbers
-    k0 + h (-1, -1/2, 0, 1/2, 1) with h = 1e-5 k0, so the derivation reads
-    only symbols that the `bonls.verify` identities check.  Values at k0
-    are the middle point; the derivative quantities feeding kt3 are central
-    differences over h and h/2 combined by one Richardson step.
+    The symbols come from one `symbol_table` call at k0, so the derivation
+    reads only symbols that the `bonls.verify` identities check.  For
+    k > 0, B3 = B1, B4^2 = B1^2 and B5^2 = rho1^2 B2^2 (verify rows
+    symbol-b4-b1, symbol-b5-b2), so the B_j^2 sum shared by kappa1, kappa4
+    and kappa6 vanishes at every k: the three are 0 exactly.  kappa5 takes
+    the k-derivatives of
+        G4 = b- B4 = sqrt(g drho) k^2 b-^2/b0 + rho/(rho1 sqrt(g drho)) a- b- qb,
+        G5 = a- B5 = -sqrt(g rho1) k a-^2
+    in closed form: with s = sqrt(4 + theta^2), a- b- = -1/s and
+    a-^2 = 1 - b-^2 = (1 + theta/s)/2, so (a-^2)' = 2 theta'/s^3 and
+    (a- b-)' = theta theta'/s^3, with
+    theta = e^x (rho1 - drho e^-2x)/sqrt(rho1 drho) and x = h1 k.
     """
     if not (0.0 < delta < 0.5):
         raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
@@ -468,49 +475,41 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
     omega1_pp = omega1_second(params, k0)
 
     ec = expansion_constants(params)
-    ap0, ap1 = ec.a_plus_0, ec.a_plus_1
-    bp0, bp1 = ec.b_plus_0, ec.b_plus_1
+    ap0, bp0 = ec.a_plus_0, ec.b_plus_0
 
     sq_d = math.sqrt(g * drho)
     sq_1 = math.sqrt(g * rho1)
 
-    # each row of f is one product of symbols at k0 + h (-1, -1/2, 0, 1/2, 1):
-    # F_j = B_j^2 / omega1 for j = 1..5, then G3, G4, G5 = b- B3, b- B4, a- B5
-    h = 1e-5 * k0
-    st = symbol_table(params, k0 + h * np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
-    w1 = np.sqrt(st.omega1_sq)
-    f = np.array([st.B1 * st.B1 / w1, st.B2 * st.B2 / w1, st.B3 * st.B3 / w1,
-                  st.B4 * st.B4 / w1, st.B5 * st.B5 / w1,
-                  st.b_minus * st.B3, st.b_minus * st.B4, st.a_minus * st.B5])
-    F1, F2, F3, F4, F5, G3, G4, G5 = f[:, 2].tolist()
-    # central differences over h and h/2, combined by one Richardson step
-    d1 = (f[:, 4] - f[:, 0]) / (2.0 * h)
-    d2 = (f[:, 3] - f[:, 1]) / h
-    Fp1, Fp2, Fp3, Fp4, Fp5, _, G4p, G5p = ((4.0 * d2 - d1) / 3.0).tolist()
+    st = symbol_table(params, k0)
+    G3, G4, G5, a2, b2, ab, g11, g12, b0, qb = (float(v[0]) for v in (
+        st.b_minus * st.B3, st.b_minus * st.B4, st.a_minus * st.B5,
+        st.a_minus ** 2, st.b_minus ** 2, st.a_minus * st.b_minus,
+        st.g11, st.g12, st.b0, st.qb))
+    # theta'/s^3 and theta theta'/s^3 from e^-x theta, e^-x theta' and
+    # e^-x s, which stay finite where e^x overflows (x = 2500 at gamma = 1e-4)
+    x = h1 * k0
+    e = math.exp(-x)
+    u = (rho1 - drho * e * e) / math.sqrt(rho1 * drho)
+    v = h1 * (rho1 + drho * e * e) / math.sqrt(rho1 * drho)
+    s3 = math.hypot(2.0 * e, u) ** 3
+    dth, th_dth = v * e * e / s3, u * v * e / s3
+    # b0' and qb' from (k coth(h1 k))' = (g11 - h1 g12^2)/k and
+    # (k^2 csch(h1 k))' / (k^2 csch(h1 k)) = (2 - h1 g11)/k
+    b0p = rho * (g11 - h1 * g12 * g12) / k0 + rho1
+    qbp = qb * ((2.0 - h1 * g11) / k0 - b0p / b0)
+    G4p = (sq_d * k0 * (2.0 * b2 - 2.0 * k0 * dth - k0 * b2 * b0p / b0) / b0
+           + rho / (rho1 * sq_d) * (th_dth * qb + ab * qbp))
+    G5p = -sq_1 * (a2 + 2.0 * k0 * dth)
 
     kappa = (rho1 / (2.0 * sq_d)) * bp0 * ec.A4_0 ** 2 \
         + (1.0 / (2.0 * rho1 * sq_1)) * ap0 * ec.A5_0 ** 2
-    kappa1 = (-0.5 * math.sqrt(drho / g) * bp0 * F1
-              + 0.5 * math.sqrt(rho1 / g) * ap0 * F2
-              + rho / (2.0 * sq_d) * bp0 * F3
-              - rho1 / (2.0 * sq_d) * bp0 * F4
-              - 1.0 / (2.0 * rho1 * sq_1) * ap0 * F5)
+    kappa1 = kappa4 = kappa6 = 0.0
     kappa2 = (-rho1 / sq_d * ec.A4_0 * G4
               - 1.0 / (rho1 * sq_1) * ec.A5_0 * G5)
     kappa3 = (rho1 / sq_d * bp0 * ec.A4_0 * ec.A4_1
               + 1.0 / (rho1 * sq_1) * ap0 * ec.A5_0 * ec.A5_1)
-    kappa4 = (-0.25 * math.sqrt(drho / g) * bp0 * Fp1
-              + 0.25 * math.sqrt(rho1 / g) * ap0 * Fp2
-              + rho / (4.0 * sq_d) * bp0 * Fp3
-              - rho1 / (4.0 * sq_d) * bp0 * Fp4
-              - 1.0 / (4.0 * rho1 * sq_1) * ap0 * Fp5)
     kappa5 = (-rho1 / (2.0 * sq_d) * ec.A4_0 * G4p
               - 1.0 / (2.0 * rho1 * sq_1) * ec.A5_0 * G5p)
-    kappa6 = (-0.5 * math.sqrt(drho / g) * bp1 * F1
-              + 0.5 * math.sqrt(rho1 / g) * ap1 * F2
-              + rho / (2.0 * sq_d) * bp1 * F3
-              - rho1 / (2.0 * sq_d) * bp1 * F4
-              - 1.0 / (2.0 * rho1 * sq_1) * ap1 * F5)
     kappa7 = (rho / sq_d * ec.A3_0 * G3
               - rho1 / sq_d * ec.A4_1 * G4
               - 1.0 / (rho1 * sq_1) * ec.A5_1 * G5)

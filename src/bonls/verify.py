@@ -3,7 +3,8 @@
 Four groups of checks, each returning one CheckResult per identity:
 
     symbols      dispersion quartic, eigen-decoupling of the kinetic block,
-                 the mixing-multiplier identities, resonance, kappa8 = 0
+                 the mixing-multiplier identities, resonance, kappa8 = 0,
+                 B4^2 = B1^2 and B5^2 = rho1^2 B2^2 (so kappa1,4,6 = 0)
     hamiltonian  H2/H3 equal in original and normal coordinates, the
                  I - II + III split of H3, the transform round trip
     gauge        unimodularity, the phase ODE, derivative reconstruction
@@ -91,6 +92,13 @@ def _random_four(grid: Grid, rng: np.random.Generator, scale: float) -> FourFiel
     return FourField.original(one(), one(), one(), one())
 
 
+def _square_gap(x: np.ndarray, y: np.ndarray) -> float:
+    """Largest |x^2 - y^2| / max(x^2, y^2) over the samples where either is nonzero."""
+    x2, y2 = x * x, y * y
+    top = np.maximum(x2, y2)
+    return float(np.max(np.abs(x2 - y2) / np.where(top > 0.0, top, 1.0)))
+
+
 def _checks_symbols(params: PhysicalParams, coeffs: ModelCoefficients,
                     k: np.ndarray, symbols: Symbols) -> list[CheckResult]:
     st = symbols(params, k)
@@ -118,6 +126,8 @@ def _checks_symbols(params: PhysicalParams, coeffs: ModelCoefficients,
         CheckResult("mixing-orthogonal", ortho, 1e-12),
         CheckResult("resonance", resonance_residual(params), 1e-12),
         CheckResult("kappa8-zero", abs(coeffs.kappa8), 1e-12),
+        CheckResult("symbol-b4-b1", _square_gap(st.B4, st.B1), 1e-12),
+        CheckResult("symbol-b5-b2", _square_gap(st.B5, params.rho1 * st.B2), 1e-12),
     ]
 
 

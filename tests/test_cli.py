@@ -266,11 +266,16 @@ def test_verify_all_checks_pass(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     rows = [l for l in out.splitlines() if l.rstrip().endswith("pass")]
-    assert len(rows) == 19
-    for name in ("dispersion-quartic", "h3-equivalence", "gauge-ode",
-                 "absd-factorization"):
+    assert len(rows) == 21
+    for name in ("dispersion-quartic", "symbol-b4-b1", "symbol-b5-b2",
+                 "h3-equivalence", "gauge-ode", "absd-factorization"):
         assert name in out
     assert "failing" not in out
+
+
+def test_symbol_identity_row_catches_its_symbol(capsys):
+    assert main(["verify", "--perturb", "B4", "--checks", "symbol-b4-b1"]) == 1
+    assert "failing checks: symbol-b4-b1" in capsys.readouterr().out
 
 
 def test_verify_subset_commands(capsys):
@@ -490,6 +495,16 @@ def test_interrupt_propagates_and_keeps_the_snapshots_sent(tmp_path, monkeypatch
     for name in ("snapshot_0000.tsv", "snapshot_0001.tsv"):
         assert (out_dir / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
     assert "status = interrupted" in (out_dir / "metadata.txt").read_text()
+
+
+def test_interrupt_outside_the_run_exits_130(monkeypatch, caplog):
+    def interrupt(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(RunConfig, "coefficients", interrupt)
+    with caplog.at_level(logging.ERROR, logger="bonls"):
+        assert main(["coeffs"]) == cli.EXIT_INTERRUPTED
+    assert caplog.records[-1].getMessage() == "interrupted"
 
 
 def test_simulate_memory_does_not_grow_with_the_snapshot_count(tmp_path):

@@ -69,10 +69,12 @@ def kappa_oracle(params):
     """(value, largest term of its sum) of kappa1..kappa7, in 50 digits.
 
     Independent of symbol_table: the k > 0 symbols at k0 are transcribed
-    from their closed forms into mpmath, with the cancellation-free form
-    a- = (2s/(s + theta))^(-1/2) (the naive 2 + theta^2/2 - theta s/2
-    loses every digit once theta ~ 1e36, as at the Andaman preset), and
-    the derivatives are mpmath's.  Only the small-k constants are shared.
+    from their closed forms into mpmath, with a- and b- in the forms that
+    keep their digits on either sign of theta: a- = (2s/(s + theta))^(-1/2)
+    for theta > 0 (the naive 2 + theta^2/2 - theta s/2 loses every digit
+    once theta ~ 1e36, as at the Andaman preset) and
+    a- = (2/(s (s - theta)))^(1/2), b- = -((s - theta)/(2s))^(1/2) below.
+    The derivatives are mpmath's.  Only the small-k constants are shared.
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
@@ -90,10 +92,13 @@ def kappa_oracle(params):
             qb = g * mpmath.sqrt(rho1 * drho) * k * k * mpmath.csch(h1 * k) / b0
             qc = g * k * (rho1 * g11 + rho * k) / b0
             theta = (qc - qa) / qb
-            assert theta > 0  # (2 rho1 - rho) >= 0 in every set tested
             s = mpmath.sqrt(4 + theta * theta)
-            a_m = (2 * s / (s + theta)) ** mpmath.mpf(-0.5)
-            b_m = -2 * a_m / (theta + s)
+            if theta > 0:
+                a_m = (2 * s / (s + theta)) ** mpmath.mpf(-0.5)
+                b_m = -2 * a_m / (theta + s)
+            else:
+                a_m = (2 / (s * (s - theta))) ** mpmath.mpf(0.5)
+                b_m = -((s - theta) / (2 * s)) ** mpmath.mpf(0.5)
             B1 = (b_m * qa - a_m * qb) / sq_d
             B2 = (a_m * qc - b_m * qb) / sq_1
             B4 = b_m * sq_d * k * k / b0 + rho / (rho1 * sq_d) * a_m * qb
@@ -292,19 +297,22 @@ def test_coefficient_rows_cover_every_field():
         assert tag
 
 
-@pytest.mark.parametrize("params", [ANDAMAN, OREGON, BENCH, SHARP],
-                         ids=["andaman", "oregon", "bench", "gamma-1e-4"])
+@pytest.mark.parametrize(
+    "params",
+    [ANDAMAN, OREGON, BENCH, SHARP, PhysicalParams(3.0, 7.0, 5.0, 3.0),
+     PhysicalParams(9.81, 10.0, 10.0, 1.0)],
+    ids=["andaman", "oregon", "bench", "gamma-1e-4", "3-7-5-3", "theta-negative"])
 def test_kappas_match_mpmath_oracle(params):
     """kappa1..kappa7, values and derivatives at k0, against 50 digits.
 
     Each error is measured against the largest term of its sum: kappa1,
-    kappa4 and kappa6 vanish to the oracle's 50 digits, so the float sums
-    are roundoff.
+    kappa4 and kappa6 vanish to the oracle's 50 digits, where the float
+    derivation sets them to 0.  The last set has theta(k0) = -1.83.
     """
     co = derive_coefficients(params, epsilon=0.1, delta=0.25)
     for name, (want, largest) in kappa_oracle(params).items():
         err = abs(getattr(co, name) - want) / largest
-        assert err <= 1e-9, f"{name}: {getattr(co, name)!r} vs {want!r} ({err:.1e})"
+        assert err <= 1e-13, f"{name}: {getattr(co, name)!r} vs {want!r} ({err:.1e})"
 
 
 # --------------------------------------------------------------------------

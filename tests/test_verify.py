@@ -9,7 +9,20 @@ import pytest
 
 from bonls.coeffs import PhysicalParams, derive_coefficients, symbol_table
 from bonls.spectral import Grid
-from bonls.verify import SYMBOL_NAMES, CheckResult, _worse, perturbed, run_suite
+from bonls.verify import (
+    SYMBOL_NAMES,
+    CheckResult,
+    _checks_symbols,
+    _worse,
+    perturbed,
+    run_suite,
+)
+
+try:
+    from hypothesis import given, settings, strategies as st
+    HAS_HYPOTHESIS = True
+except ImportError:
+    HAS_HYPOTHESIS = False
 
 PARAMS = PhysicalParams(g=9.81, h1=500.0, rho=1000.0, rho1=997.0)
 COEFFS = derive_coefficients(PARAMS, epsilon=0.1, delta=0.25)
@@ -39,3 +52,28 @@ def test_rows_carry_the_worse_residual_of_both_sets():
     assert not _worse([small], [nan])[0].ok
     assert not _worse([nan], [small])[0].ok
     assert _worse([small], [CheckResult("x", 3e-13, 1e-12)])[0].residual == 3e-13
+
+
+if HAS_HYPOTHESIS:
+
+    # the validated domain: any g and h1 over several decades, density
+    # ratios from strong contrast to within 1e-8 of 1
+    domain = st.builds(
+        lambda g, h1, rho, ratio: PhysicalParams(g=g, h1=h1, rho=rho, rho1=ratio * rho),
+        g=st.floats(min_value=0.1, max_value=100.0),
+        h1=st.floats(min_value=0.01, max_value=1e4),
+        rho=st.floats(min_value=1.0, max_value=1000.0),
+        ratio=st.one_of(
+            st.floats(min_value=0.01, max_value=0.999),
+            st.floats(min_value=-8.0, max_value=-2.0).map(lambda e: 1.0 - 10.0 ** e)),
+    )
+
+    @given(domain)
+    @settings(max_examples=60, deadline=None)
+    def test_symbol_square_identities_hold_on_the_domain(params):
+        # B4^2 = B1^2 and B5^2 = rho1^2 B2^2 make kappa1, kappa4, kappa6 zero
+        k = np.geomspace(1e-3, 1e3, 50) / params.h1
+        coeffs = derive_coefficients(params, epsilon=0.1, delta=0.25)
+        rows = {r.name: r for r in _checks_symbols(params, coeffs, k, symbol_table)}
+        for name in ("symbol-b4-b1", "symbol-b5-b2"):
+            assert rows[name].residual <= 1e-12, (name, rows[name].residual)
