@@ -57,8 +57,8 @@ from .solver import (
     StepperConfig,
     SystemState,
     bo_soliton,
-    _integrate as run,
     gaussian_envelope,
+    run,
     step_count,
 )
 from .spectral import ComplexField, Grid, RealField, band_limited_noise, gaussian_bump
@@ -202,7 +202,6 @@ class RunConfig:
     ic_r_nu: float = _key("ic.r.nu", _to_float, "1.0")
     ic_r_keep: float = _key("ic.r.keep", _to_float, "0.16666666666666666",
                             (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"))
-    ic_r_mean_zero: bool = _key("ic.r.mean_zero", _to_bool, "on")
     ic_q_kind: str = _key("ic.q.kind", str.strip, "gaussian", _one_of("gaussian", "zero"))
     ic_q_amplitude: float = _key("ic.q.amplitude", _to_float, "0.05")
     ic_q_width: float = _key("ic.q.width", _to_float, "3.0")
@@ -310,15 +309,13 @@ def build_initial_state(cfg: RunConfig) -> SystemState:
     elif kind == "noise":
         rng = np.random.default_rng(cfg.seed)
         r_vals = band_limited_noise(grid, rng, amplitude=cfg.ic_r_amplitude,
-                                    keep=cfg.ic_r_keep,
-                                    mean_zero=cfg.ic_r_mean_zero).values
+                                    keep=cfg.ic_r_keep).values
     else:
         if kind == "gaussian":
             r_vals = gaussian_bump(grid, cfg.ic_r_width, cfg.ic_r_center).values
         else:
             r_vals = bo_soliton(grid, cfg.ic_r_nu, cfg.ic_r_center).values
-        if cfg.ic_r_mean_zero:
-            r_vals = r_vals - r_vals.mean()
+        r_vals = r_vals - r_vals.mean()
         peak = float(np.max(np.abs(r_vals)))
         if peak > 0.0:
             r_vals = r_vals * (cfg.ic_r_amplitude / peak)
@@ -473,7 +470,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                        system=cfg.system, time_scale=cfg.time_scale,
                        gauge_diagnostics=cfg.gauge_diagnostics,
                        on_snapshot=lambda st: _write_snapshot(
-                           out / f"snapshot_{next(sent):04d}.tsv", st, writer.send))
+                           out / f"snapshot_{next(sent):04d}.tsv", st, writer.send)
+                       ).diagnostics
         except BlowUp as exc:
             log.error("blow-up: %s", exc)
             _write_snapshot(out / "snapshot_last_good.tsv", exc.state, writer.send)

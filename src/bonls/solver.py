@@ -27,12 +27,16 @@ products with q into one, so an evaluation moves 4 (reduced) or 6.5
 The guard bounds sup|r| <= (2/n) sum|r_hat| with no transform and takes
 r's samples for the exact check only when that bound reaches the guard
 (less 1e-12 of it), so a step with no diagnostics row or snapshot makes
-8 transform calls (reduced) or 12 (full).  The states `run` records
-carry the stepper's spectra: r's is its half-spectrum mirrored, and q's
-is a view of y.  `conserved` sums the quadratic terms over them
-(Parseval) and uses samples only for the cubic ones, and the gauge
-residual reads only the gauge factor psi+, so a diagnostics row costs 6
-transforms, the inverse transforms for the r and q samples included.
+8 transform calls (reduced) or 12 (full).  One constructor
+(`_state_of`) builds every state `run` and `step` hand out, their
+snapshots, rows and BlowUp states included, and each carries the
+stepper's vector y: r's cached spectrum is y's half-spectrum mirrored,
+and q's is a view of y, except on `run`'s first state, which keeps the
+caller's r samples and q.  `conserved` sums the quadratic terms over
+these spectra (Parseval) and uses samples only for the cubic ones, and
+the gauge residual reads only the gauge factor psi+, so a diagnostics
+row costs 6 transforms, the inverse transforms for the r and q samples
+included.
 
 Conserved quantities tracked along a run:
 
@@ -160,8 +164,8 @@ class StepperConfig:
     cfl_guard: float = 10.0
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if not self.cfl_guard > 0.0:
@@ -498,31 +502,34 @@ def _build_stepper(grid: Grid, dt: float, scheme: str, coeffs: ModelCoefficients
 
 def _spectra(s: SystemState) -> np.ndarray:
     # the stepper's vector [r_hat | q_spec] of s: the one s keeps, else joined
-    return s._y if s._y is not None else np.concatenate((s.r._rfft(), s.q.spectrum))
+    return s._y if s._y is not None else np.concatenate((np.fft.rfft(s.r.values),
+                                                         s.q.spectrum))
 
 
-def _state_of(grid: Grid, y: np.ndarray, t: float, r: np.ndarray | None) -> SystemState:
+def _state_of(grid: Grid, y: np.ndarray, t: float, r: np.ndarray | None = None,
+              q: ComplexField | None = None) -> SystemState:
     """The state at time t from the stepper's vector y = [r_hat | q_spec].
 
-    r's samples are r, when the guard took them, else one inverse
-    transform, and q's one inverse transform.  q's spectrum is a view of y,
-    which the state keeps read-only, so a step from it joins no spectra.
+    Every state `step` and `run` hand out, a BlowUp's included, is built
+    here.  r's samples are r when given (the caller's, or the guard's),
+    else one inverse transform; r's cached spectrum is y's half-spectrum
+    mirrored by Hermitian symmetry, with no transform, so its first
+    n//2 + 1 modes are y's bit for bit.  q is kept when given, else built
+    by one inverse transform with a view of y as its spectrum.  y is kept
+    read-only, so a step from the state joins no spectra.
     """
     h = grid.n // 2 + 1
+    y.flags.writeable = False
     if r is None:
         r = np.fft.irfft(y[:h], grid.n)
-    y.flags.writeable = False
-    q = ComplexField(grid, np.fft.ifft(y[h:]))
-    q._spec = y[h:]
-    st = SystemState(RealField._from_rfft(grid, r, y[:h]), q, t)
+    if q is None:
+        q = ComplexField(grid, np.fft.ifft(y[h:]))
+        q._spec = y[h:]
+    rf = RealField(grid, r)
+    rf._spec = np.concatenate((y[:h], np.conj(y[h - 2:0:-1])))
+    st = SystemState(rf, q, t)
     object.__setattr__(st, "_y", y)
     return st
-
-
-def _require_finite(s: SystemState) -> None:
-    # a non-finite input is bad data, not a blow-up: there is no last good state
-    if not (np.all(np.isfinite(s.r.values)) and np.all(np.isfinite(s.q.values))):
-        raise ValueError("r and q must be finite")
 
 
 def _steps(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
@@ -537,7 +544,9 @@ def _steps(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     stops being finite or exceeds the guard, carrying the last finite
     state: s itself on the first step, else the state of the step before.
     """
-    _require_finite(s)
+    # a non-finite input is bad data, not a blow-up: there is no last good state
+    if not (np.all(np.isfinite(s.r.values)) and np.all(np.isfinite(s.q.values))):
+        raise ValueError("r and q must be finite")
     stepper = _build_stepper(s.grid, cfg.dt, cfg.scheme, coeffs, system, time_scale)
     return _stepping(stepper, cfg, s)
 
@@ -564,9 +573,13 @@ def _stepping(stepper, cfg: StepperConfig, s: SystemState):
 def step_count(span: float, dt: float) -> int:
     """Number of steps of size dt that cover span exactly.
 
-    Raises ValueError when span is not a positive integer multiple of dt.
+    Raises ValueError when span is not a positive integer multiple of dt,
+    a count too large for a float (1e300 / 1e-300) included.
     """
-    n_steps = int(round(span / dt))
+    ratio = span / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"(t_end - t0) / dt = {ratio:g} is not a finite step count")
+    n_steps = int(round(ratio))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError("t_end - t0 must be an integer multiple of dt")
     return n_steps
@@ -637,27 +650,20 @@ def _gauge_residual(r: RealField, coeffs: ModelCoefficients) -> float:
 def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
         t_end: float, diagnostics_every: int = 100,
         snapshot_every: int | None = None, system: str = "reduced",
-        time_scale: str = "tau", gauge_diagnostics: bool = True) -> Trajectory:
+        time_scale: str = "tau", gauge_diagnostics: bool = True, *,
+        on_snapshot: Callable[[SystemState], None] | None = None) -> Trajectory:
     """Integrate to t_end, collecting diagnostics and snapshots.
 
     Diagnostics rows (conserved triple, mean and sup of r, gauge ODE
     residual) are recorded every diagnostics_every steps and at both ends.
-    Snapshots are kept at the same ends plus every snapshot_every steps
-    when given.  BlowUp propagates with the failing time and the last
-    finite state attached; a non-finite initial state raises ValueError.
+    Snapshots are taken at the same ends plus every snapshot_every steps
+    when given.  With on_snapshot each snapshot, the first included, is
+    handed to it before the next step and not kept, so the Trajectory
+    holds only the rows; without it the Trajectory keeps every snapshot.
+    The first snapshot keeps the caller's r samples and q.  BlowUp
+    propagates with the failing time and the last finite state attached;
+    a non-finite initial state raises ValueError.
     """
-    snapshots = []
-    rows = _integrate(initial, cfg, coeffs, t_end, diagnostics_every, snapshot_every,
-                      system, time_scale, gauge_diagnostics, on_snapshot=snapshots.append)
-    return Trajectory(tuple(snapshots), rows)
-
-
-def _integrate(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
-               t_end: float, diagnostics_every: int = 100,
-               snapshot_every: int | None = None, system: str = "reduced",
-               time_scale: str = "tau", gauge_diagnostics: bool = True, *,
-               on_snapshot: Callable[[SystemState], None]) -> tuple[DiagnosticsRow, ...]:
-    """`run`'s loop: it hands each snapshot to on_snapshot, keeps none, returns the rows."""
     if not t_end > initial.t:
         raise ValueError("t_end must lie beyond the initial time")
     if diagnostics_every < 1:
@@ -666,6 +672,9 @@ def _integrate(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficien
         raise ValueError("snapshot_every must be a positive step count")
     n_steps = step_count(t_end - initial.t, cfg.dt)
     grid = initial.grid
+    snapshots = []
+    if on_snapshot is None:
+        on_snapshot = snapshots.append
 
     def diag_row(st: SystemState) -> DiagnosticsRow:
         tri = conserved(st, coeffs)
@@ -675,10 +684,9 @@ def _integrate(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficien
                               float(np.max(np.abs(st.r.values))),
                               residual)
 
-    # the first state keeps the caller's q and r's half-spectrum, which the
-    # first step starts from; it is checked before it is handed over
-    st = SystemState(RealField._from_rfft(grid, initial.r.values, initial.r._rfft()),
-                     initial.q, initial.t)
+    # the first step starts from the first snapshot, which is checked
+    # before it is handed over
+    st = _state_of(grid, _spectra(initial), initial.t, initial.r.values, initial.q)
     steps = _steps(st, cfg, coeffs, system, time_scale)
     on_snapshot(st)
     rows = [diag_row(st)]
@@ -692,7 +700,7 @@ def _integrate(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficien
                 rows.append(diag_row(st))
             if want_snap:
                 on_snapshot(st)
-    return tuple(rows)
+    return Trajectory(tuple(snapshots), tuple(rows))
 
 
 def bo_soliton(grid: Grid, nu: float, center: float = 0.0) -> RealField:

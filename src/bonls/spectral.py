@@ -151,27 +151,7 @@ class RealField(Field):
 
     _dtype = float
 
-    # the `rfft` half-spectrum given to `_from_rfft`: a view of _spec
-    __slots__ = ("_half",)
-
-    @classmethod
-    def _from_rfft(cls, grid: Grid, values: np.ndarray, r_hat: np.ndarray) -> "RealField":
-        """Real samples with their `rfft` half-spectrum r_hat, given by the caller.
-
-        The cached full spectrum is r_hat mirrored by Hermitian symmetry,
-        with no transform; it equals the FFT of the samples to roundoff.
-        Its first n//2 + 1 modes are r_hat bit for bit, and `_rfft`
-        returns them.
-        """
-        out = cls(grid, values)
-        out._spec = np.concatenate((r_hat, np.conj(r_hat[grid.n // 2 - 1:0:-1])))
-        out._half = out._spec[:grid.n // 2 + 1]
-        return out
-
-    def _rfft(self) -> np.ndarray:
-        """The `rfft` half-spectrum: the one `_from_rfft` was given, else a fresh `rfft`."""
-        half = getattr(self, "_half", None)
-        return np.fft.rfft(self.values) if half is None else half
+    __slots__ = ()
 
     @staticmethod
     def _samples_of(spec: np.ndarray) -> np.ndarray:

@@ -713,3 +713,16 @@ def test_config_errors_exit_2(tmp_path):
     unstable = write_config(tmp_path, "physical.rho1 = 3000\n", name="dense.conf")
     assert main(["--config", unstable, "coeffs"]) == 2
     assert main(["--config", "/nonexistent.conf", "coeffs"]) == 2
+
+
+@pytest.mark.parametrize("extra, message", [
+    # initial profiles are always mean-free, so the key is gone
+    ("ic.r.mean_zero = on\n", "unknown config key 'ic.r.mean_zero'"),
+    ("run.t_end = 1e300\nstepper.dt = 1e-300\n", "not a finite step count"),
+])
+def test_simulate_config_errors_exit_2_before_writing(tmp_path, caplog, extra, message):
+    out_dir = tmp_path / "never"
+    path = write_config(tmp_path, QUICK_RUN + extra)
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == cli.EXIT_CONFIG
+    assert message in caplog.records[-1].getMessage()
+    assert not out_dir.exists()

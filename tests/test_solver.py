@@ -339,9 +339,8 @@ def test_guarded_step_transform_volume(monkeypatch, scheme, system, budget):
     s = bump_state(grid)
     cfg = StepperConfig(dt=1e-3, scheme=scheme)
     solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, system, "tau")
-    # both spectra cached, so the step makes no start-up transform
-    s = SystemState(RealField._from_rfft(grid, s.r.values, np.fft.rfft(s.r.values)), s.q)
-    s.q.spectrum
+    # the stepper's vector joined up front, so the step makes no start-up transform
+    s = solver._state_of(grid, solver._spectra(s), s.t, s.r.values, s.q)
     passed = {"samples": 0}
     for name in ("fft", "ifft", "rfft", "irfft"):
         original = getattr(np.fft, name)
@@ -358,8 +357,11 @@ def test_guarded_step_transform_volume(monkeypatch, scheme, system, budget):
 # ---------------------------------------------------------------- stepping
 
 def test_stepper_config_validation():
-    with pytest.raises(ValueError, match="dt"):
-        StepperConfig(dt=0.0)
+    for dt in (0.0, np.inf):
+        with pytest.raises(ValueError, match="dt"):
+            StepperConfig(dt=dt)
+    # no guard at all is a valid choice
+    assert StepperConfig(dt=1e-3, cfl_guard=np.inf).cfl_guard == np.inf
     with pytest.raises(ValueError, match="scheme"):
         StepperConfig(dt=1e-3, scheme="leapfrog")
     with pytest.raises(ValueError, match="cfl_guard"):
@@ -605,7 +607,7 @@ def test_run_cadence_and_snapshots():
 
 
 def test_run_hands_each_snapshot_over_before_the_next_step(monkeypatch):
-    # _integrate is the loop under run and the CLI's snapshot stream alike
+    # run's one loop fills the Trajectory and the CLI's snapshot stream alike
     grid = Grid(64, 20.0)
     steps = []
     real_advance = solver._StrangStepper.advance
@@ -615,21 +617,23 @@ def test_run_hands_each_snapshot_over_before_the_next_step(monkeypatch):
         return real_advance(self, *args)
 
     monkeypatch.setattr(solver._StrangStepper, "advance", counted)
+    args = (bump_state(grid, r_sup=0.05), StepperConfig(dt=1e-2), BENCH)
+    kwargs = dict(t_end=1.0, diagnostics_every=10, snapshot_every=30,
+                  gauge_diagnostics=False)
     seen = []
-    real_integrate = solver._integrate
-
-    def hooked(*args, on_snapshot, **kwargs):
-        def sink(st):
-            seen.append((st, len(steps)))
-            on_snapshot(st)
-        return real_integrate(*args, on_snapshot=sink, **kwargs)
-
-    monkeypatch.setattr(solver, "_integrate", hooked)
-    traj = run(bump_state(grid, r_sup=0.05), StepperConfig(dt=1e-2), BENCH, t_end=1.0,
-               diagnostics_every=10, snapshot_every=30, gauge_diagnostics=False)
-    # the very objects of the trajectory, in order
-    assert [id(st) for st, _ in seen] == [id(st) for st in traj.snapshots]
+    streamed = run(*args, **kwargs, on_snapshot=lambda st: seen.append((st, len(steps))))
     assert [taken for _, taken in seen] == [0, 30, 60, 90, 100]
+    # a run with a sink keeps no snapshot, only the rows
+    assert streamed.snapshots == ()
+    traj = run(*args, **kwargs)
+    rows = [np.array([dataclasses.astuple(row) for row in t.diagnostics])
+            for t in (streamed, traj)]
+    assert np.array_equal(*rows, equal_nan=True)
+    # the states handed over are those of the trajectory, in order
+    for (got, _), want in zip(seen, traj.snapshots, strict=True):
+        assert got.t == want.t
+        assert np.array_equal(got.r.values, want.r.values)
+        assert np.array_equal(got.q.values, want.q.values)
 
     class Refused(Exception):
         pass
@@ -638,11 +642,11 @@ def test_run_hands_each_snapshot_over_before_the_next_step(monkeypatch):
         if st.t > 0.0:
             raise Refused
 
+    steps.clear()
     with pytest.raises(Refused):
-        real_integrate(bump_state(grid, r_sup=0.05), StepperConfig(dt=1e-2), BENCH,
-                       t_end=1.0, snapshot_every=30, gauge_diagnostics=False,
-                       on_snapshot=refuse)
-    assert len(steps) == 100 + 30
+        run(*args, t_end=1.0, snapshot_every=30, gauge_diagnostics=False,
+            on_snapshot=refuse)
+    assert len(steps) == 30
 
 
 def test_run_validates_cadence_arguments():
@@ -650,6 +654,9 @@ def test_run_validates_cadence_arguments():
     s = zero_state(grid)
     with pytest.raises(ValueError, match="multiple"):
         run(s, StepperConfig(dt=0.3), BENCH, t_end=1.0)
+    # a step count that overflows a float is bad input too
+    with pytest.raises(ValueError, match="finite step count"):
+        run(s, StepperConfig(dt=1e-300), BENCH, t_end=1e300)
     with pytest.raises(ValueError, match="t_end"):
         run(s, StepperConfig(dt=0.1), BENCH, t_end=0.0)
     with pytest.raises(ValueError, match="diagnostics_every"):
@@ -670,6 +677,34 @@ def test_run_blow_up_reports_last_finite_state():
     assert err.state is not None
     assert err.state.t == 0.0
     assert np.max(np.abs(err.state.r.values - s0.r.values)) <= 1e-14
+
+
+def test_every_state_handed_out_mirrors_the_stepper_half_spectrum():
+    # one constructor builds run's first and later snapshots, step's result
+    # and the BlowUp states: r's cached spectrum is the stepper's rfft
+    # half-spectrum mirrored, with no transform
+    grid = Grid(64, 20.0)
+    h = grid.n // 2 + 1
+    s0 = bump_state(grid, r_sup=3.0)
+    cfg = StepperConfig(dt=0.3)
+    free = run(s0, cfg, BENCH, t_end=6.0, snapshot_every=1, gauge_diagnostics=False)
+    first = free.snapshots[0]
+    # so snapshot_0000.tsv holds the caller's samples to the last bit
+    assert first.r.values is s0.r.values
+    assert first.q is s0.q
+    sups = [float(np.max(np.abs(st.r.values))) for st in free.snapshots]
+    blown = []
+    # the first step trips (its state is run's first snapshot), then a later one
+    for guard in (0.5 * sups[0], 0.5 * (max(sups[:5]) + max(sups))):
+        with pytest.raises(BlowUp) as info:
+            run(s0, dataclasses.replace(cfg, cfl_guard=guard), BENCH, t_end=6.0,
+                gauge_diagnostics=False)
+        blown.append(info.value.state)
+    assert blown[0].t == 0.0 < blown[1].t
+    for st in (*free.snapshots, step(s0, cfg, BENCH), *blown):
+        assert np.array_equal(st.r.spectrum[:h], st._y[:h])
+        want = np.fft.fft(st.r.values)
+        assert np.max(np.abs(st.r.spectrum - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("system, time_scale",
@@ -741,7 +776,7 @@ def test_bound_over_the_guard_with_the_sup_under_it_does_not_trip():
     free = run(s0, cfg, BENCH, t_end=0.5, snapshot_every=1, gauge_diagnostics=False)
     later = free.snapshots[1:]
     sup = max(float(np.max(np.abs(st.r.values))) for st in later)
-    bound = min(guard_bound(st.r._rfft(), grid.n) for st in later)
+    bound = min(guard_bound(st._y[:grid.n // 2 + 1], grid.n) for st in later)
     assert sup < bound
     guarded = run(s0, dataclasses.replace(cfg, cfl_guard=0.5 * (sup + bound)), BENCH,
                   t_end=0.5, snapshot_every=1, gauge_diagnostics=False)
@@ -1030,7 +1065,7 @@ def test_returned_spectra_share_no_memory_with_work_arrays(scheme, system):
     stepped = step(s, StepperConfig(dt=1e-3, scheme=scheme), BENCH, system=system)
     work = list(stepper.rhs._local.work.values())
     assert work
-    for out in (first, advanced, second, stepped.r.spectrum, stepped.r._rfft(),
+    for out in (first, advanced, second, stepped.r.spectrum, stepped._y,
                 stepped.q.spectrum):
         assert not any(np.shares_memory(out, a) for a in work)
     # a second evaluation leaves the first one's outputs as they were

@@ -106,13 +106,15 @@ def test_field_round_trip():
 
 @pytest.mark.parametrize("n", [8, 128, 4096])
 def test_private_constructors_cache_the_fft_of_their_samples(n):
-    # spectra cached without a transform: the mirrored rfft half-spectrum,
-    # and the mean-free copy with its mean mode zeroed
+    # the mean-free copy caches its input's spectrum with the mean mode
+    # zeroed, with no transform (the stepper's states, which cache the
+    # mirrored rfft half-spectrum, are tested in test_solver.py)
     grid = Grid(n, 20.0)
     v = noise(grid).values + 0.3
-    f = RealField._from_rfft(grid, v, np.fft.rfft(v))
-    assert np.max(np.abs(f.spectrum - np.fft.fft(v))) <= 1e-13 * np.max(np.abs(np.fft.fft(v)))
+    f = RealField(grid, v)
     g = _mean_free(f)
+    want = np.fft.fft(g.values)
+    assert np.max(np.abs(g.spectrum - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.array_equal(g.values, v - np.mean(v))
     assert g.spectrum[0] == 0.0
     assert np.array_equal(g.spectrum[1:], f.spectrum[1:])
