@@ -6,7 +6,9 @@ a child process that runs this file as a script,
     python -I -S _tsv.py STATUS_FD
 
 and writes them in the order they arrive, so the text formatting of one
-table overlaps whatever the caller computes next.  The child reads frames
+table overlaps whatever the caller computes next.  The child is started
+with `os.posix_spawn` and reaped with `os.waitpid`: the `subprocess`
+import alone would cost the caller several ms.  The child reads frames
 from its stdin:
 
     header  struct "<IIIQ": path bytes, header bytes, columns, value bytes
@@ -70,7 +72,8 @@ class Writer:
     """
 
     def __init__(self):
-        self._proc = None
+        self._pid = None
+        self._stdin = None  # the pipe to the child's stdin
         self._status = -1
         self._last = None  # the path of the latest table sent
 
@@ -82,30 +85,30 @@ class Writer:
 
     def send(self, path, header: str, columns: int, data) -> None:
         """Queue one table (see `write_table`) to be written at path."""
-        if self._proc is None:
+        if self._pid is None:
             self._start()
         raw_path, raw_header = os.fsencode(path), header.encode()
         self._last = path
         try:
-            self._proc.stdin.write(_FRAME.pack(len(raw_path), len(raw_header), columns,
-                                               len(data)) + raw_path + raw_header)
-            self._proc.stdin.write(data)
-            self._proc.stdin.flush()
+            self._stdin.write(_FRAME.pack(len(raw_path), len(raw_header), columns,
+                                          len(data)) + raw_path + raw_header)
+            self._stdin.write(data)
+            self._stdin.flush()
         except BrokenPipeError:
             self.close()
             raise OSError(f"{path}: not written, the table writer had exited") from None
 
     def close(self, check: bool = True) -> None:
         """Wait for the child to write what it was sent and exit."""
-        proc = self._proc
-        if proc is None:
+        pid = self._pid
+        if pid is None:
             return
-        self._proc = None
+        self._pid = None
         try:
-            proc.stdin.close()
+            self._stdin.close()
         except BrokenPipeError:
             pass  # the exit status says why
-        code = proc.wait()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         failed = os.read(self._status, 1 << 16)
         os.close(self._status)
         if check and code != 0:
@@ -114,27 +117,30 @@ class Writer:
                           f"status {code}")
 
     def _start(self) -> None:
-        # imported here: subprocess costs an importer several ms of start-up,
-        # and the child, which runs this file, needs neither module
-        import subprocess
-
+        # posix_spawn, not subprocess: importing subprocess costs several
+        # ms.  os.pipe's ends are close-on-exec, so the child inherits only
+        # its stdin, dup2'd from one pipe, and the status end made inheritable.
         status, child_end = os.pipe()
+        stdin_r, stdin_w = os.pipe()
         try:
-            self._proc = subprocess.Popen(
-                [sys.executable, "-I", "-S", __file__, str(child_end)],
-                stdin=subprocess.PIPE, pass_fds=(child_end,),
-                start_new_session=True)
+            os.set_inheritable(child_end, True)
+            self._pid = os.posix_spawn(
+                sys.executable, [sys.executable, "-I", "-S", __file__, str(child_end)],
+                os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, stdin_r, 0)], setsid=True)
         except BaseException:
             os.close(status)
+            os.close(stdin_w)
             raise
         finally:
             os.close(child_end)
+            os.close(stdin_r)
         self._status = status
+        self._stdin = open(stdin_w, "wb")
         # room for a few tables, so that the first sends need not wait for
         # the child's start-up; where the size cannot be set, the default holds
         try:
             import fcntl
-            fcntl.fcntl(self._proc.stdin, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            fcntl.fcntl(stdin_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         except (ImportError, AttributeError, OSError):
             pass
 

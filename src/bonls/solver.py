@@ -32,11 +32,13 @@ r's samples for the exact check only when that bound reaches the guard
 snapshots, rows and BlowUp states included, and each carries the
 stepper's vector y: r's cached spectrum is y's half-spectrum mirrored,
 and q's is a view of y, except on `run`'s first state, which keeps the
-caller's r samples and q.  `conserved` sums the quadratic terms over
-these spectra (Parseval) and uses samples only for the cubic ones, and
-the gauge residual reads only the gauge factor psi+, so a diagnostics
-row costs 6 transforms, the inverse transforms for the r and q samples
-included.
+caller's r samples and q.  A step reads y alone, so the arrays these
+states hold, other than the caller's, are read-only, and only a state the
+caller built is scanned for non-finite values.  `conserved` sums the
+quadratic terms over these spectra (Parseval) and uses samples only for
+the cubic ones, and the gauge residual reads only the gauge factor psi+,
+so a diagnostics row costs 6 transforms, the inverse transforms for the
+r and q samples included.
 
 Conserved quantities tracked along a run:
 
@@ -221,14 +223,20 @@ class _Rhs:
     dr = A G0 + B conj(G0(-k)), where A = (w0 - i w1)/2 and
     B = (w0 + i w1)/2 hold the weights of r^2 and of the flux; both
     vanish at k = 0 and at the Nyquist mode, so dr has exact zero mean.
-    The full system adds one `rfft` of |q|^2 for the kt4 term: an
-    evaluation makes 2 (reduced) or 3 (full) transform calls.  The
-    packing couples the roundoff of a row's two fields: against one row
-    per product the worst mode moves by up to 1e-14 of max|N| at n = 512
-    and 8e-13 at n = 8192 (3e-15 and 6e-14 unpacked).  Each weight holds
-    the multipliers of the terms a row feeds, times the two-thirds cut,
-    times `scale`, which converts between the two slow-time normalizations
-    of the full system.
+    G0(-k) = G0(n - k) for k >= 1 is a reversed view of G0, so the B term
+    gathers nothing.  The full system adds one `rfft` of |q|^2 for the kt4
+    term: an evaluation makes 2 (reduced) or 3 (full) transform calls.
+    `in_r` and `in_q` carry the inverse transform's 1/n, which is exact
+    (n is a power of two), so the `ifft` runs unscaled (norm "forward")
+    and skips numpy's per-call scale.  On the reduced system one multiply
+    of both factor rows by r (as r + 0i, exactly) gives r^2 + i r d|D|r
+    and r q, and the flux then takes the imaginary part of the first row.
+    The packing couples the roundoff of a row's two fields: against one
+    row per product the worst mode moves by up to 1e-14 of max|N| at
+    n = 512 and 8e-13 at n = 8192 (3e-15 and 6e-14 unpacked).  Each weight
+    holds the multipliers of the terms a row feeds, times the two-thirds
+    cut, times `scale`, which converts between the two slow-time
+    normalizations of the full system.
 
     Two identities hold under the cut, because a product of two cut
     factors is alias-free inside the band.  cut(r r_x) = (ik/2) cut(r^2)
@@ -266,9 +274,9 @@ class _Rhs:
             self.w_q = w.astype(complex)
         else:
             self.w_q = w * (1j * co.beta)
-        self.in_r, self.in_q, self.w_r = map(np.stack, (in_r, in_q, w_r))
-        # (n - k) mod n for the half-spectrum modes k
-        self.flip = np.concatenate(([0], np.arange(n - 1, n - h, -1)))
+        # the inverse transform's 1/n, a power of two, so scaling is exact
+        self.in_r, self.in_q = (np.stack(ops) * (1.0 / n) for ops in (in_r, in_q))
+        self.w_r = np.stack(w_r)
         self._local = threading.local()
 
     def _work(self, batch: tuple) -> dict:
@@ -293,11 +301,11 @@ class _Rhs:
                 "spec_lo": spec[..., :h], "spec_hi": spec[..., h:],
                 "spec_row": spec[..., None, :], "fac": fac, "fac_r": fac[..., :m, :],
                 "fac_q": fac[..., m:, :], "r": fac[..., 0, :].real,
-                "dadr": fac[..., 0, :].imag, "q": fac[..., m, :], "prod": prod,
-                "rr": prod[..., 0, :].real, "flux": prod[..., 0, :].imag,
-                "prod_q": prod[..., 1, :], "g0": prod[..., 0, :],
-                "g0_half": prod[..., 0, :h], "g1": prod[..., 1, :],
-                "qsq_hat": np.empty(batch + (h,), complex),
+                "r_row": fac[..., :1, :].real, "dadr": fac[..., 0, :].imag,
+                "q": fac[..., m, :], "prod": prod, "rr": prod[..., 0, :].real,
+                "flux": prod[..., 0, :].imag, "prod_q": prod[..., 1, :],
+                "g0_half": prod[..., 0, :h], "g0_flip": prod[..., 0, n - 1:n - h:-1],
+                "g1": prod[..., 1, :], "qsq_hat": np.empty(batch + (h,), complex),
             }
             local.batch = batch
         return local.work
@@ -313,23 +321,28 @@ class _Rhs:
         np.conj(y[..., h - 2:0:-1], out=w["spec_hi"])
         np.multiply(self.in_r, w["spec_row"], out=w["fac_r"])
         np.multiply(self.in_q, y[..., None, h:], out=w["fac_q"])
-        np.fft.ifft(w["fac"], out=w["fac"])
-        r, dadr, q = w["r"], w["dadr"], w["q"]  # d |D| r, and |D| r is H r_x
-        np.multiply(r, r, out=w["rr"])
+        np.fft.ifft(w["fac"], norm="forward", out=w["fac"])
+        q = w["q"]
         qsq = (q * np.conj(q)).real
-        flux = np.subtract(self.beta * qsq, r * dadr, out=w["flux"])
         if self.full:
+            r, dadr = w["r"], w["dadr"]  # d |D| r, and |D| r is H r_x
+            np.multiply(r, r, out=w["rr"])
+            flux = np.subtract(self.beta * qsq, r * dadr, out=w["flux"])
             s, dq = w["fac"][..., 1, :], w["fac"][..., -1, :]
             # with D = -i d/dx the bracket q conj(Dq) + conj(q) Dq is the
             # real density 2 Im(conj(q) q_x)
             flux -= (2.0 * self.e3) * np.imag(np.conj(q) * dq)
             np.subtract(q * s, (2.0 * self.e3) * r * dq, out=w["prod_q"])
         else:
-            np.multiply(r, q, out=w["prod_q"])
+            # the rows [r + i d|D|r, q] times r (as r + 0i, exactly) give
+            # r^2 + i r d|D|r and r q; the flux then takes the imaginary part
+            np.multiply(w["fac"], w["r_row"], out=w["prod"])
+            np.subtract(self.beta * qsq, w["flux"], out=w["flux"])
         np.fft.fft(w["prod"], out=w["prod"])
         out = np.empty_like(y)
         nr = np.multiply(self.w_r[0], w["g0_half"], out=out[..., :h])
-        nr += self.w_r[1] * np.conj(w["g0"].take(self.flip, axis=-1))
+        # B is exactly 0 at k = 0; for k >= 1, G0(-k) = G0(n - k) runs backwards
+        nr[..., 1:] += self.w_r[1, 1:] * np.conj(w["g0_flip"])
         if self.full:
             nr += self.w_r[2] * np.fft.rfft(qsq, out=w["qsq_hat"])
         np.multiply(self.w_q, w["g1"], out=out[..., h:])
@@ -356,7 +369,7 @@ def rhs_reduced(s: SystemState, coeffs: ModelCoefficients) -> tuple[RealField, C
     Products are evaluated pseudospectrally under the two-thirds rule, which
     makes every quadratic product alias-free.  Every r term carries an outer
     derivative, so the mean of dr/dt vanishes identically (the k = 0
-    coefficient is exactly zero).
+    coefficient is exactly zero).  A non-finite r or q raises ValueError.
     """
     return _rhs_fields(s, _make_rhs(s.grid, coeffs, "reduced", "tau"))
 
@@ -370,7 +383,8 @@ def rhs_full(s: SystemState, coeffs: ModelCoefficients,
     variables; it coincides with `rhs_reduced` when kt3 = kt4 = 0.  With
     time_scale "tau1" the derivative is taken with respect to the
     alternative slow time (one power of epsilon slower), which rescales
-    the whole right-hand side by 1/epsilon.
+    the whole right-hand side by 1/epsilon.  A non-finite r or q raises
+    ValueError.
     """
     return _rhs_fields(s, _make_rhs(s.grid, coeffs, "full", time_scale))
 
@@ -501,9 +515,18 @@ def _build_stepper(grid: Grid, dt: float, scheme: str, coeffs: ModelCoefficients
 
 
 def _spectra(s: SystemState) -> np.ndarray:
-    # the stepper's vector [r_hat | q_spec] of s: the one s keeps, else joined
-    return s._y if s._y is not None else np.concatenate((np.fft.rfft(s.r.values),
-                                                         s.q.spectrum))
+    """The stepper's vector [r_hat | q_spec] of s: the one s keeps, else joined.
+
+    A state keeps one only when `_state_of` built it, from a vector that
+    passed the guard or, for `run`'s first snapshot, from one joined here.
+    Any other state is the caller's, and a non-finite r or q in it raises
+    ValueError: bad data, not a blow-up, with no last good state.
+    """
+    if s._y is not None:
+        return s._y
+    if not (np.all(np.isfinite(s.r.values)) and np.all(np.isfinite(s.q.values))):
+        raise ValueError("r and q must be finite")
+    return np.concatenate((np.fft.rfft(s.r.values), s.q.spectrum))
 
 
 def _state_of(grid: Grid, y: np.ndarray, t: float, r: np.ndarray | None = None,
@@ -515,18 +538,22 @@ def _state_of(grid: Grid, y: np.ndarray, t: float, r: np.ndarray | None = None,
     else one inverse transform; r's cached spectrum is y's half-spectrum
     mirrored by Hermitian symmetry, with no transform, so its first
     n//2 + 1 modes are y's bit for bit.  q is kept when given, else built
-    by one inverse transform with a view of y as its spectrum.  y is kept
-    read-only, so a step from the state joins no spectra.
+    by one inverse transform with a view of y as its spectrum.  y, the
+    spectra and the samples built here are read-only, since a step from
+    the state reads y alone; the caller's r and q are left as they are.
     """
     h = grid.n // 2 + 1
     y.flags.writeable = False
     if r is None:
         r = np.fft.irfft(y[:h], grid.n)
+        r.flags.writeable = False
     if q is None:
         q = ComplexField(grid, np.fft.ifft(y[h:]))
+        q.values.flags.writeable = False
         q._spec = y[h:]
     rf = RealField(grid, r)
     rf._spec = np.concatenate((y[:h], np.conj(y[h - 2:0:-1])))
+    rf._spec.flags.writeable = False
     st = SystemState(rf, q, t)
     object.__setattr__(st, "_y", y)
     return st
@@ -537,31 +564,31 @@ def _steps(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     """The steps of s by cfg.dt, without end: every integrator path runs this loop.
 
     s and the system are checked here, before any step is asked for: a
-    non-finite r or q, or a bad system or time scale, raises ValueError.
-    The generator returned yields (t, y, r) after each step: the new time,
-    the vector [r_hat | q_spec] and r's samples if the guard took them,
+    caller's state with a non-finite r or q (see `_spectra`), or a bad
+    system or time scale, raises ValueError.  The generator returned
+    yields (t, y, r) after each step: the new time, the vector
+    [r_hat | q_spec] and r's samples (read-only) if the guard took them,
     else None.  A step raises BlowUp at its time when the sup norm of r
     stops being finite or exceeds the guard, carrying the last finite
     state: s itself on the first step, else the state of the step before.
     """
-    # a non-finite input is bad data, not a blow-up: there is no last good state
-    if not (np.all(np.isfinite(s.r.values)) and np.all(np.isfinite(s.q.values))):
-        raise ValueError("r and q must be finite")
+    y = _spectra(s)
     stepper = _build_stepper(s.grid, cfg.dt, cfg.scheme, coeffs, system, time_scale)
-    return _stepping(stepper, cfg, s)
+    return _stepping(stepper, cfg, s, y)
 
 
-def _stepping(stepper, cfg: StepperConfig, s: SystemState):
+def _stepping(stepper, cfg: StepperConfig, s: SystemState, y: np.ndarray):
     # s is dropped once the first step succeeds, so a run keeps no input
     # state alive; the margin on the bound keeps transform roundoff from
     # flipping a trip
     grid, t0, dt = s.grid, s.t, cfg.dt
     h, limit = grid.n // 2 + 1, cfg.cfl_guard * (1.0 - 1e-12)
-    t, y, r = t0, _spectra(s), None
+    t, r = t0, None
     for i in itertools.count(1):
         next_y, next_r = stepper.advance(y), None
-        if not (2.0 / grid.n) * float(np.sum(np.abs(next_y[:h]))) <= limit:
+        if not (2.0 / grid.n) * float(np.abs(next_y[:h]).sum()) <= limit:
             next_r = np.fft.irfft(next_y[:h], grid.n)
+            next_r.flags.writeable = False
             sup = float(np.max(np.abs(next_r)))
             if not np.isfinite(sup) or sup > cfg.cfl_guard:
                 raise BlowUp(t0 + i * dt, sup, s or _state_of(grid, y, t, r))
@@ -597,9 +624,10 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     does bit for bit and makes two transforms per step more than a plain
     step of `run`: the inverse transforms for the new r and q samples.
 
-    Raises ValueError when r or q is not finite on entry, and BlowUp
-    (carrying the input state as the last good one) when the sup norm of
-    r leaves the guard interval or stops being finite.
+    Raises ValueError when r or q of a state the caller built is not
+    finite, and BlowUp (carrying the input state as the last good one)
+    when the sup norm of r leaves the guard interval or stops being
+    finite.
     """
     t, y, r = next(_steps(s, cfg, coeffs, system, time_scale))
     return _state_of(s.grid, y, t, r)
@@ -684,8 +712,8 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
                               float(np.max(np.abs(st.r.values))),
                               residual)
 
-    # the first step starts from the first snapshot, which is checked
-    # before it is handed over
+    # the first step starts from the first snapshot, whose vector is
+    # checked (`_spectra`) before it is handed over
     st = _state_of(grid, _spectra(initial), initial.t, initial.r.values, initial.q)
     steps = _steps(st, cfg, coeffs, system, time_scale)
     on_snapshot(st)

@@ -9,6 +9,7 @@ have reaped them.
 import dataclasses
 import logging
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -465,8 +466,9 @@ def test_killed_writer_raises_instead_of_hanging(tmp_path, monkeypatch, caplog):
 
     def send_then_kill(self, *args):
         real_send(self, *args)
-        self._proc.kill()
-        self._proc.wait()
+        os.kill(self._pid, signal.SIGKILL)
+        # wait for the child's death but leave it to close() to reap
+        os.waitid(os.P_PID, self._pid, os.WEXITED | os.WNOWAIT)
 
     monkeypatch.setattr(_tsv.Writer, "send", send_then_kill)
     path = write_config(tmp_path, QUICK_RUN)
@@ -558,6 +560,22 @@ def test_gaussian_simulate_never_imports_numpy_random(tmp_path):
     assert child.returncode == 0, child.stderr
     seen = [line for line in child.stdout.splitlines() if line in ("False", "True")]
     assert seen == ["False", "True"]
+
+
+def test_simulate_never_imports_subprocess(tmp_path):
+    # the writer process is spawned without the subprocess module, whose
+    # import costs a few ms; a fresh interpreter, since this one has it
+    path = write_config(tmp_path, QUICK_RUN)
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys\n"
+         "from bonls.cli import main\n"
+         "assert main(['--config', sys.argv[1], '--out', sys.argv[2], 'simulate']) == 0\n"
+         "print('subprocess' in sys.modules)\n",
+         path, str(tmp_path / "run")],
+        env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "run" / "snapshot_0002.tsv").exists()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

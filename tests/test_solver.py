@@ -707,6 +707,31 @@ def test_every_state_handed_out_mirrors_the_stepper_half_spectrum():
         assert np.max(np.abs(st.r.spectrum - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_stepped_states_are_read_only_and_the_callers_arrays_are_not():
+    # a step from a stepped state reads its vector alone, so an in-place
+    # edit of its samples or spectra, which that step would ignore, raises
+    grid = Grid(64, 20.0)
+    s0 = bump_state(grid)
+    cfg = StepperConfig(dt=1e-2)
+    traj = run(s0, cfg, BENCH, t_end=0.1, snapshot_every=5, gauge_diagnostics=False)
+    stepped = step(s0, cfg, BENCH)
+    for st in (stepped, *traj.snapshots[1:]):
+        for a in (st.r.values, st.q.values, st.r.spectrum, st.q.spectrum):
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+    # the first snapshot keeps the caller's arrays, which stay writeable
+    first = traj.snapshots[0]
+    assert first.r.values is s0.r.values and first.q is s0.q
+    assert s0.r.values.flags.writeable and s0.q.values.flags.writeable
+    # a state the caller builds from stepped fields is checked again
+    bad = SystemState(RealField(grid, np.where(grid.x == 0.0, np.nan, stepped.r.values)),
+                      stepped.q)
+    with pytest.raises(ValueError, match="finite"):
+        step(bad, cfg, BENCH)
+    with pytest.raises(ValueError, match="finite"):
+        run(bad, cfg, BENCH, t_end=0.1)
+
+
 @pytest.mark.parametrize("system, time_scale",
                          [("reduced", "tau"), ("full", "tau"), ("full", "tau1")])
 @pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
@@ -969,10 +994,10 @@ def test_memoised_stepper_arrays_are_read_only(scheme):
     arrays = [v for part in (stepper, stepper.rhs) for v in vars(part).values()
               if isinstance(v, np.ndarray)]
     # the 6 joined ETD tables or the joined half-step phases, and the full
-    # system's 7 right-hand side arrays (linear symbols, the stacked
-    # operators making the product factors, the stacked product weights and
-    # the index of the mirrored modes)
-    assert len(arrays) == (6 if scheme == "etdrk4" else 1) + 7
+    # system's 6 right-hand side arrays (linear symbols, the stacked
+    # operators making the product factors, scaled by 1/n, and the product
+    # weights on r's and on q's modes)
+    assert len(arrays) == (6 if scheme == "etdrk4" else 1) + 6
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[1] = 0.0
@@ -1070,6 +1095,43 @@ def test_returned_spectra_share_no_memory_with_work_arrays(scheme, system):
         assert not any(np.shares_memory(out, a) for a in work)
     # a second evaluation leaves the first one's outputs as they were
     assert np.array_equal(first, kept)
+
+
+@pytest.mark.parametrize("n", [8, 512, 8192])
+def test_inverse_transform_scale_folded_into_its_input_is_exact(n):
+    # n is a power of two, so scaling by 1/n before an unscaled inverse
+    # transform gives the scaled one bit for bit: the right-hand side keeps
+    # 1/n in its factor operators
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    x[0] *= 1e-6
+    want = np.fft.ifft(x)
+    assert np.fft.ifft(x * (1.0 / n), norm="forward").tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [128, 512, 8192])
+def test_reduced_nonlinear_matches_one_row_per_product_unpacked_bit_for_bit(n):
+    # the reduced assembly multiplies both factor rows by r at once (r^2 and
+    # r d|D|r from r + i d|D|r, times r + 0i) and reads G0(-k) through a
+    # reversed view; products formed one by one and unpacked by an index
+    # array give the same bits
+    grid = Grid(n, 40.0)
+    h = n // 2 + 1
+    s = bump_state(grid)
+    y = np.concatenate((np.fft.rfft(s.r.values), s.q.spectrum))
+    rhs = solver._make_rhs(grid, BENCH, "reduced", "tau")
+    spec = np.concatenate((y[:h], np.conj(y[h - 2:0:-1])))
+    fac = np.fft.ifft(np.stack((n * rhs.in_r[0] * spec, n * rhs.in_q[0] * y[h:])))
+    r, dadr, q = fac[0].real, fac[0].imag, fac[1]
+    prod = np.empty((2, n), complex)
+    prod[0].real = r * r
+    prod[0].imag = rhs.beta * (q * np.conj(q)).real - r * dadr
+    prod[1] = r * q
+    g = np.fft.fft(prod)
+    flip = -np.arange(h) % n
+    want = np.concatenate((rhs.w_r[0] * g[0, :h] + rhs.w_r[1] * np.conj(g[0, flip]),
+                           rhs.w_q * g[1]))
+    assert rhs.nonlinear(y).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("system", ["reduced", "full"])
