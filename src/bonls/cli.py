@@ -13,9 +13,10 @@ Configs are flat ``key = value`` text files with dotted keys.  Every key,
 with its parser, default and check, is one row of the RunConfig table;
 unknown keys are errors, so a typo fails fast instead of silently running
 defaults.  Exit codes: 0 ok, 1 verification failure, 2 config error
-(including a non-finite number, or a run time that is not a whole number
-of steps), 3 blow-up, 4 an artifact that could not be written, 130
-Ctrl-C (a simulation stopped by it keeps the snapshots it took).
+(including a non-finite number, a negative seed, or a run time that is
+not a whole number of steps), 3 blow-up, 4 an artifact that could not be
+written, 130 Ctrl-C (a simulation stopped by it keeps the snapshots it
+took).
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ class RunConfig:
 
     Every field built with `_key` is one row of the config table.  The
     rules that tie keys together run on construction, which also builds
-    the library objects (params, grid, stepper, verify_grid), so a bad
-    configuration never starts computing.
+    the library objects (params, grid, stepper), so a bad configuration
+    never starts computing.
     """
 
     settings: dict[str, str]
@@ -210,17 +211,13 @@ class RunConfig:
     k_min: float = _key("dispersion.k_min", _to_float, "1e-3")
     k_max: float = _key("dispersion.k_max", _to_float, "10.0")
     k_count: int = _key("dispersion.count", _to_int, "100", _at_least(2))
-    verify_n: int = _key("verify.n", _to_int, "256")
-    verify_length: float = _key("verify.length", _to_float, "40.0")
-    verify_fields: int = _key("verify.fields", _to_int, "5", _at_least(1))
     sweep_key: str = _key("sweep.key", str.strip, "")
     sweep_values: tuple[str, ...] = _key("sweep.values", _to_list, "")
     out_dir: str = _key("output.dir", str.strip, "out")
-    seed: int = _key("seed", _to_int, "0")
+    seed: int = _key("seed", _to_int, "0", _at_least(0))
     params: PhysicalParams = dataclasses.field(init=False)
     grid: Grid = dataclasses.field(init=False)
     stepper: StepperConfig = dataclasses.field(init=False)
-    verify_grid: Grid = dataclasses.field(init=False)
 
     @classmethod
     def from_settings(cls, settings: dict[str, str]) -> "RunConfig":
@@ -254,7 +251,6 @@ class RunConfig:
             "grid": _build("grid", Grid, self.grid_n, self.grid_length),
             "stepper": _build("stepper", StepperConfig, self.dt, self.scheme,
                               self.cfl_guard),
-            "verify_grid": _build("verify grid", Grid, self.verify_n, self.verify_length),
         }
         # the rule run() applies, checked before any output is written
         _build(_KEY["t_end"], step_count, self.t_end, self.dt)
@@ -404,9 +400,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             raise ConfigError(f"--perturb {exc}") from None
     # "verify" runs every suite, "verify-NAME" the suite NAME
     suite = args.command.partition("-")[2] or "all"
-    k = np.geomspace(cfg.k_min, cfg.k_max, cfg.k_count)
-    results = run_suite(suite, cfg.params, cfg.coefficients(), k, cfg.verify_grid,
-                        cfg.verify_fields, cfg.seed, symbols)
+    results = run_suite(suite, cfg.params, cfg.coefficients(), symbols)
     if selection is not None:
         known = {r.name for r in results}
         missing = [c for c in selection if c not in known]
@@ -474,36 +468,32 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                        ).diagnostics
         except BlowUp as exc:
             log.error("blow-up: %s", exc)
-            _write_snapshot(out / "snapshot_last_good.tsv", exc.state, writer.send)
-            writer.close()
-            _write_metadata(out / "metadata.txt", cfg, co, "blow-up", {
-                "failing_time": _fmt(exc.time),
-                "failing_sup_norm": _fmt(exc.sup),
-            })
-            print(f"blow-up at t = {_fmt(exc.time)}; "
-                  f"last good snapshot written to {out / 'snapshot_last_good.tsv'}")
-            return EXIT_BLOWUP
+            last_good = out / "snapshot_last_good.tsv"
+            _write_snapshot(last_good, exc.state, writer.send)
+            status, code = "blow-up", EXIT_BLOWUP
+            extra = {"failing_time": _fmt(exc.time), "failing_sup_norm": _fmt(exc.sup)}
+            message = (f"blow-up at t = {_fmt(exc.time)}; "
+                       f"last good snapshot written to {last_good}")
         except KeyboardInterrupt:
             log.error("interrupted")
-            writer.close()
-            _write_metadata(out / "metadata.txt", cfg, co, "interrupted", {})
-            print(f"interrupted; the snapshots taken so far are in {out}")
-            return EXIT_INTERRUPTED
-        diag_path = out / "diagnostics.tsv"
-        _write_tsv(diag_path, "t\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual",
-                   np.array([(row.t, row.e1, row.e2, row.e3, row.mean_r, row.max_r,
-                              row.gauge_residual) for row in rows]),
-                   writer.send)
-    snapshots = next(sent)  # the count of snapshots sent
-    _write_metadata(out / "metadata.txt", cfg, co, "ok", {
-        "snapshots": str(snapshots),
-        "diagnostics_rows": str(len(rows)),
-    })
-    first, last = rows[0], rows[-1]
-    drift = abs(last.e1 - first.e1) / max(abs(first.e1), 1e-300)
-    log.info("done: %d diagnostics rows, E1 relative drift %.3e", len(rows), drift)
-    print(f"wrote {diag_path} and {snapshots} snapshots to {out}")
-    return EXIT_OK
+            status, code, extra = "interrupted", EXIT_INTERRUPTED, {}
+            message = f"interrupted; the snapshots taken so far are in {out}"
+        else:
+            diag_path = out / "diagnostics.tsv"
+            _write_tsv(diag_path, "t\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual",
+                       np.array([(row.t, row.e1, row.e2, row.e3, row.mean_r, row.max_r,
+                                  row.gauge_residual) for row in rows]),
+                       writer.send)
+            snapshots = next(sent)  # the count of snapshots sent
+            status, code = "ok", EXIT_OK
+            extra = {"snapshots": str(snapshots), "diagnostics_rows": str(len(rows))}
+            message = f"wrote {diag_path} and {snapshots} snapshots to {out}"
+            first, last = rows[0], rows[-1]
+            drift = abs(last.e1 - first.e1) / max(abs(first.e1), 1e-300)
+            log.info("done: %d diagnostics rows, E1 relative drift %.3e", len(rows), drift)
+    _write_metadata(out / "metadata.txt", cfg, co, status, extra)
+    print(message)
+    return code
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:

@@ -31,14 +31,14 @@ r's samples for the exact check only when that bound reaches the guard
 (`_state_of`) builds every state `run` and `step` hand out, their
 snapshots, rows and BlowUp states included, and each carries the
 stepper's vector y: r's cached spectrum is y's half-spectrum mirrored,
-and q's is a view of y, except on `run`'s first state, which keeps the
-caller's r samples and q.  A step reads y alone, so the arrays these
-states hold, other than the caller's, are read-only, and only a state the
-caller built is scanned for non-finite values.  `conserved` sums the
-quadratic terms over these spectra (Parseval) and uses samples only for
-the cubic ones, and the gauge residual reads only the gauge factor psi+,
-so a diagnostics row costs 6 transforms, the inverse transforms for the
-r and q samples included.
+and q's is a view of y; `run`'s first state holds copies of the
+caller's r and q samples.  A step reads y alone, so the arrays these
+states hold are read-only, and only a state the caller built is scanned
+for non-finite values.  `conserved` sums the quadratic terms over these
+spectra (Parseval) and uses samples only for the cubic ones, and the
+gauge residual reads only the gauge factor psi+, so a diagnostics row
+costs 6 transforms, the inverse transforms for the r and q samples
+included.
 
 Conserved quantities tracked along a run:
 
@@ -530,31 +530,29 @@ def _spectra(s: SystemState) -> np.ndarray:
 
 
 def _state_of(grid: Grid, y: np.ndarray, t: float, r: np.ndarray | None = None,
-              q: ComplexField | None = None) -> SystemState:
+              q: np.ndarray | None = None) -> SystemState:
     """The state at time t from the stepper's vector y = [r_hat | q_spec].
 
     Every state `step` and `run` hand out, a BlowUp's included, is built
-    here.  r's samples are r when given (the caller's, or the guard's),
-    else one inverse transform; r's cached spectrum is y's half-spectrum
-    mirrored by Hermitian symmetry, with no transform, so its first
-    n//2 + 1 modes are y's bit for bit.  q is kept when given, else built
-    by one inverse transform with a view of y as its spectrum.  y, the
-    spectra and the samples built here are read-only, since a step from
-    the state reads y alone; the caller's r and q are left as they are.
+    here.  r's and q's samples are r and q when given (copies of the
+    caller's, or the guard's r), else one inverse transform each.  r's
+    cached spectrum is y's half-spectrum mirrored by Hermitian symmetry,
+    with no transform, so its first n//2 + 1 modes are y's bit for bit,
+    and q's is a view of y.  y, the spectra and the samples are made
+    read-only, since a step from the state reads y alone.
     """
     h = grid.n // 2 + 1
     y.flags.writeable = False
     if r is None:
         r = np.fft.irfft(y[:h], grid.n)
-        r.flags.writeable = False
     if q is None:
-        q = ComplexField(grid, np.fft.ifft(y[h:]))
-        q.values.flags.writeable = False
-        q._spec = y[h:]
-    rf = RealField(grid, r)
+        q = np.fft.ifft(y[h:])
+    r.flags.writeable = q.flags.writeable = False
+    rf, qf = RealField(grid, r), ComplexField(grid, q)
     rf._spec = np.concatenate((y[:h], np.conj(y[h - 2:0:-1])))
     rf._spec.flags.writeable = False
-    st = SystemState(rf, q, t)
+    qf._spec = y[h:]
+    st = SystemState(rf, qf, t)
     object.__setattr__(st, "_y", y)
     return st
 
@@ -688,7 +686,8 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     when given.  With on_snapshot each snapshot, the first included, is
     handed to it before the next step and not kept, so the Trajectory
     holds only the rows; without it the Trajectory keeps every snapshot.
-    The first snapshot keeps the caller's r samples and q.  BlowUp
+    The first snapshot holds read-only copies of the caller's r and q
+    samples, so the caller's arrays stay as they are.  BlowUp
     propagates with the failing time and the last finite state attached;
     a non-finite initial state raises ValueError.
     """
@@ -714,7 +713,8 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
 
     # the first step starts from the first snapshot, whose vector is
     # checked (`_spectra`) before it is handed over
-    st = _state_of(grid, _spectra(initial), initial.t, initial.r.values, initial.q)
+    st = _state_of(grid, _spectra(initial), initial.t, initial.r.values.copy(),
+                   initial.q.values.copy())
     steps = _steps(st, cfg, coeffs, system, time_scale)
     on_snapshot(st)
     rows = [diag_row(st)]

@@ -376,17 +376,15 @@ def gaussian_bump(grid: Grid, width: float, center: float = 0.0,
 
 
 def band_limited_noise(grid: Grid, rng: np.random.Generator,
-                       amplitude: float = 1.0, keep: float = 2.0 / 3.0,
-                       mean_zero: bool = True) -> RealField:
-    """Random real field with the top (1 - keep) of the spectrum zeroed.
+                       amplitude: float = 1.0, keep: float = 2.0 / 3.0) -> RealField:
+    """Random mean-free real field with the top (1 - keep) of the spectrum zeroed.
 
-    Peak amplitude is normalized to `amplitude`.  With mean_zero the k = 0
-    coefficient is removed, which most operator identities assume.
+    Peak amplitude is normalized to `amplitude`.  The k = 0 coefficient is
+    removed, which most operator identities assume.
     """
     spec = np.fft.fft(rng.standard_normal(grid.n))
     spec[np.abs(grid.k) > keep * np.max(np.abs(grid.k))] = 0.0
-    if mean_zero:
-        spec[0] = 0.0
+    spec[0] = 0.0
     out = np.fft.ifft(spec).real
     peak = float(np.max(np.abs(out)))
     if peak > 0.0:

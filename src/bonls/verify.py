@@ -12,9 +12,11 @@ Four groups of checks, each returning one CheckResult per identity:
 
 The symbols and hamiltonian groups run at the given parameters and again
 at the bench stratification BENCH, and report the worse residual of the
-two per identity.  The symbol-table evaluator is an argument: `perturbed`
-builds one that scales a single symbol by 1.001, and a suite that still
-passes with it would not constrain that symbol.
+two per identity.  The sample is fixed: the symbol identities hold at the
+wavenumbers K, the others on FIELDS random fields on GRID drawn from
+SEED.  The symbol-table evaluator is an argument: `perturbed` builds one
+that scales a single symbol by 1.001, and a suite that still passes with
+it would not constrain that symbol.
 """
 
 from __future__ import annotations
@@ -46,14 +48,22 @@ from .hamiltonian import (
 )
 from .spectral import Grid, RealField, absd, band_limited_noise, deriv, hilbert, project
 
-__all__ = ["BENCH", "CheckResult", "SUITES", "SYMBOL_NAMES", "perturbed", "run_suite"]
+__all__ = ["BENCH", "FIELDS", "GRID", "K", "SEED", "CheckResult", "SUITES", "SYMBOL_NAMES",
+           "perturbed", "run_suite"]
 
 #: The bench stratification, where h1 k is of order one on the check grid.
-#: With h1 = 500 m (the presets) every wavenumber of the default 40-m grid
+#: With h1 = 500 m (the presets) every wavenumber of the 40-m GRID
 #: gives h1 k >= 78.5, so csch(h1 k) <= 1.6e-34 and the layer-coupling
 #: symbols (g12, A2, A5, B1, B3, B4) leave every identity untouched; here
 #: the layers couple and the H2/H3 equivalences pin them.
 BENCH = PhysicalParams(g=1.0, h1=1.0, rho=2.0, rho1=1.0)
+
+#: The check sample: wavenumbers for the symbol identities, and the grid,
+#: count and seed of the random fields the other identities are evaluated on.
+K = np.geomspace(1e-3, 10.0, 100)
+GRID = Grid(256, 40.0)
+FIELDS = 5
+SEED = 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,9 +96,9 @@ def perturbed(name: str) -> Symbols:
     return scaled
 
 
-def _random_four(grid: Grid, rng: np.random.Generator, scale: float) -> FourField:
+def _random_four(rng: np.random.Generator, scale: float) -> FourField:
     def one() -> RealField:
-        return band_limited_noise(grid, rng, amplitude=scale)
+        return band_limited_noise(GRID, rng, amplitude=scale)
     return FourField.original(one(), one(), one(), one())
 
 
@@ -131,12 +141,11 @@ def _checks_symbols(params: PhysicalParams, coeffs: ModelCoefficients,
     ]
 
 
-def _checks_hamiltonian(params: PhysicalParams, grid: Grid, fields: int, seed: int,
-                        symbols: Symbols) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def _checks_hamiltonian(params: PhysicalParams, symbols: Symbols) -> list[CheckResult]:
+    rng = np.random.default_rng(SEED)
     worst_h2 = worst_h3 = worst_split = worst_round = 0.0
-    for _ in range(fields):
-        f = _random_four(grid, rng, scale=0.05 * params.h1)
+    for _ in range(FIELDS):
+        f = _random_four(rng, scale=0.05 * params.h1)
         fn = normal_transform(f, params, symbols)
         h2_o, h2_n = eval_H2(f, params, symbols), eval_H2(fn, params, symbols)
         h3_o, h3_n = eval_H3(f, params, symbols), eval_H3(fn, params, symbols)
@@ -159,13 +168,12 @@ def _checks_hamiltonian(params: PhysicalParams, grid: Grid, fields: int, seed: i
     ]
 
 
-def _checks_gauge(coeffs: ModelCoefficients, grid: Grid, fields: int,
-                  seed: int) -> list[CheckResult]:
-    rng = np.random.default_rng(seed + 1)
+def _checks_gauge(coeffs: ModelCoefficients) -> list[CheckResult]:
+    rng = np.random.default_rng(SEED + 1)
     worst_mod = worst_ode = worst_rec = 0.0
-    for _ in range(fields):
+    for _ in range(FIELDS):
         # narrow band keeps the oscillatory gauge phase resolved on the grid
-        r = band_limited_noise(grid, rng, amplitude=0.1, keep=1.0 / 6.0)
+        r = band_limited_noise(GRID, rng, amplitude=0.1, keep=1.0 / 6.0)
         gs = gauge(r, coeffs)
         sup = float(np.max(np.abs(r.values)))
         worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(gs.psi_plus.values) - 1.0))))
@@ -184,11 +192,11 @@ def _checks_gauge(coeffs: ModelCoefficients, grid: Grid, fields: int,
     ]
 
 
-def _checks_projection(grid: Grid, fields: int, seed: int) -> list[CheckResult]:
-    rng = np.random.default_rng(seed + 2)
+def _checks_projection() -> list[CheckResult]:
+    rng = np.random.default_rng(SEED + 2)
     worst_h2id = worst_partition = worst_hsplit = worst_absd = 0.0
-    for _ in range(fields):
-        f = band_limited_noise(grid, rng, amplitude=1.0)
+    for _ in range(FIELDS):
+        f = band_limited_noise(GRID, rng, amplitude=1.0)
         hh = hilbert(hilbert(f)).values
         worst_h2id = max(worst_h2id, float(np.max(np.abs(hh + f.values))))
         both = project(f, 1).values + project(f, -1).values
@@ -220,24 +228,21 @@ SUITES = {
 
 
 def run_suite(suite: str, params: PhysicalParams, coeffs: ModelCoefficients,
-              k: np.ndarray, grid: Grid, fields: int, seed: int,
               symbols: Symbols = symbol_table) -> list[CheckResult]:
-    """Every check of one SUITES entry, in report order.
+    """Every check of one SUITES entry on the fixed sample, in report order.
 
-    k is the wavenumber sample for the symbol identities; grid, fields and
-    seed set the random fields the other identities are evaluated on.  The
-    symbols and hamiltonian rows carry the worse residual of params and
-    BENCH.
+    The symbols and hamiltonian rows carry the worse residual of params
+    and BENCH.
     """
     groups = {
         "symbols": lambda: _worse(
-            _checks_symbols(params, coeffs, k, symbols),
+            _checks_symbols(params, coeffs, K, symbols),
             _checks_symbols(BENCH, derive_coefficients(BENCH, coeffs.epsilon, coeffs.delta),
-                            k, symbols)),
+                            K, symbols)),
         "hamiltonian": lambda: _worse(
-            _checks_hamiltonian(params, grid, fields, seed, symbols),
-            _checks_hamiltonian(BENCH, grid, fields, seed, symbols)),
-        "gauge": lambda: _checks_gauge(coeffs, grid, fields, seed),
-        "projection": lambda: _checks_projection(grid, fields, seed),
+            _checks_hamiltonian(params, symbols),
+            _checks_hamiltonian(BENCH, symbols)),
+        "gauge": lambda: _checks_gauge(coeffs),
+        "projection": _checks_projection,
     }
     return [result for group in SUITES[suite] for result in groups[group]()]

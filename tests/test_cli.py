@@ -157,7 +157,6 @@ def test_sweep_values_are_split_and_stripped():
     ("ic.r.keep", "0", "ic.r.keep"),
     ("dispersion.k_min", "-1", "dispersion range"),
     ("dispersion.count", "1", "dispersion.count"),
-    ("verify.fields", "0", "verify.fields"),
     ("grid.length", "nonsense", "grid.length"),
     ("stepper.dt", "3e-3", "multiple of dt"),
     ("ic.q.amplitude", "nan", "ic.q.amplitude"),
@@ -315,6 +314,16 @@ def test_perturb_unknown_symbol():
     assert main(["verify", "--perturb", "nosuch"]) == 2
 
 
+def test_verify_sample_ignores_the_dispersion_range_and_seed(tmp_path, capsys):
+    # the checks run on bonls.verify's own sample, whatever the config says
+    assert main(["verify"]) == 0
+    plain = capsys.readouterr().out
+    path = write_config(tmp_path, "dispersion.k_min = 0.5\ndispersion.k_max = 3.0\n"
+                                  "dispersion.count = 7\nseed = 9\n")
+    assert main(["--config", path, "verify"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_writes_artifacts(tmp_path, capsys):
@@ -378,6 +387,25 @@ ic.r.kind = noise
 
     assert diag_bytes("s7a", "7") == diag_bytes("s7b", "7")
     assert diag_bytes("s7a", "7") != diag_bytes("s8", "8")
+
+
+def test_negative_seed_flag_exits_2_before_writing(tmp_path, caplog):
+    # numpy's generator would reject it only once the noise profile is drawn
+    path = write_config(tmp_path, QUICK_RUN + "ic.r.kind = noise\n")
+    out_dir = tmp_path / "never"
+    assert main(["--config", path, "--out", str(out_dir), "--seed", "-1",
+                 "simulate"]) == cli.EXIT_CONFIG
+    assert "seed: must be at least 0" in caplog.records[-1].getMessage()
+    assert not out_dir.exists()
+
+
+def test_negative_seed_sweep_member_exits_2_before_any_run(tmp_path, caplog):
+    path = write_config(tmp_path, QUICK_RUN + "ic.r.kind = noise\n"
+                        "sweep.key = seed\nsweep.values = 1, -1\n")
+    out_dir = tmp_path / "never"
+    assert main(["--config", path, "--out", str(out_dir), "sweep"]) == cli.EXIT_CONFIG
+    assert "seed: must be at least 0" in caplog.records[-1].getMessage()
+    assert not out_dir.exists()
 
 
 def test_tsv_writer_matches_fmt_on_special_values(tmp_path):
@@ -736,6 +764,11 @@ def test_config_errors_exit_2(tmp_path):
 @pytest.mark.parametrize("extra, message", [
     # initial profiles are always mean-free, so the key is gone
     ("ic.r.mean_zero = on\n", "unknown config key 'ic.r.mean_zero'"),
+    # bonls.verify owns the sample its checks run on, so these keys are gone
+    ("verify.n = 512\n", "unknown config key 'verify.n'"),
+    ("verify.length = 80.0\n", "unknown config key 'verify.length'"),
+    ("verify.fields = 0\n", "unknown config key 'verify.fields'"),
+    ("seed = -1\n", "seed: must be at least 0"),
     ("run.t_end = 1e300\nstepper.dt = 1e-300\n", "not a finite step count"),
 ])
 def test_simulate_config_errors_exit_2_before_writing(tmp_path, caplog, extra, message):

@@ -340,7 +340,7 @@ def test_guarded_step_transform_volume(monkeypatch, scheme, system, budget):
     cfg = StepperConfig(dt=1e-3, scheme=scheme)
     solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, system, "tau")
     # the stepper's vector joined up front, so the step makes no start-up transform
-    s = solver._state_of(grid, solver._spectra(s), s.t, s.r.values, s.q)
+    s = solver._state_of(grid, solver._spectra(s), s.t, s.r.values, s.q.values)
     passed = {"samples": 0}
     for name in ("fft", "ifft", "rfft", "irfft"):
         original = getattr(np.fft, name)
@@ -535,11 +535,12 @@ def test_conserved_on_a_stepped_state_costs_at_most_two_transforms(monkeypatch):
 def test_gauge_residual_from_cached_spectra_matches_fresh_samples():
     # the run's residual reads r's cached (mirrored) spectrum and removes
     # the mean without a transform; it must agree with the gauge layer fed
-    # freshly sampled mean-free fields.  Noise keeps a nonzero mean.
+    # freshly sampled mean-free fields.  The noise is offset to a nonzero mean.
     grid = Grid(512, 40.0)
     rng = np.random.default_rng(3)
     fields = [bump_state(grid).r,
-              band_limited_noise(grid, rng, amplitude=0.2, keep=0.5, mean_zero=False),
+              RealField(grid, band_limited_noise(grid, rng, amplitude=0.2, keep=0.5).values
+                        + 0.03),
               bo_soliton(grid, nu=1.0, center=2.0)]
     for r in fields:
         want = gauge_ode_residual(
@@ -690,8 +691,8 @@ def test_every_state_handed_out_mirrors_the_stepper_half_spectrum():
     free = run(s0, cfg, BENCH, t_end=6.0, snapshot_every=1, gauge_diagnostics=False)
     first = free.snapshots[0]
     # so snapshot_0000.tsv holds the caller's samples to the last bit
-    assert first.r.values is s0.r.values
-    assert first.q is s0.q
+    assert np.array_equal(first.r.values, s0.r.values)
+    assert np.array_equal(first.q.values, s0.q.values)
     sups = [float(np.max(np.abs(st.r.values))) for st in free.snapshots]
     blown = []
     # the first step trips (its state is run's first snapshot), then a later one
@@ -715,13 +716,13 @@ def test_stepped_states_are_read_only_and_the_callers_arrays_are_not():
     cfg = StepperConfig(dt=1e-2)
     traj = run(s0, cfg, BENCH, t_end=0.1, snapshot_every=5, gauge_diagnostics=False)
     stepped = step(s0, cfg, BENCH)
-    for st in (stepped, *traj.snapshots[1:]):
+    for st in (stepped, *traj.snapshots):
         for a in (st.r.values, st.q.values, st.r.spectrum, st.q.spectrum):
             with pytest.raises(ValueError, match="read-only"):
                 a *= 2.0
-    # the first snapshot keeps the caller's arrays, which stay writeable
+    # the first snapshot holds copies, so the caller's arrays stay writeable
     first = traj.snapshots[0]
-    assert first.r.values is s0.r.values and first.q is s0.q
+    assert first.r.values is not s0.r.values and first.q.values is not s0.q.values
     assert s0.r.values.flags.writeable and s0.q.values.flags.writeable
     # a state the caller builds from stepped fields is checked again
     bad = SystemState(RealField(grid, np.where(grid.x == 0.0, np.nan, stepped.r.values)),
@@ -730,6 +731,22 @@ def test_stepped_states_are_read_only_and_the_callers_arrays_are_not():
         step(bad, cfg, BENCH)
     with pytest.raises(ValueError, match="finite"):
         run(bad, cfg, BENCH, t_end=0.1)
+
+
+def test_editing_the_first_snapshot_raises_instead_of_desyncing_its_vector():
+    # conserved() reads the samples and step() reads the vector; an edit of
+    # the first snapshot's q would split the two, so it raises, and the
+    # caller's arrays are neither frozen nor changed
+    grid = Grid(64, 20.0)
+    s0 = bump_state(grid)
+    r0, q0 = s0.r.values.copy(), s0.q.values.copy()
+    traj = run(s0, StepperConfig(dt=1e-2), BENCH, t_end=0.1, gauge_diagnostics=False)
+    first = traj.snapshots[0]
+    with pytest.raises(ValueError, match="read-only"):
+        first.q.values[:] *= 2
+    assert conserved(first, BENCH).e2 == conserved(s0, BENCH).e2
+    s0.q.values[:] *= 2
+    assert np.array_equal(first.q.values, q0) and np.array_equal(s0.r.values, r0)
 
 
 @pytest.mark.parametrize("system, time_scale",
@@ -1293,8 +1310,8 @@ if HAS_HYPOTHESIS:
         # zero or not
         grid = Grid(64, 20.0)
         rng = np.random.default_rng(seed)
-        r = band_limited_noise(grid, rng, amplitude=amplitude, keep=0.5,
-                               mean_zero=False)
+        noise = band_limited_noise(grid, rng, amplitude=amplitude, keep=0.5)
+        r = RealField(grid, noise.values + 0.1 * amplitude)
         q = gaussian_envelope(grid, 0.3 * amplitude, 2.0, carrier_mode=1)
         s = SystemState(r, q)
         cfg = StepperConfig(dt=5e-3)

@@ -342,8 +342,7 @@ def test_gaussian_bump_and_noise_factories():
     grid = Grid(256, 40.0)
     bump = gaussian_bump(grid, width=2.0, amplitude=0.3)
     assert np.max(bump.values) == pytest.approx(0.3, rel=1e-12)
-    nz = band_limited_noise(grid, np.random.default_rng(3), amplitude=0.2,
-                            keep=0.5, mean_zero=True)
+    nz = band_limited_noise(grid, np.random.default_rng(3), amplitude=0.2, keep=0.5)
     assert abs(np.mean(nz.values)) <= 1e-15
     assert np.max(np.abs(nz.values)) == pytest.approx(0.2, rel=1e-12)
 

@@ -1,14 +1,14 @@
 """The identity checks as a library: every constrained symbol must be caught.
 
-Runs bonls.verify directly, with the parameters and sample sizes the
-`bonls verify` command uses by default.
+Runs bonls.verify directly, at the parameters `bonls verify` uses by
+default; the sample the checks run on is the module's own (K, GRID,
+FIELDS, SEED), as it is for the command.
 """
 
 import numpy as np
 import pytest
 
 from bonls.coeffs import PhysicalParams, derive_coefficients, symbol_table
-from bonls.spectral import Grid
 from bonls.verify import (
     SYMBOL_NAMES,
     CheckResult,
@@ -26,14 +26,10 @@ except ImportError:
 
 PARAMS = PhysicalParams(g=9.81, h1=500.0, rho=1000.0, rho1=997.0)
 COEFFS = derive_coefficients(PARAMS, epsilon=0.1, delta=0.25)
-K = np.geomspace(1e-3, 10.0, 100)
-GRID = Grid(256, 40.0)
-FIELDS = 5
-SEED = 0
 
 
 def failing(symbols=symbol_table):
-    results = run_suite("all", PARAMS, COEFFS, K, GRID, FIELDS, SEED, symbols)
+    results = run_suite("all", PARAMS, COEFFS, symbols)
     return [r.name for r in results if not r.ok]
 
 
