@@ -17,11 +17,17 @@ defaults.  Exit codes: 0 ok, 1 verification failure, 2 config error
 not a whole number of steps), 3 blow-up, 4 an artifact that could not be
 written, 130 Ctrl-C (a simulation stopped by it keeps the snapshots it
 took).
+
+The CLI fixes two process-wide policies on import, and the library
+modules set neither: OpenBLAS runs on one thread, and glibc's heap keeps
+blocks below `_MMAP_THRESHOLD` (see `_fix_heap_policy`).  A value the
+user sets, an ``OPENBLAS_NUM_THREADS`` or any ``MALLOC_*`` variable, wins.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import itertools
 import logging
@@ -63,7 +69,47 @@ from .solver import (
     step_count,
 )
 from .spectral import ComplexField, Grid, RealField, band_limited_noise, gaussian_bump
-from .verify import perturbed, run_suite
+
+# glibc serves a request at or above its mmap threshold from a fresh
+# mapping, moves that threshold up to the largest such block freed, and
+# returns the heap's free top to the system past a trim threshold tied to
+# it.  At n = 8192 the stage arrays (192 KiB) and numpy.fft's per-call
+# scratch (2 x 256 KiB on the multi-row path) sit near those thresholds,
+# so how often they fault in fresh pages followed the heap's history: a
+# simulate-io-n8192 run took 8.5k to 23k minor faults as its stdout
+# target and the length of its output path changed.  These fixed values
+# hold every such run at 7.8k-8.2k.  A 256 KiB mmap threshold brings the
+# churn back (29k), and so does a 2 MiB trim threshold (9.3k in 2 of 14
+# layouts).
+_MMAP_THRESHOLD = 512 * 1024
+_TRIM_THRESHOLD = 8 * _MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, <malloc.h>
+
+
+def _libc_mallopt():
+    """libc's mallopt(int, int) -> int, or None where libc has none (macOS, Windows)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _fix_heap_policy(environ, mallopt) -> bool:
+    """Set glibc's mmap and trim thresholds for this process; True if both took.
+
+    Nothing is set without a mallopt, or when the user set any MALLOC_*
+    variable, which glibc reads at start-up.
+    """
+    if mallopt is None or any(key.startswith("MALLOC_") for key in environ):
+        return False
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+
+
+_fix_heap_policy(os.environ, _libc_mallopt())
 
 log = logging.getLogger("bonls")
 
@@ -387,6 +433,10 @@ def cmd_dispersion(cfg: RunConfig, args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    # the suite and bonls.hamiltonian are imported here only: no other
+    # command pays for them at start-up
+    from .verify import perturbed, run_suite
+
     selection = None
     if getattr(args, "checks", None) is not None:
         selection = tuple(c.strip() for c in args.checks.split(",") if c.strip())

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .coeffs import ModelCoefficients
-from .spectral import ComplexField, Grid, RealField, deriv, project
+from .spectral import ComplexField, Grid, RealField, _real_samples, deriv, project
 
 __all__ = [
     "NonZeroMean",
@@ -40,18 +40,22 @@ class GaugedState:
 
     psi_minus is the exact complex conjugate of psi_plus, and w_minus
     agrees with conj(w_plus) to roundoff; both redundant halves are kept
-    because downstream formulas use them symmetrically.  The w+- pair is
-    built on first use: the defining ODE (`gauge_ode_residual`) reads
-    psi_plus alone.
+    because downstream formulas use them symmetrically.  psi_minus and
+    the w+- pair are built on first use: the defining ODE
+    (`gauge_ode_residual`) reads psi_plus alone.
     """
 
     psi_plus: ComplexField
-    psi_minus: ComplexField
     source: RealField
 
     @property
     def grid(self) -> Grid:
         return self.source.grid
+
+    @cached_property
+    def psi_minus(self) -> ComplexField:
+        """conj(Psi+), bit for bit."""
+        return ComplexField(self.grid, np.conj(self.psi_plus.values))
 
     @cached_property
     def w_plus(self) -> ComplexField:
@@ -70,18 +74,17 @@ def antiderivative(f: RealField) -> RealField:
     """Mean-zero periodic antiderivative, by spectral division by ik.
 
     The k = 0 mode of the result is zero; the Nyquist mode is dropped as
-    in every odd multiplier.  Raises NonZeroMean if f has a mean larger
-    than the enforcement tolerance.
+    in every odd multiplier.  The multiplier keeps f real, so once f's
+    spectrum is cached this is one irfft of half the spectrum.  Raises
+    NonZeroMean if f has a mean larger than the enforcement tolerance.
     """
     grid = f.grid
-    spec = f.spectrum
-    mean = abs(spec[0]) / grid.n
+    mean = abs(f.spectrum[0]) / grid.n
     if mean > _MEAN_TOL:
         raise NonZeroMean(f"field mean {mean:.3e} exceeds {_MEAN_TOL:.0e}; "
                           "a periodic antiderivative needs mean zero")
-    out = spec * grid.inv_ik
-    out[0] = 0.0
-    return RealField(grid, np.fft.ifft(out).real)
+    # inv_ik is 0 at k = 0 and at the Nyquist mode
+    return RealField(grid, _real_samples(f, grid.inv_ik))
 
 
 def gauge(r: RealField, coeffs: ModelCoefficients) -> GaugedState:
@@ -89,17 +92,12 @@ def gauge(r: RealField, coeffs: ModelCoefficients) -> GaugedState:
 
     The exponent is purely imaginary, so the factors are unimodular by
     construction; w+- = Psi+- d/dx P+- r.  Once r's spectrum is cached
-    this makes one inverse transform, for the antiderivative; the w+-
-    pair costs four more when first read.
+    this makes one irfft, for the antiderivative, and no complex
+    transform; Psi- costs no transform when first read, and the w+- pair
+    four.
     """
-    grid = r.grid
     phase = -(2.0 * coeffs.d / (3.0 * coeffs.a)) * antiderivative(r).values
-    psi_p = np.exp(1j * phase)
-    return GaugedState(
-        psi_plus=ComplexField(grid, psi_p),
-        psi_minus=ComplexField(grid, np.conj(psi_p)),
-        source=r,
-    )
+    return GaugedState(psi_plus=ComplexField(r.grid, np.exp(1j * phase)), source=r)
 
 
 def reconstruct_dr(gs: GaugedState) -> RealField:
@@ -114,7 +112,11 @@ def reconstruct_dr(gs: GaugedState) -> RealField:
 
 
 def gauge_ode_residual(gs: GaugedState, coeffs: ModelCoefficients) -> float:
-    """Max-norm defect of the defining relation 3a dPsi/dx + 2id Psi r = 0."""
-    dpsi = deriv(gs.psi_plus).values
+    """Max-norm defect of the defining relation 3a dPsi/dx + 2id Psi r = 0.
+
+    dPsi/dx is one ifft of Psi+'s spectrum times ik, which costs one fft
+    unless that spectrum is cached.
+    """
+    dpsi = np.fft.ifft(gs.psi_plus.spectrum * gs.grid.ik)
     res = 3.0 * coeffs.a * dpsi + 2.0j * coeffs.d * gs.psi_plus.values * gs.source.values
     return float(np.max(np.abs(res)))

@@ -38,7 +38,11 @@ for non-finite values.  `conserved` sums the quadratic terms over these
 spectra (Parseval) and uses samples only for the cubic ones, and the
 gauge residual reads only the gauge factor psi+, so a diagnostics row
 costs 6 transforms, the inverse transforms for the r and q samples
-included.
+included.  The real fields of a row take real transforms of r's half
+spectrum: the r samples, |D| r in `conserved` and the gauge's
+antiderivative one irfft each.  The complex ones are the q samples'
+ifft, and psi+'s fft and the ifft of its derivative.  `run` hands a
+snapshot on before it computes that state's row.
 
 Conserved quantities tracked along a run:
 
@@ -65,10 +69,10 @@ from .spectral import (
     ComplexField,
     Grid,
     RealField,
-    absd,
     dealias_mask,
     _mean_free,
     _phase,
+    _real_samples,
 )
 
 __all__ = [
@@ -638,7 +642,8 @@ def conserved(s: SystemState, coeffs: ModelCoefficients) -> ConservedTriple:
     are sums over the spectra by Parseval, with the multipliers of
     `absd` and `deriv`; the cubic terms and E2 are sums over samples.
     On a state whose spectra are cached, as every state `run` and `step`
-    return, this costs one inverse transform, for the samples of |D| r.
+    return, this costs one irfft of half r's spectrum, for the samples of
+    |D| r, and no complex transform.
     """
     grid = s.grid
     r_spec = s.r.spectrum
@@ -649,7 +654,7 @@ def conserved(s: SystemState, coeffs: ModelCoefficients) -> ConservedTriple:
     q2 = (q_spec * np.conj(q_spec)).real
     rv = s.r.values
     qv = s.q.values
-    adr = absd(s.r).values
+    adr = _real_samples(s.r, absk)
     qsq = (qv * np.conj(qv)).real
     parseval = grid.dx / grid.n
     quadratic = parseval * float(np.sum(
@@ -666,8 +671,9 @@ def conserved(s: SystemState, coeffs: ModelCoefficients) -> ConservedTriple:
 def _gauge_residual(r: RealField, coeffs: ModelCoefficients) -> float:
     # The gauge phase integrates r, which requires a periodic primitive;
     # project out the conserved mean and gauge the oscillatory part.  With
-    # r's spectrum cached this makes three transforms: the antiderivative
-    # and psi+'s derivative (the w+- pair is never read).
+    # r's spectrum cached this makes three transforms: the antiderivative's
+    # irfft, and psi+'s fft and the ifft of its derivative (psi- and the
+    # w+- pair are never read).
     if coeffs.a == 0.0:
         return float("nan")
     return gauge_ode_residual(gauge(_mean_free(r), coeffs), coeffs)
@@ -724,10 +730,12 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
         want_snap = at_end or (snapshot_every is not None and i % snapshot_every == 0)
         if want_diag or want_snap:
             st = _state_of(grid, y, t, r)
-            if want_diag:
-                rows.append(diag_row(st))
+            # a sink that hands the snapshot to another process (simulate's
+            # writer) lets it format the snapshot while the row is computed
             if want_snap:
                 on_snapshot(st)
+            if want_diag:
+                rows.append(diag_row(st))
     return Trajectory(tuple(snapshots), tuple(rows))
 
 

@@ -240,6 +240,18 @@ def _mean_free(f: RealField) -> RealField:
     return out
 
 
+def _real_samples(f: RealField, mult: np.ndarray) -> np.ndarray:
+    """Samples of the real field whose spectrum is f's times mult: one irfft.
+
+    mult must keep real fields real (an even real multiplier, or an odd
+    imaginary one with the Nyquist mode dropped), so the product is
+    Hermitian and its first n//2 + 1 modes are all the transform reads.
+    No spectrum is kept, and nothing is checked.
+    """
+    h = f.grid.n // 2 + 1
+    return np.fft.irfft(f.spectrum[:h] * mult[:h], f.grid.n)
+
+
 def _apply(f: Field, mult: np.ndarray, cls: type | None = None) -> Field:
     out = type(f) if cls is None else cls
     return out.from_spectrum(f.grid, f.spectrum * mult)

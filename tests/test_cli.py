@@ -2,8 +2,8 @@
 
 Everything goes through main(argv) in process; the only subprocesses are
 the table writer that simulate starts and the fresh interpreters that
-record simulate's imports and the CLI's BLAS threads, and every test must
-have reaped them.
+record simulate's imports, the CLI's BLAS threads and its page faults,
+and every test must have reaped them.
 """
 
 import dataclasses
@@ -604,6 +604,103 @@ def test_simulate_never_imports_subprocess(tmp_path):
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "False"
     assert (tmp_path / "run" / "snapshot_0002.tsv").exists()
+
+
+def test_simulate_imports_neither_the_verify_suite_nor_hamiltonian(tmp_path):
+    # only `verify` pays for bonls.verify and bonls.hamiltonian at start-up;
+    # a fresh interpreter, and the verify run afterwards shows the check
+    # can see the imports
+    path = write_config(tmp_path, QUICK_RUN)
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys\n"
+         "from bonls.cli import main\n"
+         "def imported():\n"
+         "    print('imported', [m for m in ('bonls.verify', 'bonls.hamiltonian')\n"
+         "                       if m in sys.modules])\n"
+         "assert main(['--config', sys.argv[1], '--out', sys.argv[2], 'simulate']) == 0\n"
+         "imported()\n"
+         "assert main(['verify-gauge']) == 0\n"
+         "imported()\n",
+         path, str(tmp_path / "run")],
+        env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    seen = [line for line in child.stdout.splitlines() if line.startswith("imported")]
+    assert seen == ["imported []", "imported ['bonls.verify', 'bonls.hamiltonian']"]
+
+
+class _Mallopt:
+    """A mallopt that records its calls and returns `status`."""
+
+    def __init__(self, status=1):
+        self.status = status
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.status
+
+
+def test_heap_policy_sets_both_thresholds_unless_the_user_set_malloc():
+    mallopt = _Mallopt()
+    assert cli._fix_heap_policy({"OPENBLAS_NUM_THREADS": "1"}, mallopt)
+    assert mallopt.calls == [(cli._M_MMAP_THRESHOLD, cli._MMAP_THRESHOLD),
+                             (cli._M_TRIM_THRESHOLD, cli._TRIM_THRESHOLD)]
+    # any MALLOC_* variable, not only the two thresholds, leaves glibc's policy
+    for key in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_ARENA_MAX"):
+        mallopt = _Mallopt()
+        assert not cli._fix_heap_policy({key: "65536"}, mallopt)
+        assert mallopt.calls == []
+    # a mallopt that refuses (returns 0) is reported, not raised
+    assert not cli._fix_heap_policy({}, _Mallopt(status=0))
+
+
+def test_heap_policy_leaves_a_libc_without_mallopt_alone(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert cli._libc_mallopt() is None
+    assert not cli._fix_heap_policy({}, None)
+
+
+# the benchmark's simulate-io-n8192 run: full system, etdrk4, n = 8192, a row
+# every step and a snapshot every ten, over 50 steps
+IO_N8192 = BENCH_LINES + """
+model.delta = 0.25
+grid.n = 8192
+stepper.scheme = etdrk4
+stepper.dt = 1e-3
+run.system = full
+run.t_end = 0.05
+run.diagnostics_every = 1
+run.snapshot_every = 10
+ic.r.center = 1.3
+ic.q.center = -2.1
+"""
+
+
+@pytest.mark.skipif(cli._libc_mallopt() is None, reason="libc has no mallopt")
+def test_simulate_page_faults_follow_neither_stdout_nor_the_output_path(tmp_path):
+    # under glibc's dynamic mmap threshold the run's minor faults moved with
+    # the heap's history, from 8.5k to 23k with the stdout target and the
+    # length of the output path; under the CLI's fixed thresholds all take
+    # the same
+    path = write_config(tmp_path, IO_N8192)
+    env = {k: v for k, v in _fresh_interpreter_env().items() if not k.startswith("MALLOC_")}
+    faults = {}
+    for target in (str(tmp_path / "stdout.txt"), os.devnull):
+        for out_dir in ("run", "a-longer-output-directory-name-for-the-same-run"):
+            out = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+            err = os.open(tmp_path / "stderr.txt", os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+            argv = [sys.executable, "-m", "bonls.cli", "--config", path,
+                    "--out", str(tmp_path / out_dir), "simulate"]
+            try:
+                pid = os.posix_spawn(sys.executable, argv, env, file_actions=[
+                    (os.POSIX_SPAWN_DUP2, out, 1), (os.POSIX_SPAWN_DUP2, err, 2)])
+            finally:
+                os.close(out)
+                os.close(err)
+            _, status, usage = os.wait4(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0, (tmp_path / "stderr.txt").read_text()
+            faults[target, out_dir] = usage.ru_minflt
+    assert max(faults.values()) <= 1.05 * min(faults.values()), faults
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

@@ -68,6 +68,26 @@ def test_unimodular_and_conjugate_structure(n):
     assert np.max(np.abs(gs.w_minus.values - np.conj(gs.w_plus.values))) <= 1e-12
 
 
+def test_gauge_of_a_cached_spectrum_makes_one_irfft_and_no_complex_transform(monkeypatch):
+    grid = Grid(512, 40.0)
+    r = narrow_noise(grid)
+    _ = r.spectrum  # cache the spectrum
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    gs = gauge(r, BENCH)
+    assert calls == ["irfft"]
+    # psi- is built on first read, from psi+ alone
+    assert np.array_equal(gs.psi_minus.values, np.conj(gs.psi_plus.values))
+    assert calls == ["irfft"]
+
+
 @pytest.mark.parametrize("n", [256, 512])
 def test_gauge_ode_residual(n):
     grid = Grid(n, 40.0)

@@ -35,6 +35,7 @@ from bonls.spectral import (
     ComplexField,
     Grid,
     RealField,
+    _mean_free,
     _mult_deriv,
     absd,
     band_limited_noise,
@@ -556,6 +557,30 @@ def test_gauge_residual_from_cached_spectra_matches_fresh_samples():
     assert np.isnan(solver._gauge_residual(fields[0], dataclasses.replace(BENCH, a=0.0)))
 
 
+@pytest.mark.parametrize("system", ["reduced", "full"])
+@pytest.mark.parametrize("n", [128, 512, 8192])
+def test_rows_on_real_transforms_match_the_sample_oracles(n, system):
+    # a row takes |D| r and the gauge's antiderivative from one irfft of r's
+    # half spectrum each.  On a caller's state whose r has a mean of 0.03,
+    # and in the rows of the states run hands out, the triple matches the
+    # sample quadrature, and the residual the gauge layer fed fresh samples
+    grid = Grid(n, 40.0)
+    base = bump_state(grid)
+    s0 = SystemState(RealField(grid, base.r.values + 0.03), base.q)
+    traj = run(s0, StepperConfig(dt=1e-3, scheme="etdrk4"), BENCH, t_end=4e-3,
+               diagnostics_every=2, snapshot_every=2, system=system)
+    assert len(traj.diagnostics) == len(traj.snapshots) == 3
+    tri = conserved(s0, BENCH)
+    rows = [(s0, (tri.e1, tri.e2, tri.e3), solver._gauge_residual(s0.r, BENCH))]
+    rows += [(s, (row.e1, row.e2, row.e3), row.gauge_residual)
+             for s, row in zip(traj.snapshots, traj.diagnostics)]
+    for s, triple, residual in rows:
+        for got, want in zip(triple, sample_space_conserved(s, BENCH)):
+            assert abs(got - want) <= 1e-13 * abs(want)
+        fresh = _mean_free(RealField(grid, s.r.values))
+        assert abs(residual - gauge_ode_residual(gauge(fresh, BENCH), BENCH)) <= 1e-12
+
+
 def test_run_conservation_properties():
     grid = Grid(256, 40.0)
     s0 = bump_state(grid, r_sup=0.1)
@@ -852,10 +877,10 @@ def test_run_makes_eight_transform_calls_per_plain_reduced_step(monkeypatch):
     # 200 reduced Strang steps at n = 128 with rows at steps 0, 100 and 200.
     # Each step makes 4 iffts of the factor rows and 4 ffts of the product
     # rows, and the guard's bound needs no transform.  Each row makes an
-    # ifft for |D| r in `conserved`, and an fft and two iffts for the gauge
-    # residual.  The states of the two later rows take an irfft for their r
-    # samples and an ifft for their q samples; the first takes the start-up
-    # rfft of r
+    # irfft for |D| r in `conserved`, and for the gauge residual an irfft
+    # (the antiderivative), an fft and an ifft (psi+'s derivative).  The
+    # states of the two later rows take an irfft for their r samples and an
+    # ifft for their q samples; the first takes the start-up rfft of r
     grid = Grid(128, 40.0)
     s0 = bump_state(grid)
     _ = s0.q.spectrum  # cache the input spectrum of q
@@ -871,8 +896,8 @@ def test_run_makes_eight_transform_calls_per_plain_reduced_step(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     traj = run(s0, StepperConfig(dt=1e-3), BENCH, t_end=0.2, diagnostics_every=100)
     assert len(traj.diagnostics) == 3
-    assert calls == {"fft": 4 * 200 + 3, "ifft": 4 * 200 + 3 * 3 + 2, "rfft": 1,
-                     "irfft": 2}
+    assert calls == {"fft": 4 * 200 + 3, "ifft": 4 * 200 + 3 + 2, "rfft": 1,
+                     "irfft": 3 * 2 + 2}
 
 
 @pytest.mark.parametrize("field, bad", [("r", np.nan), ("q", np.inf)])
