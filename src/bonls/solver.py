@@ -17,32 +17,18 @@ The steppers carry one complex vector y = [r_hat | q_spec], r's `rfft`
 half-spectrum (n//2 + 1 modes) then q's spectrum, from the entry of `run`
 or `step` to the blow-up guard, so r stays real by construction and each
 stage is one array operation against one set of diagonal tables (Kassam
-& Trefethen 2005).  Two real fields share each complex transform (see
-`_Rhs`), so a nonlinear evaluation makes 2 transform calls (reduced) or
-3 (full).  Products that share a Fourier multiplier are summed before
-their transform, and the product rule folds the full system's three
-products with q into one, so an evaluation moves 4 (reduced) or 6.5
-(full) n-point complex transforms' worth of data.
+& Trefethen 2005).  A nonlinear evaluation makes 2 transform calls
+(reduced) or 3 (full), which move 4 or 6.5 n-point complex transforms'
+worth of data (see `_Rhs`).
 
 The guard bounds sup|r| <= (2/n) sum|r_hat| with no transform and takes
 r's samples for the exact check only when that bound reaches the guard
-(less 1e-12 of it), so a step with no diagnostics row or snapshot makes
-8 transform calls (reduced) or 12 (full).  One constructor
-(`_state_of`) builds every state `run` and `step` hand out, their
-snapshots, rows and BlowUp states included, and each carries the
-stepper's vector y: r's cached spectrum is y's half-spectrum mirrored,
-and q's is a view of y; `run`'s first state holds copies of the
-caller's r and q samples.  A step reads y alone, so the arrays these
-states hold are read-only, and only a state the caller built is scanned
-for non-finite values.  `conserved` sums the quadratic terms over these
-spectra (Parseval) and uses samples only for the cubic ones, and the
-gauge residual reads only the gauge factor psi+, so a diagnostics row
-costs 6 transforms, the inverse transforms for the r and q samples
-included.  The real fields of a row take real transforms of r's half
-spectrum: the r samples, |D| r in `conserved` and the gauge's
-antiderivative one irfft each.  The complex ones are the q samples'
-ifft, and psi+'s fft and the ifft of its derivative.  `run` hands a
-snapshot on before it computes that state's row.
+(less 1e-12 of it), so a step makes 8 transform calls (reduced) or 12
+(full).  The states `run` and `step` hand out hold y and make their
+samples on first read (`_state_of`).  A diagnostics row costs 6
+transforms: irffts of r's half spectrum for the r samples, |D| r and
+the gauge's antiderivative, the q samples' ifft, and psi+'s fft and
+the ifft of its derivative.
 
 Conserved quantities tracked along a run:
 
@@ -72,6 +58,7 @@ from .spectral import (
     dealias_mask,
     _mean_free,
     _phase,
+    _read_only,
     _real_samples,
 )
 
@@ -476,20 +463,22 @@ class _EtdStepper:
         # on the half grid and mode j takes the row of mode n - j
         h = rhs.n // 2 + 1
         mirror = np.concatenate((np.arange(h), np.arange(h - 2, 0, -1)))
-        (self.e, self.e2, self.q, self.f1, self.f2, self.f3) = (
+        (self.e, self.e2, self.q, self.f1, f2, self.f3) = (
             np.concatenate((tr, tq[mirror])) for tr, tq in
             zip(_etd_tables(dt, rhs.lin_r), _etd_tables(dt, rhs.lin_q[:h])))
+        self.two_f2 = 2.0 * f2  # the weight of na + nb, doubled once here
 
     def advance(self, y: np.ndarray) -> np.ndarray:
         n0 = self.rhs.nonlinear(y)
-        a = self.e2 * y + self.q * n0
+        e2y = self.e2 * y  # a and b both start from it
+        a = e2y + self.q * n0
         na = self.rhs.nonlinear(a)
-        b = self.e2 * y + self.q * na
+        b = e2y + self.q * na
         nb = self.rhs.nonlinear(b)
         c = self.e2 * a + self.q * (2.0 * nb - n0)
         nc = self.rhs.nonlinear(c)
         return (self.e * y + self.f1 * n0
-                + 2.0 * self.f2 * (na + nb) + self.f3 * nc)
+                + self.two_f2 * (na + nb) + self.f3 * nc)
 
 
 @functools.lru_cache(maxsize=_STEPPER_MEMO_SIZE)
@@ -507,10 +496,7 @@ def _build_stepper(grid: Grid, dt: float, scheme: str, coeffs: ModelCoefficients
     call: only results are memoised.
     """
     rhs = _make_rhs(grid, coeffs, system, time_scale)
-    if scheme == "strang-split":
-        stepper = _StrangStepper(dt, rhs)
-    else:
-        stepper = _EtdStepper(dt, rhs)
+    stepper = (_StrangStepper if scheme == "strang-split" else _EtdStepper)(dt, rhs)
     for part in (rhs, stepper):
         for value in vars(part).values():
             if isinstance(value, np.ndarray):
@@ -538,25 +524,15 @@ def _state_of(grid: Grid, y: np.ndarray, t: float, r: np.ndarray | None = None,
     """The state at time t from the stepper's vector y = [r_hat | q_spec].
 
     Every state `step` and `run` hand out, a BlowUp's included, is built
-    here.  r's and q's samples are r and q when given (copies of the
-    caller's, or the guard's r), else one inverse transform each.  r's
-    cached spectrum is y's half-spectrum mirrored by Hermitian symmetry,
-    with no transform, so its first n//2 + 1 modes are y's bit for bit,
-    and q's is a view of y.  y, the spectra and the samples are made
-    read-only, since a step from the state reads y alone.
+    here with no transform: r is held by y's half spectrum and q by a view
+    of the rest (`Field._of_spectrum`), and each makes its samples on
+    first read unless they are given (read-only copies of the caller's,
+    or the guard's r).  y is made read-only: a step reads it alone.
     """
     h = grid.n // 2 + 1
     y.flags.writeable = False
-    if r is None:
-        r = np.fft.irfft(y[:h], grid.n)
-    if q is None:
-        q = np.fft.ifft(y[h:])
-    r.flags.writeable = q.flags.writeable = False
-    rf, qf = RealField(grid, r), ComplexField(grid, q)
-    rf._spec = np.concatenate((y[:h], np.conj(y[h - 2:0:-1])))
-    rf._spec.flags.writeable = False
-    qf._spec = y[h:]
-    st = SystemState(rf, qf, t)
+    st = SystemState(RealField._of_spectrum(grid, y[:h], r),
+                     ComplexField._of_spectrum(grid, y[h:], q), t)
     object.__setattr__(st, "_y", y)
     return st
 
@@ -589,8 +565,7 @@ def _stepping(stepper, cfg: StepperConfig, s: SystemState, y: np.ndarray):
     for i in itertools.count(1):
         next_y, next_r = stepper.advance(y), None
         if not (2.0 / grid.n) * float(np.abs(next_y[:h]).sum()) <= limit:
-            next_r = np.fft.irfft(next_y[:h], grid.n)
-            next_r.flags.writeable = False
+            next_r = _read_only(np.fft.irfft(next_y[:h], grid.n))
             sup = float(np.max(np.abs(next_r)))
             if not np.isfinite(sup) or sup > cfg.cfl_guard:
                 raise BlowUp(t0 + i * dt, sup, s or _state_of(grid, y, t, r))
@@ -618,13 +593,12 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
          system: str = "reduced", time_scale: str = "tau") -> SystemState:
     """Advance one state by cfg.dt with the configured scheme.
 
-    This is the one-step case of the loop `run` runs (`_steps`).  The
-    stepper (right-hand side weights and, for etdrk4, the phi-function
-    tables) is reused across calls with equal arguments, the one `run`
-    builds included.  A state that `step` or `run` returned keeps the
-    stepper's vector, so a loop of step() calls gives the fields `run`
-    does bit for bit and makes two transforms per step more than a plain
-    step of `run`: the inverse transforms for the new r and q samples.
+    This is the one-step case of the loop `run` runs (`_steps`), and it
+    reuses the stepper `run` builds for equal arguments.  A state that
+    `step` or `run` returned keeps the stepper's vector, so a loop of
+    step() calls gives the fields `run` does bit for bit and makes the
+    transforms of `run`'s steps; the new state's r and q samples take one
+    inverse transform each when first read.
 
     Raises ValueError when r or q of a state the caller built is not
     finite, and BlowUp (carrying the input state as the last good one)
@@ -641,19 +615,16 @@ def conserved(s: SystemState, coeffs: ModelCoefficients) -> ConservedTriple:
     The quadratic terms (r|D|r, r_x^2, |q_x|^2, r^2/2 and Im conj(q) q_x)
     are sums over the spectra by Parseval, with the multipliers of
     `absd` and `deriv`; the cubic terms and E2 are sums over samples.
-    On a state whose spectra are cached, as every state `run` and `step`
-    return, this costs one irfft of half r's spectrum, for the samples of
-    |D| r, and no complex transform.
+    On a state `run` or `step` returned this costs one irfft of r's half
+    spectrum for |D| r, plus the r and q samples' first read.
     """
     grid = s.grid
-    r_spec = s.r.spectrum
-    q_spec = s.q.spectrum
+    r_spec, q_spec = s.r.spectrum, s.q.spectrum
     absk = grid.abs_k
     k1 = grid.ik.imag  # k, with deriv's Nyquist mode dropped
     r2 = (r_spec * np.conj(r_spec)).real
     q2 = (q_spec * np.conj(q_spec)).real
-    rv = s.r.values
-    qv = s.q.values
+    rv, qv = s.r.values, s.q.values
     adr = _real_samples(s.r, absk)
     qsq = (qv * np.conj(qv)).real
     parseval = grid.dx / grid.n
@@ -671,9 +642,9 @@ def conserved(s: SystemState, coeffs: ModelCoefficients) -> ConservedTriple:
 def _gauge_residual(r: RealField, coeffs: ModelCoefficients) -> float:
     # The gauge phase integrates r, which requires a periodic primitive;
     # project out the conserved mean and gauge the oscillatory part.  With
-    # r's spectrum cached this makes three transforms: the antiderivative's
-    # irfft, and psi+'s fft and the ifft of its derivative (psi- and the
-    # w+- pair are never read).
+    # r's samples and spectrum cached this makes three transforms: the
+    # antiderivative's irfft, and psi+'s fft and the ifft of its derivative
+    # (psi- and the w+- pair are never read).
     if coeffs.a == 0.0:
         return float("nan")
     return gauge_ode_residual(gauge(_mean_free(r), coeffs), coeffs)
@@ -719,8 +690,8 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
 
     # the first step starts from the first snapshot, whose vector is
     # checked (`_spectra`) before it is handed over
-    st = _state_of(grid, _spectra(initial), initial.t, initial.r.values.copy(),
-                   initial.q.values.copy())
+    st = _state_of(grid, _spectra(initial), initial.t,
+                   *(_read_only(f.values.copy()) for f in (initial.r, initial.q)))
     steps = _steps(st, cfg, coeffs, system, time_scale)
     on_snapshot(st)
     rows = [diag_row(st)]

@@ -105,22 +105,39 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class Field:
     """Periodic samples on a Grid with a lazily cached spectrum.
 
-    The spectrum is the plain numpy FFT of the samples, computed at most
-    once.  Fields are cheap value objects; operators return new instances
-    and never mutate their input.
+    The spectrum of a field built from samples is their plain numpy FFT,
+    computed at most once; one held by its spectrum (`_of_spectrum`) makes
+    its samples on first read and caches them read-only.  Fields are cheap
+    value objects; operators return new instances and never mutate their input.
     """
 
     _dtype: type = complex
 
-    __slots__ = ("grid", "values", "_spec")
+    __slots__ = ("grid", "_values", "_spec")
 
     def __init__(self, grid: Grid, values):
         arr = np.asarray(values, dtype=self._dtype)
         if arr.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} samples, got shape {arr.shape}")
         self.grid = grid
-        self.values = arr
+        self._values = arr
         self._spec = None
+
+    @classmethod
+    def _of_spectrum(cls, grid: Grid, spec: np.ndarray, values=None) -> "Field":
+        """The field held by spec (a RealField's may be its `rfft` half) and values, as given."""
+        out = cls.__new__(cls)
+        out.grid, out._spec, out._values = grid, spec, values
+        return out
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _read_only(self._held_samples())
+        return self._values
+
+    def _held_samples(self) -> np.ndarray:
+        return np.fft.ifft(self._spec)
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -133,9 +150,7 @@ class Field:
         spec = np.asarray(spectrum, dtype=complex)
         if spec.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} modes, got shape {spec.shape}")
-        out = cls(grid, cls._samples_of(spec))
-        out._spec = spec.copy()
-        return out
+        return cls._of_spectrum(grid, spec.copy(), cls._samples_of(spec))
 
     @staticmethod
     def _samples_of(spec: np.ndarray) -> np.ndarray:
@@ -147,11 +162,25 @@ class Field:
 
 
 class RealField(Field):
-    """Field whose samples are real, hence Hermitian-symmetric spectrum."""
+    """Field whose samples are real, hence Hermitian-symmetric spectrum.
+
+    One held by its `rfft` half takes one irfft for its samples, and its
+    full spectrum mirrors that half.
+    """
 
     _dtype = float
 
     __slots__ = ()
+
+    def _held_samples(self) -> np.ndarray:
+        return np.fft.irfft(self._spec[:self.grid.n // 2 + 1], self.grid.n)
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        spec = self._spec
+        if spec is not None and spec.shape[0] < self.grid.n:  # the held half
+            self._spec = _read_only(np.concatenate((spec, np.conj(spec[-2:0:-1]))))
+        return super().spectrum
 
     @staticmethod
     def _samples_of(spec: np.ndarray) -> np.ndarray:
@@ -231,13 +260,11 @@ def _mult_project(grid: Grid, sign: int) -> np.ndarray:
 def _mean_free(f: RealField) -> RealField:
     """f minus its mean; the spectrum is f's with the mean mode zeroed.
 
-    Once f's spectrum is cached this makes no transform.
+    Once f's samples and spectrum are cached this makes no transform.
     """
     spec = f.spectrum.copy()
     spec[0] = 0.0
-    out = RealField(f.grid, f.values - np.mean(f.values))
-    out._spec = spec
-    return out
+    return RealField._of_spectrum(f.grid, spec, f.values - np.mean(f.values))
 
 
 def _real_samples(f: RealField, mult: np.ndarray) -> np.ndarray:
@@ -249,7 +276,8 @@ def _real_samples(f: RealField, mult: np.ndarray) -> np.ndarray:
     No spectrum is kept, and nothing is checked.
     """
     h = f.grid.n // 2 + 1
-    return np.fft.irfft(f.spectrum[:h] * mult[:h], f.grid.n)
+    spec = f.spectrum if f._spec is None else f._spec  # a held half as it is
+    return np.fft.irfft(spec[:h] * mult[:h], f.grid.n)
 
 
 def _apply(f: Field, mult: np.ndarray, cls: type | None = None) -> Field:

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import sys
 import threading
+import types
 import weakref
 
 import numpy as np
@@ -526,11 +527,24 @@ def test_spectral_conserved_matches_sample_quadrature(n, kind, system):
 
 
 def test_conserved_on_a_stepped_state_costs_at_most_two_transforms(monkeypatch):
+    # once its samples are read: their inverse transforms are the first
+    # read's (see test_step_and_conserved_transform_no_more_than_eager_samples)
     s = step(bump_state(Grid(128, 40.0)), StepperConfig(dt=1e-3, scheme="etdrk4"),
              BENCH, system="full")
+    _ = s.r.values, s.q.values
     calls = count_transforms(monkeypatch)
     conserved(s, BENCH)
     assert calls["n"] <= 2
+
+
+def test_step_and_conserved_transform_no_more_than_eager_samples(monkeypatch):
+    # 12 calls for the full step, then conserved's irfft of r, ifft of q and
+    # irfft of |D| r: the 15 a step() made when it built both samples
+    cfg = StepperConfig(dt=1e-3, scheme="etdrk4")
+    s = step(bump_state(Grid(128, 40.0)), cfg, BENCH, system="full")
+    calls = count_transforms(monkeypatch)
+    conserved(step(s, cfg, BENCH, system="full"), BENCH)
+    assert calls["n"] <= 15
 
 
 def test_gauge_residual_from_cached_spectra_matches_fresh_samples():
@@ -822,9 +836,60 @@ def test_later_step_transforms_what_run_does_and_the_q_samples(monkeypatch, sche
     cfg = StepperConfig(dt=1e-3, scheme=scheme)
     s = step(bump_state(grid), cfg, BENCH, system=system)
     calls = count_transforms(monkeypatch)
-    step(s, cfg, BENCH, system=system)
-    # the returned state's r and q samples take one inverse transform each
-    assert calls["n"] <= GUARDED_STEP_CALLS[system] + 2
+    s = step(s, cfg, BENCH, system=system)
+    assert calls["n"] == GUARDED_STEP_CALLS[system]
+    # the returned state's q samples take one inverse transform, on first read
+    _ = s.q.values
+    assert calls["n"] == GUARDED_STEP_CALLS[system] + 1
+
+
+@pytest.mark.parametrize("system", ["reduced", "full"])
+def test_a_stepped_state_builds_its_samples_on_first_read(monkeypatch, system):
+    # the first read of each gives what the eager samples were bit for bit:
+    # r's irfft of y's half spectrum, that half mirrored, and q's ifft;
+    # all three are read-only, and a second read transforms nothing
+    n, h = 128, 65
+    s = step(bump_state(Grid(n, 40.0)), StepperConfig(dt=1e-3, scheme="etdrk4"),
+             BENCH, system=system)
+    y = s._y
+    want = {"r.values": np.fft.irfft(y[:h], n),
+            "r.spectrum": np.concatenate((y[:h], np.conj(y[h - 2:0:-1]))),
+            "q.values": np.fft.ifft(y[h:])}
+    calls = count_transforms(monkeypatch)
+    got = {"r.values": s.r.values, "r.spectrum": s.r.spectrum, "q.values": s.q.values}
+    assert calls["n"] == 2  # the mirror takes none
+    for name, arr in got.items():
+        assert np.array_equal(arr, want[name]), name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    again = {"r.values": s.r.values, "r.spectrum": s.r.spectrum, "q.values": s.q.values,
+             "q.spectrum": s.q.spectrum}
+    assert calls["n"] == 2
+    assert all(again[name] is got[name] for name in got)
+    assert np.shares_memory(again["q.spectrum"], y)
+
+
+def test_a_blow_up_state_carrying_the_guards_r_makes_no_transform_for_r(monkeypatch):
+    # a stepper that doubles y: on the first step the bound (2/n) sum|r_hat|
+    # exceeds the guard but sup|r| stays under it, so the guard takes r's
+    # samples; the second step trips, and its BlowUp state carries them
+    grid = Grid(64, 20.0)
+    kx = 2.0 * np.pi * grid.x / grid.length
+    s = SystemState(RealField(grid, 0.1 * (np.sin(kx) + np.sin(2.0 * kx))),
+                    gaussian_envelope(grid, 0.02, 3.0, carrier_mode=2))
+    sup0 = float(np.max(np.abs(s.r.values)))
+    cfg = StepperConfig(dt=1e-3, cfl_guard=2.1 * sup0)
+    doubling = types.SimpleNamespace(advance=lambda y: 2.0 * y)
+    steps = solver._stepping(doubling, cfg, s, solver._spectra(s))
+    _, _, guard_r = next(steps)
+    assert guard_r is not None
+    calls = count_transforms(monkeypatch)
+    with pytest.raises(BlowUp) as info:
+        next(steps)
+    assert calls["n"] == 1  # the guard's irfft of the failing step's r
+    last = info.value.state
+    assert last.r.values is guard_r
+    assert calls["n"] == 1
 
 
 def guard_bound(r_hat, n):
@@ -993,9 +1058,9 @@ def test_stepper_errors_are_raised_on_every_call(builds):
 @pytest.mark.parametrize("system", ["reduced", "full"])
 @pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
 def test_later_steps_build_nothing(builds, monkeypatch, scheme, system):
-    # after the first call a step() builds no right-hand side and no table;
-    # it transforms what the guarded step does, plus the inverse transforms
-    # giving the new r and q samples
+    # after the first call a step() builds no right-hand side and no table,
+    # and transforms only what the guarded step does: the samples of states
+    # nobody reads are never made
     grid = Grid(128, 40.0)
     cfg = StepperConfig(dt=1e-3, scheme=scheme)
     s = step(bump_state(grid), cfg, BENCH, system=system)
@@ -1005,7 +1070,7 @@ def test_later_steps_build_nothing(builds, monkeypatch, scheme, system):
     for _ in range(n_calls):
         s = step(s, cfg, BENCH, system=system)
     assert builds == built
-    assert calls["n"] <= n_calls * (GUARDED_STEP_CALLS[system] + 2)
+    assert calls["n"] == n_calls * GUARDED_STEP_CALLS[system]
 
 
 def test_diagnostics_row_transform_budget(monkeypatch):
@@ -1107,11 +1172,12 @@ def test_etd_tables_match_contour_means(n, symbol, time_scale):
 def test_etdrk4_q_tables_built_on_the_half_grid_match_the_full_grid(n, time_scale):
     # the q symbol is even, so the tables built on n//2 + 1 modes and
     # mirrored equal the tables over all n modes bit for bit; each joined
-    # table holds them after r's n//2 + 1 modes
+    # table holds them after r's n//2 + 1 modes, f2's doubled (exactly)
     rhs = solver._make_rhs(Grid(n, 40.0), BENCH, "full", time_scale)
     stepper = solver._EtdStepper(1e-2, rhs)
-    got = (stepper.e, stepper.e2, stepper.q, stepper.f1, stepper.f2, stepper.f3)
-    want = solver._etd_tables(1e-2, rhs.lin_q)
+    got = (stepper.e, stepper.e2, stepper.q, stepper.f1, stepper.two_f2, stepper.f3)
+    e, e2, q, f1, f2, f3 = solver._etd_tables(1e-2, rhs.lin_q)
+    want = (e, e2, q, f1, 2.0 * f2, f3)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g[n // 2 + 1:], w)
 
