@@ -59,7 +59,6 @@ from .coeffs import (
 )
 from .solver import (
     SYSTEMS,
-    TIME_SCALES,
     BlowUp,
     StepperConfig,
     SystemState,
@@ -218,7 +217,9 @@ class RunConfig:
     Every field built with `_key` is one row of the config table.  The
     rules that tie keys together run on construction, which also builds
     the library objects (params, grid, stepper), so a bad configuration
-    never starts computing.
+    never starts computing.  The library steps in tau: with time_scale
+    tau1 (tau1 = epsilon tau), dt and t_end are read in tau1 and the
+    stepper's dt is dt / epsilon.
     """
 
     settings: dict[str, str]
@@ -239,7 +240,7 @@ class RunConfig:
         "run.snapshot_every", _to_cadence, "0",
         (lambda v: v is None or v > 0, "must be zero (ends only) or positive"))
     system: str = _key("run.system", str.strip, "reduced", _one_of(*SYSTEMS))
-    time_scale: str = _key("run.time_scale", str.strip, "tau", _one_of(*TIME_SCALES))
+    time_scale: str = _key("run.time_scale", str.strip, "tau", _one_of("tau", "tau1"))
     gauge_diagnostics: bool = _key("run.gauge_diagnostics", _to_bool, "on")
     ic_r_kind: str = _key("ic.r.kind", str.strip, "gaussian",
                           _one_of("gaussian", "soliton", "noise", "zero"))
@@ -291,11 +292,12 @@ class RunConfig:
         if not 0.0 < self.k_min < self.k_max:
             raise ConfigError("dispersion range must satisfy 0 < k_min < k_max")
         # DomainError is a ValueError, so each constructor's own check reports here
+        dt_tau = self.dt / self.epsilon if self.time_scale == "tau1" else self.dt
         built = {
             "params": _build("physical", PhysicalParams,
                              self.g, self.h1, self.rho, self.rho1),
             "grid": _build("grid", Grid, self.grid_n, self.grid_length),
-            "stepper": _build("stepper", StepperConfig, self.dt, self.scheme,
+            "stepper": _build("stepper", StepperConfig, dt_tau, self.scheme,
                               self.cfl_guard),
         }
         # the rule run() applies, checked before any output is written
@@ -342,6 +344,7 @@ def load_settings(path: str | None) -> dict[str, str]:
     return settings
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is reported
 def build_initial_state(cfg: RunConfig) -> SystemState:
     """Initial (r, q) from the ic.* settings; only noise kinds draw on the seed."""
     grid = cfg.grid
@@ -366,6 +369,9 @@ def build_initial_state(cfg: RunConfig) -> SystemState:
     else:
         q = gaussian_envelope(grid, cfg.ic_q_amplitude, cfg.ic_q_width,
                               cfg.ic_q_center, cfg.ic_q_carrier)
+    # an overflow (a soliton's 4 nu at nu = 1e308) is bad input, not a blow-up
+    if not (np.all(np.isfinite(r_vals)) and np.all(np.isfinite(q.values))):
+        raise ConfigError("ic.*: the initial state is not finite")
     return SystemState(RealField(grid, r_vals), q)
 
 
@@ -474,9 +480,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # simulate / sweep
 # --------------------------------------------------------------------------
 
-def _write_snapshot(path: Path, state: SystemState, write=_tsv.write_table) -> None:
+def _write_snapshot(path: Path, state: SystemState, t: float,
+                    write=_tsv.write_table) -> None:
     q = state.q.values
-    _write_tsv(path, f"# t = {_fmt(state.t)}\nx\tr\tre_q\tim_q",
+    _write_tsv(path, f"# t = {_fmt(t)}\nx\tr\tre_q\tim_q",
                np.column_stack((state.grid.x, state.r.values, q.real, q.imag)), write)
 
 
@@ -496,11 +503,19 @@ def _write_metadata(path: Path, cfg: RunConfig, co, status: str,
 def cmd_simulate(cfg: RunConfig, args) -> int:
     co = cfg.coefficients()
     initial = build_initial_state(cfg)
+    # run steps in tau (see RunConfig), n steps counted in the config's unit:
+    # t_end / epsilon would meet run's step-count tolerance on another scale.
+    # A time written is its step index times dt, exactly i dt in either unit
+    t_end = step_count(cfg.t_end, cfg.dt) * cfg.stepper.dt
+
+    def t_of(t: float) -> float:
+        return round(t / cfg.stepper.dt) * cfg.dt
+
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log.info("simulate: %s system, %s, n=%d, dt=%s, t_end=%s",
              cfg.system, cfg.stepper.scheme, cfg.grid.n,
-             _fmt(cfg.stepper.dt), _fmt(cfg.t_end))
+             _fmt(cfg.dt), _fmt(cfg.t_end))
     sent = itertools.count()
     # each table goes to a writer process, in order, and run keeps no snapshot;
     # the writer is reaped, and its failure raised, before metadata.txt.  It
@@ -508,21 +523,22 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     # an interrupted run still has every snapshot it sent written
     with _tsv.Writer() as writer:
         try:
-            rows = run(initial, cfg.stepper, co, cfg.t_end,
+            rows = run(initial, cfg.stepper, co, t_end,
                        diagnostics_every=cfg.diagnostics_every,
-                       snapshot_every=cfg.snapshot_every,
-                       system=cfg.system, time_scale=cfg.time_scale,
+                       snapshot_every=cfg.snapshot_every, system=cfg.system,
                        gauge_diagnostics=cfg.gauge_diagnostics,
                        on_snapshot=lambda st: _write_snapshot(
-                           out / f"snapshot_{next(sent):04d}.tsv", st, writer.send)
+                           out / f"snapshot_{next(sent):04d}.tsv", st, t_of(st.t),
+                           writer.send)
                        ).diagnostics
         except BlowUp as exc:
-            log.error("blow-up: %s", exc)
+            failed = BlowUp(t_of(exc.time), exc.sup)  # its message in the config's unit
+            log.error("blow-up: %s", failed)
             last_good = out / "snapshot_last_good.tsv"
-            _write_snapshot(last_good, exc.state, writer.send)
+            _write_snapshot(last_good, exc.state, t_of(exc.state.t), writer.send)
             status, code = "blow-up", EXIT_BLOWUP
-            extra = {"failing_time": _fmt(exc.time), "failing_sup_norm": _fmt(exc.sup)}
-            message = (f"blow-up at t = {_fmt(exc.time)}; "
+            extra = {"failing_time": _fmt(failed.time), "failing_sup_norm": _fmt(exc.sup)}
+            message = (f"blow-up at t = {_fmt(failed.time)}; "
                        f"last good snapshot written to {last_good}")
         except KeyboardInterrupt:
             log.error("interrupted")
@@ -531,8 +547,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         else:
             diag_path = out / "diagnostics.tsv"
             _write_tsv(diag_path, "t\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual",
-                       np.array([(row.t, row.e1, row.e2, row.e3, row.mean_r, row.max_r,
-                                  row.gauge_residual) for row in rows]),
+                       np.array([(t_of(row.t), row.e1, row.e2, row.e3, row.mean_r,
+                                  row.max_r, row.gauge_residual) for row in rows]),
                        writer.send)
             snapshots = next(sent)  # the count of snapshots sent
             status, code = "ok", EXIT_OK

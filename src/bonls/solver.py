@@ -8,10 +8,12 @@ envelope q:
     q_t = -i alpha q_xx + i beta r q
 
 The full variant adds the next-order coupling carried by the kt3 and kt4
-coefficients (see `rhs_full`) and is integrated over the slow time the
-coefficients were derived in.  Both hand the dispersive part to the exact
-multipliers from `spectral`, so the stiff third-derivative term never
-restricts the step size.
+coefficients (see `rhs_full`).  Both are integrated in the slow time tau
+the coefficients were derived in.  A step dt in the alternative slow
+time tau1 = epsilon tau is a step dt / epsilon in tau; the CLI makes
+that conversion (`run.time_scale`).  Both hand the dispersive part to
+the exact multipliers from `spectral`, so the stiff third-derivative
+term never restricts the step size.
 
 The steppers carry one complex vector y = [r_hat | q_spec], r's `rfft`
 half-spectrum (n//2 + 1 modes) then q's spectrum, from the entry of `run`
@@ -81,13 +83,12 @@ __all__ = [
 
 SCHEMES = ("strang-split", "etdrk4")
 SYSTEMS = ("reduced", "full")
-TIME_SCALES = ("tau", "tau1")
 
 # Steppers kept for reuse, one per distinct (grid, dt, scheme, coefficients,
-# system, time scale).  Every measured use (a step() loop, run() after
-# step(), an ic.*/seed sweep) reuses the latest one only, and each holds
-# up to 13 arrays (some stacked or joined) of length n, n//2 + 1 or
-# n//2 + 1 + n, so the memo keeps one.
+# system).  Every measured use (a step() loop, run() after step(), an
+# ic.*/seed sweep) reuses the latest one only, and each holds up to 13
+# arrays (some stacked or joined) of length n, n//2 + 1 or n//2 + 1 + n,
+# so the memo keeps one.
 _STEPPER_MEMO_SIZE = 1
 # |h L| below which `_etd_tables` sums Taylor series in place of the closed
 # forms, and the number of terms summed: the terms dropped there come to
@@ -226,8 +227,7 @@ class _Rhs:
     row per product the worst mode moves by up to 1e-14 of max|N| at
     n = 512 and 8e-13 at n = 8192 (3e-15 and 6e-14 unpacked).  Each weight
     holds the multipliers of the terms a row feeds, times the two-thirds
-    cut, times `scale`, which converts between the two slow-time
-    normalizations of the full system.
+    cut.
 
     Two identities hold under the cut, because a product of two cut
     factors is alias-free inside the band.  cut(r r_x) = (ik/2) cut(r^2)
@@ -238,8 +238,7 @@ class _Rhs:
     system equals the reduced one bit for bit.
     """
 
-    def __init__(self, grid: Grid, coeffs: ModelCoefficients, full: bool,
-                 scale: float = 1.0):
+    def __init__(self, grid: Grid, coeffs: ModelCoefficients, full: bool):
         co = coeffs
         self.n = n = grid.n
         self.full = full
@@ -250,21 +249,20 @@ class _Rhs:
         ik = grid.ik
         absk = grid.abs_k
         mask = dealias_mask(grid).astype(float)
-        self.lin_r = 1j * scale * _phase("V", co, grid)[:h]
-        self.lin_q = 1j * scale * _phase("U", co, grid)
-        w = scale * mask
-        w0 = ((0.5 * w) * ik * (co.c - co.d * absk))[:h]  # on r^2
-        w1 = (w * ik)[:h]  # on the flux
+        self.lin_r = 1j * _phase("V", co, grid)[:h]
+        self.lin_q = 1j * _phase("U", co, grid)
+        w0 = ((0.5 * mask) * ik * (co.c - co.d * absk))[:h]  # on r^2
+        w1 = (mask * ik)[:h]  # on the flux
         w_r = [0.5 * (w0 - 1j * w1), 0.5 * (w0 + 1j * w1)]
         in_r = [mask * (1.0 + 1j * co.d * absk)]
         in_q = [mask.astype(complex)]
         if full:
             in_r.append(mask * (1j * co.beta - 1j * e4 * absk - self.e3 * ik))
             in_q.append(mask * ik)
-            w_r.append(((-e4 * w) * ik * absk)[:h])  # on |q|^2
-            self.w_q = w.astype(complex)
+            w_r.append(((-e4 * mask) * ik * absk)[:h])  # on |q|^2
+            self.w_q = mask.astype(complex)
         else:
-            self.w_q = w * (1j * co.beta)
+            self.w_q = mask * (1j * co.beta)
         # the inverse transform's 1/n, a power of two, so scaling is exact
         self.in_r, self.in_q = (np.stack(ops) * (1.0 / n) for ops in (in_r, in_q))
         self.w_r = np.stack(w_r)
@@ -340,20 +338,6 @@ class _Rhs:
         return out
 
 
-def _make_rhs(grid: Grid, coeffs: ModelCoefficients, system: str,
-              time_scale: str) -> _Rhs:
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-    if time_scale not in TIME_SCALES:
-        raise ValueError(f"unknown time scale {time_scale!r}; expected one of {TIME_SCALES}")
-    scale = 1.0
-    if time_scale == "tau1":
-        if system != "full":
-            raise ValueError("the alternative slow time applies to the full system only")
-        scale = 1.0 / coeffs.epsilon
-    return _Rhs(grid, coeffs, full=(system == "full"), scale=scale)
-
-
 def rhs_reduced(s: SystemState, coeffs: ModelCoefficients) -> tuple[RealField, ComplexField]:
     """Time derivative (dr/dt, dq/dt) of the reduced system.
 
@@ -362,22 +346,19 @@ def rhs_reduced(s: SystemState, coeffs: ModelCoefficients) -> tuple[RealField, C
     derivative, so the mean of dr/dt vanishes identically (the k = 0
     coefficient is exactly zero).  A non-finite r or q raises ValueError.
     """
-    return _rhs_fields(s, _make_rhs(s.grid, coeffs, "reduced", "tau"))
+    return _rhs_fields(s, _Rhs(s.grid, coeffs, full=False))
 
 
-def rhs_full(s: SystemState, coeffs: ModelCoefficients,
-             time_scale: str = "tau") -> tuple[RealField, ComplexField]:
+def rhs_full(s: SystemState, coeffs: ModelCoefficients) -> tuple[RealField, ComplexField]:
     """Slow-time derivative (dr/dtau, dq/dtau) of the full system.
 
     Extends the reduced right-hand side by the kt3 and kt4 coupling terms,
     each carrying one factor of epsilon in the normalized envelope
-    variables; it coincides with `rhs_reduced` when kt3 = kt4 = 0.  With
-    time_scale "tau1" the derivative is taken with respect to the
-    alternative slow time (one power of epsilon slower), which rescales
-    the whole right-hand side by 1/epsilon.  A non-finite r or q raises
-    ValueError.
+    variables; it coincides with `rhs_reduced` when kt3 = kt4 = 0.  The
+    derivative in tau1 = epsilon tau is this one divided by epsilon.  A
+    non-finite r or q raises ValueError.
     """
-    return _rhs_fields(s, _make_rhs(s.grid, coeffs, "full", time_scale))
+    return _rhs_fields(s, _Rhs(s.grid, coeffs, full=True))
 
 
 def _rhs_fields(s: SystemState, rhs: _Rhs) -> tuple[RealField, ComplexField]:
@@ -483,7 +464,7 @@ class _EtdStepper:
 
 @functools.lru_cache(maxsize=_STEPPER_MEMO_SIZE)
 def _build_stepper(grid: Grid, dt: float, scheme: str, coeffs: ModelCoefficients,
-                   system: str, time_scale: str):
+                   system: str):
     """The stepper of one configuration, memoised on its frozen arguments.
 
     `step` and `run` share it, so equal arguments build the right-hand
@@ -492,10 +473,12 @@ def _build_stepper(grid: Grid, dt: float, scheme: str, coeffs: ModelCoefficients
     that differ only in cfl_guard share one stepper.  Every array the
     stepper holds is made read-only, because every caller gets the same
     instance; the transform work arrays are not its attributes but held
-    per thread (`_Rhs._work`).  A bad system or time scale raises on every
-    call: only results are memoised.
+    per thread (`_Rhs._work`).  A bad system raises on every call: only
+    results are memoised.
     """
-    rhs = _make_rhs(grid, coeffs, system, time_scale)
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    rhs = _Rhs(grid, coeffs, full=(system == "full"))
     stepper = (_StrangStepper if scheme == "strang-split" else _EtdStepper)(dt, rhs)
     for part in (rhs, stepper):
         for value in vars(part).values():
@@ -537,13 +520,12 @@ def _state_of(grid: Grid, y: np.ndarray, t: float, r: np.ndarray | None = None,
     return st
 
 
-def _steps(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
-           system: str, time_scale: str):
+def _steps(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients, system: str):
     """The steps of s by cfg.dt, without end: every integrator path runs this loop.
 
     s and the system are checked here, before any step is asked for: a
     caller's state with a non-finite r or q (see `_spectra`), or a bad
-    system or time scale, raises ValueError.  The generator returned
+    system, raises ValueError.  The generator returned
     yields (t, y, r) after each step: the new time, the vector
     [r_hat | q_spec] and r's samples (read-only) if the guard took them,
     else None.  A step raises BlowUp at its time when the sup norm of r
@@ -551,7 +533,7 @@ def _steps(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     state: s itself on the first step, else the state of the step before.
     """
     y = _spectra(s)
-    stepper = _build_stepper(s.grid, cfg.dt, cfg.scheme, coeffs, system, time_scale)
+    stepper = _build_stepper(s.grid, cfg.dt, cfg.scheme, coeffs, system)
     return _stepping(stepper, cfg, s, y)
 
 
@@ -590,7 +572,7 @@ def step_count(span: float, dt: float) -> int:
 
 
 def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
-         system: str = "reduced", time_scale: str = "tau") -> SystemState:
+         system: str = "reduced") -> SystemState:
     """Advance one state by cfg.dt with the configured scheme.
 
     This is the one-step case of the loop `run` runs (`_steps`), and it
@@ -605,7 +587,7 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     when the sup norm of r leaves the guard interval or stops being
     finite.
     """
-    t, y, r = next(_steps(s, cfg, coeffs, system, time_scale))
+    t, y, r = next(_steps(s, cfg, coeffs, system))
     return _state_of(s.grid, y, t, r)
 
 
@@ -653,7 +635,7 @@ def _gauge_residual(r: RealField, coeffs: ModelCoefficients) -> float:
 def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
         t_end: float, diagnostics_every: int = 100,
         snapshot_every: int | None = None, system: str = "reduced",
-        time_scale: str = "tau", gauge_diagnostics: bool = True, *,
+        gauge_diagnostics: bool = True, *,
         on_snapshot: Callable[[SystemState], None] | None = None) -> Trajectory:
     """Integrate to t_end, collecting diagnostics and snapshots.
 
@@ -692,7 +674,7 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     # checked (`_spectra`) before it is handed over
     st = _state_of(grid, _spectra(initial), initial.t,
                    *(_read_only(f.values.copy()) for f in (initial.r, initial.q)))
-    steps = _steps(st, cfg, coeffs, system, time_scale)
+    steps = _steps(st, cfg, coeffs, system)
     on_snapshot(st)
     rows = [diag_row(st)]
     for i, (t, y, r) in zip(range(1, n_steps + 1), steps):

@@ -30,6 +30,7 @@ from bonls.cli import (
     main,
 )
 from bonls.coeffs import ModelCoefficients
+from bonls.solver import StepperConfig
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -461,6 +462,74 @@ stepper.cfl_guard = 0.4
             == (out_dir / "snapshot_0000.tsv").read_bytes())
 
 
+TAU1_RUN = QUICK_RUN + "run.system = full\nrun.time_scale = tau1\n"
+
+
+def test_tau1_simulate_writes_each_time_as_its_step_times_dt(tmp_path):
+    # the library steps dt / epsilon in tau; every time comes back in tau1
+    path = write_config(tmp_path, TAU1_RUN)
+    out_dir = tmp_path / "tau1"
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == 0
+    rows = (out_dir / "diagnostics.tsv").read_text().splitlines()[1:]
+    assert [row.split("\t")[0] for row in rows] == [_fmt(i * 1e-3) for i in range(0, 51, 10)]
+    for k, i in enumerate((0, 25, 50)):
+        header = (out_dir / f"snapshot_{k:04d}.tsv").read_text().split("\n", 1)[0]
+        assert header == f"# t = {_fmt(i * 1e-3)}"
+
+
+@pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
+def test_tau1_simulate_is_the_library_run_at_dt_over_epsilon(tmp_path, scheme):
+    path = write_config(tmp_path, TAU1_RUN + f"stepper.scheme = {scheme}\n")
+    out_dir = tmp_path / "tau1"
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == 0
+    cfg = RunConfig.from_settings(load_settings(path))
+    dt = 1e-3 / 0.35  # 50 steps of dt in tau1 = epsilon tau
+    traj = solver.run(build_initial_state(cfg), StepperConfig(dt=dt, scheme=scheme),
+                      cfg.coefficients(), 50 * dt, diagnostics_every=10,
+                      snapshot_every=25, system="full")
+    for k, snap in enumerate(traj.snapshots):
+        table = np.loadtxt(out_dir / f"snapshot_{k:04d}.tsv", skiprows=2)
+        q = snap.q.values
+        assert np.array_equal(table, np.column_stack((snap.grid.x, snap.r.values,
+                                                      q.real, q.imag)))
+    rows = np.loadtxt(out_dir / "diagnostics.tsv", skiprows=1)
+    assert np.array_equal(rows[:, 1:], [(r.e1, r.e2, r.e3, r.mean_r, r.max_r,
+                                         r.gauge_residual) for r in traj.diagnostics])
+
+
+def test_tau1_blow_up_reports_its_times_in_tau1(tmp_path, capsys):
+    # sup |r| stays below the guard for 8 steps of 0.01 / 0.35 in tau
+    path = write_config(tmp_path, TAU1_RUN + """
+stepper.dt = 1e-2
+run.t_end = 0.5
+ic.r.amplitude = 8.0
+stepper.cfl_guard = 8.005
+""")
+    out_dir = tmp_path / "boom"
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == 3
+    meta = (out_dir / "metadata.txt").read_text()
+    assert f"failing_time = {_fmt(9 * 1e-2)}\n" in meta
+    assert f"blow-up at t = {_fmt(9 * 1e-2)};" in capsys.readouterr().out
+    last_good = (out_dir / "snapshot_last_good.tsv").read_text()
+    assert last_good.startswith(f"# t = {_fmt(8 * 1e-2)}\n")
+
+
+def test_tau1_run_time_counts_its_steps_in_tau1(tmp_path):
+    # 500 steps of 1e-3 lie within step_count's 1e-9 of 0.5000000008, but
+    # 500 steps of 1e-2 in tau miss 5.000000008 (t_end / epsilon) by more
+    path = write_config(tmp_path, """
+grid.n = 64
+run.system = full
+run.time_scale = tau1
+stepper.dt = 1e-3
+run.t_end = 0.5000000008
+""")
+    out_dir = tmp_path / "tau1"
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == 0
+    last = (out_dir / "diagnostics.tsv").read_text().splitlines()[-1]
+    assert last.split("\t")[0] == _fmt(500 * 1e-3)
+
+
 def _run_with_hook(monkeypatch, hook):
     """Make cmd_simulate's run call hook(on_snapshot, state) for each snapshot."""
     real_run = cli.run
@@ -867,6 +936,8 @@ def test_config_errors_exit_2(tmp_path):
     ("verify.fields = 0\n", "unknown config key 'verify.fields'"),
     ("seed = -1\n", "seed: must be at least 0"),
     ("run.t_end = 1e300\nstepper.dt = 1e-300\n", "not a finite step count"),
+    # 4 nu overflows: bad input, not a blow-up
+    ("ic.r.kind = soliton\nic.r.nu = 1e308\n", "ic.*: the initial state is not finite"),
 ])
 def test_simulate_config_errors_exit_2_before_writing(tmp_path, caplog, extra, message):
     out_dir = tmp_path / "never"

@@ -258,26 +258,18 @@ def test_rhs_full_keeps_r_real():
 
 
 def test_rhs_slow_time_rescaling():
+    # tau1 = epsilon tau, so d/dtau1 = (1/epsilon) d/dtau: a step of
+    # dt / epsilon in tau, the CLI's step of dt in tau1, moves r and q by
+    # dt rhs_full / epsilon to first order in dt
     grid = Grid(128, 40.0)
     s = bump_state(grid)
-    dr_tau, dq_tau = rhs_full(s, BENCH, time_scale="tau")
-    dr_tau1, dq_tau1 = rhs_full(s, BENCH, time_scale="tau1")
-    for slow, fast in ((dr_tau, dr_tau1), (dq_tau, dq_tau1)):
+    dt = 1e-6
+    moved = step(s, StepperConfig(dt=dt / BENCH.epsilon), BENCH, system="full")
+    for before, after, slow in zip((s.r, s.q), (moved.r, moved.q), rhs_full(s, BENCH),
+                                   strict=True):
         want = slow.values / BENCH.epsilon
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(fast.values - want)) <= 1e-13 * scale
-
-
-def test_rhs_rejects_unknown_labels():
-    s = zero_state(Grid(64, 10.0))
-    with pytest.raises(ValueError, match="time scale"):
-        rhs_full(s, BENCH, time_scale="tau2")
-
-
-def test_slow_time_requires_full_system():
-    s = zero_state(Grid(64, 10.0))
-    with pytest.raises(ValueError, match="full system"):
-        step(s, StepperConfig(dt=1e-3), BENCH, system="reduced", time_scale="tau1")
+        got = (after.values - before.values) / dt
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 def _stacked_rows_nonlinear(grid, co, full, scale, r_hat, q_spec):
@@ -319,10 +311,12 @@ def test_folded_rows_match_one_row_per_product(n, system, time_scale, kind):
         s = bump_state(grid, r_sup=0.2, q_amp=0.15)
     else:
         s = lower_third_state(grid, np.random.default_rng(n))
-    rhs = solver._make_rhs(grid, BENCH, system, time_scale)
+    rhs = solver._Rhs(grid, BENCH, full=(system == "full"))
+    # in tau1 = epsilon tau the derivative is the one in tau over epsilon:
+    # the oracle's weights carry 1/epsilon
     scale = 1.0 / BENCH.epsilon if time_scale == "tau1" else 1.0
     r_hat = np.fft.rfft(s.r.values)
-    got = rhs.nonlinear(np.concatenate((r_hat, s.q.spectrum)))
+    got = scale * rhs.nonlinear(np.concatenate((r_hat, s.q.spectrum)))
     want = _stacked_rows_nonlinear(grid, BENCH, system == "full", scale, r_hat,
                                    s.q.spectrum)
     for g, w in zip(np.split(got, [n // 2 + 1]), want, strict=True):
@@ -340,7 +334,7 @@ def test_guarded_step_transform_volume(monkeypatch, scheme, system, budget):
     grid = Grid(128, 40.0)
     s = bump_state(grid)
     cfg = StepperConfig(dt=1e-3, scheme=scheme)
-    solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, system, "tau")
+    solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, system)
     # the stepper's vector joined up front, so the step makes no start-up transform
     s = solver._state_of(grid, solver._spectra(s), s.t, s.r.values, s.q.values)
     passed = {"samples": 0}
@@ -352,7 +346,7 @@ def test_guarded_step_transform_volume(monkeypatch, scheme, system, budget):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, sized)
-    next(solver._steps(s, cfg, BENCH, system, "tau"))
+    next(solver._steps(s, cfg, BENCH, system))
     assert passed["samples"] <= budget
 
 
@@ -400,7 +394,7 @@ def test_step_loop_frees_its_input_state():
     grid = Grid(64, 20.0)
     s = bump_state(grid, r_sup=0.05)
     held = weakref.ref(s)
-    steps = solver._steps(s, StepperConfig(dt=1e-2), BENCH, "reduced", "tau")
+    steps = solver._steps(s, StepperConfig(dt=1e-2), BENCH, "reduced")
     next(steps)
     next(steps)
     del s
@@ -792,14 +786,17 @@ def test_editing_the_first_snapshot_raises_instead_of_desyncing_its_vector():
                          [("reduced", "tau"), ("full", "tau"), ("full", "tau1")])
 @pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
 def test_step_loop_and_run_are_one_integrator(scheme, system, time_scale):
+    # tau1 = epsilon tau: the CLI's steps of dt in tau1 are steps of
+    # dt / epsilon in tau, to n of them
     grid = Grid(128, 40.0)
     s0 = bump_state(grid)
-    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    dt = 1e-3 / BENCH.epsilon if time_scale == "tau1" else 1e-3
+    cfg = StepperConfig(dt=dt, scheme=scheme)
     s = s0
     for _ in range(200):
-        s = step(s, cfg, BENCH, system=system, time_scale=time_scale)
-    end = run(s0, cfg, BENCH, t_end=0.2, diagnostics_every=200, system=system,
-              time_scale=time_scale, gauge_diagnostics=False).snapshots[-1]
+        s = step(s, cfg, BENCH, system=system)
+    end = run(s0, cfg, BENCH, t_end=200 * dt, diagnostics_every=200, system=system,
+              gauge_diagnostics=False).snapshots[-1]
     assert s.t == pytest.approx(end.t)
     for got, want in ((s.r.values, end.r.values), (s.q.values, end.q.values)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -927,7 +924,7 @@ def test_guard_equal_to_the_sup_of_a_single_mode_trips_as_the_exact_check_does()
     # a guard equal to the sup to the last bit: the bound cannot clear it,
     # so the exact check runs (it hands over r's samples) and passes
     _, y, r = next(solver._steps(s, dataclasses.replace(cfg, cfl_guard=sup), BENCH,
-                                 "reduced", "tau"))
+                                 "reduced"))
     assert r is not None
     assert guard_bound(y[:grid.n // 2 + 1], grid.n) > sup * (1.0 - 1e-12)
     # one ulp below it, the step trips with that sup and the input state
@@ -949,7 +946,7 @@ def test_run_makes_eight_transform_calls_per_plain_reduced_step(monkeypatch):
     grid = Grid(128, 40.0)
     s0 = bump_state(grid)
     _ = s0.q.spectrum  # cache the input spectrum of q
-    solver._build_stepper(grid, 1e-3, "strang-split", BENCH, "reduced", "tau")
+    solver._build_stepper(grid, 1e-3, "strang-split", BENCH, "reduced")
     calls = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
     for name in calls:
         original = getattr(np.fft, name)
@@ -986,7 +983,7 @@ def test_non_finite_input_is_rejected_not_a_blow_up(field, bad):
 def builds(monkeypatch):
     """Counts of right-hand sides and ETD tables built, from an empty memo."""
     counts = {"rhs": 0, "tables": 0}
-    for name, key in (("_make_rhs", "rhs"), ("_etd_tables", "tables")):
+    for name, key in (("_Rhs", "rhs"), ("_etd_tables", "tables")):
         original = getattr(solver, name)
 
         def counted(*args, _original=original, _key=key, **kwargs):
@@ -1016,15 +1013,16 @@ def test_equal_arguments_share_one_stepper(builds):
     step(s, StepperConfig(dt=1e-3, scheme="etdrk4", cfl_guard=5.0), BENCH)
     assert builds == {"rhs": 1, "tables": 2}
     variants = [
-        (StepperConfig(dt=2e-3, scheme="etdrk4"), BENCH, "reduced", "tau"),
-        (StepperConfig(dt=1e-3), BENCH, "reduced", "tau"),  # strang: no tables
-        (cfg, BENCH, "full", "tau"),
-        (cfg, BENCH, "full", "tau1"),
-        (cfg, dataclasses.replace(BENCH, beta=0.5 * BENCH.beta), "reduced", "tau"),
+        (StepperConfig(dt=2e-3, scheme="etdrk4"), BENCH, "reduced"),
+        (StepperConfig(dt=1e-3), BENCH, "reduced"),  # strang: no tables
+        (cfg, BENCH, "full"),
+        # the CLI's tau1 step: dt / epsilon in tau
+        (StepperConfig(dt=1e-3 / BENCH.epsilon, scheme="etdrk4"), BENCH, "full"),
+        (cfg, dataclasses.replace(BENCH, beta=0.5 * BENCH.beta), "reduced"),
     ]
-    for built, (c, co, system, time_scale) in enumerate(variants, start=2):
+    for built, (c, co, system) in enumerate(variants, start=2):
         for _ in range(2):
-            step(s, c, co, system=system, time_scale=time_scale)
+            step(s, c, co, system=system)
         assert builds["rhs"] == built
     assert builds["tables"] == 2 * 5
     step(s, cfg, BENCH)  # only the latest configuration is kept
@@ -1049,10 +1047,10 @@ def test_stepper_errors_are_raised_on_every_call(builds):
     for _ in range(2):
         with pytest.raises(ValueError, match="unknown system"):
             step(s, cfg, BENCH, system="both")
-        with pytest.raises(ValueError, match="full system"):
-            step(s, cfg, BENCH, system="reduced", time_scale="tau1")
-    assert builds["rhs"] == 4
-    assert solver._build_stepper.cache_info().currsize == 0
+    # checked before any right-hand side is built, and on each call
+    assert builds["rhs"] == 0
+    info = solver._build_stepper.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
 
 
 @pytest.mark.parametrize("system", ["reduced", "full"])
@@ -1082,7 +1080,7 @@ def test_diagnostics_row_transform_budget(monkeypatch):
     s0 = bump_state(grid)
     _ = s0.q.spectrum  # cache the input spectrum of q
     cfg = StepperConfig(dt=1e-3, scheme="etdrk4")
-    solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, "full", "tau")
+    solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, "full")
     calls = count_transforms(monkeypatch)
     traj = run(s0, cfg, BENCH, t_end=1e-2, diagnostics_every=1, system="full")
     assert len(traj.diagnostics) == 11
@@ -1097,7 +1095,7 @@ def test_memoised_stepper_arrays_are_read_only(scheme):
     cfg = StepperConfig(dt=1e-3, scheme=scheme)
     s = bump_state(grid)
     before = step(s, cfg, BENCH, system="full")
-    stepper = solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, "full", "tau")
+    stepper = solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, "full")
     arrays = [v for part in (stepper, stepper.rhs) for v in vars(part).values()
               if isinstance(v, np.ndarray)]
     # the 6 joined ETD tables or the joined half-step phases, and the full
@@ -1160,10 +1158,12 @@ def test_etd_tables_match_40_digit_references():
 def test_etd_tables_match_contour_means(n, symbol, time_scale):
     # the contour means lose digits where the unit circle passes near 0,
     # at |h L| ~ 1: there they are off by up to 1.2e-12 of the table
-    # (f1 at n = 512, against 40-digit references)
-    lin = getattr(solver._make_rhs(Grid(n, 40.0), BENCH, "full", time_scale), symbol)
-    for got, want in zip(solver._etd_tables(1e-2, lin),
-                         _one_shot_etd_tables(1e-2, lin), strict=True):
+    # (f1 at n = 512, against 40-digit references).  A step h in
+    # tau1 = epsilon tau is h / epsilon in tau
+    h = 1e-2 / BENCH.epsilon if time_scale == "tau1" else 1e-2
+    lin = getattr(solver._Rhs(Grid(n, 40.0), BENCH, full=True), symbol)
+    for got, want in zip(solver._etd_tables(h, lin),
+                         _one_shot_etd_tables(h, lin), strict=True):
         assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
 
 
@@ -1173,10 +1173,11 @@ def test_etdrk4_q_tables_built_on_the_half_grid_match_the_full_grid(n, time_scal
     # the q symbol is even, so the tables built on n//2 + 1 modes and
     # mirrored equal the tables over all n modes bit for bit; each joined
     # table holds them after r's n//2 + 1 modes, f2's doubled (exactly)
-    rhs = solver._make_rhs(Grid(n, 40.0), BENCH, "full", time_scale)
-    stepper = solver._EtdStepper(1e-2, rhs)
+    h = 1e-2 / BENCH.epsilon if time_scale == "tau1" else 1e-2  # tau1 = epsilon tau
+    rhs = solver._Rhs(Grid(n, 40.0), BENCH, full=True)
+    stepper = solver._EtdStepper(h, rhs)
     got = (stepper.e, stepper.e2, stepper.q, stepper.f1, stepper.two_f2, stepper.f3)
-    e, e2, q, f1, f2, f3 = solver._etd_tables(1e-2, rhs.lin_q)
+    e, e2, q, f1, f2, f3 = solver._etd_tables(h, rhs.lin_q)
     want = (e, e2, q, f1, 2.0 * f2, f3)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g[n // 2 + 1:], w)
@@ -1189,7 +1190,7 @@ def test_etdrk4_q_tables_built_on_the_half_grid_match_the_full_grid(n, time_scal
 def test_returned_spectra_share_no_memory_with_work_arrays(scheme, system):
     grid = Grid(128, 40.0)
     s = bump_state(grid)
-    stepper = solver._build_stepper(grid, 1e-3, scheme, BENCH, system, "tau")
+    stepper = solver._build_stepper(grid, 1e-3, scheme, BENCH, system)
     y = np.concatenate((np.fft.rfft(s.r.values), s.q.spectrum))
     first = stepper.rhs.nonlinear(y)
     kept = first.copy()
@@ -1227,7 +1228,7 @@ def test_reduced_nonlinear_matches_one_row_per_product_unpacked_bit_for_bit(n):
     h = n // 2 + 1
     s = bump_state(grid)
     y = np.concatenate((np.fft.rfft(s.r.values), s.q.spectrum))
-    rhs = solver._make_rhs(grid, BENCH, "reduced", "tau")
+    rhs = solver._Rhs(grid, BENCH, full=False)
     spec = np.concatenate((y[:h], np.conj(y[h - 2:0:-1])))
     fac = np.fft.ifft(np.stack((n * rhs.in_r[0] * spec, n * rhs.in_q[0] * y[h:])))
     r, dadr, q = fac[0].real, fac[0].imag, fac[1]
@@ -1255,7 +1256,7 @@ def test_batch_members_match_their_unbatched_results_bit_for_bit(n, scheme, syst
     y = np.stack([np.concatenate((np.fft.rfft(s.r.values), s.q.spectrum))
                   for s in states])
     assert y.shape == (len(states), n // 2 + 1 + n)
-    stepper = solver._build_stepper(grid, 1e-3, scheme, BENCH, system, "tau")
+    stepper = solver._build_stepper(grid, 1e-3, scheme, BENCH, system)
     for apply in (stepper.rhs.nonlinear, stepper.advance):
         batched = apply(y)
         for i in range(len(states)):
