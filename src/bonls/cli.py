@@ -581,8 +581,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             raise ConfigError(f"{_KEY['sweep_values']}: {value!r} gives the member "
                               f"directory {tag!r} twice")
         settings[_KEY["out_dir"]] = str(base / tag)
-        jobs.append((tag, RunConfig.from_settings(settings)))
-    # every member is checked above before the first one runs
+        sub = RunConfig.from_settings(settings)
+        build_initial_state(sub)
+        jobs.append((tag, sub))
+    # every member's config and initial state are checked above before
+    # the first one runs
     codes = []
     for tag, sub in jobs:
         codes.append(cmd_simulate(sub, args))

@@ -289,15 +289,13 @@ def symbol_table(params: PhysicalParams, k) -> SymbolTable:
     A5 = -sq_1 * k * a_p
     B5 = -sq_1 * k * a_m
 
-    omega2 = g * drho * k * k / b0
-    omega1_sq = g * g0
-
     table = SymbolTable(
         k=k, g0=g0, g11=g11, g12=g12, b0=b0, qa=qa, qb=qb, qc=qc,
         theta=theta, a_plus=a_p, a_minus=a_m, b_plus=b_p, b_minus=b_m,
         A1=A1, A2=A2, A3=A3, A4=A4, A5=A5,
         B1=B1, B2=B2, B3=B3, B4=B4, B5=B5,
-        omega2=omega2, omega1_sq=omega1_sq,
+        omega2=dispersion_internal(params, k),
+        omega1_sq=dispersion_surface(params, k),
     )
     for name in ("g11", "g12", "b0", "qa", "qb", "qc", "theta", "a_plus",
                  "a_minus", "b_plus", "b_minus", "A1", "A2", "A3", "A4",
@@ -426,6 +424,14 @@ class ModelCoefficients:
     delta: float
 
 
+def _carrier(params: PhysicalParams) -> tuple[float, float]:
+    """(c0, k0): the long internal wave's speed sqrt(g gamma h1) and the
+    resonant carrier wavenumber, where omega1'(k0) = c0."""
+    c0 = math.sqrt(params.g * params.gamma * params.h1)
+    k0 = params.rho / (4.0 * params.h1 * (params.rho - params.rho1))
+    return c0, k0
+
+
 def derive_coefficients(params: PhysicalParams, epsilon: float,
                         delta: float) -> ModelCoefficients:
     """Derive every model coefficient from the physical parameters.
@@ -467,8 +473,7 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
     gamma = params.gamma
     drho = rho - rho1
 
-    c0 = math.sqrt(g * gamma * h1)
-    k0 = rho / (4.0 * h1 * drho)
+    c0, k0 = _carrier(params)
     Omega0 = g * h1 * drho / rho
     Omega1 = -g * drho * rho1 * h1 ** 2 / rho ** 2
     Omega2 = (g * drho * h1 ** 3 / rho) * (rho1 ** 2 / rho ** 2 - 1.0 / 3.0)
@@ -541,10 +546,9 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
 
 
 def resonance_residual(params: PhysicalParams) -> float:
-    """Relative mismatch |omega1'(k0) - c0| / c0 (should vanish)."""
-    gamma = params.gamma
-    c0 = math.sqrt(params.g * gamma * params.h1)
-    k0 = params.rho / (4.0 * params.h1 * (params.rho - params.rho1))
+    """Relative mismatch |omega1'(k0) - c0| / c0 of the carrier that
+    `derive_coefficients` uses (should vanish)."""
+    c0, k0 = _carrier(params)
     return abs(omega1_prime(params, k0) - c0) / c0
 
 

@@ -1,11 +1,13 @@
 """Quadratic and cubic wave energies in both coordinate systems.
 
-The four canonical fields are either surface/interface elevations and
-potentials (eta, xi, eta1, xi1) or the decoupled mode pairs (mu, zeta,
-mu1, zeta1) produced by the normal-mode transform.  Energies evaluate the
-corresponding integrands with pseudospectral products (two-thirds-rule
-dealiased factors) and trapezoid quadrature, which is exact for
-band-limited data on a periodic grid.
+The four canonical fields are either the interface/surface elevations and
+potentials, `Original(eta, xi, eta1, xi1)`, or the decoupled mode pairs
+produced by the normal-mode transform, `Normal(mu, zeta, mu1, zeta1)`.
+Energies evaluate the corresponding integrands with pseudospectral
+products (two-thirds-rule dealiased factors) and trapezoid quadrature,
+which is exact for band-limited data on a periodic grid.  Every symbol
+is applied to a field's cached spectrum, so each field is transformed
+once.
 
 Odd multipliers produce purely imaginary fields on real input, so cubic
 integrands are assembled in complex arithmetic and only the real part of
@@ -14,7 +16,7 @@ the quadrature is returned; the imaginary part is roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -29,7 +31,8 @@ Symbols = Callable[[PhysicalParams, np.ndarray], SymbolTable]
 
 __all__ = [
     "CoordinateMismatch",
-    "FourField",
+    "Original",
+    "Normal",
     "DnoFirstOrder",
     "normal_transform",
     "inverse_transform",
@@ -39,140 +42,87 @@ __all__ = [
     "dno_first_order",
 ]
 
-ORIGINAL = "original"
-NORMAL = "normal"
-
 
 class CoordinateMismatch(ValueError):
-    """Operation applied to a FourField with the wrong coordinate tag."""
+    """A transform handed the fields of the other coordinate system."""
 
 
 @dataclass(frozen=True)
-class FourField:
-    """Four real fields sharing one grid, tagged by coordinate system.
-
-    tag "original" names them (eta, xi, eta1, xi1): interface elevation,
-    interface potential trace, surface elevation, surface potential trace.
-    tag "normal" names them (mu, zeta, mu1, zeta1): internal and surface
-    mode pairs.
-    """
-
-    tag: str
-    f1: RealField
-    f2: RealField
-    f3: RealField
-    f4: RealField
-
+class _FourFields:
     def __post_init__(self):
-        if self.tag not in (ORIGINAL, NORMAL):
-            raise CoordinateMismatch(f"unknown coordinate tag {self.tag!r}")
-        grids = {f.grid for f in (self.f1, self.f2, self.f3, self.f4)}
-        if len(grids) != 1:
+        if len({getattr(self, f.name).grid for f in fields(self)}) != 1:
             raise ValueError("all four fields must share one grid")
 
     @property
     def grid(self) -> Grid:
-        return self.f1.grid
-
-    @classmethod
-    def original(cls, eta: RealField, xi: RealField,
-                 eta1: RealField, xi1: RealField) -> "FourField":
-        return cls(ORIGINAL, eta, xi, eta1, xi1)
-
-    @classmethod
-    def normal(cls, mu: RealField, zeta: RealField,
-               mu1: RealField, zeta1: RealField) -> "FourField":
-        return cls(NORMAL, mu, zeta, mu1, zeta1)
-
-    def _require(self, tag: str) -> None:
-        if self.tag != tag:
-            raise CoordinateMismatch(
-                f"field is tagged {self.tag!r}, operation needs {tag!r}")
-
-    @property
-    def eta(self) -> RealField:
-        self._require(ORIGINAL)
-        return self.f1
-
-    @property
-    def xi(self) -> RealField:
-        self._require(ORIGINAL)
-        return self.f2
-
-    @property
-    def eta1(self) -> RealField:
-        self._require(ORIGINAL)
-        return self.f3
-
-    @property
-    def xi1(self) -> RealField:
-        self._require(ORIGINAL)
-        return self.f4
-
-    @property
-    def mu(self) -> RealField:
-        self._require(NORMAL)
-        return self.f1
-
-    @property
-    def zeta(self) -> RealField:
-        self._require(NORMAL)
-        return self.f2
-
-    @property
-    def mu1(self) -> RealField:
-        self._require(NORMAL)
-        return self.f3
-
-    @property
-    def zeta1(self) -> RealField:
-        self._require(NORMAL)
-        return self.f4
+        return getattr(self, fields(self)[0].name).grid
 
 
-def _mult(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply a Fourier multiplier to samples; complex output in general."""
-    return np.fft.ifft(m * np.fft.fft(v))
+@dataclass(frozen=True)
+class Original(_FourFields):
+    """Interface elevation and potential trace, surface elevation and
+    potential trace, on one grid."""
+
+    eta: RealField
+    xi: RealField
+    eta1: RealField
+    xi1: RealField
 
 
-def normal_transform(f: FourField, params: PhysicalParams,
-                     symbols: Symbols = symbol_table) -> FourField:
+@dataclass(frozen=True)
+class Normal(_FourFields):
+    """The internal (mu, zeta) and surface (mu1, zeta1) mode pairs, on one grid."""
+
+    mu: RealField
+    zeta: RealField
+    mu1: RealField
+    zeta1: RealField
+
+
+def _require(f, cls: type) -> None:
+    if not isinstance(f, cls):
+        raise CoordinateMismatch(f"needs {cls.__name__} coordinates, got {type(f).__name__}")
+
+
+def _mult(m: np.ndarray, f: RealField) -> np.ndarray:
+    """Apply a Fourier multiplier to a field; complex samples in general."""
+    return np.fft.ifft(m * f.spectrum)
+
+
+def normal_transform(f: Original, params: PhysicalParams,
+                     symbols: Symbols = symbol_table) -> Normal:
     """Decouple (eta, xi, eta1, xi1) into the mode pairs (mu, zeta, mu1, zeta1).
 
     The 4x4 multiplier matrix mixes the two elevations (weighted by
     sqrt(g(rho-rho1)), sqrt(g rho1)) and, reciprocally, the two potentials.
     """
-    f._require(ORIGINAL)
+    _require(f, Original)
     st = symbols(params, f.grid.k)
     sq_d = np.sqrt(params.g * (params.rho - params.rho1))
     sq_1 = np.sqrt(params.g * params.rho1)
-    eta, xi, eta1, xi1 = (x.values for x in (f.f1, f.f2, f.f3, f.f4))
-    grid = f.grid
-    mu = _mult(st.a_minus * sq_d, eta) + _mult(st.b_minus * sq_1, eta1)
-    zeta = _mult(st.a_minus / sq_d, xi) + _mult(st.b_minus / sq_1, xi1)
-    mu1 = _mult(st.a_plus * sq_d, eta) + _mult(st.b_plus * sq_1, eta1)
-    zeta1 = _mult(st.a_plus / sq_d, xi) + _mult(st.b_plus / sq_1, xi1)
-    return FourField.normal(*(RealField(grid, v.real) for v in (mu, zeta, mu1, zeta1)))
+    mu = _mult(st.a_minus * sq_d, f.eta) + _mult(st.b_minus * sq_1, f.eta1)
+    zeta = _mult(st.a_minus / sq_d, f.xi) + _mult(st.b_minus / sq_1, f.xi1)
+    mu1 = _mult(st.a_plus * sq_d, f.eta) + _mult(st.b_plus * sq_1, f.eta1)
+    zeta1 = _mult(st.a_plus / sq_d, f.xi) + _mult(st.b_plus / sq_1, f.xi1)
+    return Normal(*(RealField(f.grid, v.real) for v in (mu, zeta, mu1, zeta1)))
 
 
-def inverse_transform(f: FourField, params: PhysicalParams,
-                      symbols: Symbols = symbol_table) -> FourField:
+def inverse_transform(f: Normal, params: PhysicalParams,
+                      symbols: Symbols = symbol_table) -> Original:
     """Reassemble the original coordinates from the mode pairs.
 
     Exact inverse of normal_transform because the mixing multipliers
     satisfy a- b+ - a+ b- = 1 at every wavenumber.
     """
-    f._require(NORMAL)
+    _require(f, Normal)
     st = symbols(params, f.grid.k)
     sq_d = np.sqrt(params.g * (params.rho - params.rho1))
     sq_1 = np.sqrt(params.g * params.rho1)
-    mu, zeta, mu1, zeta1 = (x.values for x in (f.f1, f.f2, f.f3, f.f4))
-    grid = f.grid
-    eta = (_mult(st.b_plus, mu) - _mult(st.b_minus, mu1)) / sq_d
-    eta1 = -(_mult(st.a_plus, mu) - _mult(st.a_minus, mu1)) / sq_1
-    xi = sq_d * (_mult(st.b_plus, zeta) - _mult(st.b_minus, zeta1))
-    xi1 = -sq_1 * (_mult(st.a_plus, zeta) - _mult(st.a_minus, zeta1))
-    return FourField.original(*(RealField(grid, v.real) for v in (eta, xi, eta1, xi1)))
+    eta = (_mult(st.b_plus, f.mu) - _mult(st.b_minus, f.mu1)) / sq_d
+    eta1 = -(_mult(st.a_plus, f.mu) - _mult(st.a_minus, f.mu1)) / sq_1
+    xi = sq_d * (_mult(st.b_plus, f.zeta) - _mult(st.b_minus, f.zeta1))
+    xi1 = -sq_1 * (_mult(st.a_plus, f.zeta) - _mult(st.a_minus, f.zeta1))
+    return Original(*(RealField(f.grid, v.real) for v in (eta, xi, eta1, xi1)))
 
 
 class _Workspace:
@@ -180,7 +130,6 @@ class _Workspace:
 
     def __init__(self, grid: Grid, params: PhysicalParams, symbols: Symbols):
         self.grid = grid
-        self.params = params
         self.st = symbols(params, grid.k)
         self.mask = dealias_mask(grid)
         rho, rho1 = params.rho, params.rho1
@@ -195,18 +144,16 @@ class _Workspace:
         self.o_0 = grid.k * st.g0 / st.b0         # D B0^-1 G0
         self.o_d = grid.k.astype(float)           # D itself
 
-    def factor(self, m: np.ndarray | None, v: np.ndarray) -> np.ndarray:
-        """Multiplier applied to samples, cut to the dealiasing band."""
-        spec = np.fft.fft(v)
-        if m is not None:
-            spec = m * spec
+    def factor(self, m: np.ndarray | None, f: RealField) -> np.ndarray:
+        """Multiplier applied to a field, cut to the dealiasing band."""
+        spec = f.spectrum if m is None else m * f.spectrum
         return np.fft.ifft(np.where(self.mask, spec, 0.0))
 
     def quad(self, integrand: np.ndarray) -> float:
         return float(self.grid.dx * np.sum(integrand).real)
 
 
-def eval_H2(f: FourField, params: PhysicalParams,
+def eval_H2(f: Original | Normal, params: PhysicalParams,
             symbols: Symbols = symbol_table) -> float:
     """Quadratic energy of the four-field state.
 
@@ -218,47 +165,44 @@ def eval_H2(f: FourField, params: PhysicalParams,
     """
     ws = _Workspace(f.grid, params, symbols)
     rho, rho1, g = params.rho, params.rho1, params.g
-    if f.tag == ORIGINAL:
-        eta, xi, eta1, xi1 = (x.values for x in (f.f1, f.f2, f.f3, f.f4))
-        xi_c = ws.factor(None, xi)
-        xi1_c = ws.factor(None, xi1)
-        eta_c = ws.factor(None, eta)
-        eta1_c = ws.factor(None, eta1)
-        integrand = (xi_c * ws.factor(ws.e_11, xi)
-                     - 2.0 * xi_c * ws.factor(ws.e_12, xi1)
-                     + xi1_c * ws.factor(ws.e_s / rho1, xi1)
+    if isinstance(f, Original):
+        xi_c = ws.factor(None, f.xi)
+        xi1_c = ws.factor(None, f.xi1)
+        eta_c = ws.factor(None, f.eta)
+        eta1_c = ws.factor(None, f.eta1)
+        integrand = (xi_c * ws.factor(ws.e_11, f.xi)
+                     - 2.0 * xi_c * ws.factor(ws.e_12, f.xi1)
+                     + xi1_c * ws.factor(ws.e_s / rho1, f.xi1)
                      + g * (rho - rho1) * eta_c * eta_c
                      + g * rho1 * eta1_c * eta1_c)
         return 0.5 * ws.quad(integrand)
-    mu, zeta, mu1, zeta1 = (x.values for x in (f.f1, f.f2, f.f3, f.f4))
     w2 = dispersion_internal(params, f.grid.k)
     w1sq = dispersion_surface(params, f.grid.k)
-    integrand = (ws.factor(None, zeta) * ws.factor(w2, zeta)
-                 + ws.factor(None, mu) ** 2
-                 + ws.factor(None, zeta1) * ws.factor(w1sq, zeta1)
-                 + ws.factor(None, mu1) ** 2)
+    integrand = (ws.factor(None, f.zeta) * ws.factor(w2, f.zeta)
+                 + ws.factor(None, f.mu) ** 2
+                 + ws.factor(None, f.zeta1) * ws.factor(w1sq, f.zeta1)
+                 + ws.factor(None, f.mu1) ** 2)
     return 0.5 * ws.quad(integrand)
 
 
-def eval_H3(f: FourField, params: PhysicalParams,
+def eval_H3(f: Original | Normal, params: PhysicalParams,
             symbols: Symbols = symbol_table) -> float:
     """Cubic energy of the four-field state (grouped five-term integrand).
 
-    For the normal tag this is the sum of the five mode-coupling terms;
+    In normal coordinates this is the sum of the five mode-coupling terms;
     h3_terms exposes the individual contributions in either system.
     """
-    if f.tag == NORMAL:
+    if isinstance(f, Normal):
         return float(sum(h3_terms(f, params, symbols).values()))
     ws = _Workspace(f.grid, params, symbols)
     rho, rho1 = params.rho, params.rho1
-    eta, xi, eta1, xi1 = (x.values for x in (f.f1, f.f2, f.f3, f.f4))
-    eta_c = ws.factor(None, eta)
-    eta1_c = ws.factor(None, eta1)
-    t1 = ws.factor(ws.e_11, xi) - ws.factor(ws.e_12, xi1)
-    t2 = ws.factor(ws.e_12, xi) - ws.factor(ws.e_s / rho1, xi1)
-    t3 = ws.factor(ws.o_11, xi) - ws.factor(ws.o_12, xi1)
-    t4 = ws.factor(ws.o_0, xi) + (rho / rho1) * ws.factor(ws.o_12, xi1)
-    t5 = ws.factor(ws.o_d, xi1)
+    eta_c = ws.factor(None, f.eta)
+    eta1_c = ws.factor(None, f.eta1)
+    t1 = ws.factor(ws.e_11, f.xi) - ws.factor(ws.e_12, f.xi1)
+    t2 = ws.factor(ws.e_12, f.xi) - ws.factor(ws.e_s / rho1, f.xi1)
+    t3 = ws.factor(ws.o_11, f.xi) - ws.factor(ws.o_12, f.xi1)
+    t4 = ws.factor(ws.o_0, f.xi) + (rho / rho1) * ws.factor(ws.o_12, f.xi1)
+    t5 = ws.factor(ws.o_d, f.xi1)
     integrand = (-(rho - rho1) * eta_c * t1 * t1
                  - rho1 * eta1_c * t2 * t2
                  - rho * eta_c * t3 * t3
@@ -267,28 +211,27 @@ def eval_H3(f: FourField, params: PhysicalParams,
     return 0.5 * ws.quad(integrand)
 
 
-def h3_terms(f: FourField, params: PhysicalParams,
+def h3_terms(f: Original | Normal, params: PhysicalParams,
              symbols: Symbols = symbol_table) -> dict[str, float]:
     """Per-term breakdown of the cubic energy.
 
-    Original tag: the kinetic-energy split {"I", "II", "III"}, whose signed
-    sum I - II + III reproduces eval_H3.  Normal tag: the five coupling
-    terms {"R1", ..., "R5"}.
+    Original coordinates: the kinetic-energy split {"I", "II", "III"},
+    whose signed sum I - II + III reproduces eval_H3.  Normal coordinates:
+    the five coupling terms {"R1", ..., "R5"}.
     """
     ws = _Workspace(f.grid, params, symbols)
     rho, rho1, g = params.rho, params.rho1, params.g
-    if f.tag == ORIGINAL:
-        eta, xi, eta1, xi1 = (x.values for x in (f.f1, f.f2, f.f3, f.f4))
-        eta_c = ws.factor(None, eta)
-        eta1_c = ws.factor(None, eta1)
-        a_o11 = ws.factor(ws.o_11, xi)
-        a_e11 = ws.factor(ws.e_11, xi)
-        a_o0 = ws.factor(ws.o_0, xi)
-        a_e12 = ws.factor(ws.e_12, xi)
-        b_o12 = ws.factor(ws.o_12, xi1)
-        b_e12 = ws.factor(ws.e_12, xi1)
-        b_es = ws.factor(ws.e_s, xi1)
-        b_d = ws.factor(ws.o_d, xi1)
+    if isinstance(f, Original):
+        eta_c = ws.factor(None, f.eta)
+        eta1_c = ws.factor(None, f.eta1)
+        a_o11 = ws.factor(ws.o_11, f.xi)
+        a_e11 = ws.factor(ws.e_11, f.xi)
+        a_o0 = ws.factor(ws.o_0, f.xi)
+        a_e12 = ws.factor(ws.e_12, f.xi)
+        b_o12 = ws.factor(ws.o_12, f.xi1)
+        b_e12 = ws.factor(ws.e_12, f.xi1)
+        b_es = ws.factor(ws.e_s, f.xi1)
+        b_d = ws.factor(ws.o_d, f.xi1)
         term_i = 0.5 * ws.quad(-rho * eta_c * a_o11 ** 2
                                - (rho - rho1) * eta_c * a_e11 ** 2
                                + rho1 * eta_c * a_o0 ** 2
@@ -303,12 +246,11 @@ def h3_terms(f: FourField, params: PhysicalParams,
                                  - eta1_c * b_d ** 2 / rho1)
         return {"I": term_i, "II": term_ii, "III": term_iii}
 
-    mu, zeta, mu1, zeta1 = (x.values for x in (f.f1, f.f2, f.f3, f.f4))
     st = ws.st
     sq_d = np.sqrt(g * (params.rho - params.rho1))
     sq_1 = np.sqrt(g * params.rho1)
-    mu_b = ws.factor(st.b_plus, mu) - ws.factor(st.b_minus, mu1)
-    mu_a = ws.factor(st.a_plus, mu) - ws.factor(st.a_minus, mu1)
+    mu_b = ws.factor(st.b_plus, f.mu) - ws.factor(st.b_minus, f.mu1)
+    mu_a = ws.factor(st.a_plus, f.mu) - ws.factor(st.a_minus, f.mu1)
     pairs = (
         ("R1", -(rho - rho1) / (2.0 * sq_d), mu_b, st.A1, st.B1),
         ("R2", rho1 / (2.0 * sq_1), mu_a, st.A2, st.B2),
@@ -318,7 +260,7 @@ def h3_terms(f: FourField, params: PhysicalParams,
     )
     out = {}
     for name, pref, mu_fac, a_sym, b_sym in pairs:
-        w = ws.factor(a_sym, zeta) - ws.factor(b_sym, zeta1)
+        w = ws.factor(a_sym, f.zeta) - ws.factor(b_sym, f.zeta1)
         out[name] = pref * ws.quad(mu_fac * w * w)
     return out
 
@@ -362,34 +304,27 @@ def dno_first_order(params: PhysicalParams, eta: RealField, eta1: RealField,
     cth = st.g11    # D coth(h1 D): even symbol k coth(h1 k)
     csh = -st.g12   # D csch(h1 D): even symbol k csch(h1 k)
 
-    def sandwich(left: np.ndarray, w: np.ndarray, right: np.ndarray):
+    def operator(*terms):
+        # the sum of signed sandwiches sign * L (w . (R phi))
         def op(phi: RealField) -> RealField:
-            v = np.fft.ifft(right * np.fft.fft(phi.values))
-            spec = np.where(mask, np.fft.fft(w * v), 0.0)
-            return RealField(grid, np.fft.ifft(left * spec).real)
+            out = 0.0
+            for sign, left, w, right in terms:
+                v = np.fft.ifft(right * phi.spectrum)
+                spec = np.where(mask, np.fft.fft(w * v), 0.0)
+                out = out + sign * np.fft.ifft(left * spec).real
+            return RealField(grid, out)
         return op
-
-    def minus(op):
-        def neg(phi: RealField) -> RealField:
-            out = op(phi)
-            return RealField(grid, -out.values)
-        return neg
-
-    def diff(op_a, op_b):
-        def sub(phi: RealField) -> RealField:
-            return RealField(grid, op_a(phi).values - op_b(phi).values)
-        return sub
 
     w0 = eta.values
     w1 = eta1.values
     return DnoFirstOrder(
-        g1=diff(sandwich(k, w0, k), sandwich(absk, w0, absk)),
-        g11_10=diff(sandwich(cth, w0, cth), sandwich(k, w0, k)),
-        g12_10=minus(sandwich(cth, w0, csh)),
-        g21_10=minus(sandwich(csh, w0, cth)),
-        g22_10=sandwich(csh, w0, csh),
-        g11_01=minus(sandwich(csh, w1, csh)),
-        g12_01=sandwich(csh, w1, cth),
-        g21_01=sandwich(cth, w1, csh),
-        g22_01=diff(sandwich(k, w1, k), sandwich(cth, w1, cth)),
+        g1=operator((1, k, w0, k), (-1, absk, w0, absk)),
+        g11_10=operator((1, cth, w0, cth), (-1, k, w0, k)),
+        g12_10=operator((-1, cth, w0, csh)),
+        g21_10=operator((-1, csh, w0, cth)),
+        g22_10=operator((1, csh, w0, csh)),
+        g11_01=operator((-1, csh, w1, csh)),
+        g12_01=operator((1, csh, w1, cth)),
+        g21_01=operator((1, cth, w1, csh)),
+        g22_01=operator((1, k, w1, k), (-1, cth, w1, cth)),
     )

@@ -38,7 +38,7 @@ from .coeffs import (
 )
 from .gauge import gauge, gauge_ode_residual, reconstruct_dr
 from .hamiltonian import (
-    FourField,
+    Original,
     Symbols,
     eval_H2,
     eval_H3,
@@ -96,10 +96,10 @@ def perturbed(name: str) -> Symbols:
     return scaled
 
 
-def _random_four(rng: np.random.Generator, scale: float) -> FourField:
+def _random_four(rng: np.random.Generator, scale: float) -> Original:
     def one() -> RealField:
         return band_limited_noise(GRID, rng, amplitude=scale)
-    return FourField.original(one(), one(), one(), one())
+    return Original(one(), one(), one(), one())
 
 
 def _square_gap(x: np.ndarray, y: np.ndarray) -> float:

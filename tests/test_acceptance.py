@@ -23,7 +23,7 @@ from bonls.coeffs import (
     resonance_residual,
 )
 from bonls.gauge import gauge, gauge_ode_residual, reconstruct_dr
-from bonls.hamiltonian import FourField, eval_H2, eval_H3, h3_terms, normal_transform
+from bonls.hamiltonian import Original, eval_H2, eval_H3, h3_terms, normal_transform
 from bonls.solver import StepperConfig, SystemState, gaussian_envelope, run
 from bonls.spectral import (
     Grid,
@@ -67,10 +67,10 @@ def _random_params(rng) -> PhysicalParams:
                           rho=rho, rho1=rng.uniform(0.05, 0.999) * rho)
 
 
-def _random_original(grid: Grid, rng, params: PhysicalParams) -> FourField:
+def _random_original(grid: Grid, rng, params: PhysicalParams) -> Original:
     amp = 0.05 * params.h1
     fields = [band_limited_noise(grid, rng, amplitude=amp) for _ in range(4)]
-    return FourField.original(*fields)
+    return Original(*fields)
 
 
 def _bump_state(grid: Grid, r_sup: float, q_amp: float, carrier: int) -> SystemState:

@@ -400,12 +400,18 @@ def test_negative_seed_flag_exits_2_before_writing(tmp_path, caplog):
     assert not out_dir.exists()
 
 
-def test_negative_seed_sweep_member_exits_2_before_any_run(tmp_path, caplog):
-    path = write_config(tmp_path, QUICK_RUN + "ic.r.kind = noise\n"
-                        "sweep.key = seed\nsweep.values = 1, -1\n")
+@pytest.mark.parametrize("sweep, message", [
+    ("ic.r.kind = noise\nsweep.key = seed\nsweep.values = 1, -1\n",
+     "seed: must be at least 0"),
+    # the second member's soliton overflows only when its state is built
+    ("ic.r.kind = soliton\nsweep.key = ic.r.nu\nsweep.values = 1.0, 1e308\n",
+     "the initial state is not finite"),
+], ids=["negative-seed", "infinite-soliton"])
+def test_negative_seed_sweep_member_exits_2_before_any_run(tmp_path, caplog, sweep, message):
+    path = write_config(tmp_path, QUICK_RUN + sweep)
     out_dir = tmp_path / "never"
     assert main(["--config", path, "--out", str(out_dir), "sweep"]) == cli.EXIT_CONFIG
-    assert "seed: must be at least 0" in caplog.records[-1].getMessage()
+    assert message in caplog.records[-1].getMessage()
     assert not out_dir.exists()
 
 

@@ -12,7 +12,8 @@ from bonls.coeffs import ANDAMAN, PhysicalParams, symbol_table
 from bonls.hamiltonian import (
     CoordinateMismatch,
     DnoFirstOrder,
-    FourField,
+    Normal,
+    Original,
     dno_first_order,
     eval_H2,
     eval_H3,
@@ -42,7 +43,7 @@ def random_four(grid, params, rng=None):
     def one():
         return band_limited_noise(grid, rng, amplitude=amp)
 
-    return FourField.original(one(), one(), one(), one())
+    return Original(one(), one(), one(), one())
 
 
 def zeros(grid):
@@ -55,7 +56,7 @@ def zeros(grid):
 
 def test_transform_zero_is_zero():
     grid = Grid(64, 16.0)
-    f = FourField.original(zeros(grid), zeros(grid), zeros(grid), zeros(grid))
+    f = Original(zeros(grid), zeros(grid), zeros(grid), zeros(grid))
     out = normal_transform(f, BENCH)
     for name in ("mu", "zeta", "mu1", "zeta1"):
         assert np.max(np.abs(getattr(out, name).values)) == 0.0
@@ -95,8 +96,8 @@ def test_transform_single_mode_against_dense_solve():
     ])
     amps = {"eta": 0.31, "xi": -0.12, "eta1": 0.07, "xi1": 0.23}
     cos = np.cos(k * grid.x)
-    f = FourField.original(*(RealField(grid, amps[n] * cos)
-                             for n in ("eta", "xi", "eta1", "xi1")))
+    f = Original(*(RealField(grid, amps[n] * cos)
+                   for n in ("eta", "xi", "eta1", "xi1")))
     out = normal_transform(f, BENCH)
     mu_amp, mu1_amp = np.linalg.solve(elevation_matrix,
                                       [amps["eta"], amps["eta1"]])
@@ -108,20 +109,41 @@ def test_transform_single_mode_against_dense_solve():
         assert np.max(np.abs(got - amp * cos)) <= 1e-11 * max(abs(amp), 1.0), name
 
 
-def test_four_field_tag_guards():
+def test_transforms_reject_the_other_coordinates():
     grid = Grid(64, 16.0)
-    f = FourField.original(zeros(grid), zeros(grid), zeros(grid), zeros(grid))
-    with pytest.raises(CoordinateMismatch):
-        f.mu
+    f = Original(zeros(grid), zeros(grid), zeros(grid), zeros(grid))
     g = normal_transform(f, BENCH)
+    assert isinstance(g, Normal)
     with pytest.raises(CoordinateMismatch):
-        g.eta
+        inverse_transform(f, BENCH)
+    with pytest.raises(CoordinateMismatch):
+        normal_transform(g, BENCH)
+
+
+def test_each_field_is_transformed_once(monkeypatch):
+    """The transforms and energies read each field's cached spectrum."""
+    calls = []
+    fft = np.fft.fft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    grid = Grid(64, 16.0)
+    rng = np.random.default_rng(5)
+    f = Original(*(RealField(grid, rng.standard_normal(grid.n)) for _ in range(4)))
+    monkeypatch.setattr(np.fft, "fft", counted)
+    g = normal_transform(f, BENCH)
+    eval_H2(f, BENCH), eval_H3(f, BENCH), h3_terms(f, BENCH)
+    eval_H2(g, BENCH), eval_H3(g, BENCH)
+    inverse_transform(g, BENCH)
+    assert len(calls) == 8  # one per field of f and of g
 
 
 def test_four_field_requires_shared_grid():
     a, b = Grid(64, 16.0), Grid(128, 16.0)
     with pytest.raises(ValueError):
-        FourField.original(zeros(a), zeros(a), zeros(a), zeros(b))
+        Original(zeros(a), zeros(a), zeros(a), zeros(b))
 
 
 # --------------------------------------------------------------------------
@@ -130,14 +152,14 @@ def test_four_field_requires_shared_grid():
 
 def test_h2_zero_field():
     grid = Grid(64, 16.0)
-    f = FourField.original(zeros(grid), zeros(grid), zeros(grid), zeros(grid))
+    f = Original(zeros(grid), zeros(grid), zeros(grid), zeros(grid))
     assert eval_H2(f, BENCH) == 0.0
 
 
 def test_h2_pure_mu_is_half_l2():
     grid = Grid(128, 20.0)
     mu = band_limited_noise(grid, RNG, amplitude=0.4)
-    f = FourField.normal(mu, zeros(grid), zeros(grid), zeros(grid))
+    f = Normal(mu, zeros(grid), zeros(grid), zeros(grid))
     want = 0.5 * float(inner(mu, mu).real)
     assert eval_H2(f, BENCH) == pytest.approx(want, rel=1e-12)
 
@@ -159,7 +181,7 @@ def test_h2_coordinate_equivalence(params, n):
 
 def test_h3_vanishes_without_elevation():
     grid = Grid(128, 20.0)
-    f = FourField.original(zeros(grid), band_limited_noise(grid, RNG),
+    f = Original(zeros(grid), band_limited_noise(grid, RNG),
                            zeros(grid), band_limited_noise(grid, RNG))
     assert abs(eval_H3(f, BENCH)) <= 1e-14
 
@@ -199,8 +221,8 @@ def test_homogeneity():
     lam = 1.7
 
     def scale(g):
-        return FourField.original(*(RealField(grid, lam * getattr(g, n).values)
-                                    for n in ("eta", "xi", "eta1", "xi1")))
+        return Original(*(RealField(grid, lam * getattr(g, n).values)
+                          for n in ("eta", "xi", "eta1", "xi1")))
 
     h2, h3 = eval_H2(f, BENCH), eval_H3(f, BENCH)
     assert eval_H2(scale(f), BENCH) == pytest.approx(lam ** 2 * h2, rel=1e-12)
@@ -309,7 +331,7 @@ if HAS_HYPOTHESIS:
     def test_homogeneity_random_lambda(lam):
         grid = Grid(64, 16.0)
         f = random_four(grid, BENCH, rng=np.random.default_rng(77))
-        scaled = FourField.original(*(RealField(grid, lam * getattr(f, n).values)
-                                      for n in ("eta", "xi", "eta1", "xi1")))
+        scaled = Original(*(RealField(grid, lam * getattr(f, n).values)
+                            for n in ("eta", "xi", "eta1", "xi1")))
         h3 = eval_H3(f, BENCH)
         assert eval_H3(scaled, BENCH) == pytest.approx(lam ** 3 * h3, rel=1e-11)

@@ -8,6 +8,7 @@ FIELDS, SEED), as it is for the command.
 import numpy as np
 import pytest
 
+from bonls import coeffs
 from bonls.coeffs import PhysicalParams, derive_coefficients, symbol_table
 from bonls.verify import (
     SYMBOL_NAMES,
@@ -40,6 +41,23 @@ def test_perturbed_symbol_fails_a_check(name):
     assert failing(perturbed(name))
     # the perturbation lives in the argument only: a plain run right after passes
     assert failing() == []
+
+
+@pytest.mark.parametrize("which", ["c0", "k0"])
+def test_resonance_row_checks_the_model_carrier(monkeypatch, which):
+    # one formula gives (c0, k0) to the coefficients and to the resonance
+    # row, so a 1% error in either fails the suite
+    carrier = coeffs._carrier
+
+    def off(params):
+        c0, k0 = carrier(params)
+        return (1.01 * c0, k0) if which == "c0" else (c0, 1.01 * k0)
+
+    monkeypatch.setattr(coeffs, "_carrier", off)
+    model = derive_coefficients(PARAMS, epsilon=0.1, delta=0.25)
+    assert (model.c0, model.k0) == off(PARAMS)
+    rows = {r.name: r for r in run_suite("all", PARAMS, model)}
+    assert not rows["resonance"].ok
 
 
 def test_rows_carry_the_worse_residual_of_both_sets():
