@@ -18,10 +18,12 @@ not a whole number of steps), 3 blow-up, 4 an artifact that could not be
 written, 130 Ctrl-C (a simulation stopped by it keeps the snapshots it
 took).
 
-The CLI fixes two process-wide policies on import, and the library
-modules set neither: OpenBLAS runs on one thread, and glibc's heap keeps
-blocks below `_MMAP_THRESHOLD` (see `_fix_heap_policy`).  A value the
-user sets, an ``OPENBLAS_NUM_THREADS`` or any ``MALLOC_*`` variable, wins.
+The CLI fixes three process-wide policies on import, and the library
+modules set none: OpenBLAS runs on one thread, glibc's heap keeps blocks
+below `_MMAP_THRESHOLD` (see `_fix_heap_policy`), and the objects of the
+import graph are frozen out of the cyclic garbage collector
+(`gc.freeze`).  A value the user sets, an ``OPENBLAS_NUM_THREADS`` or any
+``MALLOC_*`` variable, wins.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import gc
 import itertools
 import logging
 import math
@@ -109,6 +112,13 @@ def _fix_heap_policy(environ, mallopt) -> bool:
 
 
 _fix_heap_policy(os.environ, _libc_mallopt())
+
+# The objects of the modules imported above live until exit, so the
+# cyclic collector gains nothing by walking them again; frozen, they are
+# left out of every collection, the interpreter's exit-time ones included.
+# On a 2-vCPU host this took about 15 ms of wall and CPU time off a
+# `simulate` of the n = 512 benchmark config (16 runs each way).
+gc.freeze()
 
 log = logging.getLogger("bonls")
 

@@ -3,8 +3,10 @@
 Four groups of checks, each returning one CheckResult per identity:
 
     symbols      dispersion quartic, eigen-decoupling of the kinetic block,
-                 the mixing-multiplier identities, resonance, kappa8 = 0,
-                 B4^2 = B1^2 and B5^2 = rho1^2 B2^2 (so kappa1,4,6 = 0)
+                 the mixing-multiplier identities, resonance, the dispersion
+                 constants (omega1'' and Omega0,1,2 from the dispersion
+                 relations), kappa8 = 0, B4^2 = B1^2 and B5^2 = rho1^2 B2^2
+                 (so kappa1,4,6 = 0)
     hamiltonian  H2/H3 equal in original and normal coordinates, the
                  I - II + III split of H3, the transform round trip
     gauge        unimodularity, the phase ODE, derivative reconstruction
@@ -13,10 +15,11 @@ Four groups of checks, each returning one CheckResult per identity:
 The symbols and hamiltonian groups run at the given parameters and again
 at the bench stratification BENCH, and report the worse residual of the
 two per identity.  The sample is fixed: the symbol identities hold at the
-wavenumbers K, the others on FIELDS random fields on GRID drawn from
-SEED.  The symbol-table evaluator is an argument: `perturbed` builds one
-that scales a single symbol by 1.001, and a suite that still passes with
-it would not constrain that symbol.
+wavenumbers K, the small-k expansion is fitted at h1 k = EXPANSION_X,
+and the others run on FIELDS random fields on GRID drawn from SEED.  The
+symbol-table evaluator is an argument: `perturbed` builds one that
+scales a single symbol by 1.001, and a suite that still passes with it
+would not constrain that symbol.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .coeffs import (
     derive_coefficients,
     dispersion_internal,
     dispersion_surface,
+    omega1_prime,
     quartic_residual,
     resonance_residual,
     symbol_table,
@@ -48,8 +52,8 @@ from .hamiltonian import (
 )
 from .spectral import Grid, RealField, absd, band_limited_noise, deriv, hilbert, project
 
-__all__ = ["BENCH", "FIELDS", "GRID", "K", "SEED", "CheckResult", "SUITES", "SYMBOL_NAMES",
-           "perturbed", "run_suite"]
+__all__ = ["BENCH", "EXPANSION_X", "FIELDS", "GRID", "K", "SEED", "CheckResult", "SUITES",
+           "SYMBOL_NAMES", "perturbed", "run_suite"]
 
 #: The bench stratification, where h1 k is of order one on the check grid.
 #: With h1 = 500 m (the presets) every wavenumber of the 40-m GRID
@@ -64,6 +68,11 @@ K = np.geomspace(1e-3, 10.0, 100)
 GRID = Grid(256, 40.0)
 FIELDS = 5
 SEED = 0
+#: h1 k at which omega^2 / k^2 is fitted by a polynomial of degree
+#: EXPANSION_DEGREE: 24 Chebyshev points on (0, 0.3).  Its first three
+#: coefficients come out within 1e-10 of Omega0 over the validated domain.
+EXPANSION_X = 0.15 * (1.0 - np.cos(np.pi * (np.arange(24) + 0.5) / 24))
+EXPANSION_DEGREE = 12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,6 +118,26 @@ def _square_gap(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(x2 - y2) / np.where(top > 0.0, top, 1.0)))
 
 
+def _dispersion_constants(params: PhysicalParams, coeffs: ModelCoefficients) -> float:
+    """Worst relative error of omega1_pp and of Omega0, Omega1, Omega2.
+
+    omega1_pp is checked against a central difference of omega1_prime at
+    k0 (step 1e-4 k0, truncation error 6e-9).  The Omegas are the small-k
+    expansion omega^2 / k^2 = Omega0 + Omega1 k + Omega2 k^2 + O(k^3) of
+    `dispersion_internal`, whose coefficients in x = h1 k are Omega0,
+    Omega1 / h1 and Omega2 / h1^2; each is checked against the fitted one
+    relative to Omega0, so an Omega2 near zero stays checked.
+    """
+    k0, dk = coeffs.k0, 1e-4 * coeffs.k0
+    central = (omega1_prime(params, k0 + dk) - omega1_prime(params, k0 - dk)) / (2.0 * dk)
+    k = EXPANSION_X / params.h1
+    fit = np.polynomial.polynomial.polyfit(
+        EXPANSION_X, dispersion_internal(params, k) / (k * k), EXPANSION_DEGREE)
+    model = (coeffs.Omega0, coeffs.Omega1 / params.h1, coeffs.Omega2 / params.h1 ** 2)
+    return max(abs(central - coeffs.omega1_pp) / abs(coeffs.omega1_pp),
+               *(abs(f - m) / coeffs.Omega0 for f, m in zip(fit, model)))
+
+
 def _checks_symbols(params: PhysicalParams, coeffs: ModelCoefficients,
                     k: np.ndarray, symbols: Symbols) -> list[CheckResult]:
     st = symbols(params, k)
@@ -135,6 +164,7 @@ def _checks_symbols(params: PhysicalParams, coeffs: ModelCoefficients,
         CheckResult("mixing-symplectic", sympl, 1e-12),
         CheckResult("mixing-orthogonal", ortho, 1e-12),
         CheckResult("resonance", resonance_residual(params), 1e-12),
+        CheckResult("dispersion-constants", _dispersion_constants(params, coeffs), 1e-7),
         CheckResult("kappa8-zero", abs(coeffs.kappa8), 1e-12),
         CheckResult("symbol-b4-b1", _square_gap(st.B4, st.B1), 1e-12),
         CheckResult("symbol-b5-b2", _square_gap(st.B5, params.rho1 * st.B2), 1e-12),

@@ -2,8 +2,8 @@
 
 Everything goes through main(argv) in process; the only subprocesses are
 the table writer that simulate starts and the fresh interpreters that
-record simulate's imports, the CLI's BLAS threads and its page faults,
-and every test must have reaped them.
+record simulate's imports, the CLI's BLAS threads, its frozen import
+graph and its page faults, and every test must have reaped them.
 """
 
 import dataclasses
@@ -267,7 +267,7 @@ def test_verify_all_checks_pass(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     rows = [l for l in out.splitlines() if l.rstrip().endswith("pass")]
-    assert len(rows) == 21
+    assert len(rows) == 22
     for name in ("dispersion-quartic", "symbol-b4-b1", "symbol-b5-b2",
                  "h3-equivalence", "gauge-ode", "absd-factorization"):
         assert name in out
@@ -796,6 +796,16 @@ def test_cli_runs_openblas_on_one_thread_unless_the_user_sets_it():
     unset.pop("OPENBLAS_NUM_THREADS", None)
     assert threads_and_setting(unset) == ["1", "1"]
     assert threads_and_setting(_fresh_interpreter_env(OPENBLAS_NUM_THREADS="2"))[1] == "2"
+
+
+@pytest.mark.parametrize("module, frozen", [("bonls.cli", True), ("bonls.solver", False)])
+def test_only_the_cli_freezes_its_import_graph(module, frozen):
+    # fresh interpreters: this one has imported bonls.cli already
+    child = subprocess.run(
+        [sys.executable, "-c", f"import gc\nimport {module}\nprint(gc.get_freeze_count())\n"],
+        env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert (int(child.stdout) > 0) is frozen
 
 
 # ---------------------------------------------------------------- sweep

@@ -5,12 +5,15 @@ default; the sample the checks run on is the module's own (K, GRID,
 FIELDS, SEED), as it is for the command.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bonls import coeffs
 from bonls.coeffs import PhysicalParams, derive_coefficients, symbol_table
 from bonls.verify import (
+    K,
     SYMBOL_NAMES,
     CheckResult,
     _checks_symbols,
@@ -60,6 +63,16 @@ def test_resonance_row_checks_the_model_carrier(monkeypatch, which):
     assert not rows["resonance"].ok
 
 
+@pytest.mark.parametrize("name", ["Omega0", "Omega1", "Omega2", "omega1_pp"])
+def test_dispersion_constants_row_checks_the_model(name):
+    # the row ties omega1_pp to omega1_prime and the Omegas to the small-k
+    # expansion of dispersion_internal, so a 1% error in any one fails it
+    model = dataclasses.replace(COEFFS, **{name: 1.01 * getattr(COEFFS, name)})
+    rows = {r.name: r for r in run_suite("all", PARAMS, model)}
+    assert not rows["dispersion-constants"].ok
+    assert [r.name for r in rows.values() if not r.ok] == ["dispersion-constants"]
+
+
 def test_rows_carry_the_worse_residual_of_both_sets():
     # a NaN at either parameter set fails the row, whichever side it is on
     small, nan = CheckResult("x", 1e-20, 1e-12), CheckResult("x", float("nan"), 1e-12)
@@ -91,3 +104,10 @@ if HAS_HYPOTHESIS:
         rows = {r.name: r for r in _checks_symbols(params, coeffs, k, symbol_table)}
         for name in ("symbol-b4-b1", "symbol-b5-b2"):
             assert rows[name].residual <= 1e-12, (name, rows[name].residual)
+
+    @given(domain)
+    @settings(max_examples=60, deadline=None)
+    def test_dispersion_constants_hold_on_the_domain(params):
+        coeffs = derive_coefficients(params, epsilon=0.1, delta=0.25)
+        rows = {r.name: r for r in _checks_symbols(params, coeffs, K, symbol_table)}
+        assert rows["dispersion-constants"].ok, rows["dispersion-constants"]
