@@ -11,7 +11,6 @@ system).  SI units throughout.
 
 from __future__ import annotations
 
-import decimal
 import math
 import warnings
 from dataclasses import dataclass
@@ -75,31 +74,18 @@ PRESETS = {"andaman": ANDAMAN, "oregon": OREGON}
 # --------------------------------------------------------------------------
 
 def _x_coth(x):
-    """x*coth(x) for real arrays, even in x, finite at 0 (value 1)."""
+    """x*coth(x) = x/tanh(x) for real arrays, even in x, 1 at x=0."""
     x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    small = ax < 0.05
-    xs = np.where(small, ax, 1.0)
-    x2 = xs * xs
-    series = 1.0 + x2 / 3.0 - x2 * x2 / 45.0 + 2.0 * x2 ** 3 / 945.0
-    xl = np.where(small, 1.0, ax)
-    e = np.exp(-2.0 * xl)
-    direct = xl * (1.0 + e) / (1.0 - e)
-    return np.where(small, series, direct)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 1.0, x / np.tanh(x))
 
 
 def _x_csch(x):
-    """x*csch(x) = x/sinh(x) for real arrays, even in x, 1 at x=0."""
+    """x*csch(x) = x/sinh(x) for real arrays, even in x, 1 at x=0 and 0
+    past |x| = 710, where sinh overflows and x*csch(x) < 6.4e-306."""
     x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    small = ax < 0.05
-    xs = np.where(small, ax, 1.0)
-    x2 = xs * xs
-    series = 1.0 - x2 / 6.0 + 7.0 * x2 * x2 / 360.0 - 31.0 * x2 ** 3 / 15120.0
-    xl = np.where(small, 1.0, ax)
-    e = np.exp(-2.0 * xl)
-    direct = xl * 2.0 * np.exp(-xl) / (1.0 - e)
-    return np.where(small, series, direct)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 1.0, x / np.sinh(x))
 
 
 def k_coth(k, h1):
@@ -172,38 +158,19 @@ def omega1_second(params: PhysicalParams, k):
 # mode-mixing coefficients from theta
 # --------------------------------------------------------------------------
 
-_THETA_HUGE = 1e100
-
-
 def _mixing_from_theta(theta):
-    """(a+, a-, b+, b-) from theta, stable for all magnitudes of theta.
+    """(a+, a-, b+, b-) from theta, for every theta including +-inf.
 
-    Uses cancellation-free forms of 2 + theta^2/2 +- (theta/2) s with
-    s = sqrt(4 + theta^2), and closed asymptotic values once theta^2 would
-    overflow.
+    With s = sqrt(4 + theta^2), u = 2 / (s + |theta|) lies in [0, 1] and
+    h = sqrt(1 + u^2); each multiplier is 1/h or u/h, so nothing cancels
+    or overflows, and a+ a- + b+ b- = 0 exactly.
     """
     theta = np.asarray(theta, dtype=float)
-    huge = np.abs(theta) > _THETA_HUGE
-    th = np.where(huge, 1.0, theta)
-    s = np.hypot(2.0, th)
-    pos = th >= 0.0
-    denom = s + np.abs(th)  # stable form of s +- th on the shrinking side
-    inner_p = np.where(pos, 2.0 + 0.5 * th * (th + s), 2.0 * s / denom)
-    inner_m = np.where(pos, 2.0 * s / denom, 2.0 + 0.5 * th * (th - s))
-    a_p = inner_p ** -0.5
-    a_m = inner_m ** -0.5
-    b_p = np.where(pos, 0.5 * a_p * (th + s), 2.0 * a_p / denom)
-    b_m = np.where(pos, -2.0 * a_m / denom, 0.5 * a_m * (th - s))
-    if np.any(huge):
-        with np.errstate(divide="ignore"):
-            inv = np.where(huge, 1.0 / theta, 0.0)
-        hp = huge & (theta > 0)
-        hm = huge & (theta < 0)
-        a_p = np.where(hp, inv, np.where(hm, 1.0, a_p))
-        a_m = np.where(hp, 1.0, np.where(hm, -inv, a_m))
-        b_p = np.where(hp, 1.0, np.where(hm, -inv, b_p))
-        b_m = np.where(hp, -inv, np.where(hm, -1.0, b_m))
-    return a_p, a_m, b_p, b_m
+    u = 1.0 / (0.5 * np.hypot(2.0, theta) + 0.5 * np.abs(theta))
+    h = np.hypot(1.0, u)
+    one, small, pos = 1.0 / h, u / h, theta >= 0.0
+    return (np.where(pos, small, one), np.where(pos, one, small),
+            np.where(pos, one, small), -np.where(pos, small, one))
 
 
 # --------------------------------------------------------------------------
@@ -328,45 +295,16 @@ class ExpansionConstants:
     A5_1: float
 
 
-def _small_k_constants(g, h1, rho, rho1, sqrt):
-    # Generic over the number type (float with math.sqrt, Decimal with
-    # Decimal.sqrt); returns the fields of ExpansionConstants in order.
-    gamma = (rho - rho1) / rho
-    a0 = sqrt(gamma)
-    b0 = sqrt(rho1 / rho)
-    A4_0 = sqrt(g * (rho - rho1) / (rho1 * rho))
-    A5_0 = -sqrt(g * rho1 * (rho - rho1) / rho)
-    return (a0, -(rho1 / rho) * a0 * h1,
-            b0, gamma * b0 * h1,
-            (h1 / rho) * sqrt(g * rho1 * (rho - rho1) / rho),
-            A4_0, -(rho1 / rho) * h1 * A4_0,
-            A5_0, -(rho1 / rho) * h1 * A5_0)
-
-
-def _kappa8(params: PhysicalParams) -> float:
-    # The two terms of kappa8 cancel in exact arithmetic, but each is of
-    # size ~h1 sqrt(g), so a float evaluation leaves a residue of about
-    # eps |term| (above 1e-12 once h1 reaches a few thousand metres).
-    # Evaluating the same constants and formula in 40 digits from the
-    # exactly representable parameters leaves only the formula's own error.
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        g, h1, rho, rho1 = (decimal.Decimal(v) for v in
-                            (params.g, params.h1, params.rho, params.rho1))
-        sqrt = decimal.Decimal.sqrt
-        (_, ap1, _, bp1, _, A4_0, _, A5_0, _) = _small_k_constants(
-            g, h1, rho, rho1, sqrt)
-        sq_d = sqrt(g * (rho - rho1))
-        sq_1 = sqrt(g * rho1)
-        kappa8 = (rho1 / (2 * sq_d)) * bp1 * A4_0 ** 2 \
-            + (1 / (2 * rho1 * sq_1)) * ap1 * A5_0 ** 2
-        return float(kappa8)
-
-
 def expansion_constants(params: PhysicalParams) -> ExpansionConstants:
     """Closed-form small-k expansion constants of a+, b+, A3, A4, A5."""
-    return ExpansionConstants(*_small_k_constants(
-        params.g, params.h1, params.rho, params.rho1, math.sqrt))
+    g, h1, rho, rho1 = params.g, params.h1, params.rho, params.rho1
+    gamma, ratio = params.gamma, rho1 / rho
+    a0, b0 = math.sqrt(gamma), math.sqrt(ratio)
+    A4_0 = math.sqrt(g * (rho - rho1) / (rho1 * rho))
+    A5_0 = -math.sqrt(g * rho1 * (rho - rho1) / rho)
+    return ExpansionConstants(a0, -ratio * a0 * h1, b0, gamma * b0 * h1,
+                              (h1 / rho) * math.sqrt(g * rho1 * (rho - rho1) / rho),
+                              A4_0, -ratio * h1 * A4_0, A5_0, -ratio * h1 * A5_0)
 
 
 # --------------------------------------------------------------------------
@@ -377,9 +315,9 @@ def expansion_constants(params: PhysicalParams) -> ExpansionConstants:
 class ModelCoefficients:
     """Every scalar constant of the long-wave / modulation model.
 
-    kappa..kappa8 are the cubic-energy constants, kt..kt4 their
-    combinations entering the evolution equations, and (a, b, c, d,
-    alpha, beta) the coefficients of the reduced system
+    kappa..kappa8 are the cubic-energy constants (kappa1,4,6,8 are zeros
+    that `bonls.verify` checks), kt..kt4 their combinations, and (a, b, c,
+    d, alpha, beta) the coefficients of the reduced system
 
         r_t + a r_xxx - b H r_xx = c r r_x - d (r H r_x + H(r r_x))_x
                                    + beta (|q|^2)_x,
@@ -455,8 +393,9 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
     reads only symbols that the `bonls.verify` identities check.  For
     k > 0, B3 = B1, B4^2 = B1^2 and B5^2 = rho1^2 B2^2 (verify rows
     symbol-b4-b1, symbol-b5-b2), so the B_j^2 sum shared by kappa1, kappa4
-    and kappa6 vanishes at every k: the three are 0 exactly.  kappa5 takes
-    the k-derivatives of
+    and kappa6 vanishes at every k: the three are 0 exactly, as is kappa8,
+    whose two terms cancel (verify row kappa8-zero).  kappa5 takes the
+    k-derivatives of
         G4 = b- B4 = sqrt(g drho) k^2 b-^2/b0 + rho/(rho1 sqrt(g drho)) a- b- qb,
         G5 = a- B5 = -sqrt(g rho1) k a-^2
     in closed form: with s = sqrt(4 + theta^2), a- b- = -1/s and
@@ -508,7 +447,7 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
 
     kappa = (rho1 / (2.0 * sq_d)) * bp0 * ec.A4_0 ** 2 \
         + (1.0 / (2.0 * rho1 * sq_1)) * ap0 * ec.A5_0 ** 2
-    kappa1 = kappa4 = kappa6 = 0.0
+    kappa1 = kappa4 = kappa6 = kappa8 = 0.0
     kappa2 = (-rho1 / sq_d * ec.A4_0 * G4
               - 1.0 / (rho1 * sq_1) * ec.A5_0 * G5)
     kappa3 = (rho1 / sq_d * bp0 * ec.A4_0 * ec.A4_1
@@ -518,7 +457,6 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
     kappa7 = (rho / sq_d * ec.A3_0 * G3
               - rho1 / sq_d * ec.A4_1 * G4
               - 1.0 / (rho1 * sq_1) * ec.A5_1 * G5)
-    kappa8 = _kappa8(params)
 
     s2c0 = math.sqrt(2.0 * c0)
     sc02 = math.sqrt(c0 / 2.0)

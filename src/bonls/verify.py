@@ -5,8 +5,9 @@ Four groups of checks, each returning one CheckResult per identity:
     symbols      dispersion quartic, eigen-decoupling of the kinetic block,
                  the mixing-multiplier identities, resonance, the dispersion
                  constants (omega1'' and Omega0,1,2 from the dispersion
-                 relations), kappa8 = 0, B4^2 = B1^2 and B5^2 = rho1^2 B2^2
-                 (so kappa1,4,6 = 0)
+                 relations), kappa8's two terms cancelling, B4^2 = B1^2 and
+                 B5^2 = rho1^2 B2^2 (so kappa1,4,6 = 0), kt..kt4 against
+                 their small-gamma limits (so kappa, kappa2,3,5,7)
     hamiltonian  H2/H3 equal in original and normal coordinates, the
                  I - II + III split of H3, the transform round trip
     gauge        unimodularity, the phase ODE, derivative reconstruction
@@ -25,6 +26,7 @@ would not constrain that symbol.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -32,9 +34,11 @@ from .coeffs import (
     ModelCoefficients,
     PhysicalParams,
     SymbolTable,
+    asymptotic_coefficients,
     derive_coefficients,
     dispersion_internal,
     dispersion_surface,
+    expansion_constants,
     omega1_prime,
     quartic_residual,
     resonance_residual,
@@ -53,7 +57,7 @@ from .hamiltonian import (
 from .spectral import Grid, RealField, absd, band_limited_noise, deriv, hilbert, project
 
 __all__ = ["BENCH", "EXPANSION_X", "FIELDS", "GRID", "K", "SEED", "CheckResult", "SUITES",
-           "SYMBOL_NAMES", "perturbed", "run_suite"]
+           "SYMBOL_NAMES", "kappa8_gap", "perturbed", "run_suite"]
 
 #: The bench stratification, where h1 k is of order one on the check grid.
 #: With h1 = 500 m (the presets) every wavenumber of the 40-m GRID
@@ -138,6 +142,25 @@ def _dispersion_constants(params: PhysicalParams, coeffs: ModelCoefficients) -> 
                *(abs(f - m) / coeffs.Omega0 for f, m in zip(fit, model)))
 
 
+def kappa8_gap(params: PhysicalParams) -> float:
+    """|t1 + t2| / max(|t1|, |t2|) for kappa8's two terms, which cancel
+    identically but are each of size h1 sqrt(g), from `expansion_constants`."""
+    g, rho1, ec = params.g, params.rho1, expansion_constants(params)
+    t1 = rho1 / (2.0 * math.sqrt(g * (params.rho - rho1))) * ec.b_plus_1 * ec.A4_0 ** 2
+    t2 = ec.a_plus_1 * ec.A5_0 ** 2 / (2.0 * rho1 * math.sqrt(g * rho1))
+    return abs(t1 + t2) / max(abs(t1), abs(t2))
+
+
+def _small_gamma_gap(params: PhysicalParams, coeffs: ModelCoefficients) -> float:
+    """Worst relative gap of kt..kt4 to their small-gamma limits at the gamma
+    = 0.01 twin (rho1 = 0.99 rho), where the limits hold to about 1e-20."""
+    twin = PhysicalParams(params.g, params.h1, params.rho, 0.99 * params.rho)
+    exact = derive_coefficients(twin, coeffs.epsilon, coeffs.delta)
+    limit = asymptotic_coefficients(twin)
+    return float(np.max([abs(getattr(exact, n) - getattr(limit, n)) / abs(getattr(limit, n))
+                         for n in ("kt", "kt1", "kt2", "kt3", "kt4")]))
+
+
 def _checks_symbols(params: PhysicalParams, coeffs: ModelCoefficients,
                     k: np.ndarray, symbols: Symbols) -> list[CheckResult]:
     st = symbols(params, k)
@@ -165,9 +188,10 @@ def _checks_symbols(params: PhysicalParams, coeffs: ModelCoefficients,
         CheckResult("mixing-orthogonal", ortho, 1e-12),
         CheckResult("resonance", resonance_residual(params), 1e-12),
         CheckResult("dispersion-constants", _dispersion_constants(params, coeffs), 1e-7),
-        CheckResult("kappa8-zero", abs(coeffs.kappa8), 1e-12),
+        CheckResult("kappa8-zero", kappa8_gap(params), 1e-12),
         CheckResult("symbol-b4-b1", _square_gap(st.B4, st.B1), 1e-12),
         CheckResult("symbol-b5-b2", _square_gap(st.B5, params.rho1 * st.B2), 1e-12),
+        CheckResult("small-gamma-limit", _small_gamma_gap(params, coeffs), 1e-10),
     ]
 
 

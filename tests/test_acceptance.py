@@ -37,6 +37,7 @@ from bonls.spectral import (
     project,
     propagator,
 )
+from bonls.verify import kappa8_gap
 
 BENCH = derive_coefficients(PhysicalParams(g=1.0, h1=1.0, rho=2.0, rho1=1.0),
                             epsilon=0.35, delta=0.25)
@@ -109,12 +110,14 @@ def test_criterion_02_dispersion_quartic():
 def test_criterion_03_kappa8_vanishes():
     clock = _Clock(1.0)
     rng = np.random.default_rng(103)
-    worst = 0.0
+    worst, stored = 0.0, set()
     for _ in range(50):
         params = _random_params(rng)
-        worst = max(worst, abs(derive_coefficients(params, 0.1, 0.25).kappa8))
-    _report(3, worst <= 1e-12, clock,
-            f"kappa8 = 0, worst |kappa8| {worst:.3e} <= 1e-12 "
+        worst = max(worst, kappa8_gap(params))
+        stored.add(derive_coefficients(params, 0.1, 0.25).kappa8)
+    _report(3, worst <= 1e-12 and stored == {0.0}, clock,
+            f"kappa8's two terms cancel, worst relative gap {worst:.3e} <= 1e-12, "
+            f"and the derivation stores {sorted(stored)} "
             "across 50 random parameter sets")
 
 

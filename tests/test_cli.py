@@ -141,31 +141,37 @@ def test_sweep_values_are_split_and_stripped():
     assert cfg.sweep_values == ("0.1", "0.2")
 
 
-@pytest.mark.parametrize("key, value, match", [
-    ("physical.rho1", "3000.0", "stable configuration"),
-    ("model.epsilon", "1.5", "model.epsilon"),
-    ("model.epsilon", "0", "model.epsilon"),
-    ("model.delta", "0.6", "model.delta"),
-    ("grid.n", "100", "grid"),
-    ("stepper.scheme", "leapfrog", "stepper"),
-    ("stepper.dt", "0", "stepper"),
-    ("run.t_end", "-1", "run.t_end"),
-    ("run.diagnostics_every", "0", "diagnostics_every"),
-    ("run.snapshot_every", "-1", "snapshot_every"),
-    ("run.system", "both", "run.system"),
-    ("run.time_scale", "tau1", "full system"),
-    ("ic.r.kind", "square", "ic.r.kind"),
-    ("ic.r.keep", "0", "ic.r.keep"),
-    ("dispersion.k_min", "-1", "dispersion range"),
-    ("dispersion.count", "1", "dispersion.count"),
-    ("grid.length", "nonsense", "grid.length"),
-    ("stepper.dt", "3e-3", "multiple of dt"),
-    ("ic.q.amplitude", "nan", "ic.q.amplitude"),
-    ("run.t_end", "inf", "run.t_end"),
-])
-def test_bad_settings_are_rejected_eagerly(key, value, match):
+@pytest.mark.parametrize("settings, match", [
+    ({"physical.rho1": "3000.0"}, "stable configuration"),
+    ({"model.epsilon": "1.5"}, "model.epsilon"),
+    ({"model.epsilon": "0"}, "model.epsilon"),
+    ({"model.delta": "0.6"}, "model.delta"),
+    ({"grid.n": "100"}, "grid"),
+    ({"stepper.scheme": "leapfrog"}, "stepper"),
+    ({"stepper.dt": "0"}, "stepper"),
+    ({"run.t_end": "-1"}, "run.t_end"),
+    ({"run.diagnostics_every": "0"}, "diagnostics_every"),
+    ({"run.snapshot_every": "-1"}, "snapshot_every"),
+    ({"run.system": "both"}, "run.system"),
+    ({"run.time_scale": "tau1"}, "full system"),
+    ({"ic.r.kind": "square"}, "ic.r.kind"),
+    ({"ic.r.keep": "0"}, "ic.r.keep"),
+    ({"dispersion.k_min": "-1"}, "dispersion range"),
+    ({"dispersion.count": "1"}, "dispersion.count"),
+    ({"grid.length": "nonsense"}, "grid.length"),
+    ({"stepper.dt": "3e-3"}, "multiple of dt"),
+    ({"ic.q.amplitude": "nan"}, "ic.q.amplitude"),
+    ({"run.t_end": "inf"}, "run.t_end"),
+    ({"ic.r.width": "0"}, "ic.r.width: must be positive for a gaussian"),
+    ({"ic.q.width": "0"}, "ic.q.width: must be positive for a gaussian"),
+    ({"ic.r.kind": "soliton", "ic.r.nu": "0"}, "ic.r.nu: must be positive for a soliton"),
+    ({"run.gauge_diagnostics": "maybe"}, "run.gauge_diagnostics"),
+    ({"grid.n": "5.5"}, "grid.n: expected an integer"),
+    # ids as key-value-match, so each row keeps its name when a second setting is added
+], ids=lambda v: "-".join(f"{k}-{x}" for k, x in v.items()) if isinstance(v, dict) else None)
+def test_bad_settings_are_rejected_eagerly(settings, match):
     with pytest.raises(ConfigError, match=match):
-        resolved({key: value})
+        resolved(settings)
 
 
 def test_tau1_allowed_on_full_system():
@@ -267,8 +273,8 @@ def test_verify_all_checks_pass(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     rows = [l for l in out.splitlines() if l.rstrip().endswith("pass")]
-    assert len(rows) == 22
-    for name in ("dispersion-quartic", "symbol-b4-b1", "symbol-b5-b2",
+    assert len(rows) == 23
+    for name in ("dispersion-quartic", "symbol-b4-b1", "symbol-b5-b2", "small-gamma-limit",
                  "h3-equivalence", "gauge-ode", "absd-factorization"):
         assert name in out
     assert "failing" not in out
@@ -667,17 +673,18 @@ def test_gaussian_simulate_never_imports_numpy_random(tmp_path):
 
 def test_simulate_never_imports_subprocess(tmp_path):
     # the writer process is spawned without the subprocess module, whose
-    # import costs a few ms; a fresh interpreter, since this one has it
+    # import costs a few ms, and the coefficients are floats throughout,
+    # with no decimal arithmetic; a fresh interpreter, since this one has both
     path = write_config(tmp_path, QUICK_RUN)
     child = subprocess.run(
         [sys.executable, "-c", "import sys\n"
          "from bonls.cli import main\n"
          "assert main(['--config', sys.argv[1], '--out', sys.argv[2], 'simulate']) == 0\n"
-         "print('subprocess' in sys.modules)\n",
+         "print('subprocess' in sys.modules, 'decimal' in sys.modules)\n",
          path, str(tmp_path / "run")],
         env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines()[-1] == "False"
+    assert child.stdout.splitlines()[-1] == "False False"
     assert (tmp_path / "run" / "snapshot_0002.tsv").exists()
 
 

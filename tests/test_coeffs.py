@@ -16,6 +16,9 @@ from bonls.coeffs import (
     OREGON,
     DomainError,
     PhysicalParams,
+    _mixing_from_theta,
+    _x_coth,
+    _x_csch,
     asymptotic_coefficients,
     coefficient_rows,
     derive_coefficients,
@@ -28,6 +31,7 @@ from bonls.coeffs import (
     resonance_residual,
     symbol_table,
 )
+from bonls.verify import kappa8_gap
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -214,6 +218,106 @@ def test_symbol_table_total_over_wide_range():
 
 
 # --------------------------------------------------------------------------
+# layer multipliers and mixing multipliers
+# --------------------------------------------------------------------------
+
+LAYER_X = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-8, 50.0, 400),
+                          [700.0, 709.0]])
+
+
+@pytest.mark.parametrize("helper, divisor", [(_x_coth, "tanh"), (_x_csch, "sinh")],
+                         ids=["coth", "csch"])
+def test_layer_multipliers_match_40_digits(helper, divisor):
+    # 400 points put samples just below x = 0.05, where a 4-term Taylor
+    # series would be off by up to 8.2e-15 (37 ulp)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = np.array([1.0 if x == 0.0 else float(x / getattr(mpmath, divisor)(x))
+                         for x in map(mpmath.mpf, LAYER_X)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (LAYER_X, -LAYER_X):
+            err = np.max(np.abs(helper(x) - want) / want)
+            assert err <= 4.5e-16, f"{helper.__name__}: {err:.2e}"
+
+
+def test_layer_csch_underflows_to_zero_past_710():
+    # sinh overflows at x = 710.5, where x csch(x) is already below
+    # 6.4e-306; the quotient is then 0, with no warning
+    x = np.array([710.5, 745.2, 1e4, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_x_csch(x), np.zeros(4))
+        assert np.array_equal(_x_coth(x), x)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        assert float(710.5 / mpmath.sinh(710.5)) < 6.4e-306
+
+
+THETA_EDGES = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 1e100, -1e100,
+                        1e200, -1e200, 1.7e308, -1.7e308, np.inf, -np.inf])
+
+
+def test_mixing_identities_at_every_magnitude():
+    a_p, a_m, b_p, b_m = _mixing_from_theta(THETA_EDGES)
+    for values in (a_p, a_m, b_p, b_m):
+        assert np.all(np.isfinite(values))
+    assert np.max(np.abs(a_p ** 2 + b_p ** 2 - 1.0)) <= 4.5e-16
+    assert np.max(np.abs(a_m ** 2 + b_m ** 2 - 1.0)) <= 4.5e-16
+    assert np.max(np.abs(a_m * b_p - a_p * b_m - 1.0)) <= 4.5e-16
+    assert np.max(np.abs(a_p * a_m + b_p * b_m)) <= 4.5e-16
+
+
+# a+ and b+ at MIXING_THETA, frozen from the independent closed forms
+# a+-^-2 = 2 + theta^2/2 +- (theta/2) s; a-(theta) = a+(-theta) and
+# b-(theta) = -b+(-theta) hold exactly, so the two arrays fix all four
+MIXING_THETA = np.concatenate([-np.geomspace(1e-4, 1e12, 33)[::-1], [0.0],
+                               np.geomspace(1e-4, 1e12, 33)])
+_PARENT_A_PLUS = np.array([
+    1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.9999999999999999, 0.9999999999999996,
+    0.9999999999999951, 0.99999999999995, 0.9999999999995, 0.999999999995, 0.99999999995,
+    0.9999999995, 0.999999995, 0.9999999500000137, 0.999999500001375, 0.9999950001374956,
+    0.9999500137456889, 0.9995013707018487, 0.9951333266680702, 0.9605087856778084,
+    0.85065080835204, 0.7603202489374481, 0.724547312790508, 0.712674333846746,
+    0.7088723218962537, 0.7076655766863555, 0.7072835357681883, 0.7071626806757523,
+    0.7071244586350898, 0.7071067811865476, 0.7070891032960636, 0.7070508772779254,
+    0.7069299824107406, 0.7065475437457609, 0.7053368211354162, 0.7014950419469098,
+    0.6892250659458445, 0.649548396238261, 0.5257311121191336, 0.27824965882412456,
+    0.09853761796664216, 0.03157546460664577, 0.009998500387383164, 0.003162230227228823,
+    0.0009999985000038749, 0.00031622771858268525, 9.999999850000004e-05,
+    3.162277655424963e-05, 9.9999999985e-06, 3.1622776601209453e-06, 9.999999999985e-07,
+    3.1622776601679054e-07, 9.99999999999985e-08, 3.1622776601683746e-08,
+    9.999999999999999e-09, 3.162277660168379e-09, 1e-09, 3.1622776601683795e-10, 1e-10,
+    3.1622776601683794e-11, 1e-11, 3.162277660168379e-12, 1e-12,
+])
+_PARENT_B_PLUS = np.array([
+    1e-12, 3.162277660168379e-12, 1e-11, 3.1622776601683794e-11, 1e-10,
+    3.1622776601683795e-10, 1e-09, 3.162277660168379e-09, 9.999999999999999e-09,
+    3.1622776601683746e-08, 9.99999999999985e-08, 3.1622776601679054e-07,
+    9.999999999984999e-07, 3.1622776601209453e-06, 9.9999999985e-06,
+    3.162277655424963e-05, 9.999999850000002e-05, 0.00031622771858268525,
+    0.000999998500003875, 0.003162230227228823, 0.009998500387383164, 0.03157546460664577,
+    0.09853761796664216, 0.2782496588241245, 0.5257311121191336, 0.649548396238261,
+    0.6892250659458447, 0.7014950419469097, 0.7053368211354162, 0.7065475437457608,
+    0.7069299824107407, 0.7070508772779254, 0.7070891032960634, 0.7071067811865476,
+    0.7071244586350899, 0.7071626806757523, 0.7072835357681881, 0.7076655766863557,
+    0.7088723218962537, 0.7126743338467462, 0.7245473127905079, 0.7603202489374481,
+    0.85065080835204, 0.9605087856778086, 0.9951333266680702, 0.9995013707018487,
+    0.9999500137456889, 0.9999950001374956, 0.9999995000013748, 0.9999999500000137,
+    0.9999999950000001, 0.9999999995, 0.9999999999500001, 0.9999999999950001,
+    0.9999999999995001, 0.99999999999995, 0.999999999999995, 0.9999999999999996,
+    0.9999999999999999, 1.0, 1.0, 1.0, 1.0, 1.0, 0.9999999999999999, 1.0, 1.0,
+])
+
+
+def test_mixing_matches_frozen_values():
+    a_p, a_m, b_p, b_m = _mixing_from_theta(MIXING_THETA)
+    for got, want in ((a_p, _PARENT_A_PLUS), (b_p, _PARENT_B_PLUS),
+                      (a_m, _PARENT_A_PLUS[::-1]), (b_m, -_PARENT_B_PLUS[::-1])):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 4.5e-16
+
+
+# --------------------------------------------------------------------------
 # derived coefficients
 # --------------------------------------------------------------------------
 
@@ -256,9 +360,10 @@ def test_bench_reduced_constants_frozen():
 
 
 def test_kappa8_vanishes():
+    # the two terms cancel to rounding, relative to their size
     for params in (ANDAMAN, OREGON, BENCH):
-        co = derive_coefficients(params, epsilon=0.1, delta=0.25)
-        assert abs(co.kappa8) <= 1e-12
+        assert kappa8_gap(params) <= 1e-12
+        assert derive_coefficients(params, epsilon=0.1, delta=0.25).kappa8 == 0.0
 
 
 def test_sign_conventions():
@@ -418,8 +523,8 @@ if HAS_HYPOTHESIS:
     @given(valid_params)
     @settings(max_examples=30, deadline=None)
     def test_kappa8_zero_random(params):
-        co = derive_coefficients(params, epsilon=0.1, delta=0.25)
-        assert abs(co.kappa8) <= 1e-12
+        assert kappa8_gap(params) <= 1e-12
+        assert derive_coefficients(params, epsilon=0.1, delta=0.25).kappa8 == 0.0
 
     @given(valid_params, st.floats(min_value=0.01, max_value=20.0))
     @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bonls import coeffs
+from bonls import coeffs, verify
 from bonls.coeffs import PhysicalParams, derive_coefficients, symbol_table
 from bonls.verify import (
     K,
@@ -71,6 +71,19 @@ def test_dispersion_constants_row_checks_the_model(name):
     rows = {r.name: r for r in run_suite("all", PARAMS, model)}
     assert not rows["dispersion-constants"].ok
     assert [r.name for r in rows.values() if not r.ok] == ["dispersion-constants"]
+
+
+@pytest.mark.parametrize("name", ["kt", "kt1", "kt2", "kt3", "kt4"])
+def test_small_gamma_row_checks_every_kt(monkeypatch, name):
+    # the row compares the derivation's kt..kt4 at the gamma = 0.01 twin
+    # with their small-gamma limits, so a 1% error in any one fails it
+    def off(params, epsilon, delta):
+        model = derive_coefficients(params, epsilon, delta)
+        return dataclasses.replace(model, **{name: 1.01 * getattr(model, name)})
+
+    monkeypatch.setattr(verify, "derive_coefficients", off)
+    rows = {r.name: r for r in run_suite("all", PARAMS, COEFFS)}
+    assert [r.name for r in rows.values() if not r.ok] == ["small-gamma-limit"]
 
 
 def test_rows_carry_the_worse_residual_of_both_sets():
