@@ -3,9 +3,8 @@
 Subcommands
     coeffs              coefficient report for one parameter set
     dispersion          tabulated dispersion branches and quartic residuals
-    verify              every cross-module identity check (bonls.verify)
-    verify-hamiltonian  the coordinate-equivalence subset
-    verify-gauge        the gauge-transformation subset
+    verify              the cross-module identity checks (bonls.verify), all
+                        of them or the rows named by --checks
     simulate            time integration with snapshot/diagnostic artifacts
     sweep               one simulation per value of one config key, in order
 
@@ -445,7 +444,7 @@ def cmd_dispersion(cfg: RunConfig, args) -> int:
 
 
 # --------------------------------------------------------------------------
-# verification suites
+# identity checks
 # --------------------------------------------------------------------------
 
 def cmd_verify(cfg: RunConfig, args) -> int:
@@ -453,26 +452,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     # command pays for them at start-up
     from .verify import perturbed, run_suite
 
-    selection = None
-    if getattr(args, "checks", None) is not None:
-        selection = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        if not selection:
-            raise ConfigError("--checks selected an empty suite")
-    symbols = symbol_table
-    if getattr(args, "perturb", None) is not None:
-        try:
-            symbols = perturbed(args.perturb)
-        except ValueError as exc:
-            raise ConfigError(f"--perturb {exc}") from None
-    # "verify" runs every suite, "verify-NAME" the suite NAME
-    suite = args.command.partition("-")[2] or "all"
-    results = run_suite(suite, cfg.params, cfg.coefficients(), symbols)
-    if selection is not None:
-        known = {r.name for r in results}
-        missing = [c for c in selection if c not in known]
-        if missing:
-            raise ConfigError(f"unknown checks: {', '.join(missing)}")
-        results = [r for r in results if r.name in selection]
+    coeffs = cfg.coefficients()
+    try:
+        symbols = symbol_table if args.perturb is None else perturbed(args.perturb)
+        results = run_suite(cfg.params, coeffs, symbols, args.checks)
+    except ValueError as exc:  # an unknown symbol, or a bad selection before any check
+        raise ConfigError(str(exc)) from None
     table = [[r.name, _fmt(r.residual), _fmt(r.tol), "pass" if r.ok else "FAIL"]
              for r in results]
     _print_table(["check", "residual", "tolerance", "status"], table)
@@ -615,8 +600,6 @@ _HANDLERS = {
     "coeffs": cmd_coeffs,
     "dispersion": cmd_dispersion,
     "verify": cmd_verify,
-    "verify-hamiltonian": cmd_verify,
-    "verify-gauge": cmd_verify,
     "simulate": cmd_simulate,
     "sweep": cmd_sweep,
 }
@@ -640,17 +623,16 @@ def build_parser() -> argparse.ArgumentParser:
     descriptions = {
         "coeffs": "print the derived coefficient table",
         "dispersion": "tabulate dispersion branches and quartic residuals",
-        "verify": "run every identity check",
-        "verify-hamiltonian": "run the coordinate-equivalence checks",
-        "verify-gauge": "run the gauge-transformation checks",
+        "verify": "run the identity checks",
         "simulate": "integrate the system and write artifacts",
         "sweep": "run simulate once per value of one config key",
     }
     for name, text in descriptions.items():
         sp = sub.add_parser(name, parents=[common], help=text)
-        if name.startswith("verify"):
-            sp.add_argument("--checks", default=None,
-                            help="comma-separated check names to keep")
+        if name == "verify":
+            sp.add_argument("--checks", default=None, metavar="NAMES",
+                            type=lambda text: [c.strip() for c in text.split(",") if c.strip()],
+                            help="comma-separated check names to run (default: all)")
             sp.add_argument("--perturb", default=None, metavar="SYMBOL",
                             help="scale one symbol by 1.001 (the suite must fail)")
     return parser

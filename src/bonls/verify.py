@@ -1,6 +1,8 @@
 """Numerical identity checks behind every algebraic step of the model.
 
-Four groups of checks, each returning one CheckResult per identity:
+CHECKS names every row once, in report order, with the group that
+computes it and its tolerance.  `run_suite` runs only the groups of the
+rows it is asked for.  The four groups:
 
     symbols      dispersion quartic, eigen-decoupling of the kinetic block,
                  the mixing-multiplier identities, resonance, the dispersion
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Collection
 
 import numpy as np
 
@@ -56,7 +59,7 @@ from .hamiltonian import (
 )
 from .spectral import Grid, RealField, absd, band_limited_noise, deriv, hilbert, project
 
-__all__ = ["BENCH", "EXPANSION_X", "FIELDS", "GRID", "K", "SEED", "CheckResult", "SUITES",
+__all__ = ["BENCH", "CHECKS", "EXPANSION_X", "FIELDS", "GRID", "K", "SEED", "CheckResult",
            "SYMBOL_NAMES", "kappa8_gap", "perturbed", "run_suite"]
 
 #: The bench stratification, where h1 k is of order one on the check grid.
@@ -79,6 +82,35 @@ EXPANSION_X = 0.15 * (1.0 - np.cos(np.pi * (np.arange(24) + 0.5) / 24))
 EXPANSION_DEGREE = 12
 
 
+#: Every check in report order: its name, the group that computes it and
+#: its tolerance.  A group returns its residuals in the order of its rows.
+CHECKS = {
+    "dispersion-quartic": ("symbols", 1e-10),
+    "eigen-decoupling": ("symbols", 1e-10),
+    "mixing-unit-plus": ("symbols", 1e-12),
+    "mixing-unit-minus": ("symbols", 1e-12),
+    "mixing-symplectic": ("symbols", 1e-12),
+    "mixing-orthogonal": ("symbols", 1e-12),
+    "resonance": ("symbols", 1e-12),
+    "dispersion-constants": ("symbols", 1e-7),
+    "kappa8-zero": ("symbols", 1e-12),
+    "symbol-b4-b1": ("symbols", 1e-12),
+    "symbol-b5-b2": ("symbols", 1e-12),
+    "small-gamma-limit": ("symbols", 1e-10),
+    "h2-equivalence": ("hamiltonian", 1e-10),
+    "h3-equivalence": ("hamiltonian", 1e-10),
+    "cubic-decomposition": ("hamiltonian", 1e-10),
+    "transform-roundtrip": ("hamiltonian", 1e-12),
+    "gauge-unimodular": ("gauge", 1e-12),
+    "gauge-ode": ("gauge", 1e-8),
+    "gauge-reconstruction": ("gauge", 1e-10),
+    "hilbert-squared": ("projection", 1e-12),
+    "projection-partition": ("projection", 1e-12),
+    "hilbert-projection-split": ("projection", 1e-12),
+    "absd-factorization": ("projection", 1e-12),
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -88,6 +120,12 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return np.isfinite(self.residual) and self.residual <= self.tol
+
+
+def _rows(group: str, *residuals: float) -> list[CheckResult]:
+    """The CHECKS rows of `group` with their residuals, given in table order."""
+    rows = [(name, tol) for name, (of, tol) in CHECKS.items() if of == group]
+    return [CheckResult(name, res, tol) for (name, tol), res in zip(rows, residuals, strict=True)]
 
 
 # theta is consumed while the table is built, so perturbing it afterwards
@@ -179,20 +217,10 @@ def _checks_symbols(params: PhysicalParams, coeffs: ModelCoefficients,
     unit_m = float(np.max(np.abs(st.a_minus ** 2 + st.b_minus ** 2 - 1.0)))
     sympl = float(np.max(np.abs(st.a_minus * st.b_plus - st.a_plus * st.b_minus - 1.0)))
     ortho = float(np.max(np.abs(st.a_plus * st.a_minus + st.b_plus * st.b_minus)))
-    return [
-        CheckResult("dispersion-quartic", quartic, 1e-10),
-        CheckResult("eigen-decoupling", eigen, 1e-10),
-        CheckResult("mixing-unit-plus", unit_p, 1e-12),
-        CheckResult("mixing-unit-minus", unit_m, 1e-12),
-        CheckResult("mixing-symplectic", sympl, 1e-12),
-        CheckResult("mixing-orthogonal", ortho, 1e-12),
-        CheckResult("resonance", resonance_residual(params), 1e-12),
-        CheckResult("dispersion-constants", _dispersion_constants(params, coeffs), 1e-7),
-        CheckResult("kappa8-zero", kappa8_gap(params), 1e-12),
-        CheckResult("symbol-b4-b1", _square_gap(st.B4, st.B1), 1e-12),
-        CheckResult("symbol-b5-b2", _square_gap(st.B5, params.rho1 * st.B2), 1e-12),
-        CheckResult("small-gamma-limit", _small_gamma_gap(params, coeffs), 1e-10),
-    ]
+    return _rows("symbols", quartic, eigen, unit_p, unit_m, sympl, ortho,
+                 resonance_residual(params), _dispersion_constants(params, coeffs),
+                 kappa8_gap(params), _square_gap(st.B4, st.B1),
+                 _square_gap(st.B5, params.rho1 * st.B2), _small_gamma_gap(params, coeffs))
 
 
 def _checks_hamiltonian(params: PhysicalParams, symbols: Symbols) -> list[CheckResult]:
@@ -214,12 +242,7 @@ def _checks_hamiltonian(params: PhysicalParams, symbols: Symbols) -> list[CheckR
             got = getattr(back, name).values
             ref = max(float(np.max(np.abs(orig))), 1e-300)
             worst_round = max(worst_round, float(np.max(np.abs(got - orig))) / ref)
-    return [
-        CheckResult("h2-equivalence", worst_h2, 1e-10),
-        CheckResult("h3-equivalence", worst_h3, 1e-10),
-        CheckResult("cubic-decomposition", worst_split, 1e-10),
-        CheckResult("transform-roundtrip", worst_round, 1e-12),
-    ]
+    return _rows("hamiltonian", worst_h2, worst_h3, worst_split, worst_round)
 
 
 def _checks_gauge(coeffs: ModelCoefficients) -> list[CheckResult]:
@@ -239,11 +262,7 @@ def _checks_gauge(coeffs: ModelCoefficients) -> list[CheckResult]:
         rec = reconstruct_dr(gs).values
         ref = max(float(np.max(np.abs(dr))), 1e-300)
         worst_rec = max(worst_rec, float(np.max(np.abs(rec - dr))) / ref)
-    return [
-        CheckResult("gauge-unimodular", worst_mod, 1e-12),
-        CheckResult("gauge-ode", worst_ode, 1e-8),
-        CheckResult("gauge-reconstruction", worst_rec, 1e-10),
-    ]
+    return _rows("gauge", worst_mod, worst_ode, worst_rec)
 
 
 def _checks_projection() -> list[CheckResult]:
@@ -260,12 +279,7 @@ def _checks_projection() -> list[CheckResult]:
         lhs = absd(f).values
         rhs = deriv(hilbert(f)).values
         worst_absd = max(worst_absd, float(np.max(np.abs(lhs - rhs))))
-    return [
-        CheckResult("hilbert-squared", worst_h2id, 1e-12),
-        CheckResult("projection-partition", worst_partition, 1e-12),
-        CheckResult("hilbert-projection-split", worst_hsplit, 1e-12),
-        CheckResult("absd-factorization", worst_absd, 1e-12),
-    ]
+    return _rows("projection", worst_h2id, worst_partition, worst_hsplit, worst_absd)
 
 
 def _worse(rows: list[CheckResult], bench_rows: list[CheckResult]) -> list[CheckResult]:
@@ -274,20 +288,19 @@ def _worse(rows: list[CheckResult], bench_rows: list[CheckResult]) -> list[Check
             for a, b in zip(rows, bench_rows, strict=True)]
 
 
-SUITES = {
-    "all": ("symbols", "hamiltonian", "gauge", "projection"),
-    "hamiltonian": ("hamiltonian",),
-    "gauge": ("gauge",),
-}
-
-
-def run_suite(suite: str, params: PhysicalParams, coeffs: ModelCoefficients,
-              symbols: Symbols = symbol_table) -> list[CheckResult]:
-    """Every check of one SUITES entry on the fixed sample, in report order.
-
-    The symbols and hamiltonian rows carry the worse residual of params
-    and BENCH.
+def run_suite(params: PhysicalParams, coeffs: ModelCoefficients,
+              symbols: Symbols = symbol_table,
+              checks: Collection[str] | None = None) -> list[CheckResult]:
+    """The CHECKS rows named in `checks` (all by default) on the fixed
+    sample, in report order.  Only their groups run, and an empty or
+    unknown selection raises ValueError before any does.  The symbols and
+    hamiltonian rows carry the worse residual of params and BENCH.
     """
+    checks = CHECKS.keys() if checks is None else checks
+    unknown = [name for name in checks if name not in CHECKS]
+    if unknown or not checks:
+        what = f"unknown checks {', '.join(map(repr, unknown))}" if unknown else "empty selection"
+        raise ValueError(f"{what}; choose from {', '.join(CHECKS)}")
     groups = {
         "symbols": lambda: _worse(
             _checks_symbols(params, coeffs, K, symbols),
@@ -299,4 +312,6 @@ def run_suite(suite: str, params: PhysicalParams, coeffs: ModelCoefficients,
         "gauge": lambda: _checks_gauge(coeffs),
         "projection": _checks_projection,
     }
-    return [result for group in SUITES[suite] for result in groups[group]()]
+    selected = dict.fromkeys(CHECKS[name][0] for name in CHECKS if name in checks)
+    return [result for group in selected for result in groups[group]()
+            if result.name in checks]

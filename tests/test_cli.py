@@ -285,13 +285,25 @@ def test_symbol_identity_row_catches_its_symbol(capsys):
     assert "failing checks: symbol-b4-b1" in capsys.readouterr().out
 
 
-def test_verify_subset_commands(capsys):
-    assert main(["verify-hamiltonian"]) == 0
+HAMILTONIAN_ROWS = "h2-equivalence,h3-equivalence,cubic-decomposition,transform-roundtrip"
+GAUGE_ROWS = "gauge-unimodular,gauge-ode,gauge-reconstruction"
+
+
+def test_verify_group_selections(capsys):
+    assert main(["verify", "--checks", HAMILTONIAN_ROWS]) == 0
     out = capsys.readouterr().out
     assert "h2-equivalence" in out
     assert "gauge-unimodular" not in out
-    assert main(["verify-gauge"]) == 0
+    assert main(["verify", "--checks", GAUGE_ROWS]) == 0
     assert "gauge-unimodular" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["verify-hamiltonian", "verify-gauge"])
+def test_removed_verify_subcommands_are_usage_errors(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_verify_checks_selection(capsys):
@@ -301,16 +313,28 @@ def test_verify_checks_selection(capsys):
     assert "dispersion-quartic" not in out
 
 
-def test_verify_checks_rejects_empty_and_unknown():
+def test_verify_checks_rejects_empty_and_unknown(monkeypatch, caplog):
+    from bonls import verify
+
+    def no_group(*args):
+        raise AssertionError("a check group ran")
+
+    for group in ("_checks_symbols", "_checks_hamiltonian", "_checks_gauge",
+                  "_checks_projection"):
+        monkeypatch.setattr(verify, group, no_group)
     assert main(["verify", "--checks", ","]) == 2
     assert main(["verify", "--checks", "bogus"]) == 2
+    assert main(["verify", "--checks", "gauge-ode,bogus"]) == 2
+    # the message names the bad check and lists the valid ones
+    assert "'bogus'" in caplog.text
+    assert "choose from dispersion-quartic, eigen-decoupling," in caplog.text
 
 
 def test_perturbed_symbol_fails_the_matching_check(capsys):
     assert main(["verify", "--perturb", "qb"]) == 1
     out = capsys.readouterr().out
     assert "eigen-decoupling" in out and "FAIL" in out
-    assert main(["verify-hamiltonian", "--perturb", "A3"]) == 1
+    assert main(["verify", "--checks", HAMILTONIAN_ROWS, "--perturb", "A3"]) == 1
     out = capsys.readouterr().out
     assert "h3-equivalence" in out and "FAIL" in out
     # the patch is scoped: a clean run right after must pass
@@ -701,7 +725,7 @@ def test_simulate_imports_neither_the_verify_suite_nor_hamiltonian(tmp_path):
          "                       if m in sys.modules])\n"
          "assert main(['--config', sys.argv[1], '--out', sys.argv[2], 'simulate']) == 0\n"
          "imported()\n"
-         "assert main(['verify-gauge']) == 0\n"
+         "assert main(['verify', '--checks', 'gauge-ode']) == 0\n"
          "imported()\n",
          path, str(tmp_path / "run")],
         env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=120)

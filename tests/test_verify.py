@@ -13,6 +13,7 @@ import pytest
 from bonls import coeffs, verify
 from bonls.coeffs import PhysicalParams, derive_coefficients, symbol_table
 from bonls.verify import (
+    CHECKS,
     K,
     SYMBOL_NAMES,
     CheckResult,
@@ -33,7 +34,7 @@ COEFFS = derive_coefficients(PARAMS, epsilon=0.1, delta=0.25)
 
 
 def failing(symbols=symbol_table):
-    results = run_suite("all", PARAMS, COEFFS, symbols)
+    results = run_suite(PARAMS, COEFFS, symbols)
     return [r.name for r in results if not r.ok]
 
 
@@ -59,7 +60,7 @@ def test_resonance_row_checks_the_model_carrier(monkeypatch, which):
     monkeypatch.setattr(coeffs, "_carrier", off)
     model = derive_coefficients(PARAMS, epsilon=0.1, delta=0.25)
     assert (model.c0, model.k0) == off(PARAMS)
-    rows = {r.name: r for r in run_suite("all", PARAMS, model)}
+    rows = {r.name: r for r in run_suite(PARAMS, model)}
     assert not rows["resonance"].ok
 
 
@@ -68,7 +69,7 @@ def test_dispersion_constants_row_checks_the_model(name):
     # the row ties omega1_pp to omega1_prime and the Omegas to the small-k
     # expansion of dispersion_internal, so a 1% error in any one fails it
     model = dataclasses.replace(COEFFS, **{name: 1.01 * getattr(COEFFS, name)})
-    rows = {r.name: r for r in run_suite("all", PARAMS, model)}
+    rows = {r.name: r for r in run_suite(PARAMS, model)}
     assert not rows["dispersion-constants"].ok
     assert [r.name for r in rows.values() if not r.ok] == ["dispersion-constants"]
 
@@ -82,8 +83,29 @@ def test_small_gamma_row_checks_every_kt(monkeypatch, name):
         return dataclasses.replace(model, **{name: 1.01 * getattr(model, name)})
 
     monkeypatch.setattr(verify, "derive_coefficients", off)
-    rows = {r.name: r for r in run_suite("all", PARAMS, COEFFS)}
+    rows = {r.name: r for r in run_suite(PARAMS, COEFFS)}
     assert [r.name for r in rows.values() if not r.ok] == ["small-gamma-limit"]
+
+
+def test_a_selection_runs_only_its_groups(monkeypatch):
+    def no_group(*args):
+        raise AssertionError("a group outside the selection ran")
+
+    monkeypatch.setattr(verify, "_checks_symbols", no_group)
+    monkeypatch.setattr(verify, "_checks_hamiltonian", no_group)
+    rows = run_suite(PARAMS, COEFFS, checks=["gauge-ode"])
+    assert [r.name for r in rows] == ["gauge-ode"] and rows[0].ok
+
+
+def test_a_selection_across_groups_keeps_report_order_and_residuals():
+    full = run_suite(PARAMS, COEFFS)
+    assert [r.name for r in full] == list(CHECKS)
+    checks = ["absd-factorization", "gauge-ode", "h3-equivalence", "resonance",
+              "transform-roundtrip"]
+    rows = run_suite(PARAMS, COEFFS, checks=checks)
+    assert rows == [r for r in full if r.name in checks]
+    assert [r.name for r in rows] == ["resonance", "h3-equivalence", "transform-roundtrip",
+                                      "gauge-ode", "absd-factorization"]
 
 
 def test_rows_carry_the_worse_residual_of_both_sets():
