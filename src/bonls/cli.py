@@ -11,7 +11,10 @@ Subcommands
 Configs are flat ``key = value`` text files with dotted keys.  Every key,
 with its parser, default and check, is one row of the RunConfig table;
 unknown keys are errors, so a typo fails fast instead of silently running
-defaults.  Exit codes: 0 ok, 1 verification failure, 2 config error
+defaults.  A RunConfig builds the library objects a run needs (physical
+parameters, grid, stepper, model coefficients, step count and initial
+state), so each rule on the input is the check of the object that owns
+it.  Exit codes: 0 ok, 1 verification failure, 2 config error
 (including a non-finite number, a negative seed, or a run time that is
 not a whole number of steps), 3 blow-up, 4 an artifact that could not be
 written, 130 Ctrl-C (a simulation stopped by it keeps the snapshots it
@@ -47,7 +50,9 @@ import numpy as np
 
 from . import __version__, _tsv
 from .coeffs import (
+    ANDAMAN,
     DomainError,
+    ModelCoefficients,
     PhysicalParams,
     PRESETS,
     asymptotic_coefficients,
@@ -193,15 +198,8 @@ def _to_cadence(text: str) -> int | None:
     return _to_int(text) or None
 
 
-_POSITIVE = (lambda v: v > 0.0, "must be positive")
-
-
 def _at_least(n: int):
     return (lambda v: v >= n, f"must be at least {n}")
-
-
-def _strictly_between(lo: float, hi: float):
-    return (lambda v: lo < v < hi, f"must lie strictly between {lo:g} and {hi:g}")
 
 
 def _one_of(*choices: str):
@@ -223,27 +221,29 @@ def _key(key: str, parse, default: str, check=None):
 class RunConfig:
     """Fully validated settings for one invocation.
 
-    Every field built with `_key` is one row of the config table.  The
-    rules that tie keys together run on construction, which also builds
-    the library objects (params, grid, stepper), so a bad configuration
-    never starts computing.  The library steps in tau: with time_scale
-    tau1 (tau1 = epsilon tau), dt and t_end are read in tau1 and the
-    stepper's dt is dt / epsilon.
+    Every field built with `_key` is one row of the config table.
+    Construction builds the library objects a run needs: params, grid,
+    stepper, the model coefficients, the step count and the initial
+    state.  Each object checks its own arguments, so a bad configuration
+    fails here, before any command computes or writes.  The library
+    steps in tau: with time_scale tau1 (tau1 = epsilon tau), dt and t_end
+    are read in tau1 and the stepper's dt is dt / epsilon; steps counts
+    them in either unit.
     """
 
     settings: dict[str, str]
-    g: float = _key("physical.g", _to_float, "9.81")
-    h1: float = _key("physical.h1", _to_float, "500.0")
-    rho: float = _key("physical.rho", _to_float, "1000.0")
-    rho1: float = _key("physical.rho1", _to_float, "997.0")
-    epsilon: float = _key("model.epsilon", _to_float, "0.1", _strictly_between(0.0, 1.0))
-    delta: float = _key("model.delta", _to_float, "0.25", _strictly_between(0.0, 0.5))
+    g: float = _key("physical.g", _to_float, repr(ANDAMAN.g))
+    h1: float = _key("physical.h1", _to_float, repr(ANDAMAN.h1))
+    rho: float = _key("physical.rho", _to_float, repr(ANDAMAN.rho))
+    rho1: float = _key("physical.rho1", _to_float, repr(ANDAMAN.rho1))
+    epsilon: float = _key("model.epsilon", _to_float, "0.1")
+    delta: float = _key("model.delta", _to_float, "0.25")
     grid_n: int = _key("grid.n", _to_int, "512")
     grid_length: float = _key("grid.length", _to_float, "40.0")
     scheme: str = _key("stepper.scheme", str.strip, "strang-split")
     dt: float = _key("stepper.dt", _to_float, "1e-3")
     cfl_guard: float = _key("stepper.cfl_guard", _to_float, "10.0")
-    t_end: float = _key("run.t_end", _to_float, "10.0", _POSITIVE)
+    t_end: float = _key("run.t_end", _to_float, "10.0")
     diagnostics_every: int = _key("run.diagnostics_every", _to_int, "100", _at_least(1))
     snapshot_every: int | None = _key(
         "run.snapshot_every", _to_cadence, "0",
@@ -264,9 +264,6 @@ class RunConfig:
     ic_q_width: float = _key("ic.q.width", _to_float, "3.0")
     ic_q_center: float = _key("ic.q.center", _to_float, "0.0")
     ic_q_carrier: int = _key("ic.q.carrier_mode", _to_int, "3")
-    k_min: float = _key("dispersion.k_min", _to_float, "1e-3")
-    k_max: float = _key("dispersion.k_max", _to_float, "10.0")
-    k_count: int = _key("dispersion.count", _to_int, "100", _at_least(2))
     sweep_key: str = _key("sweep.key", str.strip, "")
     sweep_values: tuple[str, ...] = _key("sweep.values", _to_list, "")
     out_dir: str = _key("output.dir", str.strip, "out")
@@ -274,6 +271,9 @@ class RunConfig:
     params: PhysicalParams = dataclasses.field(init=False)
     grid: Grid = dataclasses.field(init=False)
     stepper: StepperConfig = dataclasses.field(init=False)
+    coeffs: ModelCoefficients = dataclasses.field(init=False)
+    steps: int = dataclasses.field(init=False)
+    initial: SystemState = dataclasses.field(init=False)
 
     @classmethod
     def from_settings(cls, settings: dict[str, str]) -> "RunConfig":
@@ -292,30 +292,21 @@ class RunConfig:
     def __post_init__(self):
         if self.time_scale == "tau1" and self.system != "full":
             raise ConfigError(f"{_KEY['time_scale']}: tau1 needs the full system")
-        if self.ic_r_kind == "gaussian" and not self.ic_r_width > 0.0:
-            raise ConfigError(f"{_KEY['ic_r_width']}: must be positive for a gaussian")
-        if self.ic_r_kind == "soliton" and not self.ic_r_nu > 0.0:
-            raise ConfigError(f"{_KEY['ic_r_nu']}: must be positive for a soliton")
-        if self.ic_q_kind == "gaussian" and not self.ic_q_width > 0.0:
-            raise ConfigError(f"{_KEY['ic_q_width']}: must be positive for a gaussian")
-        if not 0.0 < self.k_min < self.k_max:
-            raise ConfigError("dispersion range must satisfy 0 < k_min < k_max")
-        # DomainError is a ValueError, so each constructor's own check reports here
-        dt_tau = self.dt / self.epsilon if self.time_scale == "tau1" else self.dt
-        built = {
-            "params": _build("physical", PhysicalParams,
-                             self.g, self.h1, self.rho, self.rho1),
-            "grid": _build("grid", Grid, self.grid_n, self.grid_length),
-            "stepper": _build("stepper", StepperConfig, dt_tau, self.scheme,
-                              self.cfl_guard),
-        }
-        # the rule run() applies, checked before any output is written
-        _build(_KEY["t_end"], step_count, self.t_end, self.dt)
-        for name, value in built.items():
+
+        def put(name, value):
             object.__setattr__(self, name, value)
 
-    def coefficients(self):
-        return derive_coefficients(self.params, self.epsilon, self.delta)
+        # DomainError is a ValueError, so each constructor's own check reports
+        # here; the coefficients check epsilon before dt / epsilon is taken
+        put("params", _build("physical", PhysicalParams, self.g, self.h1, self.rho, self.rho1))
+        put("coeffs", _build("model.", derive_coefficients,
+                             self.params, self.epsilon, self.delta))
+        put("grid", _build("grid", Grid, self.grid_n, self.grid_length))
+        dt_tau = self.dt / self.epsilon if self.time_scale == "tau1" else self.dt
+        put("stepper", _build("stepper", StepperConfig, dt_tau, self.scheme, self.cfl_guard))
+        # the rule run() applies, counted in the config's unit
+        put("steps", _build(_KEY["t_end"], step_count, self.t_end, self.dt))
+        put("initial", _initial_state(self))
 
 
 _ROWS = tuple(f for f in dataclasses.fields(RunConfig) if "key" in f.metadata)
@@ -324,11 +315,13 @@ _KEY = {row.name: row.metadata["key"] for row in _ROWS}
 
 
 def _build(what: str, make, *args):
-    """make(*args), its ValueError reported as a config error about `what`."""
+    """make(*args), its ValueError reported as a config error about `what`,
+    a key or a section.  The message of a builder starts with the argument
+    at fault, so a section given as "model." reads "model.epsilon must ..."."""
     try:
         return make(*args)
     except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from None
+        raise ConfigError(f"{what}{'' if what.endswith('.') else ': '}{exc}") from None
 
 
 def load_settings(path: str | None) -> dict[str, str]:
@@ -354,7 +347,7 @@ def load_settings(path: str | None) -> dict[str, str]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state is reported
-def build_initial_state(cfg: RunConfig) -> SystemState:
+def _initial_state(cfg: RunConfig) -> SystemState:
     """Initial (r, q) from the ic.* settings; only noise kinds draw on the seed."""
     grid = cfg.grid
     kind = cfg.ic_r_kind
@@ -365,10 +358,9 @@ def build_initial_state(cfg: RunConfig) -> SystemState:
         r_vals = band_limited_noise(grid, rng, amplitude=cfg.ic_r_amplitude,
                                     keep=cfg.ic_r_keep).values
     else:
-        if kind == "gaussian":
-            r_vals = gaussian_bump(grid, cfg.ic_r_width, cfg.ic_r_center).values
-        else:
-            r_vals = bo_soliton(grid, cfg.ic_r_nu, cfg.ic_r_center).values
+        make, size = ((gaussian_bump, cfg.ic_r_width) if kind == "gaussian"
+                      else (bo_soliton, cfg.ic_r_nu))
+        r_vals = _build("ic.r.", make, grid, size, cfg.ic_r_center).values
         r_vals = r_vals - r_vals.mean()
         peak = float(np.max(np.abs(r_vals)))
         if peak > 0.0:
@@ -376,8 +368,8 @@ def build_initial_state(cfg: RunConfig) -> SystemState:
     if cfg.ic_q_kind == "zero":
         q = ComplexField(grid, np.zeros(grid.n, dtype=complex))
     else:
-        q = gaussian_envelope(grid, cfg.ic_q_amplitude, cfg.ic_q_width,
-                              cfg.ic_q_center, cfg.ic_q_carrier)
+        q = _build("ic.q.", gaussian_envelope, grid, cfg.ic_q_amplitude, cfg.ic_q_width,
+                   cfg.ic_q_center, cfg.ic_q_carrier)
     # an overflow (a soliton's 4 nu at nu = 1e308) is bad input, not a blow-up
     if not (np.all(np.isfinite(r_vals)) and np.all(np.isfinite(q.values))):
         raise ConfigError("ic.*: the initial state is not finite")
@@ -389,7 +381,7 @@ def build_initial_state(cfg: RunConfig) -> SystemState:
 # --------------------------------------------------------------------------
 
 def cmd_coeffs(cfg: RunConfig, args) -> int:
-    co = cfg.coefficients()
+    co = cfg.coeffs
     rows = coefficient_rows(co)
     asy = {}
     if cfg.params.gamma < 0.1:
@@ -427,7 +419,9 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
 
 
 def cmd_dispersion(cfg: RunConfig, args) -> int:
-    k = np.geomspace(cfg.k_min, cfg.k_max, cfg.k_count)
+    # the sample and tolerance of verify's dispersion-quartic row
+    from .verify import CHECKS, K as k
+
     w2_int = dispersion_internal(cfg.params, k)
     w2_sur = dispersion_surface(cfg.params, k)
     res_int = quartic_residual(cfg.params, k, w2_int)
@@ -440,7 +434,7 @@ def cmd_dispersion(cfg: RunConfig, args) -> int:
     worst = max(float(np.max(res_int)), float(np.max(res_sur)))
     print(f"wrote {path} ({k.size} wavenumbers)")
     print(f"max quartic residual = {_fmt(worst)}")
-    return EXIT_OK if worst <= 1e-10 else EXIT_VERIFY
+    return EXIT_OK if worst <= CHECKS["dispersion-quartic"][1] else EXIT_VERIFY
 
 
 # --------------------------------------------------------------------------
@@ -452,10 +446,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     # command pays for them at start-up
     from .verify import perturbed, run_suite
 
-    coeffs = cfg.coefficients()
     try:
         symbols = symbol_table if args.perturb is None else perturbed(args.perturb)
-        results = run_suite(cfg.params, coeffs, symbols, args.checks)
+        results = run_suite(cfg.params, cfg.coeffs, symbols, args.checks)
     except ValueError as exc:  # an unknown symbol, or a bad selection before any check
         raise ConfigError(str(exc)) from None
     table = [[r.name, _fmt(r.residual), _fmt(r.tol), "pass" if r.ok else "FAIL"]
@@ -480,7 +473,7 @@ def _write_snapshot(path: Path, state: SystemState, t: float,
                np.column_stack((state.grid.x, state.r.values, q.real, q.imag)), write)
 
 
-def _write_metadata(path: Path, cfg: RunConfig, co, status: str,
+def _write_metadata(path: Path, cfg: RunConfig, status: str,
                     extra: dict[str, str]) -> None:
     with path.open("w") as fh:
         fh.write(f"bonls_version = {__version__}\n")
@@ -489,17 +482,15 @@ def _write_metadata(path: Path, cfg: RunConfig, co, status: str,
             fh.write(f"{key} = {value}\n")
         for key in sorted(cfg.settings):
             fh.write(f"{key} = {cfg.settings[key]}\n")
-        for name, value, _tag in coefficient_rows(co):
+        for name, value, _tag in coefficient_rows(cfg.coeffs):
             fh.write(f"coefficient.{name} = {_fmt(value)}\n")
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    co = cfg.coefficients()
-    initial = build_initial_state(cfg)
-    # run steps in tau (see RunConfig), n steps counted in the config's unit:
+    # run steps in tau (see RunConfig), its steps counted in the config's unit:
     # t_end / epsilon would meet run's step-count tolerance on another scale.
     # A time written is its step index times dt, exactly i dt in either unit
-    t_end = step_count(cfg.t_end, cfg.dt) * cfg.stepper.dt
+    t_end = cfg.steps * cfg.stepper.dt
 
     def t_of(t: float) -> float:
         return round(t / cfg.stepper.dt) * cfg.dt
@@ -516,7 +507,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     # an interrupted run still has every snapshot it sent written
     with _tsv.Writer() as writer:
         try:
-            rows = run(initial, cfg.stepper, co, t_end,
+            rows = run(cfg.initial, cfg.stepper, cfg.coeffs, t_end,
                        diagnostics_every=cfg.diagnostics_every,
                        snapshot_every=cfg.snapshot_every, system=cfg.system,
                        gauge_diagnostics=cfg.gauge_diagnostics,
@@ -547,10 +538,13 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             status, code = "ok", EXIT_OK
             extra = {"snapshots": str(snapshots), "diagnostics_rows": str(len(rows))}
             message = f"wrote {diag_path} and {snapshots} snapshots to {out}"
-            first, last = rows[0], rows[-1]
-            drift = abs(last.e1 - first.e1) / max(abs(first.e1), 1e-300)
-            log.info("done: %d diagnostics rows, E1 relative drift %.3e", len(rows), drift)
-    _write_metadata(out / "metadata.txt", cfg, co, status, extra)
+            # the full system's kt3/kt4 coupling does not conserve E1
+            kept = ("e1", "e2", "e3") if cfg.system == "reduced" else ("e2", "e3")
+            drifts = [abs(getattr(rows[-1], e) - getattr(rows[0], e))
+                      / max(abs(getattr(rows[0], e)), 1e-300) for e in kept]
+            log.info("done: %d diagnostics rows, relative drifts %s", len(rows),
+                     ", ".join(f"{e.upper()} {d:.3e}" for e, d in zip(kept, drifts)))
+    _write_metadata(out / "metadata.txt", cfg, status, extra)
     print(message)
     return code
 
@@ -574,11 +568,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             raise ConfigError(f"{_KEY['sweep_values']}: {value!r} gives the member "
                               f"directory {tag!r} twice")
         settings[_KEY["out_dir"]] = str(base / tag)
-        sub = RunConfig.from_settings(settings)
-        build_initial_state(sub)
-        jobs.append((tag, sub))
-    # every member's config and initial state are checked above before
-    # the first one runs
+        jobs.append((tag, RunConfig.from_settings(settings)))
+    # every member's config, coefficients and initial state are built
+    # above before the first one runs
     codes = []
     for tag, sub in jobs:
         codes.append(cmd_simulate(sub, args))
@@ -648,8 +640,8 @@ def main(argv: list[str] | None = None) -> int:
         settings = load_settings(getattr(args, "config", None))
         if hasattr(args, "preset"):
             preset = PRESETS[args.preset]
-            for name in ("g", "h1", "rho", "rho1"):
-                settings[_KEY[name]] = _fmt(getattr(preset, name))
+            settings.update({_KEY[f.name]: repr(getattr(preset, f.name))
+                             for f in dataclasses.fields(preset)})
         if hasattr(args, "seed"):
             settings["seed"] = str(args.seed)
         if hasattr(args, "out"):

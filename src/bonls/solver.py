@@ -577,7 +577,9 @@ def step_count(span: float, dt: float) -> int:
     if not math.isfinite(ratio):
         raise ValueError(f"(t_end - t0) / dt = {ratio:g} is not a finite step count")
     n_steps = int(round(ratio))
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
+    if n_steps < 1:
+        raise ValueError(f"t_end - t0 = {span:g} holds no step of dt = {dt:g}")
+    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError("t_end - t0 must be an integer multiple of dt")
     return n_steps
 
@@ -661,8 +663,6 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     propagates with the failing time and the last finite state attached;
     a non-finite initial state raises ValueError.
     """
-    if not t_end > initial.t:
-        raise ValueError("t_end must lie beyond the initial time")
     if diagnostics_every < 1:
         raise ValueError("diagnostics_every must be a positive step count")
     if snapshot_every is not None and snapshot_every < 1:
@@ -719,9 +719,12 @@ def bo_soliton(grid: Grid, nu: float, center: float = 0.0) -> RealField:
 
 def gaussian_envelope(grid: Grid, amplitude: complex, width: float,
                       center: float = 0.0, carrier_mode: int = 0) -> ComplexField:
-    """Gaussian envelope riding an integer-mode carrier wave."""
+    """Gaussian envelope riding an integer-mode carrier wave, |carrier_mode| <= n/2."""
     if not width > 0.0:
         raise ValueError("width must be positive")
+    if abs(carrier_mode) > grid.n // 2:
+        raise ValueError(f"carrier_mode = {carrier_mode} lies past the Nyquist mode "
+                         f"n/2 = {grid.n // 2}")
     z = (grid.x - center) / width
     carrier = 2.0 * np.pi * carrier_mode / grid.length
     vals = amplitude * np.exp(-0.5 * z * z) * np.exp(1j * carrier * grid.x)

@@ -411,6 +411,8 @@ def commutativity_check(coeffs, h: RealField) -> float:
 def gaussian_bump(grid: Grid, width: float, center: float = 0.0,
                   amplitude: float = 1.0) -> RealField:
     """amplitude * exp(-(x - center)^2 / (2 width^2)) sampled on the grid."""
+    if not width > 0.0:
+        raise ValueError("width must be positive")
     z = (grid.x - center) / width
     return RealField(grid, amplitude * np.exp(-0.5 * z * z))
 

@@ -25,7 +25,6 @@ from bonls.cli import (
     RunConfig,
     _fmt,
     _write_tsv,
-    build_initial_state,
     load_settings,
     main,
 )
@@ -156,15 +155,13 @@ def test_sweep_values_are_split_and_stripped():
     ({"run.time_scale": "tau1"}, "full system"),
     ({"ic.r.kind": "square"}, "ic.r.kind"),
     ({"ic.r.keep": "0"}, "ic.r.keep"),
-    ({"dispersion.k_min": "-1"}, "dispersion range"),
-    ({"dispersion.count": "1"}, "dispersion.count"),
     ({"grid.length": "nonsense"}, "grid.length"),
     ({"stepper.dt": "3e-3"}, "multiple of dt"),
     ({"ic.q.amplitude": "nan"}, "ic.q.amplitude"),
     ({"run.t_end": "inf"}, "run.t_end"),
-    ({"ic.r.width": "0"}, "ic.r.width: must be positive for a gaussian"),
-    ({"ic.q.width": "0"}, "ic.q.width: must be positive for a gaussian"),
-    ({"ic.r.kind": "soliton", "ic.r.nu": "0"}, "ic.r.nu: must be positive for a soliton"),
+    ({"ic.r.width": "0"}, "ic.r.width must be positive"),
+    ({"ic.q.width": "0"}, "ic.q.width must be positive"),
+    ({"ic.r.kind": "soliton", "ic.r.nu": "0"}, "ic.r.nu must be positive"),
     ({"run.gauge_diagnostics": "maybe"}, "run.gauge_diagnostics"),
     ({"grid.n": "5.5"}, "grid.n: expected an integer"),
     # ids as key-value-match, so each row keeps its name when a second setting is added
@@ -191,30 +188,29 @@ def bench_settings(extra=None):
 
 
 def test_initial_state_gaussian_rescaled_to_amplitude():
-    s = build_initial_state(bench_settings())
+    s = bench_settings().initial
     assert float(np.max(np.abs(s.r.values))) == pytest.approx(0.1, rel=1e-12)
     assert abs(float(np.mean(s.r.values))) <= 1e-15
     assert float(np.max(np.abs(s.q.values))) == pytest.approx(0.05, rel=1e-10)
 
 
 def test_initial_state_zero_kinds():
-    s = build_initial_state(bench_settings({"ic.r.kind": "zero", "ic.q.kind": "zero"}))
+    s = bench_settings({"ic.r.kind": "zero", "ic.q.kind": "zero"}).initial
     assert np.max(np.abs(s.r.values)) == 0.0
     assert np.max(np.abs(s.q.values)) == 0.0
 
 
 def test_initial_state_soliton_peak():
-    s = build_initial_state(bench_settings({"ic.r.kind": "soliton", "ic.r.nu": "0.8",
-                                            "ic.r.amplitude": "0.2"}))
+    s = bench_settings({"ic.r.kind": "soliton", "ic.r.nu": "0.8",
+                        "ic.r.amplitude": "0.2"}).initial
     assert float(np.max(np.abs(s.r.values))) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_initial_state_noise_is_seeded():
-    cfg = bench_settings({"ic.r.kind": "noise", "seed": "11"})
-    one = build_initial_state(cfg)
-    two = build_initial_state(cfg)
+    one = bench_settings({"ic.r.kind": "noise", "seed": "11"}).initial
+    two = bench_settings({"ic.r.kind": "noise", "seed": "11"}).initial
     assert np.array_equal(one.r.values, two.r.values)
-    other = build_initial_state(bench_settings({"ic.r.kind": "noise", "seed": "12"}))
+    other = bench_settings({"ic.r.kind": "noise", "seed": "12"}).initial
     assert not np.array_equal(one.r.values, other.r.values)
 
 
@@ -349,13 +345,56 @@ def test_verify_sample_ignores_the_dispersion_range_and_seed(tmp_path, capsys):
     # the checks run on bonls.verify's own sample, whatever the config says
     assert main(["verify"]) == 0
     plain = capsys.readouterr().out
-    path = write_config(tmp_path, "dispersion.k_min = 0.5\ndispersion.k_max = 3.0\n"
-                                  "dispersion.count = 7\nseed = 9\n")
+    path = write_config(tmp_path, "seed = 9\n")
     assert main(["--config", path, "verify"]) == 0
     assert capsys.readouterr().out == plain
+    # and the dispersion table's range is verify's sample, not a setting
+    range_keys = write_config(tmp_path, "dispersion.k_min = 0.5\n", "range.conf")
+    assert main(["--config", range_keys, "--out", str(tmp_path), "dispersion"]) == 2
 
 
 # ---------------------------------------------------------------- simulate
+
+@pytest.mark.parametrize("command, builds", [("simulate", 1), ("sweep", 3)])
+def test_coefficients_and_initial_state_are_built_once_per_config(tmp_path, monkeypatch,
+                                                                  command, builds):
+    # a sweep of two members builds three configs: its own and one per member
+    calls = []
+
+    def counted(name):
+        make = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a: calls.append(name) or make(*a))
+
+    for name in ("derive_coefficients", "gaussian_bump", "gaussian_envelope"):
+        counted(name)
+    path = write_config(tmp_path, QUICK_RUN + "sweep.key = ic.r.amplitude\n"
+                                              "sweep.values = 0.02, 0.04\n")
+    assert main(["--config", path, "--out", str(tmp_path / "once"), command]) == 0
+    assert sorted(calls) == builds * ["derive_coefficients"] + builds * ["gaussian_bump"] \
+        + builds * ["gaussian_envelope"]
+
+
+@pytest.mark.parametrize("system, kept", [("reduced", ("E1", "E2", "E3")),
+                                          ("full", ("E2", "E3"))])
+def test_closing_log_reports_the_drifts_the_system_conserves(tmp_path, caplog, system,
+                                                             kept):
+    path = write_config(tmp_path, QUICK_RUN + f"run.system = {system}\n")
+    with caplog.at_level(logging.INFO, logger="bonls"):
+        assert main(["--config", path, "--out", str(tmp_path / system), "simulate"]) == 0
+    done = caplog.records[-1].getMessage()
+    assert done.startswith("done: 6 diagnostics rows, relative drifts E")
+    assert [part.split()[0] for part in done.split("drifts ")[1].split(", ")] == list(kept)
+
+
+def test_andaman_preset_writes_the_default_metadata(tmp_path):
+    assert main(["--out", str(tmp_path / "default"), "simulate"]) == 0
+    assert main(["--preset", "andaman", "--out", str(tmp_path / "preset"), "simulate"]) == 0
+    meta = [(tmp_path / name / "metadata.txt").read_text().splitlines()
+            for name in ("default", "preset")]
+    differ = [(a, b) for a, b in zip(*meta) if a != b]
+    assert len(meta[0]) == len(meta[1])
+    assert differ == [(f"output.dir = {tmp_path / 'default'}",
+                       f"output.dir = {tmp_path / 'preset'}")]
 
 def test_simulate_writes_artifacts(tmp_path, capsys):
     path = write_config(tmp_path, QUICK_RUN)
@@ -520,8 +559,8 @@ def test_tau1_simulate_is_the_library_run_at_dt_over_epsilon(tmp_path, scheme):
     assert main(["--config", path, "--out", str(out_dir), "simulate"]) == 0
     cfg = RunConfig.from_settings(load_settings(path))
     dt = 1e-3 / 0.35  # 50 steps of dt in tau1 = epsilon tau
-    traj = solver.run(build_initial_state(cfg), StepperConfig(dt=dt, scheme=scheme),
-                      cfg.coefficients(), 50 * dt, diagnostics_every=10,
+    traj = solver.run(cfg.initial, StepperConfig(dt=dt, scheme=scheme),
+                      cfg.coeffs, 50 * dt, diagnostics_every=10,
                       snapshot_every=25, system="full")
     for k, snap in enumerate(traj.snapshots):
         table = np.loadtxt(out_dir / f"snapshot_{k:04d}.tsv", skiprows=2)
@@ -633,10 +672,10 @@ def test_interrupt_propagates_and_keeps_the_snapshots_sent(tmp_path, monkeypatch
 
 
 def test_interrupt_outside_the_run_exits_130(monkeypatch, caplog):
-    def interrupt(self):
+    def interrupt(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(RunConfig, "coefficients", interrupt)
+    monkeypatch.setattr(cli, "derive_coefficients", interrupt)
     with caplog.at_level(logging.ERROR, logger="bonls"):
         assert main(["coeffs"]) == cli.EXIT_INTERRUPTED
     assert caplog.records[-1].getMessage() == "interrupted"
@@ -663,7 +702,7 @@ run.snapshot_every = 1
             tracemalloc.stop()
 
     peak(2)  # first-call costs (imports, caches) land here
-    st = build_initial_state(bench_settings({"grid.n": "1024"}))
+    st = bench_settings({"grid.n": "1024"}).initial
     one_snapshot = sum(a.nbytes for a in (st.r.values, st.r.spectrum,
                                           st.q.values, st.q.spectrum))
     assert peak(200) - peak(20) < one_snapshot
@@ -981,6 +1020,11 @@ def test_config_errors_exit_2(tmp_path):
     ("verify.n = 512\n", "unknown config key 'verify.n'"),
     ("verify.length = 80.0\n", "unknown config key 'verify.length'"),
     ("verify.fields = 0\n", "unknown config key 'verify.fields'"),
+    # bonls dispersion tabulates verify's sample, so these keys are gone too
+    ("dispersion.k_min = -1\n", "unknown config key 'dispersion.k_min'"),
+    ("dispersion.count = 1\n", "unknown config key 'dispersion.count'"),
+    # past the Nyquist mode the carrier would alias (to mode -24 at n = 128)
+    ("ic.q.carrier_mode = 1000\n", "ic.q.carrier_mode = 1000 lies past the Nyquist mode"),
     ("seed = -1\n", "seed: must be at least 0"),
     ("run.t_end = 1e300\nstepper.dt = 1e-300\n", "not a finite step count"),
     # 4 nu overflows: bad input, not a blow-up

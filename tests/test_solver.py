@@ -691,8 +691,10 @@ def test_run_validates_cadence_arguments():
     # a step count that overflows a float is bad input too
     with pytest.raises(ValueError, match="finite step count"):
         run(s, StepperConfig(dt=1e-300), BENCH, t_end=1e300)
-    with pytest.raises(ValueError, match="t_end"):
+    with pytest.raises(ValueError, match="t_end - t0 = 0 holds no step of dt = 0.1"):
         run(s, StepperConfig(dt=0.1), BENCH, t_end=0.0)
+    with pytest.raises(ValueError, match="t_end - t0 = -1 holds no step"):
+        run(s, StepperConfig(dt=0.1), BENCH, t_end=-1.0)
     with pytest.raises(ValueError, match="diagnostics_every"):
         run(s, StepperConfig(dt=0.1), BENCH, t_end=1.0, diagnostics_every=0)
     with pytest.raises(ValueError, match="snapshot_every"):
@@ -1443,6 +1445,12 @@ def test_gaussian_envelope_carrier():
     assert abs(at_center) == pytest.approx(abs(0.5 + 0.25j), rel=1e-12)
     with pytest.raises(ValueError, match="width"):
         gaussian_envelope(grid, 0.1, width=-1.0)
+    # the Nyquist mode n/2 is the last one a carrier may take: past it
+    # mode 1000 would alias to mode -24
+    assert np.argmax(np.abs(gaussian_envelope(grid, 1.0, 2.0, carrier_mode=-128).spectrum)) == 128
+    for mode in (129, -129, 1000):
+        with pytest.raises(ValueError, match=f"carrier_mode = {mode} lies past the Nyquist"):
+            gaussian_envelope(grid, 0.1, 2.0, carrier_mode=mode)
 
 
 if HAS_HYPOTHESIS:

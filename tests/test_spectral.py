@@ -345,6 +345,9 @@ def test_gaussian_bump_and_noise_factories():
     nz = band_limited_noise(grid, np.random.default_rng(3), amplitude=0.2, keep=0.5)
     assert abs(np.mean(nz.values)) <= 1e-15
     assert np.max(np.abs(nz.values)) == pytest.approx(0.2, rel=1e-12)
+    for width in (0.0, -1.0):  # width 0 would sample exp(-0.5 (0/0)^2), a NaN
+        with pytest.raises(ValueError, match="width must be positive"):
+            gaussian_bump(grid, width)
 
 
 # --------------------------------------------------------------------------
