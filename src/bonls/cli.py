@@ -55,6 +55,7 @@ from .coeffs import (
     ModelCoefficients,
     PhysicalParams,
     PRESETS,
+    SMALL_GAMMA_MAX,
     asymptotic_coefficients,
     coefficient_rows,
     derive_coefficients,
@@ -74,7 +75,8 @@ from .solver import (
     run,
     step_count,
 )
-from .spectral import ComplexField, Grid, RealField, band_limited_noise, gaussian_bump
+from .spectral import (ComplexField, Grid, RealField, _scaled_to_peak, band_limited_noise,
+                       gaussian_bump)
 
 # glibc serves a request at or above its mmap threshold from a fresh
 # mapping, moves that threshold up to the largest such block freed, and
@@ -257,8 +259,7 @@ class RunConfig:
     ic_r_width: float = _key("ic.r.width", _to_float, "2.0")
     ic_r_center: float = _key("ic.r.center", _to_float, "0.0")
     ic_r_nu: float = _key("ic.r.nu", _to_float, "1.0")
-    ic_r_keep: float = _key("ic.r.keep", _to_float, "0.16666666666666666",
-                            (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"))
+    ic_r_keep: float = _key("ic.r.keep", _to_float, "0.16666666666666666")
     ic_q_kind: str = _key("ic.q.kind", str.strip, "gaussian", _one_of("gaussian", "zero"))
     ic_q_amplitude: float = _key("ic.q.amplitude", _to_float, "0.05")
     ic_q_width: float = _key("ic.q.width", _to_float, "3.0")
@@ -355,16 +356,13 @@ def _initial_state(cfg: RunConfig) -> SystemState:
         r_vals = np.zeros(grid.n)
     elif kind == "noise":
         rng = np.random.default_rng(cfg.seed)
-        r_vals = band_limited_noise(grid, rng, amplitude=cfg.ic_r_amplitude,
-                                    keep=cfg.ic_r_keep).values
+        r_vals = _build("ic.r.", band_limited_noise, grid, rng, cfg.ic_r_amplitude,
+                        cfg.ic_r_keep).values
     else:
         make, size = ((gaussian_bump, cfg.ic_r_width) if kind == "gaussian"
                       else (bo_soliton, cfg.ic_r_nu))
         r_vals = _build("ic.r.", make, grid, size, cfg.ic_r_center).values
-        r_vals = r_vals - r_vals.mean()
-        peak = float(np.max(np.abs(r_vals)))
-        if peak > 0.0:
-            r_vals = r_vals * (cfg.ic_r_amplitude / peak)
+        r_vals = _scaled_to_peak(r_vals - r_vals.mean(), cfg.ic_r_amplitude)
     if cfg.ic_q_kind == "zero":
         q = ComplexField(grid, np.zeros(grid.n, dtype=complex))
     else:
@@ -384,7 +382,7 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
     co = cfg.coeffs
     rows = coefficient_rows(co)
     asy = {}
-    if cfg.params.gamma < 0.1:
+    if cfg.params.gamma < SMALL_GAMMA_MAX:
         a = asymptotic_coefficients(cfg.params)
         asy = {name: getattr(a, name) for name in ("kt", "kt1", "kt2", "kt3", "kt4")}
     header = ["coefficient", "value", "formula"]

@@ -35,7 +35,7 @@ class PhysicalParams:
     """Physical configuration: gravity, upper-layer depth, densities.
 
     Requires the stable configuration rho > rho1 > 0 (heavy fluid below),
-    g > 0 and h1 > 0.
+    g > 0 and h1 > 0, all finite.
     """
 
     g: float
@@ -44,13 +44,13 @@ class PhysicalParams:
     rho1: float
 
     def __post_init__(self):
-        if not self.g > 0:
-            raise DomainError(f"g must be positive, got {self.g}")
-        if not self.h1 > 0:
-            raise DomainError(f"h1 must be positive, got {self.h1}")
-        if not (self.rho > self.rho1 > 0):
+        if not 0 < self.g < math.inf:
+            raise DomainError(f"g must be positive and finite, got {self.g}")
+        if not 0 < self.h1 < math.inf:
+            raise DomainError(f"h1 must be positive and finite, got {self.h1}")
+        if not (math.inf > self.rho > self.rho1 > 0):
             raise DomainError(
-                "stable configuration requires rho > rho1 > 0, got "
+                "stable configuration requires finite rho > rho1 > 0, got "
                 f"rho={self.rho}, rho1={self.rho1}"
             )
 
@@ -494,6 +494,10 @@ def resonance_residual(params: PhysicalParams) -> float:
 # small-gamma asymptotics
 # --------------------------------------------------------------------------
 
+#: gamma below which the small-gamma forms are expected to be accurate
+SMALL_GAMMA_MAX = 0.1
+
+
 @dataclass(frozen=True)
 class AsymptoticCoefficients:
     """Leading small-gamma forms of kt..kt4 (corrections are
@@ -509,11 +513,11 @@ class AsymptoticCoefficients:
 def asymptotic_coefficients(params: PhysicalParams) -> AsymptoticCoefficients:
     """Closed-form small-gamma asymptotics of the kt coefficients.
 
-    Warns when gamma >= 0.1, where the expansion is not expected to be
-    accurate.
+    Warns when gamma >= SMALL_GAMMA_MAX, where the expansion is not
+    expected to be accurate.
     """
     gamma = params.gamma
-    if gamma >= 0.1:
+    if gamma >= SMALL_GAMMA_MAX:
         warnings.warn(
             f"gamma = {gamma:.3g} is outside the small-gamma regime; "
             "asymptotic coefficients may be inaccurate",

@@ -8,7 +8,7 @@ envelope q:
     q_t = -i alpha q_xx + i beta r q
 
 The full variant adds the next-order coupling carried by the kt3 and kt4
-coefficients (see `rhs_full`).  Both are integrated in the slow time tau
+coefficients (see `rhs`).  Both are integrated in the slow time tau
 the coefficients were derived in.  A step dt in the alternative slow
 time tau1 = epsilon tau is a step dt / epsilon in tau; the CLI makes
 that conversion (`run.time_scale`).  Both hand the dispersive part to
@@ -72,8 +72,7 @@ __all__ = [
     "DiagnosticsRow",
     "Trajectory",
     "BlowUp",
-    "rhs_reduced",
-    "rhs_full",
+    "rhs",
     "step",
     "step_count",
     "conserved",
@@ -82,7 +81,6 @@ __all__ = [
     "gaussian_envelope",
 ]
 
-SCHEMES = ("strang-split", "etdrk4")
 SYSTEMS = ("reduced", "full")
 
 # Steppers kept for reuse, one per distinct (grid, dt, scheme, coefficients,
@@ -240,10 +238,12 @@ class _Rhs:
     system equals the reduced one bit for bit.
     """
 
-    def __init__(self, grid: Grid, coeffs: ModelCoefficients, full: bool):
+    def __init__(self, grid: Grid, coeffs: ModelCoefficients, system: str):
+        if system not in SYSTEMS:
+            raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
         co = coeffs
         self.n = n = grid.n
-        self.full = full
+        self.full = full = system == "full"
         self.beta = co.beta
         self.e3 = co.epsilon * co.kt3
         e4 = co.epsilon * co.kt4
@@ -340,32 +340,21 @@ class _Rhs:
         return out
 
 
-def rhs_reduced(s: SystemState, coeffs: ModelCoefficients) -> tuple[RealField, ComplexField]:
-    """Time derivative (dr/dt, dq/dt) of the reduced system.
+def rhs(s: SystemState, coeffs: ModelCoefficients,
+        system: str = "reduced") -> tuple[RealField, ComplexField]:
+    """Slow-time derivative (dr/dtau, dq/dtau) of the reduced or the full system.
 
     Products are evaluated pseudospectrally under the two-thirds rule, which
     makes every quadratic product alias-free.  Every r term carries an outer
-    derivative, so the mean of dr/dt vanishes identically (the k = 0
-    coefficient is exactly zero).  A non-finite r or q raises ValueError.
+    derivative, so dr/dtau has exactly zero mean.  The full system adds the
+    kt3 and kt4 coupling terms, one factor of epsilon each in the normalized
+    envelope variables, and is the reduced one when kt3 = kt4 = 0.  In
+    tau1 = epsilon tau the derivative is this one over epsilon.  An unknown
+    system or a non-finite r or q raises ValueError.
     """
-    return _rhs_fields(s, _Rhs(s.grid, coeffs, full=False))
-
-
-def rhs_full(s: SystemState, coeffs: ModelCoefficients) -> tuple[RealField, ComplexField]:
-    """Slow-time derivative (dr/dtau, dq/dtau) of the full system.
-
-    Extends the reduced right-hand side by the kt3 and kt4 coupling terms,
-    each carrying one factor of epsilon in the normalized envelope
-    variables; it coincides with `rhs_reduced` when kt3 = kt4 = 0.  The
-    derivative in tau1 = epsilon tau is this one divided by epsilon.  A
-    non-finite r or q raises ValueError.
-    """
-    return _rhs_fields(s, _Rhs(s.grid, coeffs, full=True))
-
-
-def _rhs_fields(s: SystemState, rhs: _Rhs) -> tuple[RealField, ComplexField]:
+    f = _Rhs(s.grid, coeffs, system)
     h, y = s.grid.n // 2 + 1, _spectra(s)
-    dy = np.concatenate((rhs.lin_r, rhs.lin_q)) * y + rhs.nonlinear(y)
+    dy = np.concatenate((f.lin_r, f.lin_q)) * y + f.nonlinear(y)
     return (RealField(s.grid, np.fft.irfft(dy[:h], s.grid.n)),
             ComplexField.from_spectrum(s.grid, dy[h:]))
 
@@ -473,6 +462,11 @@ class _EtdStepper:
                 + self.two_f2 * (na + nb) + self.f3 * nc)
 
 
+# the stepper class of each scheme, and so the names StepperConfig accepts
+_STEPPERS = {"strang-split": _StrangStepper, "etdrk4": _EtdStepper}
+SCHEMES = tuple(_STEPPERS)
+
+
 @functools.lru_cache(maxsize=_STEPPER_MEMO_SIZE)
 def _build_stepper(grid: Grid, dt: float, scheme: str, coeffs: ModelCoefficients,
                    system: str):
@@ -484,14 +478,11 @@ def _build_stepper(grid: Grid, dt: float, scheme: str, coeffs: ModelCoefficients
     that differ only in cfl_guard share one stepper.  Every array the
     stepper holds is made read-only, because every caller gets the same
     instance; the transform work arrays are not its attributes but held
-    per thread (`_Rhs._work`).  A bad system raises on every call: only
-    results are memoised.
+    per thread (`_Rhs._work`).  A bad system raises (`_Rhs`) on every
+    call: only results are memoised.
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-    rhs = _Rhs(grid, coeffs, full=(system == "full"))
-    stepper = (_StrangStepper if scheme == "strang-split" else _EtdStepper)(dt, rhs)
-    for part in (rhs, stepper):
+    stepper = _STEPPERS[scheme](dt, _Rhs(grid, coeffs, system))
+    for part in (stepper.rhs, stepper):
         for value in vars(part).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -706,8 +697,10 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
 def bo_soliton(grid: Grid, nu: float, center: float = 0.0) -> RealField:
     """Algebraic soliton profile 4 nu / (1 + nu^2 (x - center)^2), mean-removed.
 
-    The removal keeps the k = 0 coefficient exactly zero, which the gauge
-    diagnostics assume; on a long window the correction is O(1/(nu L)).
+    r is a displacement about the undisturbed interface; a mean m, which
+    the system conserves, would act as linear terms (c m r_x advects r,
+    beta m q shifts q's frequency).  The k = 0 mode is left at roundoff
+    (1.6e-14 at n = 512); on a long window the correction is O(1/(nu L)).
     """
     if not nu > 0.0:
         raise ValueError("nu must be positive")

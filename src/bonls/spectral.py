@@ -56,8 +56,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 8 or self.n & (self.n - 1) != 0:
             raise ValueError("grid size must be a power of two, at least 8")
-        if not self.length > 0.0:
-            raise ValueError("grid length must be positive")
+        if not 0.0 < self.length < np.inf:
+            raise ValueError(f"grid length must be positive and finite, got {self.length}")
 
     @property
     def dx(self) -> float:
@@ -421,14 +421,18 @@ def band_limited_noise(grid: Grid, rng: np.random.Generator,
                        amplitude: float = 1.0, keep: float = 2.0 / 3.0) -> RealField:
     """Random mean-free real field with the top (1 - keep) of the spectrum zeroed.
 
-    Peak amplitude is normalized to `amplitude`.  The k = 0 coefficient is
-    removed, which most operator identities assume.
+    keep must lie in (0, 1].  Peak amplitude is normalized to `amplitude`.
+    The k = 0 coefficient is removed, which most operator identities assume.
     """
+    if not 0.0 < keep <= 1.0:
+        raise ValueError(f"keep must lie in (0, 1], got {keep}")
     spec = np.fft.fft(rng.standard_normal(grid.n))
     spec[np.abs(grid.k) > keep * np.max(np.abs(grid.k))] = 0.0
     spec[0] = 0.0
-    out = np.fft.ifft(spec).real
-    peak = float(np.max(np.abs(out)))
-    if peak > 0.0:
-        out *= amplitude / peak
-    return RealField(grid, out)
+    return RealField(grid, _scaled_to_peak(np.fft.ifft(spec).real, amplitude))
+
+
+def _scaled_to_peak(values: np.ndarray, amplitude: float) -> np.ndarray:
+    """values times amplitude / max|values|; all-zero values are returned as they are."""
+    peak = float(np.max(np.abs(values)))
+    return values * (amplitude / peak) if peak > 0.0 else values

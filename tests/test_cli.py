@@ -154,7 +154,7 @@ def test_sweep_values_are_split_and_stripped():
     ({"run.system": "both"}, "run.system"),
     ({"run.time_scale": "tau1"}, "full system"),
     ({"ic.r.kind": "square"}, "ic.r.kind"),
-    ({"ic.r.keep": "0"}, "ic.r.keep"),
+    ({"ic.r.kind": "noise", "ic.r.keep": "0"}, "ic.r.keep must"),
     ({"grid.length": "nonsense"}, "grid.length"),
     ({"stepper.dt": "3e-3"}, "multiple of dt"),
     ({"ic.q.amplitude": "nan"}, "ic.q.amplitude"),
@@ -169,6 +169,13 @@ def test_sweep_values_are_split_and_stripped():
 def test_bad_settings_are_rejected_eagerly(settings, match):
     with pytest.raises(ConfigError, match=match):
         resolved(settings)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "soliton", "zero"])
+def test_keep_is_read_only_by_the_noise_kind(kind):
+    # as ic.r.width is with a soliton: a kind that never reads keep accepts any
+    cfg = resolved({"ic.r.kind": kind, "ic.r.keep": "0"})
+    assert cfg.ic_r_keep == 0.0
 
 
 def test_tau1_allowed_on_full_system():
@@ -387,8 +394,10 @@ def test_closing_log_reports_the_drifts_the_system_conserves(tmp_path, caplog, s
 
 
 def test_andaman_preset_writes_the_default_metadata(tmp_path):
-    assert main(["--out", str(tmp_path / "default"), "simulate"]) == 0
-    assert main(["--preset", "andaman", "--out", str(tmp_path / "preset"), "simulate"]) == 0
+    path = write_config(tmp_path, "run.t_end = 0.05\n")  # 50 steps, not the default 10,000
+    assert main(["--config", path, "--out", str(tmp_path / "default"), "simulate"]) == 0
+    assert main(["--config", path, "--preset", "andaman", "--out", str(tmp_path / "preset"),
+                 "simulate"]) == 0
     meta = [(tmp_path / name / "metadata.txt").read_text().splitlines()
             for name in ("default", "preset")]
     differ = [(a, b) for a, b in zip(*meta) if a != b]

@@ -392,6 +392,20 @@ def test_unstable_stratification_rejected():
         PhysicalParams(g=9.81, h1=500.0, rho=1000.0, rho1=0.0)
 
 
+@pytest.mark.parametrize("name, match", [
+    ("g", "g must be positive and finite"),
+    ("h1", "h1 must be positive and finite"),
+    ("rho", "stable configuration requires finite rho"),
+    ("rho1", "stable configuration"),
+])
+def test_infinite_parameters_rejected(name, match):
+    # g = inf reached derive_coefficients and raised LimitUndefined there,
+    # h1 = inf a ZeroDivisionError
+    values = {"g": 1.0, "h1": 1.0, "rho": 2.0, "rho1": 1.0, name: math.inf}
+    with pytest.raises(DomainError, match=match):
+        PhysicalParams(**values)
+
+
 def test_coefficient_rows_cover_every_field():
     co = derive_coefficients(ANDAMAN, epsilon=0.1, delta=0.25)
     rows = coefficient_rows(co)

@@ -27,8 +27,7 @@ from bonls.solver import (
     bo_soliton,
     conserved,
     gaussian_envelope,
-    rhs_full,
-    rhs_reduced,
+    rhs,
     run,
     step,
 )
@@ -68,9 +67,14 @@ def bump_state(grid, r_sup=0.1, q_amp=0.05, q_width=3.0, carrier=2, r_width=2.0)
 
 def test_rhs_zero_state():
     grid = Grid(128, 40.0)
-    dr, dq = rhs_reduced(zero_state(grid), BENCH)
+    dr, dq = rhs(zero_state(grid), BENCH)
     assert np.max(np.abs(dr.values)) == 0.0
     assert np.max(np.abs(dq.values)) == 0.0
+
+
+def test_rhs_rejects_an_unknown_system():
+    with pytest.raises(ValueError, match="unknown system 'both'"):
+        rhs(zero_state(Grid(64, 10.0)), BENCH, "both")
 
 
 def test_rhs_linear_part_matches_propagator_derivative():
@@ -79,7 +83,7 @@ def test_rhs_linear_part_matches_propagator_derivative():
     grid = Grid(128, 40.0)
     lin = dataclasses.replace(BENCH, c=0.0, d=0.0, beta=0.0)
     s = bump_state(grid)
-    dr, dq = rhs_reduced(s, lin)
+    dr, dq = rhs(s, lin)
     h = 1e-4
     for field, kind, got in ((s.r, "V", dr), (s.q, "U", dq)):
         fwd = propagator(kind, lin, h, field).values
@@ -98,7 +102,7 @@ def test_rhs_single_mode_coupling():
     co = dataclasses.replace(BENCH, a=0.0, b=0.0, c=0.0, d=0.0)
     r = RealField(grid, R * np.cos(m * grid.x))
     q = ComplexField(grid, A * np.exp(1j * k * grid.x))
-    dr, dq = rhs_reduced(SystemState(r, q), co)
+    dr, dq = rhs(SystemState(r, q), co)
     # |q|^2 is spatially constant, so the envelope forcing of r vanishes
     assert np.max(np.abs(dr.values)) <= 1e-14
     want = (1j * co.alpha * k * k * A * np.exp(1j * k * grid.x)
@@ -124,8 +128,8 @@ def test_rhs_single_mode_nonlinear_oracle():
     want_q = 0.5 * R * A * sum(
         1j * (co.beta - e3 * (2.0 * k + sgn * m) - e4 * m) * np.exp(1j * (k + sgn * m) * x)
         for sgn in (1.0, -1.0))
-    dr_red, _ = rhs_reduced(s, co)
-    dr_full, dq_full = rhs_full(s, co)
+    dr_red, _ = rhs(s, co)
+    dr_full, dq_full = rhs(s, co, "full")
     assert np.max(np.abs(dr_red.values - want_r)) <= 1e-13
     assert np.max(np.abs(dr_full.values - want_r)) <= 1e-13
     assert np.max(np.abs(dq_full.values - want_q)) <= 1e-13
@@ -168,9 +172,7 @@ def energy_rate_defect(s, co, rhs_co, system):
         g_r = (g_r + e4 * absd(RealField(grid, qsq)).values
                + 2.0 * e3 * np.imag(np.conj(qv) * dqv))
         g_q = g_q + e4 * adr * qv - 1j * e3 * (2.0 * rv * dqv + deriv(s.r).values * qv)
-        dr, dq = rhs_full(s, rhs_co)
-    else:
-        dr, dq = rhs_reduced(s, rhs_co)
+    dr, dq = rhs(s, rhs_co, system)
     terms = np.concatenate([g_r * dr.values, 2.0 * np.real(np.conj(g_q) * dq.values)])
     return abs(float(np.sum(terms))) / float(np.sum(np.abs(terms)))
 
@@ -219,18 +221,18 @@ def test_rhs_transform_budget(monkeypatch):
     s = bump_state(grid)
     _ = s.q.spectrum  # cache the input spectrum of q
     calls = count_transforms(monkeypatch)
-    for rhs, budget in ((rhs_reduced, 5), (rhs_full, 6)):
+    for system, budget in (("reduced", 5), ("full", 6)):
         calls["n"] = 0
-        rhs(s, BENCH)
-        assert calls["n"] <= budget, rhs.__name__
+        rhs(s, BENCH, system)
+        assert calls["n"] <= budget, system
 
 
 def test_rhs_full_reduces_when_kt_vanishes():
     grid = Grid(128, 40.0)
     s = bump_state(grid)
     co = dataclasses.replace(BENCH, kt3=0.0, kt4=0.0)
-    dr_r, dq_r = rhs_reduced(s, BENCH)
-    dr_f, dq_f = rhs_full(s, co)
+    dr_r, dq_r = rhs(s, BENCH)
+    dr_f, dq_f = rhs(s, co, "full")
     assert np.max(np.abs(dr_f.values - dr_r.values)) <= 1e-12
     assert np.max(np.abs(dq_f.values - dq_r.values)) <= 1e-12
 
@@ -239,8 +241,8 @@ def test_rhs_full_matches_reduced_without_envelope():
     grid = Grid(128, 40.0)
     r = band_limited_noise(grid, RNG, amplitude=0.1, keep=1.0 / 3.0)
     s = SystemState(r, ComplexField(grid, np.zeros(grid.n, dtype=complex)))
-    dr_r, _ = rhs_reduced(s, BENCH)
-    dr_f, dq_f = rhs_full(s, BENCH)
+    dr_r, _ = rhs(s, BENCH)
+    dr_f, dq_f = rhs(s, BENCH, "full")
     assert np.array_equal(dr_f.values, dr_r.values)
     assert np.max(np.abs(dq_f.values)) == 0.0
 
@@ -250,7 +252,7 @@ def test_rhs_full_keeps_r_real():
     # Hermitian in spectrum space
     grid = Grid(128, 40.0)
     s = bump_state(grid, r_sup=0.2, q_amp=0.15)
-    dr, _ = rhs_full(s, BENCH)
+    dr, _ = rhs(s, BENCH, "full")
     spec = dr.spectrum
     mirrored = np.conj(spec[(-np.arange(grid.n)) % grid.n])
     scale = max(1.0, float(np.max(np.abs(spec))))
@@ -260,12 +262,12 @@ def test_rhs_full_keeps_r_real():
 def test_rhs_slow_time_rescaling():
     # tau1 = epsilon tau, so d/dtau1 = (1/epsilon) d/dtau: a step of
     # dt / epsilon in tau, the CLI's step of dt in tau1, moves r and q by
-    # dt rhs_full / epsilon to first order in dt
+    # dt rhs(s, coeffs, "full") / epsilon to first order in dt
     grid = Grid(128, 40.0)
     s = bump_state(grid)
     dt = 1e-6
     moved = step(s, StepperConfig(dt=dt / BENCH.epsilon), BENCH, system="full")
-    for before, after, slow in zip((s.r, s.q), (moved.r, moved.q), rhs_full(s, BENCH),
+    for before, after, slow in zip((s.r, s.q), (moved.r, moved.q), rhs(s, BENCH, "full"),
                                    strict=True):
         want = slow.values / BENCH.epsilon
         got = (after.values - before.values) / dt
@@ -311,7 +313,7 @@ def test_folded_rows_match_one_row_per_product(n, system, time_scale, kind):
         s = bump_state(grid, r_sup=0.2, q_amp=0.15)
     else:
         s = lower_third_state(grid, np.random.default_rng(n))
-    rhs = solver._Rhs(grid, BENCH, full=(system == "full"))
+    rhs = solver._Rhs(grid, BENCH, system)
     # in tau1 = epsilon tau the derivative is the one in tau over epsilon:
     # the oracle's weights carry 1/epsilon
     scale = 1.0 / BENCH.epsilon if time_scale == "tau1" else 1.0
@@ -984,14 +986,16 @@ def test_non_finite_input_is_rejected_not_a_blow_up(field, bad):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts of right-hand sides and ETD tables built, from an empty memo."""
+    """Counts of right-hand sides and ETD tables built (a build that raises
+    is not counted), from an empty memo."""
     counts = {"rhs": 0, "tables": 0}
     for name, key in (("_Rhs", "rhs"), ("_etd_tables", "tables")):
         original = getattr(solver, name)
 
         def counted(*args, _original=original, _key=key, **kwargs):
+            built = _original(*args, **kwargs)
             counts[_key] += 1
-            return _original(*args, **kwargs)
+            return built
 
         monkeypatch.setattr(solver, name, counted)
     solver._build_stepper.cache_clear()
@@ -1050,7 +1054,7 @@ def test_stepper_errors_are_raised_on_every_call(builds):
     for _ in range(2):
         with pytest.raises(ValueError, match="unknown system"):
             step(s, cfg, BENCH, system="both")
-    # checked before any right-hand side is built, and on each call
+    # no right-hand side is completed, and the check runs on each call
     assert builds["rhs"] == 0
     info = solver._build_stepper.cache_info()
     assert (info.misses, info.currsize) == (2, 0)
@@ -1164,7 +1168,7 @@ def test_etd_tables_match_contour_means(n, symbol, time_scale):
     # (f1 at n = 512, against 40-digit references).  A step h in
     # tau1 = epsilon tau is h / epsilon in tau
     h = 1e-2 / BENCH.epsilon if time_scale == "tau1" else 1e-2
-    lin = getattr(solver._Rhs(Grid(n, 40.0), BENCH, full=True), symbol)
+    lin = getattr(solver._Rhs(Grid(n, 40.0), BENCH, "full"), symbol)
     for got, want in zip(solver._etd_tables(h, lin),
                          _one_shot_etd_tables(h, lin), strict=True):
         assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
@@ -1177,7 +1181,7 @@ def test_etdrk4_q_tables_built_on_the_half_grid_match_the_full_grid(n, time_scal
     # mirrored equal the tables over all n modes bit for bit; each joined
     # table holds them after r's n//2 + 1 modes, f2's doubled (exactly)
     h = 1e-2 / BENCH.epsilon if time_scale == "tau1" else 1e-2  # tau1 = epsilon tau
-    rhs = solver._Rhs(Grid(n, 40.0), BENCH, full=True)
+    rhs = solver._Rhs(Grid(n, 40.0), BENCH, "full")
     stepper = solver._EtdStepper(h, rhs)
     got = (stepper.e, stepper.e2, stepper.q, stepper.f1, stepper.two_f2, stepper.f3)
     e, e2, q, f1, f2, f3 = solver._etd_tables(h, rhs.lin_q)
@@ -1231,7 +1235,7 @@ def test_reduced_nonlinear_matches_one_row_per_product_unpacked_bit_for_bit(n):
     h = n // 2 + 1
     s = bump_state(grid)
     y = np.concatenate((np.fft.rfft(s.r.values), s.q.spectrum))
-    rhs = solver._Rhs(grid, BENCH, full=False)
+    rhs = solver._Rhs(grid, BENCH, "reduced")
     spec = np.concatenate((y[:h], np.conj(y[h - 2:0:-1])))
     fac = np.fft.ifft(np.stack((n * rhs.in_r[0] * spec, n * rhs.in_q[0] * y[h:])))
     r, dadr, q = fac[0].real, fac[0].imag, fac[1]
@@ -1340,10 +1344,9 @@ def _strang_errors(coeffs, system, n, amplitude, dt, steps=50):
     """Relative sup error of the four- and three-stage Strang steps at the
     end, against etdrk4 at dt / 16."""
     s = bump_state(Grid(n, 40.0), r_sup=amplitude)
-    full = system == "full"
 
     def end(stepper_class, h):
-        stepper = stepper_class(h, solver._Rhs(s.grid, coeffs, full=full))
+        stepper = stepper_class(h, solver._Rhs(s.grid, coeffs, system))
         steps_of = solver._stepping(stepper, StepperConfig(dt=h), s, solver._spectra(s))
         for _, (_, y, _) in zip(range(steps * round(dt / h)), steps_of):
             pass

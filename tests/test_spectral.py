@@ -89,6 +89,13 @@ def test_grid_validation():
         Grid(64, -1.0)
 
 
+@pytest.mark.parametrize("length", [float("inf"), float("nan")])
+def test_grid_length_must_be_finite(length):
+    # an infinite length gave x all NaN and k all 0, with only a RuntimeWarning
+    with pytest.raises(ValueError, match="grid length must be positive and finite"):
+        Grid(64, length)
+
+
 def test_grid_layout():
     grid = Grid(64, 32.0)
     assert grid.dx == pytest.approx(0.5)
@@ -345,9 +352,18 @@ def test_gaussian_bump_and_noise_factories():
     nz = band_limited_noise(grid, np.random.default_rng(3), amplitude=0.2, keep=0.5)
     assert abs(np.mean(nz.values)) <= 1e-15
     assert np.max(np.abs(nz.values)) == pytest.approx(0.2, rel=1e-12)
+    every = band_limited_noise(grid, np.random.default_rng(3), keep=1.0).spectrum
+    assert np.count_nonzero(np.abs(every[1:]) > 1e-12) == grid.n - 1  # keep = 1 cuts none
     for width in (0.0, -1.0):  # width 0 would sample exp(-0.5 (0/0)^2), a NaN
         with pytest.raises(ValueError, match="width must be positive"):
             gaussian_bump(grid, width)
+
+
+@pytest.mark.parametrize("keep", [0.0, -1.0, 1.5, float("nan")])
+def test_noise_keep_must_lie_in_the_unit_interval(keep):
+    # keep <= 0 zeroed every mode and returned an all-zero field
+    with pytest.raises(ValueError, match=r"keep must lie in \(0, 1\]"):
+        band_limited_noise(Grid(64, 10.0), np.random.default_rng(0), keep=keep)
 
 
 # --------------------------------------------------------------------------
