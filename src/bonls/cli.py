@@ -57,6 +57,7 @@ from .coeffs import (
     PRESETS,
     SMALL_GAMMA_MAX,
     asymptotic_coefficients,
+    check_scaling,
     coefficient_rows,
     derive_coefficients,
     dispersion_internal,
@@ -71,6 +72,7 @@ from .solver import (
     StepperConfig,
     SystemState,
     bo_soliton,
+    check_cadences,
     gaussian_envelope,
     run,
     step_count,
@@ -195,11 +197,6 @@ def _to_list(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-def _to_cadence(text: str) -> int | None:
-    """A step count where 0 means none (only the ends of the run)."""
-    return _to_int(text) or None
-
-
 def _at_least(n: int):
     return (lambda v: v >= n, f"must be at least {n}")
 
@@ -246,10 +243,8 @@ class RunConfig:
     dt: float = _key("stepper.dt", _to_float, "1e-3")
     cfl_guard: float = _key("stepper.cfl_guard", _to_float, "10.0")
     t_end: float = _key("run.t_end", _to_float, "10.0")
-    diagnostics_every: int = _key("run.diagnostics_every", _to_int, "100", _at_least(1))
-    snapshot_every: int | None = _key(
-        "run.snapshot_every", _to_cadence, "0",
-        (lambda v: v is None or v > 0, "must be zero (ends only) or positive"))
+    diagnostics_every: int = _key("run.diagnostics_every", _to_int, "100")
+    snapshot_every: int = _key("run.snapshot_every", _to_int, "0")
     system: str = _key("run.system", str.strip, "reduced", _one_of(*SYSTEMS))
     time_scale: str = _key("run.time_scale", str.strip, "tau", _one_of("tau", "tau1"))
     gauge_diagnostics: bool = _key("run.gauge_diagnostics", _to_bool, "on")
@@ -298,9 +293,12 @@ class RunConfig:
             object.__setattr__(self, name, value)
 
         # DomainError is a ValueError, so each constructor's own check reports
-        # here; the coefficients check epsilon before dt / epsilon is taken
+        # here; epsilon is checked before dt / epsilon is taken, and with
+        # epsilon and delta in range the derivation fails on physical.* alone
+        _build("run.", check_cadences, self.diagnostics_every, self.snapshot_every)
         put("params", _build("physical", PhysicalParams, self.g, self.h1, self.rho, self.rho1))
-        put("coeffs", _build("model.", derive_coefficients,
+        _build("model.", check_scaling, self.epsilon, self.delta)
+        put("coeffs", _build("physical.*", derive_coefficients,
                              self.params, self.epsilon, self.delta))
         put("grid", _build("grid", Grid, self.grid_n, self.grid_length))
         dt_tau = self.dt / self.epsilon if self.time_scale == "tau1" else self.dt
@@ -383,8 +381,7 @@ def cmd_coeffs(cfg: RunConfig, args) -> int:
     rows = coefficient_rows(co)
     asy = {}
     if cfg.params.gamma < SMALL_GAMMA_MAX:
-        a = asymptotic_coefficients(cfg.params)
-        asy = {name: getattr(a, name) for name in ("kt", "kt1", "kt2", "kt3", "kt4")}
+        asy = dataclasses.asdict(asymptotic_coefficients(cfg.params))
     header = ["coefficient", "value", "formula"]
     if asy:
         header += ["small-gamma", "rel-deviation"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -218,8 +218,9 @@ def symbol_table(params: PhysicalParams, k) -> SymbolTable:
     """Evaluate the full symbol table at the wavenumbers ``k``.
 
     Raises LimitUndefined if any entry is NaN after the k = 0 limit
-    substitutions (which would indicate an implementation bug, not bad
-    input).
+    substitutions.  Inside the float range that is an implementation bug;
+    extreme parameters reach it too, at k0 (h1 = 1e-308 makes k0 infinite),
+    and `derive_coefficients` reports them as a DomainError.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     g, h1, rho, rho1 = params.g, params.h1, params.rho, params.rho1
@@ -264,11 +265,9 @@ def symbol_table(params: PhysicalParams, k) -> SymbolTable:
         omega2=dispersion_internal(params, k),
         omega1_sq=dispersion_surface(params, k),
     )
-    for name in ("g11", "g12", "b0", "qa", "qb", "qc", "theta", "a_plus",
-                 "a_minus", "b_plus", "b_minus", "A1", "A2", "A3", "A4",
-                 "A5", "B1", "B2", "B3", "B4", "B5", "omega2", "omega1_sq"):
-        if np.any(np.isnan(getattr(table, name))):
-            raise LimitUndefined(f"NaN survived limit substitution in {name}")
+    for f in fields(table):
+        if np.any(np.isnan(getattr(table, f.name))):
+            raise LimitUndefined(f"NaN survived limit substitution in {f.name}")
     return table
 
 
@@ -311,6 +310,11 @@ def expansion_constants(params: PhysicalParams) -> ExpansionConstants:
 # model coefficients
 # --------------------------------------------------------------------------
 
+def _formula(tag: str):
+    """A ModelCoefficients field and the formula tag reports print beside it."""
+    return field(metadata={"formula": tag})
+
+
 @dataclass(frozen=True)
 class ModelCoefficients:
     """Every scalar constant of the long-wave / modulation model.
@@ -331,35 +335,35 @@ class ModelCoefficients:
     tau = eps t.
     """
 
-    c0: float
-    k0: float
-    gamma: float
-    Omega0: float
-    Omega1: float
-    Omega2: float
-    omega1_pp: float
-    kappa: float
-    kappa1: float
-    kappa2: float
-    kappa3: float
-    kappa4: float
-    kappa5: float
-    kappa6: float
-    kappa7: float
-    kappa8: float
-    kt: float
-    kt1: float
-    kt2: float
-    kt3: float
-    kt4: float
-    a: float
-    b: float
-    c: float
-    d: float
-    alpha: float
-    beta: float
-    epsilon: float
-    delta: float
+    c0: float = _formula("c0")
+    k0: float = _formula("k0")
+    gamma: float = _formula("gamma-defn")
+    Omega0: float = _formula("Omega-defn")
+    Omega1: float = _formula("Omega-defn")
+    Omega2: float = _formula("Omega-defn")
+    omega1_pp: float = _formula("dispersion-relations:d2")
+    kappa: float = _formula("kappa")
+    kappa1: float = _formula("kappa-1")
+    kappa2: float = _formula("kappa-2")
+    kappa3: float = _formula("kappa-3")
+    kappa4: float = _formula("kappa-4")
+    kappa5: float = _formula("kappa-5")
+    kappa6: float = _formula("kappa-6")
+    kappa7: float = _formula("kappa-7")
+    kappa8: float = _formula("kappa-8")
+    kt: float = _formula("kappa-tilde-defn")
+    kt1: float = _formula("kappa-tilde-defn")
+    kt2: float = _formula("kappa-tilde-defn")
+    kt3: float = _formula("kappa-tilde-defn")
+    kt4: float = _formula("kappa-tilde-defn")
+    a: float = _formula("reduced-system:convention")
+    b: float = _formula("reduced-system:convention")
+    c: float = _formula("reduced-system:convention")
+    d: float = _formula("reduced-system:convention")
+    alpha: float = _formula("reduced-system:convention")
+    beta: float = _formula("reduced-system:convention")
+    epsilon: float = _formula("long-wave-scaling")
+    delta: float = _formula("mono-waves-scaling")
 
 
 def _carrier(params: PhysicalParams) -> tuple[float, float]:
@@ -368,6 +372,14 @@ def _carrier(params: PhysicalParams) -> tuple[float, float]:
     c0 = math.sqrt(params.g * params.gamma * params.h1)
     k0 = params.rho / (4.0 * params.h1 * (params.rho - params.rho1))
     return c0, k0
+
+
+def check_scaling(epsilon: float, delta: float) -> None:
+    """Raise DomainError unless epsilon lies in (0, 1) and delta in (0, 1/2)."""
+    if not (0.0 < delta < 0.5):
+        raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
+    if not (0.0 < epsilon < 1.0):
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 def derive_coefficients(params: PhysicalParams, epsilon: float,
@@ -386,6 +398,8 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
     Returns
     -------
     ModelCoefficients
+        Every field finite.  Otherwise DomainError is raised, as for epsilon
+        or delta out of range, and no other exception or warning escapes.
 
     Notes
     -----
@@ -403,11 +417,21 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
     (a- b-)' = theta theta'/s^3, with
     theta = e^x (rho1 - drho e^-2x)/sqrt(rho1 drho) and x = h1 k.
     """
-    if not (0.0 < delta < 0.5):
-        raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_scaling(epsilon, delta)
+    # extreme but valid parameters overflow, divide by an underflowed zero
+    # or leave a NaN in the symbol table at k0
+    try:
+        co = _derive(params, epsilon, delta)
+    except ArithmeticError:  # OverflowError, ZeroDivisionError, LimitUndefined
+        co = None
+    if co is None or not all(math.isfinite(getattr(co, f.name)) for f in fields(co)):
+        raise DomainError(f"the model coefficients of {params} are not all finite floats")
+    return co
 
+
+@np.errstate(all="ignore")  # a non-finite result is reported by the caller
+def _derive(params: PhysicalParams, epsilon: float, delta: float) -> ModelCoefficients:
+    """The derivation of `derive_coefficients`, which checks what goes in and out."""
     g, h1, rho, rho1 = params.g, params.h1, params.rho, params.rho1
     gamma = params.gamma
     drho = rho - rho1
@@ -539,41 +563,6 @@ def asymptotic_coefficients(params: PhysicalParams) -> AsymptoticCoefficients:
 # reporting
 # --------------------------------------------------------------------------
 
-#: formula identifier attached to each coefficient in reports
-_FORMULA_TAGS = {
-    "c0": "c0",
-    "k0": "k0",
-    "gamma": "gamma-defn",
-    "Omega0": "Omega-defn",
-    "Omega1": "Omega-defn",
-    "Omega2": "Omega-defn",
-    "omega1_pp": "dispersion-relations:d2",
-    "kappa": "kappa",
-    "kappa1": "kappa-1",
-    "kappa2": "kappa-2",
-    "kappa3": "kappa-3",
-    "kappa4": "kappa-4",
-    "kappa5": "kappa-5",
-    "kappa6": "kappa-6",
-    "kappa7": "kappa-7",
-    "kappa8": "kappa-8",
-    "kt": "kappa-tilde-defn",
-    "kt1": "kappa-tilde-defn",
-    "kt2": "kappa-tilde-defn",
-    "kt3": "kappa-tilde-defn",
-    "kt4": "kappa-tilde-defn",
-    "a": "reduced-system:convention",
-    "b": "reduced-system:convention",
-    "c": "reduced-system:convention",
-    "d": "reduced-system:convention",
-    "alpha": "reduced-system:convention",
-    "beta": "reduced-system:convention",
-    "epsilon": "long-wave-scaling",
-    "delta": "mono-waves-scaling",
-}
-
-
 def coefficient_rows(coeffs: ModelCoefficients):
-    """(name, value, formula tag) rows for every coefficient field."""
-    return [(name, getattr(coeffs, name), _FORMULA_TAGS[name])
-            for name in _FORMULA_TAGS]
+    """(name, value, formula tag) rows for every coefficient field, in order."""
+    return [(f.name, getattr(coeffs, f.name), f.metadata["formula"]) for f in fields(coeffs)]

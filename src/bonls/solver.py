@@ -75,6 +75,7 @@ __all__ = [
     "rhs",
     "step",
     "step_count",
+    "check_cadences",
     "conserved",
     "run",
     "bo_soliton",
@@ -575,6 +576,16 @@ def step_count(span: float, dt: float) -> int:
     return n_steps
 
 
+def check_cadences(diagnostics_every: int, snapshot_every: int) -> None:
+    """Raise ValueError unless diagnostics_every >= 1 and snapshot_every >= 0,
+    the step counts between `run`'s rows and snapshots (0: the ends only)."""
+    if not diagnostics_every >= 1:
+        raise ValueError(f"diagnostics_every must be at least 1, got {diagnostics_every}")
+    if not snapshot_every >= 0:
+        raise ValueError("snapshot_every must be zero (the ends only) or positive, "
+                         f"got {snapshot_every}")
+
+
 def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
          system: str = "reduced") -> SystemState:
     """Advance one state by cfg.dt with the configured scheme.
@@ -638,15 +649,16 @@ def _gauge_residual(r: RealField, coeffs: ModelCoefficients) -> float:
 
 def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
         t_end: float, diagnostics_every: int = 100,
-        snapshot_every: int | None = None, system: str = "reduced",
+        snapshot_every: int = 0, system: str = "reduced",
         gauge_diagnostics: bool = True, *,
         on_snapshot: Callable[[SystemState], None] | None = None) -> Trajectory:
     """Integrate to t_end, collecting diagnostics and snapshots.
 
     Diagnostics rows (conserved triple, mean and sup of r, gauge ODE
     residual) are recorded every diagnostics_every steps and at both ends.
-    Snapshots are taken at the same ends plus every snapshot_every steps
-    when given.  With on_snapshot each snapshot, the first included, is
+    Snapshots are taken at the same ends plus every snapshot_every steps,
+    none between them at the default 0 (`check_cadences` states both
+    rules).  With on_snapshot each snapshot, the first included, is
     handed to it before the next step and not kept, so the Trajectory
     holds only the rows; without it the Trajectory keeps every snapshot.
     The first snapshot holds read-only copies of the caller's r and q
@@ -654,10 +666,7 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     propagates with the failing time and the last finite state attached;
     a non-finite initial state raises ValueError.
     """
-    if diagnostics_every < 1:
-        raise ValueError("diagnostics_every must be a positive step count")
-    if snapshot_every is not None and snapshot_every < 1:
-        raise ValueError("snapshot_every must be a positive step count")
+    check_cadences(diagnostics_every, snapshot_every)
     n_steps = step_count(t_end - initial.t, cfg.dt)
     grid = initial.grid
     snapshots = []
@@ -682,7 +691,7 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     for i, (t, y, r) in zip(range(1, n_steps + 1), steps):
         at_end = i == n_steps
         want_diag = at_end or i % diagnostics_every == 0
-        want_snap = at_end or (snapshot_every is not None and i % snapshot_every == 0)
+        want_snap = at_end or (snapshot_every > 0 and i % snapshot_every == 0)
         if want_diag or want_snap:
             st = _state_of(grid, y, t, r)
             # a sink that hands the snapshot to another process (simulate's

@@ -195,8 +195,8 @@ def _small_gamma_gap(params: PhysicalParams, coeffs: ModelCoefficients) -> float
     twin = PhysicalParams(params.g, params.h1, params.rho, 0.99 * params.rho)
     exact = derive_coefficients(twin, coeffs.epsilon, coeffs.delta)
     limit = asymptotic_coefficients(twin)
-    return float(np.max([abs(getattr(exact, n) - getattr(limit, n)) / abs(getattr(limit, n))
-                         for n in ("kt", "kt1", "kt2", "kt3", "kt4")]))
+    return float(np.max([abs(getattr(exact, n) - v) / abs(v)
+                         for n, v in dataclasses.asdict(limit).items()]))
 
 
 def _checks_symbols(params: PhysicalParams, coeffs: ModelCoefficients,
@@ -237,9 +237,9 @@ def _checks_hamiltonian(params: PhysicalParams, symbols: Symbols) -> list[CheckR
         split = parts["I"] - parts["II"] + parts["III"]
         worst_split = max(worst_split, abs(split - h3_o) / max(abs(h3_o), 1e-300))
         back = inverse_transform(fn, params, symbols)
-        for name in ("eta", "xi", "eta1", "xi1"):
-            orig = getattr(f, name).values
-            got = getattr(back, name).values
+        for field in dataclasses.fields(f):
+            orig = getattr(f, field.name).values
+            got = getattr(back, field.name).values
             ref = max(float(np.max(np.abs(orig))), 1e-300)
             worst_round = max(worst_round, float(np.max(np.abs(got - orig))) / ref)
     return _rows("hamiltonian", worst_h2, worst_h3, worst_split, worst_round)

@@ -130,7 +130,7 @@ def test_missing_config_file():
 def test_defaults_build_a_run_config():
     cfg = resolved()
     assert cfg.grid.n == 512
-    assert cfg.snapshot_every is None
+    assert cfg.snapshot_every == 0  # the ends only
     assert cfg.sweep_values == ()
     assert cfg.stepper.scheme == "strang-split"
 
@@ -484,7 +484,11 @@ def test_negative_seed_flag_exits_2_before_writing(tmp_path, caplog):
     # the second member's soliton overflows only when its state is built
     ("ic.r.kind = soliton\nsweep.key = ic.r.nu\nsweep.values = 1.0, 1e308\n",
      "the initial state is not finite"),
-], ids=["negative-seed", "infinite-soliton"])
+    ("sweep.key = run.snapshot_every\nsweep.values = 10, -1\n",
+     "run.snapshot_every must be zero (the ends only) or positive, got -1"),
+    ("sweep.key = physical.h1\nsweep.values = 1.0, 1e308\n",
+     "physical.*: the model coefficients of"),
+], ids=["negative-seed", "infinite-soliton", "negative-cadence", "overflowing-coefficients"])
 def test_negative_seed_sweep_member_exits_2_before_any_run(tmp_path, caplog, sweep, message):
     path = write_config(tmp_path, QUICK_RUN + sweep)
     out_dir = tmp_path / "never"
@@ -1014,6 +1018,23 @@ def test_sweep_rejects_bad_keys(tmp_path):
 
 # ---------------------------------------------------------------- exit codes
 
+@pytest.mark.parametrize("command", ["coeffs", "verify", "simulate"])
+@pytest.mark.parametrize("physical", [
+    "physical.h1 = 1e308\n",  # Omega1 overflows
+    "physical.rho = 1e308\n",
+    "physical.h1 = 1e-308\n",  # k0 is infinite, so the symbol table holds a NaN
+    "physical.h1 = 1e100\nphysical.rho = 1e50\n",  # Omega2 is -inf with no exception
+], ids=["h1-huge", "rho-huge", "h1-tiny", "omega2-infinite"])
+def test_coefficients_outside_the_floats_exit_2_before_writing(tmp_path, caplog, command,
+                                                                physical):
+    out_dir = tmp_path / "never"
+    path = write_config(tmp_path, physical)
+    assert main(["--config", path, "--out", str(out_dir), command]) == cli.EXIT_CONFIG
+    message = caplog.records[-1].getMessage()
+    assert message.startswith("physical.*: the model coefficients of PhysicalParams(")
+    assert not out_dir.exists()
+
+
 def test_config_errors_exit_2(tmp_path):
     bad = write_config(tmp_path, "grid.m = 3\n", name="unknown.conf")
     assert main(["--config", bad, "coeffs"]) == 2
@@ -1038,6 +1059,9 @@ def test_config_errors_exit_2(tmp_path):
     ("run.t_end = 1e300\nstepper.dt = 1e-300\n", "not a finite step count"),
     # 4 nu overflows: bad input, not a blow-up
     ("ic.r.kind = soliton\nic.r.nu = 1e308\n", "ic.*: the initial state is not finite"),
+    # the library's cadence rule, checked before anything is written
+    ("run.diagnostics_every = 0\n", "run.diagnostics_every must be at least 1, got 0"),
+    ("run.snapshot_every = -1\n", "run.snapshot_every must be zero (the ends only) or positive"),
 ])
 def test_simulate_config_errors_exit_2_before_writing(tmp_path, caplog, extra, message):
     out_dir = tmp_path / "never"

@@ -406,6 +406,21 @@ def test_infinite_parameters_rejected(name, match):
         PhysicalParams(**values)
 
 
+@pytest.mark.parametrize("values", [
+    {"h1": 1e308},  # Omega1 overflows
+    {"rho": 1e308},
+    {"rho1": 1e-300},
+    {"h1": 1e-308},  # k0 is infinite, so the symbol table holds a NaN
+    {"h1": 1e100, "rho": 1e50},  # Omega2 is -inf with no exception
+])
+def test_coefficients_outside_the_floats_raise_domain_error(values):
+    params = PhysicalParams(**{**dataclasses.asdict(ANDAMAN), **values})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="are not all finite floats"):
+            derive_coefficients(params, epsilon=0.1, delta=0.25)
+
+
 def test_coefficient_rows_cover_every_field():
     co = derive_coefficients(ANDAMAN, epsilon=0.1, delta=0.25)
     rows = coefficient_rows(co)
@@ -539,6 +554,25 @@ if HAS_HYPOTHESIS:
     def test_kappa8_zero_random(params):
         assert kappa8_gap(params) <= 1e-12
         assert derive_coefficients(params, epsilon=0.1, delta=0.25).kappa8 == 0.0
+
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    densities = st.tuples(positive, positive).filter(lambda pair: pair[0] != pair[1])
+
+    @given(positive, positive, densities,
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_parameters_give_finite_coefficients_or_domain_error(
+            g, h1, densities, epsilon, delta):
+        params = PhysicalParams(g=g, h1=h1, rho=max(densities), rho1=min(densities))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                co = derive_coefficients(params, epsilon, delta)
+            except DomainError:
+                return
+        for field in dataclasses.fields(co):
+            assert math.isfinite(getattr(co, field.name)), field.name
 
     @given(valid_params, st.floats(min_value=0.01, max_value=20.0))
     @settings(max_examples=60, deadline=None)

@@ -700,7 +700,27 @@ def test_run_validates_cadence_arguments():
     with pytest.raises(ValueError, match="diagnostics_every"):
         run(s, StepperConfig(dt=0.1), BENCH, t_end=1.0, diagnostics_every=0)
     with pytest.raises(ValueError, match="snapshot_every"):
-        run(s, StepperConfig(dt=0.1), BENCH, t_end=1.0, snapshot_every=0)
+        run(s, StepperConfig(dt=0.1), BENCH, t_end=1.0, snapshot_every=-1)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"snapshot_every": 0}], ids=["default", "zero"])
+def test_run_snapshot_every_zero_takes_the_ends_only(kwargs):
+    # 0 means the ends only, as run.snapshot_every = 0 does in the CLI
+    grid = Grid(64, 20.0)
+    s0 = bump_state(grid)
+    cfg = StepperConfig(dt=0.1)
+    every = run(s0, cfg, BENCH, t_end=1.0, snapshot_every=1, gauge_diagnostics=False)
+    traj = run(s0, cfg, BENCH, t_end=1.0, diagnostics_every=3, gauge_diagnostics=False,
+               **kwargs)
+    assert len(traj.snapshots) == 2
+    for got, want in zip(traj.snapshots, every.snapshots[::10], strict=True):
+        assert got.t == want.t
+        assert np.array_equal(got.r.values, want.r.values)
+        assert np.array_equal(got.q.values, want.q.values)
+    handed = []
+    run(s0, cfg, BENCH, t_end=1.0, gauge_diagnostics=False, on_snapshot=handed.append,
+        **kwargs)
+    assert [st.t for st in handed] == [st.t for st in traj.snapshots]
 
 
 def test_run_blow_up_reports_last_finite_state():
