@@ -41,9 +41,9 @@ import os
 import sys
 from pathlib import Path
 
-# bonls's only BLAS calls are vector norms, so the worker thread OpenBLAS
-# starts on numpy's import only spins.  A value the user sets wins, and
-# the package's other modules leave BLAS threading as it was.
+# bonls's only BLAS or LAPACK call is verify's polyfit, so the worker thread
+# OpenBLAS starts on numpy's import only spins.  A value the user sets wins,
+# and the package's other modules leave BLAS threading as it was.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

@@ -75,11 +75,11 @@ def antiderivative(f: RealField) -> RealField:
 
     The k = 0 mode of the result is zero; the Nyquist mode is dropped as
     in every odd multiplier.  The multiplier keeps f real, so once f's
-    spectrum is cached this is one irfft of half the spectrum.  Raises
+    half spectrum is cached this is one irfft of it.  Raises
     NonZeroMean if f has a mean larger than the enforcement tolerance.
     """
     grid = f.grid
-    mean = abs(f.spectrum[0]) / grid.n
+    mean = abs(f.half[0]) / grid.n
     if mean > _MEAN_TOL:
         raise NonZeroMean(f"field mean {mean:.3e} exceeds {_MEAN_TOL:.0e}; "
                           "a periodic antiderivative needs mean zero")
@@ -91,10 +91,10 @@ def gauge(r: RealField, coeffs: ModelCoefficients) -> GaugedState:
     """Gauge factors exp(-+(2id/3a) * antiderivative(r)) and w-+ for r.
 
     The exponent is purely imaginary, so the factors are unimodular by
-    construction; w+- = Psi+- d/dx P+- r.  Once r's spectrum is cached
+    construction; w+- = Psi+- d/dx P+- r.  Once r's half spectrum is cached
     this makes one irfft, for the antiderivative, and no complex
     transform; Psi- costs no transform when first read, and the w+- pair
-    four.
+    one ifft each.
     """
     phase = -(2.0 * coeffs.d / (3.0 * coeffs.a)) * antiderivative(r).values
     return GaugedState(psi_plus=ComplexField(r.grid, np.exp(1j * phase)), source=r)

@@ -502,7 +502,7 @@ def _spectra(s: SystemState) -> np.ndarray:
         return s._y
     if not (np.all(np.isfinite(s.r.values)) and np.all(np.isfinite(s.q.values))):
         raise ValueError("r and q must be finite")
-    return np.concatenate((np.fft.rfft(s.r.values), s.q.spectrum))
+    return np.concatenate((s.r.half, s.q.spectrum))
 
 
 def _state_of(grid: Grid, y: np.ndarray, t: float, r: np.ndarray | None = None,
@@ -639,7 +639,7 @@ def conserved(s: SystemState, coeffs: ModelCoefficients) -> ConservedTriple:
 def _gauge_residual(r: RealField, coeffs: ModelCoefficients) -> float:
     # The gauge phase integrates r, which requires a periodic primitive;
     # project out the conserved mean and gauge the oscillatory part.  With
-    # r's samples and spectrum cached this makes three transforms: the
+    # r's samples and half cached this makes three transforms: the
     # antiderivative's irfft, and psi+'s fft and the ifft of its derivative
     # (psi- and the w+- pair are never read).
     if coeffs.a == 0.0:

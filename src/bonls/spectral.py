@@ -5,7 +5,7 @@ discrete Fourier transform.  Odd multipliers (odd-order derivatives, the
 Hilbert transform) zero the Nyquist mode so that real input stays real;
 even multipliers keep it.  The half-line projections split the mean and
 Nyquist modes evenly so that P+ + P- = 1 and H = -i(P+ - P-) hold exactly
-on the grid.
+on the grid.  A RealField holds its rfft half, a ComplexField all n modes.
 """
 
 from __future__ import annotations
@@ -105,13 +105,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class Field:
     """Periodic samples on a Grid with a lazily cached spectrum.
 
-    The spectrum of a field built from samples is their plain numpy FFT,
-    computed at most once; one held by its spectrum (`_of_spectrum`) makes
-    its samples on first read and caches them read-only.  Fields are cheap
-    value objects; operators return new instances and never mutate their input.
+    A field built from samples transforms them on the first read of its
+    spectrum; one held by its spectrum (`_of_spectrum`) makes its samples
+    on first read, read-only.  Fields are cheap value objects; operators
+    return new instances and never mutate their input.
     """
 
     _dtype: type = complex
+    _hold = staticmethod(np.copy)  # what from_spectrum keeps: all n modes
 
     __slots__ = ("grid", "_values", "_spec")
 
@@ -125,7 +126,7 @@ class Field:
 
     @classmethod
     def _of_spectrum(cls, grid: Grid, spec: np.ndarray, values=None) -> "Field":
-        """The field held by spec (a RealField's may be its `rfft` half) and values, as given."""
+        """The field held by spec (a RealField's is its `rfft` half) and values, as given."""
         out = cls.__new__(cls)
         out.grid, out._spec, out._values = grid, spec, values
         return out
@@ -150,11 +151,7 @@ class Field:
         spec = np.asarray(spectrum, dtype=complex)
         if spec.shape != (grid.n,):
             raise ValueError(f"expected {grid.n} modes, got shape {spec.shape}")
-        return cls._of_spectrum(grid, spec.copy(), cls._samples_of(spec))
-
-    @staticmethod
-    def _samples_of(spec: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(spec)
+        return cls._of_spectrum(grid, cls._hold(spec))
 
     def norm(self) -> float:
         """L2 norm of the samples, dx-weighted."""
@@ -162,36 +159,42 @@ class Field:
 
 
 class RealField(Field):
-    """Field whose samples are real, hence Hermitian-symmetric spectrum.
+    """Field with real samples, held by its `rfft` half (n//2 + 1 modes).
 
-    One held by its `rfft` half takes one irfft for its samples, and its
-    full spectrum mirrors that half.
+    Its samples are one irfft of the half, the half of its samples is one
+    rfft, and `spectrum` mirrors the half into all n modes once, read-only.
     """
 
     _dtype = float
 
-    __slots__ = ()
+    __slots__ = ("_mirror",)  # set on the first read of `spectrum`
 
     def _held_samples(self) -> np.ndarray:
-        return np.fft.irfft(self._spec[:self.grid.n // 2 + 1], self.grid.n)
+        return np.fft.irfft(self._spec, self.grid.n)
+
+    @property
+    def half(self) -> np.ndarray:
+        """The rfft half of the spectrum, modes 0 to n//2: the modes the field holds."""
+        if self._spec is None:
+            self._spec = np.fft.rfft(self.values)
+        return self._spec
 
     @property
     def spectrum(self) -> np.ndarray:
-        spec = self._spec
-        if spec is not None and spec.shape[0] < self.grid.n:  # the held half
-            self._spec = _read_only(np.concatenate((spec, np.conj(spec[-2:0:-1]))))
-        return super().spectrum
+        if not hasattr(self, "_mirror"):
+            half = self.half
+            self._mirror = _read_only(np.concatenate((half, np.conj(half[-2:0:-1]))))
+        return self._mirror
 
     @staticmethod
-    def _samples_of(spec: np.ndarray) -> np.ndarray:
-        w = np.fft.ifft(spec)
-        # High-order derivative multipliers amplify transform roundoff into
-        # a small imaginary leak; genuinely complex data sits at ratio ~1.
-        ref = float(np.linalg.norm(w))
-        if ref > 0.0 and float(np.linalg.norm(w.imag)) > 1e-7 * ref:
+    def _hold(spec: np.ndarray) -> np.ndarray:
+        # the half of spec's Hermitian part; by Parseval the bound is an imaginary
+        # share of 1e-7 in the samples, above the roundoff derivatives amplify
+        partner = np.conj(spec[-np.arange(spec.shape[0])])  # conj S(-k)
+        if np.sum(np.abs(spec - partner) ** 2) > 4e-14 * np.sum(np.abs(spec) ** 2):
             raise ValueError("spectrum is not Hermitian-symmetric; "
                              "use ComplexField for genuinely complex data")
-        return w.real
+        return 0.5 * (spec + partner)[:spec.shape[0] // 2 + 1]
 
 
 class ComplexField(Field):
@@ -258,26 +261,23 @@ def _mult_project(grid: Grid, sign: int) -> np.ndarray:
 
 
 def _mean_free(f: RealField) -> RealField:
-    """f minus its mean; the spectrum is f's with the mean mode zeroed.
+    """f minus its mean; the held half is f's with the mean mode zeroed.
 
-    Once f's samples and spectrum are cached this makes no transform.
+    Once f's samples and half are cached this makes no transform.
     """
-    spec = f.spectrum.copy()
-    spec[0] = 0.0
-    return RealField._of_spectrum(f.grid, spec, f.values - np.mean(f.values))
+    half = f.half.copy()
+    half[0] = 0.0
+    return RealField._of_spectrum(f.grid, half, f.values - np.mean(f.values))
 
 
 def _real_samples(f: RealField, mult: np.ndarray) -> np.ndarray:
     """Samples of the real field whose spectrum is f's times mult: one irfft.
 
     mult must keep real fields real (an even real multiplier, or an odd
-    imaginary one with the Nyquist mode dropped), so the product is
-    Hermitian and its first n//2 + 1 modes are all the transform reads.
-    No spectrum is kept, and nothing is checked.
+    imaginary one with the Nyquist mode dropped), so only its first
+    n//2 + 1 modes are read.  No spectrum is kept, and nothing is checked.
     """
-    h = f.grid.n // 2 + 1
-    spec = f.spectrum if f._spec is None else f._spec  # a held half as it is
-    return np.fft.irfft(spec[:h] * mult[:h], f.grid.n)
+    return np.fft.irfft(f.half * mult[:f.grid.n // 2 + 1], f.grid.n)
 
 
 def _apply(f: Field, mult: np.ndarray, cls: type | None = None) -> Field:

@@ -34,6 +34,7 @@ from collections.abc import Collection
 import numpy as np
 
 from .coeffs import (
+    DomainError,
     ModelCoefficients,
     PhysicalParams,
     SymbolTable,
@@ -168,8 +169,12 @@ def _dispersion_constants(params: PhysicalParams, coeffs: ModelCoefficients) -> 
     expansion omega^2 / k^2 = Omega0 + Omega1 k + Omega2 k^2 + O(k^3) of
     `dispersion_internal`, whose coefficients in x = h1 k are Omega0,
     Omega1 / h1 and Omega2 / h1^2; each is checked against the fitted one
-    relative to Omega0, so an Omega2 near zero stays checked.
+    relative to Omega0, so an Omega2 near zero stays checked.  Where
+    omega1_pp or Omega0 underflowed to zero no relative error is defined,
+    and the residual is NaN.
     """
+    if coeffs.omega1_pp == 0.0 or coeffs.Omega0 == 0.0:
+        return float("nan")
     k0, dk = coeffs.k0, 1e-4 * coeffs.k0
     central = (omega1_prime(params, k0 + dk) - omega1_prime(params, k0 - dk)) / (2.0 * dk)
     k = EXPANSION_X / params.h1
@@ -191,9 +196,13 @@ def kappa8_gap(params: PhysicalParams) -> float:
 
 def _small_gamma_gap(params: PhysicalParams, coeffs: ModelCoefficients) -> float:
     """Worst relative gap of kt..kt4 to their small-gamma limits at the gamma
-    = 0.01 twin (rho1 = 0.99 rho), where the limits hold to about 1e-20."""
+    = 0.01 twin (rho1 = 0.99 rho), where the limits hold to about 1e-20;
+    NaN when the twin's coefficients leave the floats."""
     twin = PhysicalParams(params.g, params.h1, params.rho, 0.99 * params.rho)
-    exact = derive_coefficients(twin, coeffs.epsilon, coeffs.delta)
+    try:
+        exact = derive_coefficients(twin, coeffs.epsilon, coeffs.delta)
+    except DomainError:
+        return float("nan")
     limit = asymptotic_coefficients(twin)
     return float(np.max([abs(getattr(exact, n) - v) / abs(v)
                          for n, v in dataclasses.asdict(limit).items()]))
@@ -246,6 +255,8 @@ def _checks_hamiltonian(params: PhysicalParams, symbols: Symbols) -> list[CheckR
 
 
 def _checks_gauge(coeffs: ModelCoefficients) -> list[CheckResult]:
+    if coeffs.a == 0.0:  # an underflowed a: the factor exp(-(2id/3a) int r) is undefined
+        return _rows("gauge", *3 * [float("nan")])
     rng = np.random.default_rng(SEED + 1)
     worst_mod = worst_ode = worst_rec = 0.0
     for _ in range(FIELDS):

@@ -1035,6 +1035,25 @@ def test_coefficients_outside_the_floats_exit_2_before_writing(tmp_path, caplog,
     assert not out_dir.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_fails_rows_it_cannot_evaluate_at_finite_coefficients(tmp_path, capsys):
+    # coeffs exits 0 here, with Omega0 and a underflowed to 0, and the
+    # gamma = 0.01 twin's coefficients leave the floats: the rows that
+    # need them report NaN and fail, with no warning or traceback
+    path = write_config(tmp_path, "physical.g = 5.3335340131086795e-132\n"
+                                  "physical.h1 = 9.557322778828774e-154\n"
+                                  "physical.rho = 1.2364138527146085e-119\n"
+                                  "physical.rho1 = 5.929223369727459e-120\n")
+    assert main(["--config", path, "coeffs"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert main(["--config", path, "verify"]) == cli.EXIT_VERIFY
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()
+            if line.endswith(("pass  ", "FAIL  "))}
+    for name in ("dispersion-constants", "small-gamma-limit", "gauge-unimodular",
+                 "gauge-ode", "gauge-reconstruction"):
+        assert rows[name][0] == "nan" and rows[name][-1] == "FAIL", name
+
+
 def test_config_errors_exit_2(tmp_path):
     bad = write_config(tmp_path, "grid.m = 3\n", name="unknown.conf")
     assert main(["--config", bad, "coeffs"]) == 2

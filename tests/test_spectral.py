@@ -28,6 +28,8 @@ from bonls.spectral import (
     project,
     propagator,
     _mean_free,
+    _mult_deriv,
+    _mult_hilbert,
 )
 
 try:
@@ -134,6 +136,86 @@ def test_real_field_rejects_complex_spectrum_content():
     spec[3] = 1.0  # no Hermitian partner
     with pytest.raises(ValueError):
         RealField.from_spectrum(grid, spec).values
+
+
+def record_transforms(monkeypatch):
+    """The names of the numpy.fft transforms called, in call order."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_a_real_field_from_samples_makes_one_rfft_for_its_spectrum(monkeypatch):
+    # the spectrum is the rfft half mirrored, made once and read-only
+    grid = Grid(128, 20.0)
+    f = RealField(grid, noise(grid).values)
+    want = np.fft.fft(f.values)
+    calls = record_transforms(monkeypatch)
+    spec = f.spectrum
+    assert calls == ["rfft"]
+    assert f.spectrum is spec
+    assert calls == ["rfft"]
+    with pytest.raises(ValueError, match="read-only"):
+        spec[0] = 0.0
+    assert np.max(np.abs(spec - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_an_operator_chain_on_a_real_field_makes_one_rfft_and_one_irfft(monkeypatch):
+    grid = Grid(128, 20.0)
+    f = RealField(grid, noise(grid).values)
+    want = np.fft.ifft(grid.ik * _mult_hilbert(grid) * np.fft.fft(f.values)).real
+    calls = record_transforms(monkeypatch)
+    got = deriv(hilbert(f)).values
+    assert calls == ["rfft", "irfft"]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _asymmetry(spec):
+    """|S - conj S(-k)| / |S|."""
+    odd = spec - np.conj(spec[-np.arange(spec.shape[0])])
+    return float(np.sqrt(np.sum(np.abs(odd) ** 2) / np.sum(np.abs(spec) ** 2)))
+
+
+@pytest.mark.parametrize("share, accepted", [(1.9e-7, True), (2.1e-7, False)])
+def test_real_field_from_spectrum_bounds_the_asymmetry(monkeypatch, share, accepted):
+    # |S - conj S(-k)| <= 2e-7 |S| is, by Parseval, an imaginary share of at
+    # most 1e-7 in the samples.  odd is anti-Hermitian and orthogonal to
+    # the Hermitian herm, so herm + t odd has asymmetry 2 t |odd| over
+    # sqrt(|herm|^2 + t^2 |odd|^2), with |odd| = sqrt(2)
+    grid = Grid(64, 10.0)
+    herm = noise(grid).spectrum
+    odd = np.zeros(grid.n, dtype=complex)
+    odd[3] = odd[-3] = 1j
+    t = share * np.sqrt(np.sum(np.abs(herm) ** 2) / 2.0) / np.sqrt(4.0 - share * share)
+    spec = herm + t * odd
+    assert _asymmetry(spec) == pytest.approx(share, rel=1e-6)
+    want = np.fft.ifft(herm).real  # the Hermitian part's samples
+    calls = record_transforms(monkeypatch)
+    if accepted:
+        f = RealField.from_spectrum(grid, spec)
+        assert calls == []  # the samples are made on first read
+        assert np.max(np.abs(f.values - want)) <= 1e-13 * np.max(np.abs(want))
+        assert calls == ["irfft"]
+    else:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            RealField.from_spectrum(grid, spec)
+
+
+def test_real_field_from_spectrum_accepts_the_leak_of_a_third_derivative():
+    # the raw fft of real samples is Hermitian only to roundoff, and k^3
+    # lifts the roundoff of the top modes to a tenth of the bound, and
+    # the samples' error to about 2e-8 of their size
+    grid = Grid(4096, 20.0)
+    f = gaussian_bump(grid, 1.0)
+    spec = np.fft.fft(f.values) * _mult_deriv(grid, 3)
+    assert 1e-9 < _asymmetry(spec) < 1e-7
+    got = RealField.from_spectrum(grid, spec).values
+    want = deriv(f, 3).values
+    assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
 
 
 def test_parseval():
