@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -119,39 +119,26 @@ def dispersion_surface(params: PhysicalParams, k):
     return params.g * np.abs(np.asarray(k, dtype=float))
 
 
-def quartic_coefficients(params: PhysicalParams, k):
-    """Coefficients (T, P) of the dispersion quartic w^4 - T w^2 + P = 0.
-
-    T and P are the trace and determinant of the coupled quadratic form,
-    written with the printed coth weight for |k| > 0.
-    """
-    k = np.asarray(k, dtype=float)
-    g, rho, rho1 = params.g, params.rho, params.rho1
-    ak = np.abs(k)
-    g11 = k_coth(k, params.h1)
-    b0 = rho * g11 + rho1 * ak  # >= rho/h1, so k = 0 stays finite
-    T = g * rho * ak * (ak + g11) / b0
-    P = g * g * (rho - rho1) * k * k * ak / b0
-    return T, P
-
-
 def quartic_residual(params: PhysicalParams, k, w2):
-    """Relative residual of w2 against the dispersion quartic at k != 0."""
-    T, P = quartic_coefficients(params, k)
-    w2 = np.asarray(w2, dtype=float)
-    num = np.abs(w2 * w2 - T * w2 + P)
-    scale = np.maximum(np.abs(w2 * w2), np.maximum(np.abs(T * w2), np.abs(P)))
-    return num / np.where(scale == 0.0, 1.0, scale)
+    """Relative residual of w2 against the dispersion quartic at k != 0.
+
+    The quartic w^4 - T w^2 + P = 0, with T and P the trace and determinant
+    of the coupled quadratic form, reads u^2 - t u + p = 0 in u = w2/(g |k|),
+    with t = (1 + T)/(1 + r T), p = gamma T/(1 + r T), T = tanh(h1 |k|)
+    and r = rho1/rho: scale-free, so no term leaves the floats.
+    """
+    tau = np.tanh(params.h1 * np.abs(np.asarray(k, dtype=float)))
+    den = 1.0 + params.rho1 / params.rho * tau
+    t, p = (1.0 + tau) / den, params.gamma * tau / den
+    u = np.asarray(w2, dtype=float) / params.g / np.abs(k)
+    scale = np.maximum(u * u, np.maximum(np.abs(t * u), p))
+    return np.abs(u * u - t * u + p) / np.where(scale == 0.0, 1.0, scale)
 
 
 def omega1_prime(params: PhysicalParams, k):
     """Group velocity of the surface mode, (1/2) sqrt(g/k) for k > 0."""
     return 0.5 * math.sqrt(params.g / k)
 
-
-def omega1_second(params: PhysicalParams, k):
-    """Second derivative of omega1(k) = sqrt(g k): -(1/4) sqrt(g) k^(-3/2)."""
-    return -0.25 * math.sqrt(params.g) * k ** -1.5
 
 
 # --------------------------------------------------------------------------
@@ -218,9 +205,8 @@ def symbol_table(params: PhysicalParams, k) -> SymbolTable:
     """Evaluate the full symbol table at the wavenumbers ``k``.
 
     Raises LimitUndefined if any entry is NaN after the k = 0 limit
-    substitutions.  Inside the float range that is an implementation bug;
-    extreme parameters reach it too, at k0 (h1 = 1e-308 makes k0 infinite),
-    and `derive_coefficients` reports them as a DomainError.
+    substitutions: an implementation bug inside the float range, reached by
+    extreme parameters at extreme k (at h1 = 1e-308, k0 is infinite).
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     g, h1, rho, rho1 = params.g, params.h1, params.rho, params.rho1
@@ -310,9 +296,10 @@ def expansion_constants(params: PhysicalParams) -> ExpansionConstants:
 # model coefficients
 # --------------------------------------------------------------------------
 
-def _formula(tag: str):
-    """A ModelCoefficients field and the formula tag reports print beside it."""
-    return field(metadata={"formula": tag})
+def _formula(tag: str, g: float, h1: float, rho: float):
+    """A ModelCoefficients field, the formula tag reports print beside it and
+    its units: the exponents (p, q, s) of its monomial g^p h1^q rho^s."""
+    return field(metadata={"formula": tag, "units": (g, h1, rho)})
 
 
 @dataclass(frozen=True)
@@ -333,37 +320,67 @@ class ModelCoefficients:
     variable is normalised as q_hat = eps^(1/2 + delta) q so that a single
     beta appears in both equations.  The full system's time variable is
     tau = eps t.
+
+    Each field is its value at `unit_twin` times its units' monomial (the
+    zeros kappa1,4,6,8 take those of the kt term they enter).
     """
 
-    c0: float = _formula("c0")
-    k0: float = _formula("k0")
-    gamma: float = _formula("gamma-defn")
-    Omega0: float = _formula("Omega-defn")
-    Omega1: float = _formula("Omega-defn")
-    Omega2: float = _formula("Omega-defn")
-    omega1_pp: float = _formula("dispersion-relations:d2")
-    kappa: float = _formula("kappa")
-    kappa1: float = _formula("kappa-1")
-    kappa2: float = _formula("kappa-2")
-    kappa3: float = _formula("kappa-3")
-    kappa4: float = _formula("kappa-4")
-    kappa5: float = _formula("kappa-5")
-    kappa6: float = _formula("kappa-6")
-    kappa7: float = _formula("kappa-7")
-    kappa8: float = _formula("kappa-8")
-    kt: float = _formula("kappa-tilde-defn")
-    kt1: float = _formula("kappa-tilde-defn")
-    kt2: float = _formula("kappa-tilde-defn")
-    kt3: float = _formula("kappa-tilde-defn")
-    kt4: float = _formula("kappa-tilde-defn")
-    a: float = _formula("reduced-system:convention")
-    b: float = _formula("reduced-system:convention")
-    c: float = _formula("reduced-system:convention")
-    d: float = _formula("reduced-system:convention")
-    alpha: float = _formula("reduced-system:convention")
-    beta: float = _formula("reduced-system:convention")
-    epsilon: float = _formula("long-wave-scaling")
-    delta: float = _formula("mono-waves-scaling")
+    c0: float = _formula("c0", 0.5, 0.5, 0.0)
+    k0: float = _formula("k0", 0.0, -1.0, 0.0)
+    gamma: float = _formula("gamma-defn", 0.0, 0.0, 0.0)
+    Omega0: float = _formula("Omega-defn", 1.0, 1.0, 0.0)
+    Omega1: float = _formula("Omega-defn", 1.0, 2.0, 0.0)
+    Omega2: float = _formula("Omega-defn", 1.0, 3.0, 0.0)
+    omega1_pp: float = _formula("dispersion-relations:d2", 0.5, 1.5, 0.0)
+    kappa: float = _formula("kappa", 0.5, 0.0, -0.5)
+    kappa1: float = _formula("kappa-1", 0.0, -1.5, -0.5)
+    kappa2: float = _formula("kappa-2", 0.5, -1.0, -0.5)
+    kappa3: float = _formula("kappa-3", 0.5, 1.0, -0.5)
+    kappa4: float = _formula("kappa-4", 0.0, -0.5, -0.5)
+    kappa5: float = _formula("kappa-5", 0.5, 0.0, -0.5)
+    kappa6: float = _formula("kappa-6", 0.0, -0.5, -0.5)
+    kappa7: float = _formula("kappa-7", 0.5, 0.0, -0.5)
+    kappa8: float = _formula("kappa-8", 0.5, 1.0, -0.5)
+    kt: float = _formula("kappa-tilde-defn", 0.25, -0.25, -0.5)
+    kt1: float = _formula("kappa-tilde-defn", 0.25, -1.25, -0.5)
+    kt2: float = _formula("kappa-tilde-defn", 0.25, 0.75, -0.5)
+    kt3: float = _formula("kappa-tilde-defn", 0.25, -0.25, -0.5)
+    kt4: float = _formula("kappa-tilde-defn", 0.25, -0.25, -0.5)
+    a: float = _formula("reduced-system:convention", 0.5, 2.5, 0.0)
+    b: float = _formula("reduced-system:convention", 0.5, 1.5, 0.0)
+    c: float = _formula("reduced-system:convention", 0.25, -0.25, -0.5)
+    d: float = _formula("reduced-system:convention", 0.25, 0.75, -0.5)
+    alpha: float = _formula("reduced-system:convention", 0.5, 1.5, 0.0)
+    beta: float = _formula("reduced-system:convention", 0.25, -1.25, -0.5)
+    epsilon: float = _formula("long-wave-scaling", 0.0, 0.0, 0.0)
+    delta: float = _formula("mono-waves-scaling", 0.0, 0.0, 0.0)
+
+
+def unit_twin(params: PhysicalParams) -> PhysicalParams:
+    """params at unit scale: g = h1 = 1, and both densities divided by the
+    power of two that puts rho in [1/2, 1), so gamma is params' own to the
+    bit.  Raises DomainError where rho1 / rho underflows to zero."""
+    m, e = math.frexp(params.rho)
+    return PhysicalParams(1.0, 1.0, m, math.ldexp(params.rho1, -e))
+
+
+@np.errstate(over="ignore")  # a result past the floats is inf
+def in_units(values: dict[str, float], params: PhysicalParams,
+             power: int = 1) -> dict[str, float]:
+    """ModelCoefficients values times their units' monomials at params (with
+    rho / rho of the twin, a power of two) to the power 1, from `unit_twin`,
+    or -1, back to it.  Only a result that leaves the floats does, as inf or 0."""
+    bases = (math.frexp(params.g), math.frexp(params.h1), (1.0, math.frexp(params.rho)[1]))
+    units = {f.name: f.metadata["units"] for f in fields(ModelCoefficients)}
+    out = {}
+    for name, value in values.items():
+        mantissa, exponent = math.frexp(value)
+        quarters = 4 * exponent  # of a binary order of magnitude
+        for (m, e), unit in zip(bases, units[name]):
+            mantissa *= m ** (power * unit)
+            quarters += round(4 * power * unit) * e
+        out[name] = float(np.ldexp(mantissa * 2.0 ** (quarters % 4 / 4), quarters // 4))
+    return out
 
 
 def _carrier(params: PhysicalParams) -> tuple[float, float]:
@@ -403,8 +420,10 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
 
     Notes
     -----
-    The symbols come from one `symbol_table` call at k0, so the derivation
-    reads only symbols that the `bonls.verify` identities check.  For
+    The derivation runs once, at `unit_twin(params)`, and `in_units` takes
+    each field to params' units.  The symbols come from one `symbol_table`
+    call at k0, so the derivation reads only symbols that the `bonls.verify`
+    identities check.  For
     k > 0, B3 = B1, B4^2 = B1^2 and B5^2 = rho1^2 B2^2 (verify rows
     symbol-b4-b1, symbol-b5-b2), so the B_j^2 sum shared by kappa1, kappa4
     and kappa6 vanishes at every k: the three are 0 exactly, as is kappa8,
@@ -418,11 +437,12 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
     theta = e^x (rho1 - drho e^-2x)/sqrt(rho1 drho) and x = h1 k.
     """
     check_scaling(epsilon, delta)
-    # extreme but valid parameters overflow, divide by an underflowed zero
-    # or leave a NaN in the symbol table at k0
+    # where rho1 / rho is extreme the twin's derivation overflows or divides
+    # by an underflowed zero, and the monomials can leave the floats
     try:
-        co = _derive(params, epsilon, delta)
-    except ArithmeticError:  # OverflowError, ZeroDivisionError, LimitUndefined
+        co = ModelCoefficients(**in_units(asdict(_derive(unit_twin(params), epsilon, delta)),
+                                          params))
+    except (ArithmeticError, DomainError):  # DomainError: rho1 / rho underflows in the twin
         co = None
     if co is None or not all(math.isfinite(getattr(co, f.name)) for f in fields(co)):
         raise DomainError(f"the model coefficients of {params} are not all finite floats")
@@ -431,7 +451,8 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
 
 @np.errstate(all="ignore")  # a non-finite result is reported by the caller
 def _derive(params: PhysicalParams, epsilon: float, delta: float) -> ModelCoefficients:
-    """The derivation of `derive_coefficients`, which checks what goes in and out."""
+    """The derivation of `derive_coefficients`, which runs it at the unit
+    twin and checks what goes in and out; at any params it gives their own."""
     g, h1, rho, rho1 = params.g, params.h1, params.rho, params.rho1
     gamma = params.gamma
     drho = rho - rho1
@@ -440,7 +461,7 @@ def _derive(params: PhysicalParams, epsilon: float, delta: float) -> ModelCoeffi
     Omega0 = g * h1 * drho / rho
     Omega1 = -g * drho * rho1 * h1 ** 2 / rho ** 2
     Omega2 = (g * drho * h1 ** 3 / rho) * (rho1 ** 2 / rho ** 2 - 1.0 / 3.0)
-    omega1_pp = omega1_second(params, k0)
+    omega1_pp = -0.25 * math.sqrt(g) * k0 ** -1.5  # omega1'' of omega1 = sqrt(g k)
 
     ec = expansion_constants(params)
     ap0, bp0 = ec.a_plus_0, ec.b_plus_0
@@ -497,12 +518,9 @@ def _derive(params: PhysicalParams, epsilon: float, delta: float) -> ModelCoeffi
         kappa4=kappa4, kappa5=kappa5, kappa6=kappa6, kappa7=kappa7,
         kappa8=kappa8,
         kt=kt, kt1=kt1, kt2=kt2, kt3=kt3, kt4=kt4,
-        a=-epsilon ** 2 * Omega2 / (2.0 * c0),
-        b=-epsilon * Omega1 / (2.0 * c0),
-        c=6.0 * epsilon * kt,
-        d=-epsilon ** 2 * kt2,
-        alpha=-epsilon * omega1_pp / 2.0,
-        beta=-kt1,
+        a=-epsilon ** 2 * Omega2 / (2.0 * c0), b=-epsilon * Omega1 / (2.0 * c0),
+        c=6.0 * epsilon * kt, d=-epsilon ** 2 * kt2,
+        alpha=-epsilon * omega1_pp / 2.0, beta=-kt1,
         epsilon=epsilon, delta=delta,
     )
 
@@ -535,28 +553,25 @@ class AsymptoticCoefficients:
 
 
 def asymptotic_coefficients(params: PhysicalParams) -> AsymptoticCoefficients:
-    """Closed-form small-gamma asymptotics of the kt coefficients.
+    """Closed-form small-gamma asymptotics of the kt coefficients: their
+    gamma-forms at `unit_twin`, times the monomials of their units.
 
     Warns when gamma >= SMALL_GAMMA_MAX, where the expansion is not
     expected to be accurate.
     """
     gamma = params.gamma
     if gamma >= SMALL_GAMMA_MAX:
-        warnings.warn(
-            f"gamma = {gamma:.3g} is outside the small-gamma regime; "
-            "asymptotic coefficients may be inaccurate",
-            stacklevel=2,
-        )
-    g, h1, rho1 = params.g, params.h1, params.rho1
-    g4 = g ** 0.25
-    r2r1 = math.sqrt(2.0 * rho1)
-    return AsymptoticCoefficients(
-        kt=g4 * gamma ** 0.25 / (4.0 * h1 ** 0.25 * r2r1),
-        kt1=-g4 / (4.0 * h1 ** 1.25 * gamma ** 0.75 * r2r1),
-        kt2=-g4 * gamma ** 0.25 * h1 ** 0.75 * (1.0 - gamma) / (2.0 * r2r1),
-        kt3=-g4 * gamma ** 0.25 / (2.0 * h1 ** 0.25 * r2r1),
-        kt4=(1.0 - gamma) * g4 / (4.0 * h1 ** 0.25 * gamma ** 0.75 * r2r1),
-    )
+        warnings.warn(f"gamma = {gamma:.3g} is outside the small-gamma regime; "
+                      "asymptotic coefficients may be inaccurate", stacklevel=2)
+    r2r1 = math.sqrt(2.0 * unit_twin(params).rho1)
+    gam4, gam34 = gamma ** 0.25, gamma ** 0.75
+    return AsymptoticCoefficients(**in_units({
+        "kt": gam4 / (4.0 * r2r1),
+        "kt1": -1.0 / (4.0 * gam34 * r2r1),
+        "kt2": -gam4 * (1.0 - gamma) / (2.0 * r2r1),
+        "kt3": -gam4 / (2.0 * r2r1),
+        "kt4": (1.0 - gamma) / (4.0 * gam34 * r2r1),
+    }, params))
 
 
 # --------------------------------------------------------------------------

@@ -15,14 +15,17 @@ rows it is asked for.  The four groups:
     gauge        unimodularity, the phase ODE, derivative reconstruction
     projection   Hilbert transform and wavenumber-projection identities
 
-The symbols and hamiltonian groups run at the given parameters and again
-at the bench stratification BENCH, and report the worse residual of the
-two per identity.  The sample is fixed: the symbol identities hold at the
-wavenumbers K, the small-k expansion is fitted at h1 k = EXPANSION_X,
-and the others run on FIELDS random fields on GRID drawn from SEED.  The
-symbol-table evaluator is an argument: `perturbed` builds one that
-scales a single symbol by 1.001, and a suite that still passes with it
-would not constrain that symbol.
+The symbols and hamiltonian groups run once, at `unit_twin(params)` (g =
+h1 = 1, the same rho1/rho), on the given coefficients taken to its units.
+There h1 k is of order one on the check grid, so the layers couple and
+the H2/H3 equivalences pin the coupling symbols (g12, A2, A5, B1, B3, B4);
+at the presets' h1 = 500 m, csch(h1 k) <= 1.6e-34 on the 40-m GRID.  The
+gauge group runs on the given coefficients.  The sample is fixed: the
+symbol identities hold at the wavenumbers K, the small-k expansion is
+fitted at h1 k = EXPANSION_X, and the others run on FIELDS random fields
+on GRID drawn from SEED.  The symbol-table evaluator is an argument:
+`perturbed` builds one that scales a single symbol by 1.001, and a suite
+that still passes with it would not constrain that symbol.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from collections.abc import Collection
 import numpy as np
 
 from .coeffs import (
-    DomainError,
     ModelCoefficients,
     PhysicalParams,
     SymbolTable,
@@ -43,10 +45,12 @@ from .coeffs import (
     dispersion_internal,
     dispersion_surface,
     expansion_constants,
+    in_units,
     omega1_prime,
     quartic_residual,
     resonance_residual,
     symbol_table,
+    unit_twin,
 )
 from .gauge import gauge, gauge_ode_residual, reconstruct_dr
 from .hamiltonian import (
@@ -60,15 +64,8 @@ from .hamiltonian import (
 )
 from .spectral import Grid, RealField, absd, band_limited_noise, deriv, hilbert, project
 
-__all__ = ["BENCH", "CHECKS", "EXPANSION_X", "FIELDS", "GRID", "K", "SEED", "CheckResult",
+__all__ = ["CHECKS", "EXPANSION_X", "FIELDS", "GRID", "K", "SEED", "CheckResult",
            "SYMBOL_NAMES", "kappa8_gap", "perturbed", "run_suite"]
-
-#: The bench stratification, where h1 k is of order one on the check grid.
-#: With h1 = 500 m (the presets) every wavenumber of the 40-m GRID
-#: gives h1 k >= 78.5, so csch(h1 k) <= 1.6e-34 and the layer-coupling
-#: symbols (g12, A2, A5, B1, B3, B4) leave every identity untouched; here
-#: the layers couple and the H2/H3 equivalences pin them.
-BENCH = PhysicalParams(g=1.0, h1=1.0, rho=2.0, rho1=1.0)
 
 #: The check sample: wavenumbers for the symbol identities, and the grid,
 #: count and seed of the random fields the other identities are evaluated on.
@@ -196,13 +193,9 @@ def kappa8_gap(params: PhysicalParams) -> float:
 
 def _small_gamma_gap(params: PhysicalParams, coeffs: ModelCoefficients) -> float:
     """Worst relative gap of kt..kt4 to their small-gamma limits at the gamma
-    = 0.01 twin (rho1 = 0.99 rho), where the limits hold to about 1e-20;
-    NaN when the twin's coefficients leave the floats."""
+    = 0.01 twin (rho1 = 0.99 rho), where the limits hold to about 1e-20."""
     twin = PhysicalParams(params.g, params.h1, params.rho, 0.99 * params.rho)
-    try:
-        exact = derive_coefficients(twin, coeffs.epsilon, coeffs.delta)
-    except DomainError:
-        return float("nan")
+    exact = derive_coefficients(twin, coeffs.epsilon, coeffs.delta)
     limit = asymptotic_coefficients(twin)
     return float(np.max([abs(getattr(exact, n) - v) / abs(v)
                          for n, v in dataclasses.asdict(limit).items()]))
@@ -211,10 +204,8 @@ def _small_gamma_gap(params: PhysicalParams, coeffs: ModelCoefficients) -> float
 def _checks_symbols(params: PhysicalParams, coeffs: ModelCoefficients,
                     k: np.ndarray, symbols: Symbols) -> list[CheckResult]:
     st = symbols(params, k)
-    w2_int = dispersion_internal(params, k)
-    w2_sur = dispersion_surface(params, k)
-    quartic = max(float(np.max(quartic_residual(params, k, w2_int))),
-                  float(np.max(quartic_residual(params, k, w2_sur))))
+    w2 = np.stack((dispersion_internal(params, k), dispersion_surface(params, k)))
+    quartic = float(np.max(quartic_residual(params, k, w2)))
     # closed-form eigenvalues of [[qa, qb], [qb, qc]] against the two branches
     half_tr = 0.5 * (st.qa + st.qc)
     disc = np.sqrt(np.maximum(half_tr * half_tr - (st.qa * st.qc - st.qb * st.qb), 0.0))
@@ -293,33 +284,25 @@ def _checks_projection() -> list[CheckResult]:
     return _rows("projection", worst_h2id, worst_partition, worst_hsplit, worst_absd)
 
 
-def _worse(rows: list[CheckResult], bench_rows: list[CheckResult]) -> list[CheckResult]:
-    # NaN-propagating, so a non-finite residual at either set fails the row
-    return [CheckResult(a.name, float(np.maximum(a.residual, b.residual)), a.tol)
-            for a, b in zip(rows, bench_rows, strict=True)]
-
-
 def run_suite(params: PhysicalParams, coeffs: ModelCoefficients,
               symbols: Symbols = symbol_table,
               checks: Collection[str] | None = None) -> list[CheckResult]:
     """The CHECKS rows named in `checks` (all by default) on the fixed
     sample, in report order.  Only their groups run, and an empty or
     unknown selection raises ValueError before any does.  The symbols and
-    hamiltonian rows carry the worse residual of params and BENCH.
+    hamiltonian rows hold at `unit_twin(params)`.
     """
     checks = CHECKS.keys() if checks is None else checks
     unknown = [name for name in checks if name not in CHECKS]
     if unknown or not checks:
         what = f"unknown checks {', '.join(map(repr, unknown))}" if unknown else "empty selection"
         raise ValueError(f"{what}; choose from {', '.join(CHECKS)}")
+    twin = unit_twin(params)
     groups = {
-        "symbols": lambda: _worse(
-            _checks_symbols(params, coeffs, K, symbols),
-            _checks_symbols(BENCH, derive_coefficients(BENCH, coeffs.epsilon, coeffs.delta),
-                            K, symbols)),
-        "hamiltonian": lambda: _worse(
-            _checks_hamiltonian(params, symbols),
-            _checks_hamiltonian(BENCH, symbols)),
+        "symbols": lambda: _checks_symbols(
+            twin, ModelCoefficients(**in_units(dataclasses.asdict(coeffs), params, -1)),
+            K, symbols),
+        "hamiltonian": lambda: _checks_hamiltonian(twin, symbols),
         "gauge": lambda: _checks_gauge(coeffs),
         "projection": _checks_projection,
     }

@@ -1022,8 +1022,8 @@ def test_sweep_rejects_bad_keys(tmp_path):
 @pytest.mark.parametrize("physical", [
     "physical.h1 = 1e308\n",  # Omega1 overflows
     "physical.rho = 1e308\n",
-    "physical.h1 = 1e-308\n",  # k0 is infinite, so the symbol table holds a NaN
-    "physical.h1 = 1e100\nphysical.rho = 1e50\n",  # Omega2 is -inf with no exception
+    "physical.h1 = 1e-308\n",  # k0 = 1 / (4 h1 gamma) leaves the floats
+    "physical.h1 = 1e103\nphysical.rho = 1e50\n",  # Omega2 = -3.3e309
 ], ids=["h1-huge", "rho-huge", "h1-tiny", "omega2-infinite"])
 def test_coefficients_outside_the_floats_exit_2_before_writing(tmp_path, caplog, command,
                                                                 physical):
@@ -1037,9 +1037,10 @@ def test_coefficients_outside_the_floats_exit_2_before_writing(tmp_path, caplog,
 
 @pytest.mark.filterwarnings("error")
 def test_verify_fails_rows_it_cannot_evaluate_at_finite_coefficients(tmp_path, capsys):
-    # coeffs exits 0 here, with Omega0 and a underflowed to 0, and the
-    # gamma = 0.01 twin's coefficients leave the floats: the rows that
-    # need them report NaN and fail, with no warning or traceback
+    # coeffs exits 0 here, with Omega1, Omega2 and a underflowed to -0: the
+    # gauge rows, which need a, report NaN, the dispersion constants fail in
+    # the twin's units, and the rows at the twin alone pass, with no warning
+    # or traceback
     path = write_config(tmp_path, "physical.g = 5.3335340131086795e-132\n"
                                   "physical.h1 = 9.557322778828774e-154\n"
                                   "physical.rho = 1.2364138527146085e-119\n"
@@ -1049,9 +1050,24 @@ def test_verify_fails_rows_it_cannot_evaluate_at_finite_coefficients(tmp_path, c
     assert main(["--config", path, "verify"]) == cli.EXIT_VERIFY
     rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()
             if line.endswith(("pass  ", "FAIL  "))}
-    for name in ("dispersion-constants", "small-gamma-limit", "gauge-unimodular",
-                 "gauge-ode", "gauge-reconstruction"):
+    for name in ("gauge-unimodular", "gauge-ode", "gauge-reconstruction"):
         assert rows[name][0] == "nan" and rows[name][-1] == "FAIL", name
+    assert [name for name, row in rows.items() if row[-1] == "FAIL"] == [
+        "dispersion-constants", "gauge-unimodular", "gauge-ode", "gauge-reconstruction"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_dispersion_residuals_are_scale_free(tmp_path, capsys):
+    # omega^2 and the quartic's terms leave the floats in the given units
+    # here; the k and omega^2 columns keep them, and the residuals are roundoff
+    path = write_config(tmp_path, "physical.g = 1.744444879287265e+178\n"
+                                  "physical.h1 = 5.767288889690032e-20\n"
+                                  "physical.rho = 6.598665165024179e-119\n"
+                                  "physical.rho1 = 1.8372373876199075e-119\n")
+    assert main(["--config", path, "--out", str(tmp_path / "d"), "dispersion"]) == cli.EXIT_OK
+    table = np.loadtxt(tmp_path / "d" / "dispersion.tsv", skiprows=1)
+    assert np.all(np.isfinite(table)) and np.max(table[:, 3:]) <= 1e-15
+    assert table[0, 2] == pytest.approx(1.744444879287265e+178 * 1e-3, rel=1e-15)
 
 
 def test_config_errors_exit_2(tmp_path):

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bonls import coeffs
 from bonls.coeffs import (
     ANDAMAN,
     OREGON,
@@ -25,8 +26,8 @@ from bonls.coeffs import (
     dispersion_internal,
     dispersion_surface,
     expansion_constants,
+    k_coth,
     omega1_prime,
-    quartic_coefficients,
     quartic_residual,
     resonance_residual,
     symbol_table,
@@ -48,12 +49,28 @@ SHARP = PhysicalParams(g=9.81, h1=500.0, rho=1000.0, rho1=999.9)
 # oracles
 # --------------------------------------------------------------------------
 
+def quartic_coefficients(params, k):
+    """Coefficients (T, P) of the dispersion quartic w^4 - T w^2 + P = 0.
+
+    T and P are the trace and determinant of the coupled quadratic form,
+    written with the printed coth weight for |k| > 0.
+    """
+    k = np.asarray(k, dtype=float)
+    g, rho, rho1 = params.g, params.rho, params.rho1
+    ak = np.abs(k)
+    g11 = k_coth(k, params.h1)
+    b0 = rho * g11 + rho1 * ak  # >= rho/h1, so k = 0 stays finite
+    T = g * rho * ak * (ak + g11) / b0
+    P = g * g * (rho - rho1) * k * k * ak / b0
+    return T, P
+
+
 def quartic_roots(params, k):
     """Both w^2 roots of the dispersion quartic via the quadratic formula.
 
-    Independent of dispersion_internal / dispersion_surface: only the
-    (T, P) coefficients are shared, and those are a direct transcription
-    of the quartic itself.
+    Independent of dispersion_internal / dispersion_surface and of the
+    scale-free quartic in quartic_residual: (T, P) come from
+    quartic_coefficients above, a direct transcription of the quartic.
     """
     T, P = quartic_coefficients(params, np.asarray([k], dtype=float))
     disc = math.sqrt(float(T[0]) ** 2 - 4.0 * float(P[0]))
@@ -410,8 +427,8 @@ def test_infinite_parameters_rejected(name, match):
     {"h1": 1e308},  # Omega1 overflows
     {"rho": 1e308},
     {"rho1": 1e-300},
-    {"h1": 1e-308},  # k0 is infinite, so the symbol table holds a NaN
-    {"h1": 1e100, "rho": 1e50},  # Omega2 is -inf with no exception
+    {"h1": 1e-308},  # k0 = 1 / (4 h1 gamma) leaves the floats
+    {"h1": 1e103, "rho": 1e50},  # Omega2 = -3.3e309
 ])
 def test_coefficients_outside_the_floats_raise_domain_error(values):
     params = PhysicalParams(**{**dataclasses.asdict(ANDAMAN), **values})
@@ -419,6 +436,18 @@ def test_coefficients_outside_the_floats_raise_domain_error(values):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="are not all finite floats"):
             derive_coefficients(params, epsilon=0.1, delta=0.25)
+
+
+def test_coefficients_inside_the_floats_are_finite():
+    # Omega2 = g h1^3 gamma (rho1^2/rho^2 - 1/3) = -3.27e300: the derivation
+    # at the unit twin leaves the floats only where a coefficient does
+    params = PhysicalParams(g=9.81, h1=1e100, rho=1e50, rho1=997.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        co = derive_coefficients(params, epsilon=0.1, delta=0.25)
+    want = params.g * params.h1 ** 3 * params.gamma * ((params.rho1 / params.rho) ** 2 - 1 / 3)
+    assert co.Omega2 == pytest.approx(want, rel=1e-14)
+    assert co.a == pytest.approx(-0.01 * want / (2.0 * co.c0), rel=1e-14)
 
 
 def test_coefficient_rows_cover_every_field():
@@ -573,6 +602,16 @@ if HAS_HYPOTHESIS:
                 return
         for field in dataclasses.fields(co):
             assert math.isfinite(getattr(co, field.name)), field.name
+
+    @given(valid_params)
+    @settings(max_examples=60, deadline=None)
+    def test_each_coefficient_is_its_twin_value_times_its_monomial(params):
+        # the units table against the derivation run in the given units
+        direct = coeffs._derive(params, epsilon=0.1, delta=0.25)
+        co = derive_coefficients(params, epsilon=0.1, delta=0.25)
+        for field in dataclasses.fields(co):
+            want = getattr(direct, field.name)
+            assert getattr(co, field.name) == pytest.approx(want, rel=1e-13, abs=0.0), field.name
 
     @given(valid_params, st.floats(min_value=0.01, max_value=20.0))
     @settings(max_examples=60, deadline=None)

@@ -16,9 +16,7 @@ from bonls.verify import (
     CHECKS,
     K,
     SYMBOL_NAMES,
-    CheckResult,
     _checks_symbols,
-    _worse,
     perturbed,
     run_suite,
 )
@@ -40,8 +38,9 @@ def failing(symbols=symbol_table):
 
 @pytest.mark.parametrize("name", SYMBOL_NAMES)
 def test_perturbed_symbol_fails_a_check(name):
-    # the layer-coupling symbols (g12, A2, A5, B1, B3, B4) are caught only
-    # through the suite's second parameter set, the bench stratification
+    # the layer-coupling symbols (g12, A2, A5, B1, B3, B4) are caught because
+    # the symbol and Hamiltonian rows run at the unit twin, where h1 k is of
+    # order one on the check grid and the layers couple
     assert failing(perturbed(name))
     # the perturbation lives in the argument only: a plain run right after passes
     assert failing() == []
@@ -49,8 +48,9 @@ def test_perturbed_symbol_fails_a_check(name):
 
 @pytest.mark.parametrize("which", ["c0", "k0"])
 def test_resonance_row_checks_the_model_carrier(monkeypatch, which):
-    # one formula gives (c0, k0) to the coefficients and to the resonance
-    # row, so a 1% error in either fails the suite
+    # one formula gives (c0, k0) to the coefficients (at the unit twin, then
+    # in the given units) and to the resonance row, so a 1% error in either
+    # fails the suite
     carrier = coeffs._carrier
 
     def off(params):
@@ -59,7 +59,7 @@ def test_resonance_row_checks_the_model_carrier(monkeypatch, which):
 
     monkeypatch.setattr(coeffs, "_carrier", off)
     model = derive_coefficients(PARAMS, epsilon=0.1, delta=0.25)
-    assert (model.c0, model.k0) == off(PARAMS)
+    assert (model.c0, model.k0) == pytest.approx(off(PARAMS), rel=1e-15)
     rows = {r.name: r for r in run_suite(PARAMS, model)}
     assert not rows["resonance"].ok
 
@@ -108,12 +108,27 @@ def test_a_selection_across_groups_keeps_report_order_and_residuals():
                                       "gauge-ode", "absd-factorization"]
 
 
-def test_rows_carry_the_worse_residual_of_both_sets():
-    # a NaN at either parameter set fails the row, whichever side it is on
-    small, nan = CheckResult("x", 1e-20, 1e-12), CheckResult("x", float("nan"), 1e-12)
-    assert not _worse([small], [nan])[0].ok
-    assert not _worse([nan], [small])[0].ok
-    assert _worse([small], [CheckResult("x", 3e-13, 1e-12)])[0].residual == 3e-13
+def test_the_symbol_and_hamiltonian_groups_run_once_at_the_twin(monkeypatch):
+    calls = {"_checks_symbols": [], "_checks_hamiltonian": []}
+    for name, seen in calls.items():
+        def counted(params, *args, _group=getattr(verify, name), _seen=seen):
+            _seen.append(params)
+            return _group(params, *args)
+        monkeypatch.setattr(verify, name, counted)
+    assert all(r.ok for r in run_suite(PARAMS, COEFFS))
+    assert calls == {name: [coeffs.unit_twin(PARAMS)] for name in calls}
+
+
+@pytest.mark.filterwarnings("error")
+def test_symbol_rows_stay_finite_at_extreme_finite_parameters():
+    # at this scale w^2 and the quartic's terms leave the floats in the
+    # given units; at the twin every symbol row is a roundoff residual
+    params = PhysicalParams(g=1.744444879287265e+178, h1=5.767288889690032e-20,
+                            rho=6.598665165024179e-119, rho1=1.8372373876199075e-119)
+    rows = {r.name: r for r in run_suite(params, derive_coefficients(params, 0.1, 0.25))}
+    assert [name for name, r in rows.items() if not r.ok] in ([], ["gauge-ode"])
+    for name in ("dispersion-quartic", "eigen-decoupling"):
+        assert np.isfinite(rows[name].residual) and rows[name].ok, rows[name]
 
 
 if HAS_HYPOTHESIS:
