@@ -415,8 +415,10 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
     Returns
     -------
     ModelCoefficients
-        Every field finite.  Otherwise DomainError is raised, as for epsilon
-        or delta out of range, and no other exception or warning escapes.
+        Every field finite and normal (neither 0 nor subnormal), or 0 where its
+        `unit_twin` value is 0 (kappa1, kappa4, kappa6, kappa8).
+        Otherwise DomainError is raised, as for epsilon or delta out of range,
+        and no other exception or warning escapes.
 
     Notes
     -----
@@ -440,13 +442,16 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
     # where rho1 / rho is extreme the twin's derivation overflows or divides
     # by an underflowed zero, and the monomials can leave the floats
     try:
-        co = ModelCoefficients(**in_units(asdict(_derive(unit_twin(params), epsilon, delta)),
-                                          params))
+        twin = asdict(_derive(unit_twin(params), epsilon, delta))
+        values = in_units(twin, params)
     except (ArithmeticError, DomainError):  # DomainError: rho1 / rho underflows in the twin
-        co = None
-    if co is None or not all(math.isfinite(getattr(co, f.name)) for f in fields(co)):
-        raise DomainError(f"the model coefficients of {params} are not all finite floats")
-    return co
+        values = None
+    if values is None or not all(
+            math.isfinite(v) and (abs(v) >= np.finfo(float).tiny or twin[name] == 0.0)
+            for name, v in values.items()):
+        raise DomainError(f"the model coefficients of {params} are not all finite floats "
+                          "in the normal range")
+    return ModelCoefficients(**values)
 
 
 @np.errstate(all="ignore")  # a non-finite result is reported by the caller

@@ -641,7 +641,8 @@ def _gauge_residual(r: RealField, coeffs: ModelCoefficients) -> float:
     # project out the conserved mean and gauge the oscillatory part.  With
     # r's samples and half cached this makes three transforms: the
     # antiderivative's irfft, and psi+'s fft and the ifft of its derivative
-    # (psi- and the w+- pair are never read).
+    # (psi- and the w+- pair are never read).  a is 0 only where the twin's
+    # a is exactly 0 (rho1/rho = 1/sqrt 3), and there the phase is undefined.
     if coeffs.a == 0.0:
         return float("nan")
     return gauge_ode_residual(gauge(_mean_free(r), coeffs), coeffs)

@@ -6,6 +6,7 @@ oracles defined at the top of this file and pasted in as literals.
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -429,6 +430,9 @@ def test_infinite_parameters_rejected(name, match):
     {"rho1": 1e-300},
     {"h1": 1e-308},  # k0 = 1 / (4 h1 gamma) leaves the floats
     {"h1": 1e103, "rho": 1e50},  # Omega2 = -3.3e309
+    # Omega1, Omega2 and a underflow to 0, with twin values -0.250, -0.0538, 3.7e-4
+    {"g": 5.3335340131086795e-132, "h1": 9.557322778828774e-154,
+     "rho": 1.2364138527146085e-119, "rho1": 5.929223369727459e-120},
 ])
 def test_coefficients_outside_the_floats_raise_domain_error(values):
     params = PhysicalParams(**{**dataclasses.asdict(ANDAMAN), **values})
@@ -600,8 +604,13 @@ if HAS_HYPOTHESIS:
                 co = derive_coefficients(params, epsilon, delta)
             except DomainError:
                 return
+        twin = coeffs._derive(coeffs.unit_twin(params), epsilon, delta)
         for field in dataclasses.fields(co):
-            assert math.isfinite(getattr(co, field.name)), field.name
+            value = getattr(co, field.name)
+            assert math.isfinite(value), field.name
+            # 0 only where the twin's value is exactly 0, else normal
+            if getattr(twin, field.name) != 0.0:
+                assert abs(value) >= sys.float_info.min, field.name
 
     @given(valid_params)
     @settings(max_examples=60, deadline=None)

@@ -12,6 +12,7 @@ import pytest
 
 from bonls import coeffs, verify
 from bonls.coeffs import PhysicalParams, derive_coefficients, symbol_table
+from bonls.spectral import RealField
 from bonls.verify import (
     CHECKS,
     K,
@@ -85,6 +86,52 @@ def test_small_gamma_row_checks_every_kt(monkeypatch, name):
     monkeypatch.setattr(verify, "derive_coefficients", off)
     rows = {r.name: r for r in run_suite(PARAMS, COEFFS)}
     assert [r.name for r in rows.values() if not r.ok] == ["small-gamma-limit"]
+
+
+@pytest.mark.parametrize("name, nan_of, row", [
+    ("eval_H2", lambda h2: np.nan, "h2-equivalence"),
+    ("gauge_ode_residual", lambda residual: np.nan, "gauge-ode"),
+    ("absd", lambda f: RealField(f.grid, np.full(f.grid.n, np.nan)), "absd-factorization"),
+], ids=["hamiltonian", "gauge", "projection"])
+def test_a_nan_on_one_sample_fails_its_row(monkeypatch, name, nan_of, row):
+    # each row of a field group is the largest residual over FIELDS samples;
+    # a NaN on the third call (the second sample) must not be dropped
+    real, calls = getattr(verify, name), []
+
+    def third_nan(*args):
+        calls.append(name)
+        return nan_of(real(*args)) if len(calls) == 3 else real(*args)
+
+    monkeypatch.setattr(verify, name, third_nan)
+    rows = {r.name: r for r in run_suite(PARAMS, COEFFS)}
+    assert np.isnan(rows[row].residual), rows[row]
+    assert [r.name for r in rows.values() if not r.ok] == [row]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_nan_in_a_later_term_fails_dispersion_constants(monkeypatch):
+    # the Omega2 term of the fit comes after omega1_pp's, Omega0's and Omega1's
+    polyfit = np.polynomial.polynomial.polyfit
+
+    def nan_omega2(*args):
+        fit = polyfit(*args)
+        fit[2] = np.nan
+        return fit
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyfit", nan_omega2)
+    [row] = run_suite(PARAMS, COEFFS, checks=["dispersion-constants"])
+    assert np.isnan(row.residual) and not row.ok
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_nan_in_a_later_term_fails_eigen_decoupling():
+    # the surface branch's term comes after the internal one's
+    def nan_surface(params, k):
+        st = symbol_table(params, k)
+        return dataclasses.replace(st, omega1_sq=np.where(k == k[50], np.nan, st.omega1_sq))
+
+    [row] = run_suite(PARAMS, COEFFS, nan_surface, checks=["eigen-decoupling"])
+    assert np.isnan(row.residual) and not row.ok
 
 
 def test_a_selection_runs_only_its_groups(monkeypatch):
