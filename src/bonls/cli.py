@@ -67,8 +67,10 @@ from .coeffs import (
     symbol_table,
 )
 from .solver import (
+    CONSERVED,
     SYSTEMS,
     BlowUp,
+    DiagnosticsRow,
     StepperConfig,
     SystemState,
     bo_soliton,
@@ -509,6 +511,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                            out / f"snapshot_{next(sent):04d}.tsv", st, t_of(st.t),
                            writer.send)
                        ).diagnostics
+        except ValueError as exc:  # raised before the first snapshot is sent
+            raise ConfigError(f"grid, stepper: {exc}") from None
         except BlowUp as exc:
             failed = BlowUp(t_of(exc.time), exc.sup)  # its message in the config's unit
             log.error("blow-up: %s", failed)
@@ -524,20 +528,18 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             message = f"interrupted; the snapshots taken so far are in {out}"
         else:
             diag_path = out / "diagnostics.tsv"
-            _write_tsv(diag_path, "t\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual",
-                       np.array([(t_of(row.t), row.e1, row.e2, row.e3, row.mean_r,
-                                  row.max_r, row.gauge_residual) for row in rows]),
-                       writer.send)
+            table = np.array([dataclasses.astuple(dataclasses.replace(row, t=t_of(row.t)))
+                              for row in rows])
+            _write_tsv(diag_path, "\t".join(DiagnosticsRow.COLUMNS), table, writer.send)
             snapshots = next(sent)  # the count of snapshots sent
             status, code = "ok", EXIT_OK
             extra = {"snapshots": str(snapshots), "diagnostics_rows": str(len(rows))}
             message = f"wrote {diag_path} and {snapshots} snapshots to {out}"
-            # the full system's kt3/kt4 coupling does not conserve E1
-            kept = ("e1", "e2", "e3") if cfg.system == "reduced" else ("e2", "e3")
-            drifts = [abs(getattr(rows[-1], e) - getattr(rows[0], e))
-                      / max(abs(getattr(rows[0], e)), 1e-300) for e in kept]
+            drifts = {name: abs(table[-1, i] - table[0, i]) / max(abs(table[0, i]), 1e-300)
+                      for i, name in enumerate(DiagnosticsRow.COLUMNS)
+                      if name in CONSERVED[cfg.system]}
             log.info("done: %d diagnostics rows, relative drifts %s", len(rows),
-                     ", ".join(f"{e.upper()} {d:.3e}" for e, d in zip(kept, drifts)))
+                     ", ".join(f"{name} {d:.3e}" for name, d in drifts.items()))
     _write_metadata(out / "metadata.txt", cfg, status, extra)
     print(message)
     return code

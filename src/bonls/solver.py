@@ -18,10 +18,14 @@ term never restricts the step size.
 The steppers carry one complex vector y = [r_hat | q_spec], r's `rfft`
 half-spectrum (n//2 + 1 modes) then q's spectrum, from the entry of `run`
 or `step` to the blow-up guard, so r stays real by construction and each
-stage is one array operation against one set of diagonal tables (Kassam
-& Trefethen 2005).  A nonlinear evaluation makes 2 transform calls
+stage is one array operation against diagonal tables made from one linear
+symbol over y, `_Rhs.lin` (Kassam & Trefethen 2005), the ETD tables by one
+`_etd_tables` call.  A nonlinear evaluation makes 2 transform calls
 (reduced) or 3 (full), which move 4 or 6.5 n-point complex transforms'
-worth of data (see `_Rhs`).
+worth of data (see `_Rhs`).  A symbol or table that is not finite raises
+ValueError when the stepper is built; an overflow in a step or a
+diagnostics row warns of nothing, and shows as the guard's BlowUp or as
+the row's inf or nan.
 
 The guard bounds sup|r| <= (2/n) sum|r_hat| with no transform and takes
 r's samples for the exact check only when that bound reaches the guard
@@ -82,13 +86,14 @@ __all__ = [
     "gaussian_envelope",
 ]
 
-SYSTEMS = ("reduced", "full")
+CONSERVED = {"reduced": ("E1", "E2", "E3"), "full": ("E2", "E3")}  # kt3/kt4 break E1
+SYSTEMS = tuple(CONSERVED)
 
 # Steppers kept for reuse, one per distinct (grid, dt, scheme, coefficients,
 # system).  Every measured use (a step() loop, run() after step(), an
-# ic.*/seed sweep) reuses the latest one only, and each holds up to 13
-# arrays (some stacked or joined) of length n, n//2 + 1 or n//2 + 1 + n,
-# so the memo keeps one.
+# ic.*/seed sweep) reuses the latest one only, and each holds up to 11
+# arrays (some stacked) of length n, n//2 + 1 or n//2 + 1 + n, so the
+# memo keeps one.
 _STEPPER_MEMO_SIZE = 1
 # |h L| below which `_etd_tables` sums Taylor series in place of the closed
 # forms, and the number of terms summed: the terms dropped there come to
@@ -185,6 +190,8 @@ class DiagnosticsRow:
     mean_r: float
     max_r: float
     gauge_residual: float
+    # the header of each field's column in a diagnostics table, in field order
+    COLUMNS = ("t", "E1", "E2", "E3", "mean_r", "max_r", "gauge_residual")
 
 
 @dataclass(frozen=True)
@@ -199,12 +206,13 @@ class _Rhs:
     """Right-hand side in spectrum space, split into linear and nonlinear parts.
 
     It acts on y = [r_hat | q_spec], r's `rfft` half-spectrum (n//2 + 1
-    modes) and q's spectrum.  The linear symbols reuse the propagator
-    phases from `spectral`, so a stepper built on them matches the exact
-    flows bit for bit on the linear terms.  Both product factors are cut
-    to the two-thirds band; the cut is folded into the operators that
-    make the factors (`in_r` and `in_q`), so one inverse transform yields
-    them all.
+    modes) and q's spectrum.  Its linear symbol `lin` over y is i times
+    the propagator phases from `spectral` (V on r, U on q), so a stepper
+    built on it matches the exact flows bit for bit on the linear terms;
+    a symbol or weight that is not finite raises ValueError.  Both
+    product factors are cut to the two-thirds band; the cut is folded into
+    the operators that make the factors (`in_r` and `in_q`), so one
+    inverse transform yields them all.
 
     Two real fields share each complex transform as its real and
     imaginary parts.  One `ifft` of stacked rows gives r + i d|D|r (r's
@@ -239,6 +247,7 @@ class _Rhs:
     system equals the reduced one bit for bit.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite array is reported
     def __init__(self, grid: Grid, coeffs: ModelCoefficients, system: str):
         if system not in SYSTEMS:
             raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
@@ -252,8 +261,7 @@ class _Rhs:
         ik = grid.ik
         absk = grid.abs_k
         mask = dealias_mask(grid).astype(float)
-        self.lin_r = 1j * _phase("V", co, grid)[:h]
-        self.lin_q = 1j * _phase("U", co, grid)
+        self.lin = 1j * np.concatenate((_phase("V", co, grid)[:h], _phase("U", co, grid)))
         w0 = ((0.5 * mask) * ik * (co.c - co.d * absk))[:h]  # on r^2
         w1 = (mask * ik)[:h]  # on the flux
         w_r = [0.5 * (w0 - 1j * w1), 0.5 * (w0 + 1j * w1)]
@@ -269,6 +277,10 @@ class _Rhs:
         # the inverse transform's 1/n, a power of two, so scaling is exact
         self.in_r, self.in_q = (np.stack(ops) * (1.0 / n) for ops in (in_r, in_q))
         self.w_r = np.stack(w_r)
+        if not all(np.all(np.isfinite(a))
+                   for a in (self.lin, self.in_r, self.in_q, self.w_r, self.w_q)):
+            raise ValueError(f"the spectral symbols of n = {n} modes on a window of "
+                             f"length {grid.length:g} are not finite; lengthen the window")
         self._local = threading.local()
 
     def _work(self, batch: tuple) -> dict:
@@ -351,11 +363,12 @@ def rhs(s: SystemState, coeffs: ModelCoefficients,
     kt3 and kt4 coupling terms, one factor of epsilon each in the normalized
     envelope variables, and is the reduced one when kt3 = kt4 = 0.  In
     tau1 = epsilon tau the derivative is this one over epsilon.  An unknown
-    system or a non-finite r or q raises ValueError.
+    system, a non-finite r or q, or symbols that are not finite on the
+    grid raise ValueError.
     """
     f = _Rhs(s.grid, coeffs, system)
     h, y = s.grid.n // 2 + 1, _spectra(s)
-    dy = np.concatenate((f.lin_r, f.lin_q)) * y + f.nonlinear(y)
+    dy = f.lin * y + f.nonlinear(y)
     return (RealField(s.grid, np.fft.irfft(dy[:h], s.grid.n)),
             ComplexField.from_spectrum(s.grid, dy[h:]))
 
@@ -375,7 +388,7 @@ class _StrangStepper:
     def __init__(self, dt: float, rhs: _Rhs):
         self.rhs = rhs
         self.dt = dt
-        self.half = np.exp(0.5 * dt * np.concatenate((rhs.lin_r, rhs.lin_q)))
+        self.half = np.exp(0.5 * dt * rhs.lin)
 
     def advance(self, y: np.ndarray) -> np.ndarray:
         y = self.half * y
@@ -403,10 +416,8 @@ def _etd_tables(h: float, lin: np.ndarray):
     catastrophically as z -> 0, so below |z| = `_SERIES_RADIUS` the last
     four are summed from their Taylor series instead.  On the imaginary
     axis, |z| from 1e-8 to 1e3, both ways agree with 40-digit references
-    to 4e-15 relative.  Every operation is elementwise, so
-    `_EtdStepper` builds the tables of q's even symbol on the half grid
-    and its mirrored tables equal those over all n modes bit for bit
-    (`test_etdrk4_q_tables_built_on_the_half_grid_match_the_full_grid`).
+    to 4e-15 relative.  Every operation is elementwise, as `_EtdStepper`
+    needs; where z^3 overflows, the tables are not finite.
     """
     z = h * lin
     e_full = np.exp(z)
@@ -434,20 +445,23 @@ def _etd_tables(h: float, lin: np.ndarray):
 class _EtdStepper:
     """Fourth-order exponential time differencing with RK staging.
 
-    The coefficient tables (`_etd_tables`) are the exact phi-function
-    combinations, built once per stepper and joined over [r_hat | q_spec];
-    e, e2 and q are Kassam & Trefethen's E, E2 and Q.
+    The coefficient tables are the exact phi-function combinations over
+    [r_hat | q_spec], built by one `_etd_tables` call over both half grids
+    of `lin` (q's part is even in k, bit for bit) and one gather; e, e2
+    and q are Kassam & Trefethen's E, E2 and Q.  Tables that are not
+    finite raise ValueError.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite table is reported
     def __init__(self, dt: float, rhs: _Rhs):
         self.rhs = rhs
-        # the q symbol is even in k (bit for bit), so its tables are built
-        # on the half grid and mode j takes the row of mode n - j
         h = rhs.n // 2 + 1
-        mirror = np.concatenate((np.arange(h), np.arange(h - 2, 0, -1)))
-        (self.e, self.e2, self.q, self.f1, f2, self.f3) = (
-            np.concatenate((tr, tq[mirror])) for tr, tq in
-            zip(_etd_tables(dt, rhs.lin_r), _etd_tables(dt, rhs.lin_q[:h])))
+        tables = _etd_tables(dt, rhs.lin[:2 * h])
+        if not all(np.all(np.isfinite(t)) for t in tables):
+            raise ValueError(f"the ETD tables of dt = {dt:g} are not finite on this window "
+                             f"(|dt L| reaches {dt * np.max(np.abs(rhs.lin)):.3g})")
+        mirror = np.r_[:2 * h, 2 * h - 2:h:-1]
+        (self.e, self.e2, self.q, self.f1, f2, self.f3) = (t[mirror] for t in tables)
         self.two_f2 = 2.0 * f2  # the weight of na + nb, doubled once here
 
     def advance(self, y: np.ndarray) -> np.ndarray:
@@ -534,6 +548,8 @@ def _steps(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients, system
     else None.  A step raises BlowUp at its time when the sup norm of r
     stops being finite or exceeds the guard, carrying the last finite
     state: s itself on the first step, else the state of the step before.
+    Its callers (`step`, `run`) drive it with over and invalid ignored, so
+    a step that overflows shows as that BlowUp alone, with no warning.
     """
     y = _spectra(s)
     stepper = _build_stepper(s.grid, cfg.dt, cfg.scheme, coeffs, system)
@@ -563,11 +579,15 @@ def step_count(span: float, dt: float) -> int:
     """Number of steps of size dt that cover span exactly.
 
     Raises ValueError when span is not a positive integer multiple of dt,
-    a count too large for a float (1e300 / 1e-300) included.
+    a count too large for a float (1e300 / 1e-300) included, or when the
+    count passes 2**53, where the step index times dt stops being exact.
     """
     ratio = span / dt
     if not math.isfinite(ratio):
         raise ValueError(f"(t_end - t0) / dt = {ratio:g} is not a finite step count")
+    if ratio > 2 ** 53:
+        raise ValueError(f"(t_end - t0) / dt = {ratio:g} steps is more than 2**53, "
+                         "past which the step index times dt is not exact")
     n_steps = int(round(ratio))
     if n_steps < 1:
         raise ValueError(f"t_end - t0 = {span:g} holds no step of dt = {dt:g}")
@@ -602,7 +622,8 @@ def step(s: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     when the sup norm of r leaves the guard interval or stops being
     finite.
     """
-    t, y, r = next(_steps(s, cfg, coeffs, system))
+    with np.errstate(over="ignore", invalid="ignore"):  # see `_steps`
+        t, y, r = next(_steps(s, cfg, coeffs, system))
     return _state_of(s.grid, y, t, r)
 
 
@@ -664,12 +685,15 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     holds only the rows; without it the Trajectory keeps every snapshot.
     The first snapshot holds read-only copies of the caller's r and q
     samples, so the caller's arrays stay as they are.  BlowUp
-    propagates with the failing time and the last finite state attached;
-    a non-finite initial state raises ValueError.
+    propagates with the failing time and the last finite state attached,
+    and a row that overflows holds inf or nan, neither with a
+    RuntimeWarning; a non-finite initial state, or a stepper whose
+    symbols or tables are not finite, raises ValueError before the first
+    snapshot is handed out.
     """
     check_cadences(diagnostics_every, snapshot_every)
     n_steps = step_count(t_end - initial.t, cfg.dt)
-    grid = initial.grid
+    grid, caller = initial.grid, np.geterr()
     snapshots = []
     if on_snapshot is None:
         on_snapshot = snapshots.append
@@ -688,19 +712,23 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
                    *(_read_only(f.values.copy()) for f in (initial.r, initial.q)))
     steps = _steps(st, cfg, coeffs, system)
     on_snapshot(st)
-    rows = [diag_row(st)]
-    for i, (t, y, r) in zip(range(1, n_steps + 1), steps):
-        at_end = i == n_steps
-        want_diag = at_end or i % diagnostics_every == 0
-        want_snap = at_end or (snapshot_every > 0 and i % snapshot_every == 0)
-        if want_diag or want_snap:
-            st = _state_of(grid, y, t, r)
-            # a sink that hands the snapshot to another process (simulate's
-            # writer) lets it format the snapshot while the row is computed
-            if want_snap:
-                on_snapshot(st)
-            if want_diag:
-                rows.append(diag_row(st))
+    # the steps and rows run with over and invalid ignored (see `_steps`), so
+    # an overflowing row holds inf or nan; the sink runs in the caller's state
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [diag_row(st)]
+        for i, (t, y, r) in zip(range(1, n_steps + 1), steps):
+            at_end = i == n_steps
+            want_diag = at_end or i % diagnostics_every == 0
+            want_snap = at_end or (snapshot_every > 0 and i % snapshot_every == 0)
+            if want_diag or want_snap:
+                st = _state_of(grid, y, t, r)
+                # a sink that hands the snapshot to another process (simulate's
+                # writer) lets it format the snapshot while the row is computed
+                if want_snap:
+                    with np.errstate(**caller):
+                        on_snapshot(st)
+                if want_diag:
+                    rows.append(diag_row(st))
     return Trajectory(tuple(snapshots), tuple(rows))
 
 

@@ -390,7 +390,14 @@ def test_closing_log_reports_the_drifts_the_system_conserves(tmp_path, caplog, s
         assert main(["--config", path, "--out", str(tmp_path / system), "simulate"]) == 0
     done = caplog.records[-1].getMessage()
     assert done.startswith("done: 6 diagnostics rows, relative drifts E")
-    assert [part.split()[0] for part in done.split("drifts ")[1].split(", ")] == list(kept)
+    parts = [part.split() for part in done.split("drifts ")[1].split(", ")]
+    assert [name for name, _ in parts] == list(kept)
+    # each drift is that of its column in diagnostics.tsv
+    header, *rows = (tmp_path / system / "diagnostics.tsv").read_text().splitlines()
+    first, last = (dict(zip(header.split("\t"), map(float, row.split("\t"))))
+                   for row in (rows[0], rows[-1]))
+    assert [drift for _, drift in parts] == [
+        f"{abs(last[name] - first[name]) / abs(first[name]):.3e}" for name in kept]
 
 
 def test_andaman_preset_writes_the_default_metadata(tmp_path):
@@ -957,7 +964,47 @@ sweep.key = {key}
 sweep.values = {values}
 """)
     assert main(["--config", path, "--out", str(tmp_path / "sweep"), "sweep"]) == 0
-    assert calls["n"] == 2 * steppers  # one table set for r, one for q
+    assert calls["n"] == steppers  # one table set over [r_hat | q_spec]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("extra, message", [
+    # z^3 of the ETD tables overflows: no step can be taken
+    ("stepper.scheme = etdrk4\ngrid.length = 1e-60\n",
+     "grid, stepper: the ETD tables of dt = 0.001 are not finite"),
+    # k * k of the symbols overflows under either scheme
+    ("grid.length = 1e-300\n", "grid, stepper: the spectral symbols of n = 64 modes"),
+    ("stepper.scheme = etdrk4\ngrid.length = 1e-300\n",
+     "grid, stepper: the spectral symbols of n = 64 modes"),
+    # about 1e299 steps, past the 2**53 at which i dt stops being exact
+    ("stepper.dt = 1e-300\nrun.t_end = 0.1\n", "run.t_end: (t_end - t0) / dt = 1e+299"),
+])
+def test_stepper_or_step_count_past_the_floats_exits_2(tmp_path, caplog, capsys, extra,
+                                                      message):
+    out_dir = tmp_path / "never"
+    path = write_config(tmp_path, QUICK_RUN + "grid.n = 64\n" + extra)
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == cli.EXIT_CONFIG
+    assert caplog.records[-1].getMessage().startswith(message)
+    # the output directory may exist, but no artifact is written into it
+    assert capsys.readouterr().out == ""
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("extra", [
+    # the symbols are finite, but the step's products overflow
+    "stepper.scheme = strang-split\ngrid.length = 1e-60\n",
+    # the first diagnostics row overflows (r^3), and so does the first step
+    "ic.r.amplitude = 1e200\n",
+])
+def test_overflowing_step_is_a_blow_up(tmp_path, capsys, extra):
+    out_dir = tmp_path / "boom"
+    path = write_config(tmp_path, QUICK_RUN + "grid.n = 64\n" + extra)
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == cli.EXIT_BLOWUP
+    assert "status = blow-up" in (out_dir / "metadata.txt").read_text()
+    assert (out_dir / "snapshot_last_good.tsv").read_bytes() == (
+        out_dir / "snapshot_0000.tsv").read_bytes()
+    assert "blow-up at t = 0.001" in capsys.readouterr().out
 
 
 def test_sweep_blow_up_exits_3_and_keeps_other_members(tmp_path, capsys):

@@ -703,6 +703,73 @@ def test_run_validates_cadence_arguments():
         run(s, StepperConfig(dt=0.1), BENCH, t_end=1.0, snapshot_every=-1)
 
 
+def test_step_count_refuses_more_than_2_to_the_53_steps():
+    # past 2**53 steps the step index times dt is not exact
+    assert solver.step_count(2.0 ** 53, 1.0) == 2 ** 53
+    with pytest.raises(ValueError, match=r"is more than 2\*\*53"):
+        solver.step_count(2.0 ** 54, 1.0)
+    with pytest.raises(ValueError, match=r"= 1e\+299 steps is more than 2\*\*53"):
+        run(zero_state(Grid(64, 20.0)), StepperConfig(dt=1e-300), BENCH, t_end=0.1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("length, scheme, message", [
+    (1e-300, "strang-split", "the spectral symbols of n = 64 modes"),
+    (1e-300, "etdrk4", "the spectral symbols of n = 64 modes"),
+    (1e-60, "etdrk4", "the ETD tables of dt = 0.001 are not finite"),
+])
+def test_stepper_with_non_finite_symbols_or_tables_is_refused(length, scheme, message):
+    s = zero_state(Grid(64, length))
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    seen = []
+    with pytest.raises(ValueError, match=message):
+        run(s, cfg, BENCH, t_end=0.01, on_snapshot=seen.append)
+    assert seen == []  # refused before the first snapshot
+    with pytest.raises(ValueError, match=message):
+        step(s, cfg, BENCH)
+    if length == 1e-300:  # rhs builds the symbols, and no tables
+        with pytest.raises(ValueError, match=message):
+            rhs(s, BENCH)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("length, r_sup", [(1e-60, 0.1), (40.0, 1e200)])
+def test_overflow_in_a_step_or_row_reaches_only_the_guard(length, r_sup):
+    # the step's products (a short window) or the row's r^3 (a large r)
+    # overflow; neither warns, and the error state the caller and its
+    # snapshot sink see is their own
+    s = bump_state(Grid(64, length), r_sup=r_sup, r_width=length / 20,
+                   q_width=0.075 * length)
+    before = np.geterr()
+    seen = []
+
+    def sink(st):
+        seen.append(np.geterr())
+
+    with pytest.raises(BlowUp) as info:
+        run(s, StepperConfig(dt=1e-3), BENCH, t_end=0.01, on_snapshot=sink)
+    assert info.value.time == 1e-3 and not np.isfinite(info.value.sup)
+    assert seen == [before] and np.geterr() == before
+    with pytest.raises(BlowUp):
+        step(s, StepperConfig(dt=1e-3), BENCH)
+    assert np.geterr() == before
+    # a sink called between steps sees the caller's own state too
+    seen.clear()
+    with np.errstate(divide="ignore"):
+        mine = np.geterr()
+        run(bump_state(Grid(64, 40.0)), StepperConfig(dt=1e-3), BENCH, t_end=3e-3,
+            snapshot_every=1, on_snapshot=sink)
+    assert seen == 4 * [mine]
+
+
+def test_diagnostics_columns_name_the_row_fields_in_order():
+    names = [f.name for f in dataclasses.fields(solver.DiagnosticsRow)]
+    assert [c.lower() for c in solver.DiagnosticsRow.COLUMNS] == names
+    # each system's invariants are columns; the full system does not conserve E1
+    assert solver.CONSERVED == {"reduced": ("E1", "E2", "E3"), "full": ("E2", "E3")}
+    assert solver.SYSTEMS == ("reduced", "full")
+
+
 @pytest.mark.parametrize("kwargs", [{}, {"snapshot_every": 0}], ids=["default", "zero"])
 def test_run_snapshot_every_zero_takes_the_ends_only(kwargs):
     # 0 means the ends only, as run.snapshot_every = 0 does in the CLI
@@ -1035,10 +1102,10 @@ def test_equal_arguments_share_one_stepper(builds):
     step(s, StepperConfig(dt=1e-3, scheme="etdrk4"), fresh)
     run(s, StepperConfig(dt=1e-3, scheme="etdrk4"), fresh, t_end=2e-3,
         gauge_diagnostics=False)
-    assert builds == {"rhs": 1, "tables": 2}  # one table set for r, one for q
+    assert builds == {"rhs": 1, "tables": 1}  # one table set over [r_hat | q_spec]
     # the blow-up guard is checked outside the stepper: no rebuild
     step(s, StepperConfig(dt=1e-3, scheme="etdrk4", cfl_guard=5.0), BENCH)
-    assert builds == {"rhs": 1, "tables": 2}
+    assert builds == {"rhs": 1, "tables": 1}
     variants = [
         (StepperConfig(dt=2e-3, scheme="etdrk4"), BENCH, "reduced"),
         (StepperConfig(dt=1e-3), BENCH, "reduced"),  # strang: no tables
@@ -1051,7 +1118,7 @@ def test_equal_arguments_share_one_stepper(builds):
         for _ in range(2):
             step(s, c, co, system=system)
         assert builds["rhs"] == built
-    assert builds["tables"] == 2 * 5
+    assert builds["tables"] == 5
     step(s, cfg, BENCH)  # only the latest configuration is kept
     assert builds["rhs"] == 2 + len(variants)
 
@@ -1125,11 +1192,11 @@ def test_memoised_stepper_arrays_are_read_only(scheme):
     stepper = solver._build_stepper(grid, cfg.dt, cfg.scheme, BENCH, "full")
     arrays = [v for part in (stepper, stepper.rhs) for v in vars(part).values()
               if isinstance(v, np.ndarray)]
-    # the 6 joined ETD tables or the joined half-step phases, and the full
-    # system's 6 right-hand side arrays (linear symbols, the stacked
-    # operators making the product factors, scaled by 1/n, and the product
-    # weights on r's and on q's modes)
-    assert len(arrays) == (6 if scheme == "etdrk4" else 1) + 6
+    # the 6 ETD tables or the half-step phases, and the full system's 5
+    # right-hand side arrays (the linear symbol, the stacked operators
+    # making the product factors, scaled by 1/n, and the product weights on
+    # r's and on q's modes)
+    assert len(arrays) == (6 if scheme == "etdrk4" else 1) + 5
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[1] = 0.0
@@ -1180,7 +1247,7 @@ def test_etd_tables_match_40_digit_references():
 
 
 @pytest.mark.parametrize("time_scale", ["tau", "tau1"])
-@pytest.mark.parametrize("symbol", ["lin_r", "lin_q"])
+@pytest.mark.parametrize("symbol", ["lin_r", "lin_q"])  # r's part of lin, or q's
 @pytest.mark.parametrize("n", [8, 512, 4096, 8192])
 def test_etd_tables_match_contour_means(n, symbol, time_scale):
     # the contour means lose digits where the unit circle passes near 0,
@@ -1188,7 +1255,8 @@ def test_etd_tables_match_contour_means(n, symbol, time_scale):
     # (f1 at n = 512, against 40-digit references).  A step h in
     # tau1 = epsilon tau is h / epsilon in tau
     h = 1e-2 / BENCH.epsilon if time_scale == "tau1" else 1e-2
-    lin = getattr(solver._Rhs(Grid(n, 40.0), BENCH, "full"), symbol)
+    lin = solver._Rhs(Grid(n, 40.0), BENCH, "full").lin
+    lin = lin[:n // 2 + 1] if symbol == "lin_r" else lin[n // 2 + 1:]
     for got, want in zip(solver._etd_tables(h, lin),
                          _one_shot_etd_tables(h, lin), strict=True):
         assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
@@ -1198,16 +1266,18 @@ def test_etd_tables_match_contour_means(n, symbol, time_scale):
 @pytest.mark.parametrize("n", [8, 512, 4096])
 def test_etdrk4_q_tables_built_on_the_half_grid_match_the_full_grid(n, time_scale):
     # the q symbol is even, so the tables built on n//2 + 1 modes and
-    # mirrored equal the tables over all n modes bit for bit; each joined
-    # table holds them after r's n//2 + 1 modes, f2's doubled (exactly)
+    # mirrored equal the tables over all n modes bit for bit; each table
+    # of the one build holds them after r's own n//2 + 1 modes, f2's
+    # doubled (exactly)
     h = 1e-2 / BENCH.epsilon if time_scale == "tau1" else 1e-2  # tau1 = epsilon tau
     rhs = solver._Rhs(Grid(n, 40.0), BENCH, "full")
     stepper = solver._EtdStepper(h, rhs)
     got = (stepper.e, stepper.e2, stepper.q, stepper.f1, stepper.two_f2, stepper.f3)
-    e, e2, q, f1, f2, f3 = solver._etd_tables(h, rhs.lin_q)
-    want = (e, e2, q, f1, 2.0 * f2, f3)
-    for g, w in zip(got, want, strict=True):
-        assert np.array_equal(g[n // 2 + 1:], w)
+    for part in (slice(None, n // 2 + 1), slice(n // 2 + 1, None)):
+        e, e2, q, f1, f2, f3 = solver._etd_tables(h, rhs.lin[part])
+        want = (e, e2, q, f1, 2.0 * f2, f3)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g[part], w)
 
 
 # ---------------------------------------------------------------- work arrays
