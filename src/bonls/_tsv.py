@@ -1,15 +1,19 @@
 """Tables of floats as tab-separated %.17g text, written here or by a child process.
 
-`write_table` formats a table in blocks of rows.  `Writer` hands tables to
-a child process that runs this file as a script,
+`write_table` formats a table in blocks of rows.  A `Writer` formats the
+tables it is sent in the calling process until their values total
+`_HERE_BYTES`; each is written under a temporary name and renamed into
+place, so an exception, Ctrl-C included, leaves no partial table.  The
+first table past that budget starts a child process that runs this file
+as a script,
 
     python -I -S _tsv.py STATUS_FD
 
-and writes them in the order they arrive, so the text formatting of one
-table overlaps whatever the caller computes next.  The child is started
-with `os.posix_spawn` and reaped with `os.waitpid`: the `subprocess`
-import alone would cost the caller several ms.  The child reads frames
-from its stdin:
+and every table from then on goes to it, in order, so the text
+formatting of a large table overlaps whatever the caller computes next.
+The child is started with `os.posix_spawn` and reaped with `os.waitpid`:
+the `subprocess` import alone would cost the caller several ms.  The
+child reads frames from its stdin:
 
     header  struct "<IIIQ": path bytes, header bytes, columns, value bytes
     path    file system encoding
@@ -40,6 +44,16 @@ _FRAME = struct.Struct("<IIIQ")
 # for an unprivileged pipe (fs.pipe-max-size), four n = 8192 snapshots.
 _PIPE_BYTES = 1 << 20
 
+# Value bytes a Writer formats in the calling process before it starts its
+# child.  Formatting costs about 64 ns per value byte (n = 512 to 2048
+# snapshots), and the spawn adds 9-12 ms to a run, whether the run steps on
+# while the child starts or closes at once (medians of 30 paired runs on a
+# 2-vCPU host).  The budget is the bytes one spawn's cost formats, rounded
+# down to a power of two (8.4 ms): like renting until the rent reaches the
+# price, no run pays more than twice the cheaper of the two ways.  One
+# n = 8192 snapshot (256 KiB) is past it, so such a run spawns at its first.
+_HERE_BYTES = 128 * 1024
+
 
 def write_table(path, header: str, columns: int, data) -> None:
     """Rows of floats under a header, tab-separated, each float as %.17g.
@@ -60,18 +74,41 @@ def write_table(path, header: str, columns: int, data) -> None:
             fh.write((row * (len(block) // columns)) % tuple(block))
 
 
-class Writer:
-    """Tables sent to a child process, which writes them in order.
+def _write_here(path, header: str, columns: int, data) -> None:
+    """`write_table` under path + ".part", renamed to path once whole.
 
-    The process starts at the first `send`.  A send blocks while the pipe
-    to the child is full, so the tables in flight are bounded by the pipe's
+    On any exception, KeyboardInterrupt included, the temporary file is
+    removed, so neither it nor a partial table is left.
+    """
+    part = os.fspath(path) + ".part"
+    try:
+        write_table(part, header, columns, data)
+        os.replace(part, path)
+    except BaseException:
+        try:
+            os.unlink(part)
+        except OSError:
+            pass
+        raise
+
+
+class Writer:
+    """Tables written in order: here while they are small, then by a child.
+
+    While the values of the tables sent total at most `_HERE_BYTES`, each
+    is written in the calling process, whole or not at all (`_write_here`).
+    The first table past that budget starts the child process, and every
+    table from then on is sent to it.  A send to the child blocks while the
+    pipe to it is full, so the tables in flight are bounded by the pipe's
     size.  `close` waits for every table sent to be written and raises
-    OSError, naming the path, if one was not; a send to a child that has
-    died raises the same.  As a context manager the writer is closed on
-    exit, and its failure is raised only when no other exception is.
+    OSError, naming the path, if one was not; a send that cannot write its
+    table here, or that reaches a child that has died, raises the same.  As
+    a context manager the writer is closed on exit, and its failure is
+    raised only when no other exception is.
     """
 
     def __init__(self):
+        self._room = _HERE_BYTES  # value bytes still to be written here; -1 once spawned
         self._pid = None
         self._stdin = None  # the pipe to the child's stdin
         self._status = -1
@@ -84,7 +121,15 @@ class Writer:
         self.close(check=exc_type is None)
 
     def send(self, path, header: str, columns: int, data) -> None:
-        """Queue one table (see `write_table`) to be written at path."""
+        """Write one table (see `write_table`) at path, here or by the child."""
+        if len(data) <= self._room:
+            self._room -= len(data)
+            try:
+                _write_here(path, header, columns, data)
+            except OSError as exc:
+                raise OSError(f"{path}: not written, {exc}") from None
+            return
+        self._room = -1  # every later table goes to the child, in order
         if self._pid is None:
             self._start()
         raw_path, raw_header = os.fsencode(path), header.encode()

@@ -157,7 +157,7 @@ def _write_tsv(path: Path, header: str, table: np.ndarray,
 
     The bytes are those of np.savetxt with fmt="%.17g" (see
     `_tsv.write_table`); write=writer.send hands the table to a
-    `_tsv.Writer` process instead of writing it here.
+    `_tsv.Writer`, which writes it here or in its child process.
     """
     table = np.asarray(table, dtype=np.float64)
     write(path, header, table.shape[1], table.tobytes())
@@ -368,10 +368,13 @@ def _initial_state(cfg: RunConfig) -> SystemState:
     else:
         q = _build("ic.q.", gaussian_envelope, grid, cfg.ic_q_amplitude, cfg.ic_q_width,
                    cfg.ic_q_center, cfg.ic_q_carrier)
-    # an overflow (a soliton's 4 nu at nu = 1e308) is bad input, not a blow-up
-    if not (np.all(np.isfinite(r_vals)) and np.all(np.isfinite(q.values))):
+    # an overflow (a soliton's 4 nu at nu = 1e308, or the spectrum of samples
+    # near the largest float) is bad input, not a blow-up; the run reuses
+    # both spectra
+    r = RealField(grid, r_vals)
+    if not (np.all(np.isfinite(r.half)) and np.all(np.isfinite(q.spectrum))):
         raise ConfigError("ic.*: the initial state is not finite")
-    return SystemState(RealField(grid, r_vals), q)
+    return SystemState(r, q)
 
 
 # --------------------------------------------------------------------------
@@ -462,8 +465,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # simulate / sweep
 # --------------------------------------------------------------------------
 
-def _write_snapshot(path: Path, state: SystemState, t: float,
-                    write=_tsv.write_table) -> None:
+def _write_snapshot(path: Path, state: SystemState, t: float, write) -> None:
     q = state.q.values
     _write_tsv(path, f"# t = {_fmt(t)}\nx\tr\tre_q\tim_q",
                np.column_stack((state.grid.x, state.r.values, q.real, q.imag)), write)
@@ -497,10 +499,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
              cfg.system, cfg.stepper.scheme, cfg.grid.n,
              _fmt(cfg.dt), _fmt(cfg.t_end))
     sent = itertools.count()
-    # each table goes to a writer process, in order, and run keeps no snapshot;
-    # the writer is reaped, and its failure raised, before metadata.txt.  It
-    # runs in a session of its own, so Ctrl-C reaches only this process, and
-    # an interrupted run still has every snapshot it sent written
+    # each table goes to the writer, in order, and run keeps no snapshot.  The
+    # writer writes small tables here, each whole or not at all, and the rest
+    # in a child process; the child is reaped, and its failure raised, before
+    # metadata.txt.  It runs in a session of its own, so Ctrl-C reaches only
+    # this process, and an interrupted run still has every snapshot it sent
+    # written
     with _tsv.Writer() as writer:
         try:
             rows = run(cfg.initial, cfg.stepper, cfg.coeffs, t_end,
@@ -514,7 +518,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         except ValueError as exc:  # raised before the first snapshot is sent
             raise ConfigError(f"grid, stepper: {exc}") from None
         except BlowUp as exc:
-            failed = BlowUp(t_of(exc.time), exc.sup)  # its message in the config's unit
+            # its message in the config's unit
+            failed = BlowUp(t_of(exc.time), exc.sup, exc.state)
             log.error("blow-up: %s", failed)
             last_good = out / "snapshot_last_good.tsv"
             _write_snapshot(last_good, exc.state, t_of(exc.state.t), writer.send)

@@ -116,12 +116,17 @@ class BlowUp(RuntimeError):
     Carries the failing time, the offending sup norm, and the last state
     that was still finite, the one the failing step started from: the
     state given to `step`, the first snapshot of `run` when its first step
-    fails, else the state of the step before.
+    fails, else the state of the step before.  With a state, its advice
+    names the grid spacing too: a window too short for the step's products
+    trips the guard as a step too long does.
     """
 
     def __init__(self, time: float, sup: float, state: "SystemState | None" = None):
-        super().__init__(
-            f"|r| reached {sup:.6g} at t = {time:.6g}; reduce dt or the data amplitude")
+        advice = "reduce dt or the data amplitude"
+        if state is not None:
+            advice += (", or widen the grid spacing grid.length / grid.n = "
+                       f"{state.grid.dx:.6g}")
+        super().__init__(f"|r| reached {sup:.6g} at t = {time:.6g}; {advice}")
         self.time = time
         self.sup = sup
         self.state = state
@@ -383,21 +388,45 @@ class _StrangStepper:
     dominates (every preset and the bench stratification) its splitting
     error sets the accuracy, and classical RK4's fourth evaluation left
     the error at t_end within 0.2% of this one's.
+
+    `advance` leaves its input as it is.  Its stage arithmetic runs in
+    place, on the fresh arrays `nonlinear` returns and one stage buffer.
+    Only sums and products by a real scalar have their operands swapped,
+    which changes no bit; the product by the complex `half` keeps its
+    order, since numpy's complex product is not symmetric to the bit.  So
+    it gives the out-of-place formula
+
+        y = half y;  a = N(y);  b = N(y + h a);  c = N(y + (h/4)(a + b))
+        half (y + (h/6)((a + b) + 4 c))
+
+    bit for bit, with 5 arrays allocated a step in place of 14.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite flow is reported
     def __init__(self, dt: float, rhs: _Rhs):
         self.rhs = rhs
         self.dt = dt
         self.half = np.exp(0.5 * dt * rhs.lin)
+        if not np.all(np.isfinite(self.half)):
+            raise ValueError(f"the half-step flow of dt = {dt:g} is not finite on this "
+                             f"window (|dt L| reaches {dt * np.max(np.abs(rhs.lin)):.3g})")
 
     def advance(self, y: np.ndarray) -> np.ndarray:
         y = self.half * y
         h = self.dt
         a = self.rhs.nonlinear(y)
-        b = self.rhs.nonlinear(y + h * a)
-        ab = a + b
-        c = self.rhs.nonlinear(y + (0.25 * h) * ab)
-        return self.half * (y + (h / 6.0) * (ab + 4.0 * c))
+        stage = a * h
+        stage += y
+        ab = self.rhs.nonlinear(stage)
+        ab += a
+        np.multiply(ab, 0.25 * h, out=stage)
+        stage += y
+        out = self.rhs.nonlinear(stage)
+        out *= 4.0
+        out += ab
+        out *= h / 6.0
+        out += y
+        return np.multiply(self.half, out, out=out)
 
 
 def _horner(coefficients, z: np.ndarray) -> np.ndarray:
@@ -509,14 +538,17 @@ def _spectra(s: SystemState) -> np.ndarray:
 
     A state keeps one only when `_state_of` built it, from a vector that
     passed the guard or, for `run`'s first snapshot, from one joined here.
-    Any other state is the caller's, and a non-finite r or q in it raises
-    ValueError: bad data, not a blow-up, with no last good state.
+    Any other state is the caller's, and a non-finite r or q in it, or
+    samples so large that their spectrum overflows, raise ValueError: bad
+    data, not a blow-up, with no last good state.
     """
     if s._y is not None:
         return s._y
-    if not (np.all(np.isfinite(s.r.values)) and np.all(np.isfinite(s.q.values))):
-        raise ValueError("r and q must be finite")
-    return np.concatenate((s.r.half, s.q.spectrum))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.concatenate((s.r.half, s.q.spectrum))
+    if not np.all(np.isfinite(y)):
+        raise ValueError("r and q must be finite, and so must their spectra")
+    return y
 
 
 def _state_of(grid: Grid, y: np.ndarray, t: float, r: np.ndarray | None = None,

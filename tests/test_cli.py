@@ -1,9 +1,10 @@
 """Command-line layer: config parsing, exit codes, artifacts on disk.
 
 Everything goes through main(argv) in process; the only subprocesses are
-the table writer that simulate starts and the fresh interpreters that
-record simulate's imports, the CLI's BLAS threads, its frozen import
-graph and its page faults, and every test must have reaped them.
+the table writer that simulate starts past its in-process budget and the
+fresh interpreters that record simulate's imports, the CLI's BLAS
+threads, its frozen import graph and its page faults, and every test must
+have reaped them.
 """
 
 import dataclasses
@@ -515,22 +516,24 @@ def test_tsv_writer_matches_fmt_on_special_values(tmp_path):
 
 
 @pytest.mark.parametrize("rows", [1, 511, 512, 513, 8193])
-def test_tsv_writer_matches_savetxt_bytes(tmp_path, rows):
-    # blocks of rows, the last one short, give savetxt's bytes, written here
-    # or by the writer process
+def test_tsv_writer_matches_savetxt_bytes(tmp_path, monkeypatch, rows):
+    # blocks of rows, the last one short, give savetxt's bytes, written by
+    # write_table, by a Writer within its budget, or by the writer process
     table = np.random.default_rng(rows).standard_normal((rows, 7)) * 1e3
     specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
     table[0, :5] = specials
     table[-1, 2:] = specials[::-1]
     header = "# t = 0.5\nt\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual"
     _write_tsv(tmp_path / "blocked.tsv", header, table)
-    with _tsv.Writer() as writer:
-        _write_tsv(tmp_path / "streamed.tsv", header, table, writer.send)
+    for name, budget in (("here.tsv", table.nbytes), ("streamed.tsv", 0)):
+        monkeypatch.setattr(_tsv, "_HERE_BYTES", budget)
+        with _tsv.Writer() as writer:
+            _write_tsv(tmp_path / name, header, table, writer.send)
     np.savetxt(tmp_path / "savetxt.tsv", table, fmt="%.17g", delimiter="\t",
                header=header, comments="")
     want = (tmp_path / "savetxt.tsv").read_bytes()
-    assert (tmp_path / "blocked.tsv").read_bytes() == want
-    assert (tmp_path / "streamed.tsv").read_bytes() == want
+    for name in ("blocked.tsv", "here.tsv", "streamed.tsv"):
+        assert (tmp_path / name).read_bytes() == want, name
 
 
 def test_simulate_blow_up_leaves_evidence(tmp_path, capsys):
@@ -654,6 +657,7 @@ def test_writer_failure_names_the_snapshot_path(tmp_path, monkeypatch, caplog):
 
 
 def test_killed_writer_raises_instead_of_hanging(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(_tsv, "_HERE_BYTES", 0)  # every table goes to the child
     real_send = _tsv.Writer.send
 
     def send_then_kill(self, *args):
@@ -668,6 +672,107 @@ def test_killed_writer_raises_instead_of_hanging(tmp_path, monkeypatch, caplog):
     assert main(["--config", path, "--out", str(out_dir), "simulate"]) == cli.EXIT_IO
     assert str(out_dir / "snapshot_0001.tsv") in caplog.records[-1].getMessage()
     assert not (out_dir / "metadata.txt").exists()
+
+
+def _spawns(monkeypatch):
+    """A list of the argv of each os.posix_spawn call from now on."""
+    spawned = []
+    real_spawn = os.posix_spawn
+
+    def counted(path, argv, *args, **kwargs):
+        spawned.append(argv)
+        return real_spawn(path, argv, *args, **kwargs)
+
+    monkeypatch.setattr(os, "posix_spawn", counted)
+    return spawned
+
+
+def _same_tables(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        if name.endswith(".tsv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    return names
+
+
+# the benchmark's simulate-n512 run: the README example, reduced, strang-split,
+# n = 512, a row every 100 steps and a snapshot every 1000, over 1000 steps
+N512 = BENCH_LINES + """
+model.delta = 0.25
+grid.n = 512
+run.t_end = 1.0
+run.diagnostics_every = 100
+run.snapshot_every = 1000
+ic.r.center = 1.3
+ic.q.center = -2.1
+"""
+
+
+@pytest.mark.parametrize("text", [QUICK_RUN, N512], ids=["quick", "simulate-n512"])
+def test_a_run_under_the_budget_writes_its_tables_here(tmp_path, monkeypatch, text):
+    path = write_config(tmp_path, text)
+    spawned = _spawns(monkeypatch)
+    assert main(["--config", path, "--out", str(tmp_path / "here"), "simulate"]) == 0
+    assert spawned == []
+    monkeypatch.setattr(_tsv, "_HERE_BYTES", 0)
+    assert main(["--config", path, "--out", str(tmp_path / "child"), "simulate"]) == 0
+    assert len(spawned) == 1
+    assert "diagnostics.tsv" in _same_tables(tmp_path / "here", tmp_path / "child")
+    assert not list(tmp_path.rglob("*.part"))
+
+
+def test_a_run_past_the_budget_spawns_once_and_writes_every_table(tmp_path, monkeypatch):
+    # 11 snapshots of 32 KiB of values: the first ones are written here, the
+    # one that passes the budget starts the child, and it writes the rest
+    path = write_config(tmp_path, BENCH_LINES + """
+grid.n = 1024
+run.t_end = 0.01
+run.diagnostics_every = 5
+run.snapshot_every = 1
+""")
+    snapshot_bytes = 1024 * 4 * 8
+    assert snapshot_bytes <= _tsv._HERE_BYTES < 10 * snapshot_bytes
+    spawned = _spawns(monkeypatch)
+    assert main(["--config", path, "--out", str(tmp_path / "mixed"), "simulate"]) == 0
+    assert len(spawned) == 1
+    monkeypatch.setattr(_tsv, "_HERE_BYTES", 0)
+    assert main(["--config", path, "--out", str(tmp_path / "child"), "simulate"]) == 0
+    names = _same_tables(tmp_path / "mixed", tmp_path / "child")
+    assert names == ["diagnostics.tsv", "metadata.txt"] + [
+        f"snapshot_{k:04d}.tsv" for k in range(11)]
+    assert not list(tmp_path.rglob("*.part"))
+
+
+@pytest.mark.parametrize("error, code", [(KeyboardInterrupt, cli.EXIT_INTERRUPTED),
+                                         (OSError, cli.EXIT_IO)],
+                         ids=["interrupt", "write-error"])
+def test_a_table_cut_short_here_leaves_no_partial_file(tmp_path, monkeypatch, caplog,
+                                                       error, code):
+    real_write = _tsv.write_table
+
+    def write_part_then_fail(path, header, columns, data):
+        if path.endswith("snapshot_0001.tsv.part"):
+            with open(path, "w") as fh:
+                fh.write(header + "\n")
+            raise error("cut short")
+        real_write(path, header, columns, data)
+
+    monkeypatch.setattr(_tsv, "write_table", write_part_then_fail)
+    spawned = _spawns(monkeypatch)
+    path = write_config(tmp_path, QUICK_RUN)
+    out_dir = tmp_path / "run"
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == code
+    assert spawned == []
+    names = sorted(p.name for p in out_dir.iterdir())
+    if error is KeyboardInterrupt:
+        assert names == ["metadata.txt", "snapshot_0000.tsv"]
+        assert "status = interrupted" in (out_dir / "metadata.txt").read_text()
+        assert caplog.records[-1].getMessage() == "interrupted"
+    else:
+        assert names == ["snapshot_0000.tsv"]
+        assert caplog.records[-1].getMessage().startswith(
+            f"{out_dir / 'snapshot_0001.tsv'}: not written, cut short")
 
 
 def test_interrupt_propagates_and_keeps_the_snapshots_sent(tmp_path, monkeypatch):
@@ -978,6 +1083,9 @@ sweep.values = {values}
      "grid, stepper: the spectral symbols of n = 64 modes"),
     # about 1e299 steps, past the 2**53 at which i dt stops being exact
     ("stepper.dt = 1e-300\nrun.t_end = 0.1\n", "run.t_end: (t_end - t0) / dt = 1e+299"),
+    # one step of dt, whose Strang half-step flow overflows
+    ("stepper.dt = 1.7976931348623157e308\nrun.t_end = 1.7976931348623157e308\n",
+     "grid, stepper: the half-step flow of dt = 1.79769e+308 is not finite"),
 ])
 def test_stepper_or_step_count_past_the_floats_exits_2(tmp_path, caplog, capsys, extra,
                                                       message):
@@ -997,10 +1105,15 @@ def test_stepper_or_step_count_past_the_floats_exits_2(tmp_path, caplog, capsys,
     # the first diagnostics row overflows (r^3), and so does the first step
     "ic.r.amplitude = 1e200\n",
 ])
-def test_overflowing_step_is_a_blow_up(tmp_path, capsys, extra):
+def test_overflowing_step_is_a_blow_up(tmp_path, capsys, caplog, extra):
     out_dir = tmp_path / "boom"
     path = write_config(tmp_path, QUICK_RUN + "grid.n = 64\n" + extra)
     assert main(["--config", path, "--out", str(out_dir), "simulate"]) == cli.EXIT_BLOWUP
+    # a window too short for the step's products trips the guard too
+    spacing = RunConfig.from_settings(load_settings(path)).grid.dx
+    assert caplog.records[-1].getMessage().endswith(
+        "; reduce dt or the data amplitude, or widen the grid spacing "
+        f"grid.length / grid.n = {spacing:.6g}")
     assert "status = blow-up" in (out_dir / "metadata.txt").read_text()
     assert (out_dir / "snapshot_last_good.tsv").read_bytes() == (
         out_dir / "snapshot_0000.tsv").read_bytes()
@@ -1126,6 +1239,8 @@ def test_config_errors_exit_2(tmp_path):
     ("run.t_end = 1e300\nstepper.dt = 1e-300\n", "not a finite step count"),
     # 4 nu overflows: bad input, not a blow-up
     ("ic.r.kind = soliton\nic.r.nu = 1e308\n", "ic.*: the initial state is not finite"),
+    # finite samples whose spectrum overflows
+    ("ic.q.amplitude = 1.7976931348623157e308\n", "ic.*: the initial state is not finite"),
     # the library's cadence rule, checked before anything is written
     ("run.diagnostics_every = 0\n", "run.diagnostics_every must be at least 1, got 0"),
     ("run.snapshot_every = -1\n", "run.snapshot_every must be zero (the ends only) or positive"),

@@ -717,13 +717,16 @@ def test_step_count_refuses_more_than_2_to_the_53_steps():
     (1e-300, "strang-split", "the spectral symbols of n = 64 modes"),
     (1e-300, "etdrk4", "the spectral symbols of n = 64 modes"),
     (1e-60, "etdrk4", "the ETD tables of dt = 0.001 are not finite"),
+    # dt L overflows in Strang's half-step flow, on any window
+    (None, "strang-split", "the half-step flow of dt = 1.79769e[+]308 is not finite"),
 ])
 def test_stepper_with_non_finite_symbols_or_tables_is_refused(length, scheme, message):
-    s = zero_state(Grid(64, length))
-    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    dt = 1e-3 if length else np.finfo(float).max
+    s = zero_state(Grid(64, length or 40.0))
+    cfg = StepperConfig(dt=dt, scheme=scheme)
     seen = []
     with pytest.raises(ValueError, match=message):
-        run(s, cfg, BENCH, t_end=0.01, on_snapshot=seen.append)
+        run(s, cfg, BENCH, t_end=dt if length is None else 0.01, on_snapshot=seen.append)
     assert seen == []  # refused before the first snapshot
     with pytest.raises(ValueError, match=message):
         step(s, cfg, BENCH)
@@ -1054,12 +1057,15 @@ def test_run_makes_six_transform_calls_per_plain_reduced_step(monkeypatch):
                      "irfft": 3 * 2 + 2}
 
 
-@pytest.mark.parametrize("field, bad", [("r", np.nan), ("q", np.inf)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field, bad", [("r", np.nan), ("q", np.inf), ("q", "all")])
 def test_non_finite_input_is_rejected_not_a_blow_up(field, bad):
     grid = Grid(64, 20.0)
     s = bump_state(grid)
     if field == "r":
         s = SystemState(RealField(grid, np.where(grid.x == 0.0, bad, s.r.values)), s.q)
+    elif bad == "all":  # finite samples whose spectrum overflows
+        s = SystemState(s.r, ComplexField(grid, np.full(grid.n, np.finfo(float).max)))
     else:
         s = SystemState(s.r, ComplexField(grid, np.where(grid.x == 0.0, bad, s.q.values)))
     cfg = StepperConfig(dt=1e-2)
@@ -1360,6 +1366,30 @@ def test_batch_members_match_their_unbatched_results_bit_for_bit(n, scheme, syst
             want = apply(y[i])
             assert batched.shape[1:] == want.shape
             assert np.array_equal(batched[i], want)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("system", ["reduced", "full"])
+def test_strang_stages_in_place_match_the_out_of_place_formula_bit_for_bit(system, batch):
+    # advance works in place on the arrays nonlinear returns, never on its input
+    grid = Grid(128, 40.0)
+    states = [bump_state(grid, r_sup=0.05 * (i + 1), q_amp=0.02 * (i + 1), carrier=i)
+              for i in range(3)]
+    y = np.stack([np.concatenate((np.fft.rfft(s.r.values), s.q.spectrum))
+                  for s in states])[(0,) if batch == () else slice(None)]
+    assert y.shape == batch + (grid.n // 2 + 1 + grid.n,)
+    y.flags.writeable = False
+    kept = y.copy()
+    stepper = solver._build_stepper(grid, 1e-3, "strang-split", BENCH, system)
+    f, half, h = stepper.rhs.nonlinear, stepper.half, stepper.dt
+    x = half * y
+    a = f(x)
+    b = f(x + h * a)
+    ab = a + b
+    c = f(x + (0.25 * h) * ab)
+    want = half * (x + (h / 6.0) * (ab + 4.0 * c))
+    assert stepper.advance(y).tobytes() == want.tobytes()
+    assert y.tobytes() == kept.tobytes()
 
 
 def test_threads_stepping_one_memoised_stepper_match_sequential_steps():
