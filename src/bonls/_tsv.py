@@ -1,11 +1,12 @@
-"""Tables of floats as tab-separated %.17g text, written here or by a child process.
+"""Every file a run writes, whole or absent; tables of floats as %.17g text.
 
-`write_table` formats a table in blocks of rows.  A `Writer` formats the
-tables it is sent in the calling process until their values total
-`_HERE_BYTES`; each is written under a temporary name and renamed into
-place, so an exception, Ctrl-C included, leaves no partial table.  The
-first table past that budget starts a child process that runs this file
-as a script,
+`write_file` is the one way a file reaches disk: it writes under
+`<name>.part` and renames that into place once it is whole, and removes it
+on any exception, Ctrl-C included.  So a run leaves each of its files
+whole or not at all, in either process.  `write_table` formats a table
+in blocks of rows.  A `Writer` writes the tables it is sent in the calling
+process until their values total `_HERE_BYTES`; the first table past that
+budget starts a child process that runs this file as a script,
 
     python -I -S _tsv.py STATUS_FD
 
@@ -21,9 +22,9 @@ child reads frames from its stdin:
     values  row-major native float64
 
 It runs in a session of its own, out of reach of a terminal's Ctrl-C, and
-writes every whole frame it receives; a frame cut short by EOF is dropped.
-When it cannot write a table it prints the error on its stderr, writes the
-table's path to STATUS_FD and exits 1.
+writes every whole frame it receives, through `write_file`; a frame cut
+short by EOF is dropped.  When it cannot write a table it prints the
+error on its stderr, writes the table's path to STATUS_FD and exits 1.
 
 This module imports nothing beyond the standard library, and nothing from
 bonls: on Python 3.10 `-I` still puts the script's directory on sys.path.
@@ -55,56 +56,62 @@ _PIPE_BYTES = 1 << 20
 _HERE_BYTES = 128 * 1024
 
 
-def write_table(path, header: str, columns: int, data) -> None:
-    """Rows of floats under a header, tab-separated, each float as %.17g.
+def write_table(fh, header: str, columns: int, data) -> None:
+    """Rows of floats under a header to the text file fh, tab-separated, each as %.17g.
 
-    data holds the table's values as row-major native float64 bytes.  The
-    text is that of np.savetxt(path, table, fmt="%.17g", delimiter="\t",
+    data holds the table's values as row-major native float64, in any
+    C-contiguous buffer: an array, its memoryview or its bytes.  The text
+    is that of np.savetxt(fh, table, fmt="%.17g", delimiter="\t",
     header=header, comments=""), nan, inf and -0 included.  Each block of
     rows is formatted by one (row_format * rows) % values operation, about
     twice as fast as savetxt's row-by-row formatting.
     """
-    values = memoryview(data).cast("d")
+    values = memoryview(data).cast("B").cast("d")
     row = "\t".join(["%.17g"] * columns) + "\n"
     step = BLOCK_ROWS * columns
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(values), step):
-            block = values[lo:lo + step]
-            fh.write((row * (len(block) // columns)) % tuple(block))
+    fh.write(header + "\n")
+    for lo in range(0, len(values), step):
+        block = values[lo:lo + step]
+        fh.write((row * (len(block) // columns)) % tuple(block))
 
 
-def _write_here(path, header: str, columns: int, data) -> None:
-    """`write_table` under path + ".part", renamed to path once whole.
+def write_file(path, write, *args) -> None:
+    """write(fh, *args) on path + ".part" opened as text, renamed to path once whole.
 
     On any exception, KeyboardInterrupt included, the temporary file is
-    removed, so neither it nor a partial table is left.
+    removed, so neither it nor a partial file is left; an OSError is
+    raised again as one naming path, "<path>: not written, <reason>".
     """
     part = os.fspath(path) + ".part"
     try:
-        write_table(part, header, columns, data)
+        with open(part, "w") as fh:
+            write(fh, *args)
         os.replace(part, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(part)
         except OSError:
             pass
+        if isinstance(exc, OSError):
+            raise OSError(f"{path}: not written, {exc}") from None
         raise
 
 
 class Writer:
     """Tables written in order: here while they are small, then by a child.
 
-    While the values of the tables sent total at most `_HERE_BYTES`, each
-    is written in the calling process, whole or not at all (`_write_here`).
-    The first table past that budget starts the child process, and every
-    table from then on is sent to it.  A send to the child blocks while the
-    pipe to it is full, so the tables in flight are bounded by the pipe's
-    size.  `close` waits for every table sent to be written and raises
-    OSError, naming the path, if one was not; a send that cannot write its
-    table here, or that reaches a child that has died, raises the same.  As
-    a context manager the writer is closed on exit, and its failure is
-    raised only when no other exception is.
+    Each table is a C-contiguous 2-D float64 array (any other raises
+    TypeError), and each is written whole or not at all (`write_file`), in
+    either process.  While the values of the tables sent total at most
+    `_HERE_BYTES`, each is written in the calling process.  The first
+    table past that budget starts the child process, and every table from
+    then on is sent to it: the array's own buffer goes down the pipe, with
+    no copy.  A send to the child blocks while the pipe to it is full, so
+    the tables in flight are bounded by the pipe's size.  `close` waits for every table sent to be
+    written and raises OSError, naming the path, if one was not; a send
+    that cannot write its table here, or that reaches a child that has
+    died, raises the same.  As a context manager the writer is closed on
+    exit, and its failure is raised only when no other exception is.
     """
 
     def __init__(self):
@@ -120,14 +127,15 @@ class Writer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(check=exc_type is None)
 
-    def send(self, path, header: str, columns: int, data) -> None:
+    def send(self, path, header: str, table) -> None:
         """Write one table (see `write_table`) at path, here or by the child."""
-        if len(data) <= self._room:
-            self._room -= len(data)
-            try:
-                _write_here(path, header, columns, data)
-            except OSError as exc:
-                raise OSError(f"{path}: not written, {exc}") from None
+        values = memoryview(table)
+        if values.format != "d" or values.ndim != 2 or not values.c_contiguous:
+            raise TypeError(f"{path}: a table is a C-contiguous 2-D float64 array")
+        columns = values.shape[1]
+        if values.nbytes <= self._room:
+            self._room -= values.nbytes
+            write_file(path, write_table, header, columns, values)
             return
         self._room = -1  # every later table goes to the child, in order
         if self._pid is None:
@@ -136,8 +144,8 @@ class Writer:
         self._last = path
         try:
             self._stdin.write(_FRAME.pack(len(raw_path), len(raw_header), columns,
-                                          len(data)) + raw_path + raw_header)
-            self._stdin.write(data)
+                                          values.nbytes) + raw_path + raw_header)
+            self._stdin.write(values)
             self._stdin.flush()
         except BrokenPipeError:
             self.close()
@@ -203,7 +211,7 @@ def _serve(stream, status_fd: int) -> int:
             return 0  # cut short by EOF: dropped, never half-written
         path = os.fsdecode(names[:n_path])
         try:
-            write_table(path, names[n_path:].decode(), columns, data)
+            write_file(path, write_table, names[n_path:].decode(), columns, data)
         except OSError as exc:
             print(f"table writer: {exc}", file=sys.stderr)
             os.write(status_fd, names[:n_path])

@@ -151,18 +151,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_tsv(path: Path, header: str, table: np.ndarray,
-               write=_tsv.write_table) -> None:
-    """Rows of floats under a header, tab-separated, in `_fmt`'s digits.
-
-    The bytes are those of np.savetxt with fmt="%.17g" (see
-    `_tsv.write_table`); write=writer.send hands the table to a
-    `_tsv.Writer`, which writes it here or in its child process.
-    """
-    table = np.asarray(table, dtype=np.float64)
-    write(path, header, table.shape[1], table.tobytes())
-
-
 # --------------------------------------------------------------------------
 # configuration
 # --------------------------------------------------------------------------
@@ -428,8 +416,10 @@ def cmd_dispersion(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "dispersion.tsv"
-    _write_tsv(path, "k\tomega2_internal\tomega2_surface\tresidual_internal\tresidual_surface",
-               np.column_stack((k, *w2, *residual)))
+    table = np.column_stack((k, *w2, *residual))
+    _tsv.write_file(path, _tsv.write_table,
+                    "k\tomega2_internal\tomega2_surface\tresidual_internal\tresidual_surface",
+                    table.shape[1], table)
     worst = float(np.max(residual))
     print(f"wrote {path} ({k.size} wavenumbers)")
     print(f"max quartic residual = {_fmt(worst)}")
@@ -467,21 +457,20 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def _write_snapshot(path: Path, state: SystemState, t: float, write) -> None:
     q = state.q.values
-    _write_tsv(path, f"# t = {_fmt(t)}\nx\tr\tre_q\tim_q",
-               np.column_stack((state.grid.x, state.r.values, q.real, q.imag)), write)
+    write(path, f"# t = {_fmt(t)}\nx\tr\tre_q\tim_q",
+          np.column_stack((state.grid.x, state.r.values, q.real, q.imag)))
 
 
-def _write_metadata(path: Path, cfg: RunConfig, status: str,
-                    extra: dict[str, str]) -> None:
-    with path.open("w") as fh:
-        fh.write(f"bonls_version = {__version__}\n")
-        fh.write(f"status = {status}\n")
-        for key, value in extra.items():
-            fh.write(f"{key} = {value}\n")
-        for key in sorted(cfg.settings):
-            fh.write(f"{key} = {cfg.settings[key]}\n")
-        for name, value, _tag in coefficient_rows(cfg.coeffs):
-            fh.write(f"coefficient.{name} = {_fmt(value)}\n")
+def _write_metadata(fh, cfg: RunConfig, status: str, extra: dict[str, str]) -> None:
+    """metadata.txt's lines to the text file fh (see `_tsv.write_file`)."""
+    fh.write(f"bonls_version = {__version__}\n")
+    fh.write(f"status = {status}\n")
+    for key, value in extra.items():
+        fh.write(f"{key} = {value}\n")
+    for key in sorted(cfg.settings):
+        fh.write(f"{key} = {cfg.settings[key]}\n")
+    for name, value, _tag in coefficient_rows(cfg.coeffs):
+        fh.write(f"coefficient.{name} = {_fmt(value)}\n")
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
@@ -500,11 +489,11 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
              _fmt(cfg.dt), _fmt(cfg.t_end))
     sent = itertools.count()
     # each table goes to the writer, in order, and run keeps no snapshot.  The
-    # writer writes small tables here, each whole or not at all, and the rest
-    # in a child process; the child is reaped, and its failure raised, before
-    # metadata.txt.  It runs in a session of its own, so Ctrl-C reaches only
-    # this process, and an interrupted run still has every snapshot it sent
-    # written
+    # writer writes small tables here and the rest in a child process, each
+    # whole or not at all, like every file (`_tsv.write_file`); the child is
+    # reaped, and its failure raised, before metadata.txt.  It runs in a
+    # session of its own, so Ctrl-C reaches only this process, and an
+    # interrupted run still has every snapshot it sent written
     with _tsv.Writer() as writer:
         try:
             rows = run(cfg.initial, cfg.stepper, cfg.coeffs, t_end,
@@ -535,7 +524,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             diag_path = out / "diagnostics.tsv"
             table = np.array([dataclasses.astuple(dataclasses.replace(row, t=t_of(row.t)))
                               for row in rows])
-            _write_tsv(diag_path, "\t".join(DiagnosticsRow.COLUMNS), table, writer.send)
+            writer.send(diag_path, "\t".join(DiagnosticsRow.COLUMNS), table)
             snapshots = next(sent)  # the count of snapshots sent
             status, code = "ok", EXIT_OK
             extra = {"snapshots": str(snapshots), "diagnostics_rows": str(len(rows))}
@@ -545,7 +534,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
                       if name in CONSERVED[cfg.system]}
             log.info("done: %d diagnostics rows, relative drifts %s", len(rows),
                      ", ".join(f"{name} {d:.3e}" for name, d in drifts.items()))
-    _write_metadata(out / "metadata.txt", cfg, status, extra)
+    _tsv.write_file(out / "metadata.txt", _write_metadata, cfg, status, extra)
     print(message)
     return code
 

@@ -8,6 +8,7 @@ have reaped them.
 """
 
 import dataclasses
+import io
 import logging
 import os
 import signal
@@ -25,7 +26,6 @@ from bonls.cli import (
     ConfigError,
     RunConfig,
     _fmt,
-    _write_tsv,
     load_settings,
     main,
 )
@@ -509,7 +509,7 @@ def test_tsv_writer_matches_fmt_on_special_values(tmp_path):
     table = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 5e-324],
                       [1.0 / 3.0, -1e300, 2.0]])
     path = tmp_path / "t.tsv"
-    _write_tsv(path, "# note\na\tb\tc", table)
+    _tsv.write_file(path, _tsv.write_table, "# note\na\tb\tc", 3, table)
     want = "# note\na\tb\tc\n" + "".join(
         "\t".join(_fmt(v) for v in row) + "\n" for row in table)
     assert path.read_text() == want
@@ -518,22 +518,70 @@ def test_tsv_writer_matches_fmt_on_special_values(tmp_path):
 @pytest.mark.parametrize("rows", [1, 511, 512, 513, 8193])
 def test_tsv_writer_matches_savetxt_bytes(tmp_path, monkeypatch, rows):
     # blocks of rows, the last one short, give savetxt's bytes, written by
-    # write_table, by a Writer within its budget, or by the writer process
+    # write_file, by a Writer within its budget, or by the writer process
     table = np.random.default_rng(rows).standard_normal((rows, 7)) * 1e3
     specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
     table[0, :5] = specials
     table[-1, 2:] = specials[::-1]
     header = "# t = 0.5\nt\tE1\tE2\tE3\tmean_r\tmax_r\tgauge_residual"
-    _write_tsv(tmp_path / "blocked.tsv", header, table)
+    _tsv.write_file(tmp_path / "blocked.tsv", _tsv.write_table, header, 7, table)
     for name, budget in (("here.tsv", table.nbytes), ("streamed.tsv", 0)):
         monkeypatch.setattr(_tsv, "_HERE_BYTES", budget)
         with _tsv.Writer() as writer:
-            _write_tsv(tmp_path / name, header, table, writer.send)
+            writer.send(tmp_path / name, header, table)
     np.savetxt(tmp_path / "savetxt.tsv", table, fmt="%.17g", delimiter="\t",
                header=header, comments="")
     want = (tmp_path / "savetxt.tsv").read_bytes()
     for name in ("blocked.tsv", "here.tsv", "streamed.tsv"):
         assert (tmp_path / name).read_bytes() == want, name
+
+
+@pytest.mark.parametrize("table", [np.zeros((4, 3), np.float32), np.zeros((4, 6))[:, ::2],
+                                   np.zeros(12)], ids=["float32", "strided", "1-D"])
+@pytest.mark.parametrize("budget", [1 << 20, 0], ids=["here", "child"])
+def test_a_writer_refuses_a_table_it_would_misread(tmp_path, monkeypatch, table, budget):
+    monkeypatch.setattr(_tsv, "_HERE_BYTES", budget)
+    with _tsv.Writer() as writer:
+        with pytest.raises(TypeError, match="C-contiguous 2-D float64"):
+            writer.send(tmp_path / "t.tsv", "a\tb\tc", table)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _frame(path, header, table):
+    """One frame of the writer process's input (see `_tsv`)."""
+    raw_path, raw_header = os.fsencode(path), header.encode()
+    return (_tsv._FRAME.pack(len(raw_path), len(raw_header), table.shape[1], table.nbytes)
+            + raw_path + raw_header + table.tobytes())
+
+
+def test_the_writer_process_leaves_no_partial_table(tmp_path, monkeypatch, capsys):
+    # the child's loop, run here on two frames: the second table fails after
+    # its header and first row are written
+    first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+    table = np.random.default_rng(3).standard_normal((600, 3))
+    real_write = _tsv.write_table
+
+    def write_part_then_fail(target, header, columns, data):
+        if header.startswith("# second"):
+            real_write(target, header, columns, data[:8 * columns])
+            raise OSError("disk full")
+        real_write(target, header, columns, data)
+
+    monkeypatch.setattr(_tsv, "write_table", write_part_then_fail)
+    stream = io.BytesIO(_frame(first, "# first\na\tb\tc", table)
+                        + _frame(second, "# second\na\tb\tc", table))
+    status_r, status_w = os.pipe()
+    try:
+        assert _tsv._serve(stream, status_w) == 1
+        os.close(status_w)
+        assert os.read(status_r, 1 << 16) == os.fsencode(second)
+    finally:
+        os.close(status_r)
+    np.savetxt(tmp_path / "savetxt.tsv", table, fmt="%.17g", delimiter="\t",
+               header="# first\na\tb\tc", comments="")
+    assert first.read_bytes() == (tmp_path / "savetxt.tsv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.tsv", "savetxt.tsv"]
+    assert f"{second}: not written, disk full" in capsys.readouterr().err
 
 
 def test_simulate_blow_up_leaves_evidence(tmp_path, capsys):
@@ -751,12 +799,11 @@ def test_a_table_cut_short_here_leaves_no_partial_file(tmp_path, monkeypatch, ca
                                                        error, code):
     real_write = _tsv.write_table
 
-    def write_part_then_fail(path, header, columns, data):
-        if path.endswith("snapshot_0001.tsv.part"):
-            with open(path, "w") as fh:
-                fh.write(header + "\n")
+    def write_part_then_fail(fh, header, columns, data):
+        if fh.name.endswith("snapshot_0001.tsv.part"):
+            fh.write(header + "\n")
             raise error("cut short")
-        real_write(path, header, columns, data)
+        real_write(fh, header, columns, data)
 
     monkeypatch.setattr(_tsv, "write_table", write_part_then_fail)
     spawned = _spawns(monkeypatch)
@@ -773,6 +820,29 @@ def test_a_table_cut_short_here_leaves_no_partial_file(tmp_path, monkeypatch, ca
         assert names == ["snapshot_0000.tsv"]
         assert caplog.records[-1].getMessage().startswith(
             f"{out_dir / 'snapshot_0001.tsv'}: not written, cut short")
+
+
+@pytest.mark.parametrize("error, code", [(KeyboardInterrupt, cli.EXIT_INTERRUPTED),
+                                         (OSError, cli.EXIT_IO)],
+                         ids=["interrupt", "write-error"])
+def test_a_metadata_file_cut_short_is_absent(tmp_path, monkeypatch, error, code):
+    path = write_config(tmp_path, QUICK_RUN)
+    whole, out_dir = tmp_path / "whole", tmp_path / "cut"
+    assert main(["--config", path, "--out", str(whole), "simulate"]) == 0
+    seen = []
+
+    def fail_after_the_first_lines(coeffs):
+        # the version, status and settings lines of metadata.txt are written
+        seen.extend(p.name for p in out_dir.iterdir())
+        raise error("cut short")
+
+    monkeypatch.setattr(cli, "coefficient_rows", fail_after_the_first_lines)
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == code
+    assert any(name.startswith("metadata.txt") for name in seen)
+    names = sorted(p.name for p in out_dir.iterdir())
+    assert names == sorted(p.name for p in whole.iterdir() if p.name != "metadata.txt")
+    for name in names:
+        assert (out_dir / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 def test_interrupt_propagates_and_keeps_the_snapshots_sent(tmp_path, monkeypatch):

@@ -3,8 +3,11 @@
 `simulate` runs in-process on a small grid with a few config keys drawn
 from each key's valid range, its boundaries, extreme finite floats and
 malformed text.  Whatever is drawn, it exits 0, 2 or 3; no exception and
-no warning escapes; an exit 2 names the key or the section at fault; and
-no temporary `*.part` file is left.
+no warning escapes; an exit 2 names the key or the section at fault; an
+exit 3 comes from a stepper whose linear tables are finite; after an exit
+0 or 3, `metadata.txt` names the run's status and every table left is
+whole, its header and then rows of its column count; and no temporary
+`*.part` file is left.
 
 The step count is bounded by the strategy, not filtered: stepper.dt and
 run.t_end are drawn together, t_end as one to ten steps of dt or as a
@@ -22,6 +25,7 @@ import warnings
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -30,7 +34,7 @@ try:
 except ImportError:
     HAS_HYPOTHESIS = False
 
-from bonls import cli
+from bonls import cli, solver
 
 pytestmark = pytest.mark.skipif(not HAS_HYPOTHESIS, reason="needs hypothesis")
 
@@ -165,8 +169,38 @@ def check_simulate_contract(overrides: dict) -> int:
             named = subject and all(name.removesuffix(".*").rstrip(".") in _NAMES
                                     for name in subject.group(1).split(", "))
             assert named, (message, overrides)
+        if code == cli.EXIT_BLOWUP:
+            cfg = cli.RunConfig.from_settings(cli.load_settings(str(conf)))
+            stepper = solver._build_stepper(cfg.grid, cfg.stepper.dt, cfg.stepper.scheme,
+                                            cfg.coeffs, cfg.system)
+            for part in (stepper.rhs, stepper):
+                for name, value in vars(part).items():
+                    if isinstance(value, np.ndarray):
+                        assert np.all(np.isfinite(value)), (name, overrides)
+        if code in (cli.EXIT_OK, cli.EXIT_BLOWUP):
+            status = "ok" if code == cli.EXIT_OK else "blow-up"
+            meta = (tmp / "out" / "metadata.txt").read_text()
+            assert f"\nstatus = {status}\n" in meta, overrides
+            for table in (tmp / "out").glob("*.tsv"):
+                assert _whole_table(table.read_text()), (table.name, overrides)
         assert not list(tmp.rglob("*.part")), overrides
     return code
+
+
+def _whole_table(text: str) -> bool:
+    """Whether text is `#` lines, a column header, then rows of that many floats."""
+    lines = text.split("\n")
+    if lines.pop() != "":
+        return False  # the last line is cut short
+    while lines and lines[0].startswith("#"):
+        lines.pop(0)
+    if not lines:
+        return False
+    columns = len(lines[0].split("\t"))
+    try:
+        return all(len([float(v) for v in row.split("\t")]) == columns for row in lines[1:])
+    except ValueError:
+        return False
 
 
 if HAS_HYPOTHESIS:
