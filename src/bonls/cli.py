@@ -314,8 +314,9 @@ def _build(what: str, make, *args):
 
 
 def load_settings(path: str | None) -> dict[str, str]:
-    """Defaults overlaid with one config file; unknown keys are errors."""
-    settings = dict(_DEFAULTS)
+    """Defaults overlaid with one config file; unknown keys and keys set twice
+    are errors."""
+    settings, first = dict(_DEFAULTS), {}  # first: the line that set each key
     if path is None:
         return settings
     try:
@@ -331,6 +332,8 @@ def load_settings(path: str | None) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in settings:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if first.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} also set on line {first[key]}")
         settings[key] = value
     return settings
 

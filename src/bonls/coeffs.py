@@ -171,7 +171,9 @@ class SymbolTable:
     All arrays share the shape of ``k``.  Entries are finite at k = 0,
     where removable singularities are replaced by their limits.  A1..A5
     and B1..B5 are the cubic-energy operator symbols attached to the two
-    normal modes (B* to the oscillatory surface mode).
+    normal modes (B* to the oscillatory surface mode).  (b+, -a+) and (b-,
+    -a-) are eigenvectors of [[qa, qb], [qb, qc]] for omega2 and omega1_sq, so
+    A1 = (b+ qa - a+ qb)/sqrt(g drho) = omega2 b+/sqrt(g drho); A2, B1, B2 alike.
     """
 
     k: np.ndarray
@@ -182,6 +184,7 @@ class SymbolTable:
     qa: np.ndarray
     qb: np.ndarray
     qc: np.ndarray
+    qd: np.ndarray          # qc - qa
     theta: np.ndarray
     a_plus: np.ndarray
     a_minus: np.ndarray
@@ -207,6 +210,8 @@ def symbol_table(params: PhysicalParams, k) -> SymbolTable:
     Raises LimitUndefined if any entry is NaN after the k = 0 limit
     substitutions: an implementation bug inside the float range, reached by
     extreme parameters at extreme k (at h1 = 1e-308, k0 is infinite).
+    No entry subtracts nearly equal terms: A1, A2, B1, B2 are eigenvalue times
+    mixing coefficient, and theta, qd round to hypot(theta, 2), hypot(qd, 2 qb).
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     g, h1, rho, rho1 = params.g, params.h1, params.rho, params.rho1
@@ -216,40 +221,37 @@ def symbol_table(params: PhysicalParams, k) -> SymbolTable:
     g11 = k_coth(k, h1)
     g12 = -k_csch(k, h1)
     b0 = rho * g11 + rho1 * g0
+    omega2, omega1_sq = dispersion_internal(params, k), dispersion_surface(params, k)
 
     qa = g * drho * g0 * g11 / b0
     qb = -g * math.sqrt(rho1 * drho) * g0 * g12 / b0
     qc = g * g0 * (rho1 * g11 + rho * g0) / b0
-
-    theta0 = (2.0 * rho1 - rho) / math.sqrt(rho1 * drho)
-    zero = k == 0.0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        theta = np.where(zero, theta0, (qc - qa) / np.where(zero, 1.0, qb))
+    # qd = qc - qa by |k| - k coth(h1 k) = e^-x g12, and theta = qd / qb =
+    # (rho1 e^x - drho e^-x) / sqrt(rho1 drho), at x = h1 |k|
+    r = math.sqrt(rho1 / drho)
+    with np.errstate(over="ignore"):  # theta = inf where r e^x leaves the floats
+        ex = np.exp(h1 * g0)
+        theta = r * ex - 1.0 / (r * ex)
+    qd = g * g0 * (2.0 * rho1 * g11 + rho * g12 / ex) / b0
     a_p, a_m, b_p, b_m = _mixing_from_theta(theta)
 
-    sq_d = math.sqrt(g * drho)
-    sq_1 = math.sqrt(g * rho1)
+    sq_d, sq_1 = math.sqrt(g * drho), math.sqrt(g * rho1)
     sgn = np.sign(k)
     d_g0_b0 = k * g0 / b0  # symbol of D B0^{-1} G^{(0)}
 
-    A1 = (b_p * qa - a_p * qb) / sq_d
-    B1 = (b_m * qa - a_m * qb) / sq_d
-    A2 = (a_p * qc - b_p * qb) / sq_1
-    B2 = (a_m * qc - b_m * qb) / sq_1
-    A3 = sgn * A1
-    B3 = sgn * B1
+    A1, A2 = omega2 * b_p / sq_d, omega2 * a_p / sq_1
+    B1, B2 = omega1_sq * b_m / sq_d, omega1_sq * a_m / sq_1
+    A3, B3 = sgn * A1, sgn * B1
     A4 = b_p * sq_d * d_g0_b0 + rho * sgn / (rho1 * sq_d) * a_p * qb
     B4 = b_m * sq_d * d_g0_b0 + rho * sgn / (rho1 * sq_d) * a_m * qb
-    A5 = -sq_1 * k * a_p
-    B5 = -sq_1 * k * a_m
+    A5, B5 = -sq_1 * k * a_p, -sq_1 * k * a_m
 
     table = SymbolTable(
-        k=k, g0=g0, g11=g11, g12=g12, b0=b0, qa=qa, qb=qb, qc=qc,
+        k=k, g0=g0, g11=g11, g12=g12, b0=b0, qa=qa, qb=qb, qc=qc, qd=qd,
         theta=theta, a_plus=a_p, a_minus=a_m, b_plus=b_p, b_minus=b_m,
         A1=A1, A2=A2, A3=A3, A4=A4, A5=A5,
         B1=B1, B2=B2, B3=B3, B4=B4, B5=B5,
-        omega2=dispersion_internal(params, k),
-        omega1_sq=dispersion_surface(params, k),
+        omega2=omega2, omega1_sq=omega1_sq,
     )
     for f in fields(table):
         if np.any(np.isnan(getattr(table, f.name))):

@@ -201,9 +201,9 @@ def _checks_symbols(params: PhysicalParams, coeffs: ModelCoefficients,
     st = symbols(params, k)
     w2 = np.stack((dispersion_internal(params, k), dispersion_surface(params, k)))
     quartic = float(np.max(quartic_residual(params, k, w2)))
-    # closed-form eigenvalues of [[qa, qb], [qb, qc]] against the two branches
+    # eigenvalues of [[qa, qb], [qb, qc]] (qd = qc - qa) against the two branches
     half_tr = 0.5 * (st.qa + st.qc)
-    disc = np.sqrt(np.maximum(half_tr * half_tr - (st.qa * st.qc - st.qb * st.qb), 0.0))
+    disc = np.hypot(0.5 * st.qd, st.qb)
     lo, hi = half_tr - disc, half_tr + disc
     scale = np.maximum(np.abs(hi), 1e-300)
     eigen = float(np.max([np.abs(lo - st.omega2) / scale, np.abs(hi - st.omega1_sq) / scale]))

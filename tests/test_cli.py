@@ -69,6 +69,16 @@ run.snapshot_every = 25
 """
 
 
+def overlaid(*texts):
+    """One config text of `texts`, where a key set again replaces its earlier
+    line (a config file may set each key only once)."""
+    lines = {}
+    for text in texts:
+        for line in text.strip().splitlines():
+            lines[line.split("=", 1)[0].strip()] = line
+    return "\n".join(lines.values()) + "\n"
+
+
 def write_config(tmp_path, text, name="run.conf"):
     path = tmp_path / name
     path.write_text(text)
@@ -108,6 +118,17 @@ def test_unknown_key_reports_file_and_line(tmp_path):
     path = write_config(tmp_path, "grid.n = 128\ngrid.m = 3\n", name="bad.conf")
     with pytest.raises(ConfigError, match=r"bad\.conf:2: unknown config key"):
         load_settings(path)
+
+
+def test_a_key_set_twice_is_a_config_error(tmp_path, caplog):
+    # the later line used to win in silence: this run stepped at 5e-3 and exited 0
+    path = write_config(tmp_path, "grid.n = 64\nrun.t_end = 0.05\nstepper.dt = 1e-3\n"
+                        "stepper.dt = 5e-3\n", name="twice.conf")
+    out_dir = tmp_path / "never"
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == cli.EXIT_CONFIG
+    assert ("twice.conf:4: config key 'stepper.dt' also set on line 3"
+            in caplog.records[-1].getMessage())
+    assert not out_dir.exists()
 
 
 def test_garbled_line_reports_location(tmp_path):
@@ -645,12 +666,12 @@ def test_tau1_simulate_is_the_library_run_at_dt_over_epsilon(tmp_path, scheme):
 
 def test_tau1_blow_up_reports_its_times_in_tau1(tmp_path, capsys):
     # sup |r| stays below the guard for 8 steps of 0.01 / 0.35 in tau
-    path = write_config(tmp_path, TAU1_RUN + """
+    path = write_config(tmp_path, overlaid(TAU1_RUN, """
 stepper.dt = 1e-2
 run.t_end = 0.5
 ic.r.amplitude = 8.0
 stepper.cfl_guard = 8.005
-""")
+"""))
     out_dir = tmp_path / "boom"
     assert main(["--config", path, "--out", str(out_dir), "simulate"]) == 3
     meta = (out_dir / "metadata.txt").read_text()
@@ -1160,7 +1181,7 @@ sweep.values = {values}
 def test_stepper_or_step_count_past_the_floats_exits_2(tmp_path, caplog, capsys, extra,
                                                       message):
     out_dir = tmp_path / "never"
-    path = write_config(tmp_path, QUICK_RUN + "grid.n = 64\n" + extra)
+    path = write_config(tmp_path, overlaid(QUICK_RUN, "grid.n = 64", extra))
     assert main(["--config", path, "--out", str(out_dir), "simulate"]) == cli.EXIT_CONFIG
     assert caplog.records[-1].getMessage().startswith(message)
     # the output directory may exist, but no artifact is written into it
@@ -1177,7 +1198,7 @@ def test_stepper_or_step_count_past_the_floats_exits_2(tmp_path, caplog, capsys,
 ])
 def test_overflowing_step_is_a_blow_up(tmp_path, capsys, caplog, extra):
     out_dir = tmp_path / "boom"
-    path = write_config(tmp_path, QUICK_RUN + "grid.n = 64\n" + extra)
+    path = write_config(tmp_path, overlaid(QUICK_RUN, "grid.n = 64", extra))
     assert main(["--config", path, "--out", str(out_dir), "simulate"]) == cli.EXIT_BLOWUP
     # a window too short for the step's products trips the guard too
     spacing = RunConfig.from_settings(load_settings(path)).grid.dx
@@ -1317,7 +1338,7 @@ def test_config_errors_exit_2(tmp_path):
 ])
 def test_simulate_config_errors_exit_2_before_writing(tmp_path, caplog, extra, message):
     out_dir = tmp_path / "never"
-    path = write_config(tmp_path, QUICK_RUN + extra)
+    path = write_config(tmp_path, overlaid(QUICK_RUN, extra))
     assert main(["--config", path, "--out", str(out_dir), "simulate"]) == cli.EXIT_CONFIG
     assert message in caplog.records[-1].getMessage()
     assert not out_dir.exists()

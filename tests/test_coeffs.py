@@ -33,7 +33,7 @@ from bonls.coeffs import (
     resonance_residual,
     symbol_table,
 )
-from bonls.verify import kappa8_gap
+from bonls.verify import K, kappa8_gap
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -87,16 +87,51 @@ def eig_oracle(params, k):
     return np.linalg.eigvalsh(m)
 
 
+def symbol_oracle(g, h1, rho, rho1, k):
+    """Every symbol of symbol_table at k > 0, from its closed form, in mpmath.
+
+    The arguments are mpf, and the working precision is the caller's.  theta
+    is (qc - qa)/qb and A1, A2, B1, B2 are the differences of products that
+    define them, so nothing is shared with symbol_table.  a- and b- take the
+    forms that keep their digits on either sign of theta: a- = ((s +
+    theta)/(2s))^(1/2) for theta > 0 (the naive 2 + theta^2/2 - theta s/2 loses
+    every digit once theta ~ 1e36, as at the Andaman preset) and a- = (2/(s (s
+    - theta)))^(1/2), b- = -((s - theta)/(2s))^(1/2) below, with s = sqrt(4 +
+    theta^2); a+(theta) = a-(-theta) and b+(theta) = -b-(-theta).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    drho = rho - rho1
+    sq_d, sq_1 = mpmath.sqrt(g * drho), mpmath.sqrt(g * rho1)
+    g11 = k * mpmath.coth(h1 * k)
+    b0 = rho * g11 + rho1 * k
+    qa = g * drho * k * g11 / b0
+    qb = g * mpmath.sqrt(rho1 * drho) * k * k * mpmath.csch(h1 * k) / b0
+    qc = g * k * (rho1 * g11 + rho * k) / b0
+    theta = (qc - qa) / qb
+
+    def minus(theta):
+        s = mpmath.sqrt(4 + theta * theta)
+        if theta > 0:
+            a_m = mpmath.sqrt((s + theta) / (2 * s))
+            return a_m, -2 * a_m / (theta + s)
+        return mpmath.sqrt(2 / (s * (s - theta))), -mpmath.sqrt((s - theta) / (2 * s))
+
+    a_m, b_m = minus(theta)
+    a_p, b_p = (sign * v for sign, v in zip((1, -1), minus(-theta)))
+    A1, B1 = (b_p * qa - a_p * qb) / sq_d, (b_m * qa - a_m * qb) / sq_d
+    A4, B4 = (b * sq_d * k * k / b0 + rho / (rho1 * sq_d) * a * qb
+              for a, b in ((a_p, b_p), (a_m, b_m)))
+    return {"qb": qb, "qd": qc - qa, "theta": theta, "a_plus": a_p, "a_minus": a_m,
+            "b_plus": b_p, "b_minus": b_m, "A1": A1, "A2": (a_p * qc - b_p * qb) / sq_1,
+            "A3": A1, "A4": A4, "A5": -sq_1 * k * a_p, "B1": B1,
+            "B2": (a_m * qc - b_m * qb) / sq_1, "B3": B1, "B4": B4, "B5": -sq_1 * k * a_m}
+
+
 def kappa_oracle(params):
     """(value, largest term of its sum) of kappa1..kappa7, in 50 digits.
 
-    Independent of symbol_table: the k > 0 symbols at k0 are transcribed
-    from their closed forms into mpmath, with a- and b- in the forms that
-    keep their digits on either sign of theta: a- = (2s/(s + theta))^(-1/2)
-    for theta > 0 (the naive 2 + theta^2/2 - theta s/2 loses every digit
-    once theta ~ 1e36, as at the Andaman preset) and
-    a- = (2/(s (s - theta)))^(1/2), b- = -((s - theta)/(2s))^(1/2) below.
-    The derivatives are mpmath's.  Only the small-k constants are shared.
+    Independent of symbol_table: the k > 0 symbols at k0 are symbol_oracle's,
+    and the derivatives are mpmath's.  Only the small-k constants are shared.
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
@@ -108,26 +143,11 @@ def kappa_oracle(params):
 
         def products(k):
             # B1^2/w1 .. B5^2/w1, b- B3, b- B4, a- B5 (B3 = B1 for k > 0)
-            g11 = k * mpmath.coth(h1 * k)
-            b0 = rho * g11 + rho1 * k
-            qa = g * drho * k * g11 / b0
-            qb = g * mpmath.sqrt(rho1 * drho) * k * k * mpmath.csch(h1 * k) / b0
-            qc = g * k * (rho1 * g11 + rho * k) / b0
-            theta = (qc - qa) / qb
-            s = mpmath.sqrt(4 + theta * theta)
-            if theta > 0:
-                a_m = (2 * s / (s + theta)) ** mpmath.mpf(-0.5)
-                b_m = -2 * a_m / (theta + s)
-            else:
-                a_m = (2 / (s * (s - theta))) ** mpmath.mpf(0.5)
-                b_m = -((s - theta) / (2 * s)) ** mpmath.mpf(0.5)
-            B1 = (b_m * qa - a_m * qb) / sq_d
-            B2 = (a_m * qc - b_m * qb) / sq_1
-            B4 = b_m * sq_d * k * k / b0 + rho / (rho1 * sq_d) * a_m * qb
-            B5 = -sq_1 * k * a_m
+            sy = symbol_oracle(g, h1, rho, rho1, k)
+            B1, B2, B4, B5 = (sy[name] for name in ("B1", "B2", "B4", "B5"))
             w1 = mpmath.sqrt(g * k)
             return [B1 ** 2 / w1, B2 ** 2 / w1, B1 ** 2 / w1, B4 ** 2 / w1,
-                    B5 ** 2 / w1, b_m * B1, b_m * B4, a_m * B5]
+                    B5 ** 2 / w1, sy["b_minus"] * B1, sy["b_minus"] * B4, sy["a_minus"] * B5]
 
         F1, F2, F3, F4, F5, G3, G4, G5 = products(k0)
         Fp1, Fp2, Fp3, Fp4, Fp5, G4p, G5p = (
@@ -333,6 +353,43 @@ def test_mixing_matches_frozen_values():
     for got, want in ((a_p, _PARENT_A_PLUS), (b_p, _PARENT_B_PLUS),
                       (a_m, _PARENT_A_PLUS[::-1]), (b_m, -_PARENT_B_PLUS[::-1])):
         assert np.max(np.abs(got - want) / np.abs(want)) <= 4.5e-16
+
+
+#: density ratios rho1/rho at which every symbol is held to 50 digits
+ORACLE_RATIOS = (1e-6, 1e-4, 1e-2, 0.5, 0.997, 1.0 - 1e-4, 1.0 - 1e-6)
+
+
+def _oracle_params():
+    """Each of ORACLE_RATIOS at g = h1 = rho = 1, and at three seeded draws
+    of g, h1 and rho (log-uniform over [0.1, 100], [0.01, 1e4], [1, 1000])."""
+    rng = np.random.default_rng(7)
+    draws = [(1.0, 1.0, 1.0), *10.0 ** rng.uniform((-1, -2, 0), (2, 4, 3), size=(3, 3))]
+    return [PhysicalParams(g, h1, rho, ratio * rho)
+            for g, h1, rho in draws for ratio in ORACLE_RATIOS]
+
+
+def test_every_symbol_matches_50_digits():
+    """a+-, b+-, A1..A5 and B1..B5 to 8 eps relative at verify.K / h1, theta
+    relative to hypot(theta, 2) and qc - qa to hypot(qc - qa, 2 qb), the
+    scales their rounding is relative to where either crosses zero."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = {}
+    with mpmath.workdps(50):
+        for params in _oracle_params():
+            k = K / params.h1
+            st_ = symbol_table(params, k)
+            for i, ki in enumerate(k):
+                want = symbol_oracle(*map(mpmath.mpf, (params.g, params.h1, params.rho,
+                                                        params.rho1, ki)))
+                scale = {"theta": mpmath.hypot(want["theta"], 2),
+                         "qd": mpmath.hypot(want["qd"], 2 * want["qb"])}
+                for name, w in want.items():
+                    err = float(abs(getattr(st_, name)[i] - w) / scale.get(name, abs(w)))
+                    if err > worst.get(name, (0.0,))[0]:
+                        worst[name] = (err, params, float(ki))
+    eps = np.finfo(float).eps
+    bad = {name: v for name, v in worst.items() if v[0] > 8.0 * eps}
+    assert not bad, bad
 
 
 # --------------------------------------------------------------------------
