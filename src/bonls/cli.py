@@ -212,12 +212,9 @@ class RunConfig:
 
     Every field built with `_key` is one row of the config table.
     Construction builds the library objects a run needs: params, grid,
-    stepper, the model coefficients, the step count and the initial
-    state.  Each object checks its own arguments, so a bad configuration
-    fails here, before any command computes or writes.  The library
-    steps in tau: with time_scale tau1 (tau1 = epsilon tau), dt and t_end
-    are read in tau1 and the stepper's dt is dt / epsilon; steps counts
-    them in either unit.
+    stepper, the model coefficients and the initial state, and checks the
+    step count.  Each object checks its own arguments, so a bad
+    configuration fails here, before any command computes or writes.
     """
 
     settings: dict[str, str]
@@ -236,14 +233,12 @@ class RunConfig:
     diagnostics_every: int = _key("run.diagnostics_every", _to_int, "100")
     snapshot_every: int = _key("run.snapshot_every", _to_int, "0")
     system: str = _key("run.system", str.strip, "reduced", _one_of(*SYSTEMS))
-    time_scale: str = _key("run.time_scale", str.strip, "tau", _one_of("tau", "tau1"))
     gauge_diagnostics: bool = _key("run.gauge_diagnostics", _to_bool, "on")
     ic_r_kind: str = _key("ic.r.kind", str.strip, "gaussian",
                           _one_of("gaussian", "soliton", "noise", "zero"))
     ic_r_amplitude: float = _key("ic.r.amplitude", _to_float, "0.1")
     ic_r_width: float = _key("ic.r.width", _to_float, "2.0")
     ic_r_center: float = _key("ic.r.center", _to_float, "0.0")
-    ic_r_nu: float = _key("ic.r.nu", _to_float, "1.0")
     ic_r_keep: float = _key("ic.r.keep", _to_float, "0.16666666666666666")
     ic_q_kind: str = _key("ic.q.kind", str.strip, "gaussian", _one_of("gaussian", "zero"))
     ic_q_amplitude: float = _key("ic.q.amplitude", _to_float, "0.05")
@@ -258,7 +253,6 @@ class RunConfig:
     grid: Grid = dataclasses.field(init=False)
     stepper: StepperConfig = dataclasses.field(init=False)
     coeffs: ModelCoefficients = dataclasses.field(init=False)
-    steps: int = dataclasses.field(init=False)
     initial: SystemState = dataclasses.field(init=False)
 
     @classmethod
@@ -276,25 +270,21 @@ class RunConfig:
         return cls(settings=dict(settings), **values)
 
     def __post_init__(self):
-        if self.time_scale == "tau1" and self.system != "full":
-            raise ConfigError(f"{_KEY['time_scale']}: tau1 needs the full system")
-
         def put(name, value):
             object.__setattr__(self, name, value)
 
         # DomainError is a ValueError, so each constructor's own check reports
-        # here; epsilon is checked before dt / epsilon is taken, and with
-        # epsilon and delta in range the derivation fails on physical.* alone
+        # here; with epsilon and delta in range the derivation fails on
+        # physical.* alone
         _build("run.", check_cadences, self.diagnostics_every, self.snapshot_every)
         put("params", _build("physical", PhysicalParams, self.g, self.h1, self.rho, self.rho1))
         _build("model.", check_scaling, self.epsilon, self.delta)
         put("coeffs", _build("physical.*", derive_coefficients,
                              self.params, self.epsilon, self.delta))
         put("grid", _build("grid", Grid, self.grid_n, self.grid_length))
-        dt_tau = self.dt / self.epsilon if self.time_scale == "tau1" else self.dt
-        put("stepper", _build("stepper", StepperConfig, dt_tau, self.scheme, self.cfl_guard))
-        # the rule run() applies, counted in the config's unit
-        put("steps", _build(_KEY["t_end"], step_count, self.t_end, self.dt))
+        put("stepper", _build("stepper", StepperConfig, self.dt, self.scheme, self.cfl_guard))
+        # run()'s step-count rule, checked before anything is written
+        _build(_KEY["t_end"], step_count, self.t_end, self.dt)
         put("initial", _initial_state(self))
 
 
@@ -350,8 +340,10 @@ def _initial_state(cfg: RunConfig) -> SystemState:
         r_vals = _build("ic.r.", band_limited_noise, grid, rng, cfg.ic_r_amplitude,
                         cfg.ic_r_keep).values
     else:
+        if not cfg.ic_r_width > 0.0:  # a soliton's nu is 1 / width
+            raise ConfigError(f"{_KEY['ic_r_width']} must be positive")
         make, size = ((gaussian_bump, cfg.ic_r_width) if kind == "gaussian"
-                      else (bo_soliton, cfg.ic_r_nu))
+                      else (bo_soliton, 1.0 / cfg.ic_r_width))
         r_vals = _build("ic.r.", make, grid, size, cfg.ic_r_center).values
         r_vals = _scaled_to_peak(r_vals - r_vals.mean(), cfg.ic_r_amplitude)
     if cfg.ic_q_kind == "zero":
@@ -359,7 +351,7 @@ def _initial_state(cfg: RunConfig) -> SystemState:
     else:
         q = _build("ic.q.", gaussian_envelope, grid, cfg.ic_q_amplitude, cfg.ic_q_width,
                    cfg.ic_q_center, cfg.ic_q_carrier)
-    # an overflow (a soliton's 4 nu at nu = 1e308, or the spectrum of samples
+    # an overflow (a soliton's 4 nu at width = 1e-308, or the spectrum of samples
     # near the largest float) is bad input, not a blow-up; the run reuses
     # both spectra
     r = RealField(grid, r_vals)
@@ -458,9 +450,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # simulate / sweep
 # --------------------------------------------------------------------------
 
-def _write_snapshot(path: Path, state: SystemState, t: float, write) -> None:
+def _write_snapshot(path: Path, state: SystemState, write) -> None:
     q = state.q.values
-    write(path, f"# t = {_fmt(t)}\nx\tr\tre_q\tim_q",
+    write(path, f"# t = {_fmt(state.t)}\nx\tr\tre_q\tim_q",
           np.column_stack((state.grid.x, state.r.values, q.real, q.imag)))
 
 
@@ -477,14 +469,6 @@ def _write_metadata(fh, cfg: RunConfig, status: str, extra: dict[str, str]) -> N
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    # run steps in tau (see RunConfig), its steps counted in the config's unit:
-    # t_end / epsilon would meet run's step-count tolerance on another scale.
-    # A time written is its step index times dt, exactly i dt in either unit
-    t_end = cfg.steps * cfg.stepper.dt
-
-    def t_of(t: float) -> float:
-        return round(t / cfg.stepper.dt) * cfg.dt
-
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log.info("simulate: %s system, %s, n=%d, dt=%s, t_end=%s",
@@ -499,25 +483,22 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     # interrupted run still has every snapshot it sent written
     with _tsv.Writer() as writer:
         try:
-            rows = run(cfg.initial, cfg.stepper, cfg.coeffs, t_end,
+            rows = run(cfg.initial, cfg.stepper, cfg.coeffs, cfg.t_end,
                        diagnostics_every=cfg.diagnostics_every,
                        snapshot_every=cfg.snapshot_every, system=cfg.system,
                        gauge_diagnostics=cfg.gauge_diagnostics,
                        on_snapshot=lambda st: _write_snapshot(
-                           out / f"snapshot_{next(sent):04d}.tsv", st, t_of(st.t),
-                           writer.send)
+                           out / f"snapshot_{next(sent):04d}.tsv", st, writer.send)
                        ).diagnostics
         except ValueError as exc:  # raised before the first snapshot is sent
             raise ConfigError(f"grid, stepper: {exc}") from None
         except BlowUp as exc:
-            # its message in the config's unit
-            failed = BlowUp(t_of(exc.time), exc.sup, exc.state)
-            log.error("blow-up: %s", failed)
+            log.error("blow-up: %s", exc)
             last_good = out / "snapshot_last_good.tsv"
-            _write_snapshot(last_good, exc.state, t_of(exc.state.t), writer.send)
+            _write_snapshot(last_good, exc.state, writer.send)
             status, code = "blow-up", EXIT_BLOWUP
-            extra = {"failing_time": _fmt(failed.time), "failing_sup_norm": _fmt(exc.sup)}
-            message = (f"blow-up at t = {_fmt(failed.time)}; "
+            extra = {"failing_time": _fmt(exc.time), "failing_sup_norm": _fmt(exc.sup)}
+            message = (f"blow-up at t = {_fmt(exc.time)}; "
                        f"last good snapshot written to {last_good}")
         except KeyboardInterrupt:
             log.error("interrupted")
@@ -525,8 +506,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             message = f"interrupted; the snapshots taken so far are in {out}"
         else:
             diag_path = out / "diagnostics.tsv"
-            table = np.array([dataclasses.astuple(dataclasses.replace(row, t=t_of(row.t)))
-                              for row in rows])
+            table = np.array([dataclasses.astuple(row) for row in rows])
             writer.send(diag_path, "\t".join(DiagnosticsRow.COLUMNS), table)
             snapshots = next(sent)  # the count of snapshots sent
             status, code = "ok", EXIT_OK

@@ -320,8 +320,9 @@ class ModelCoefficients:
     a = -eps^2 Omega2/(2 c0), b = -eps Omega1/(2 c0), c = 6 eps kt,
     d = -eps^2 kt2, alpha = -eps omega1_pp/2, beta = -kt1.  The envelope
     variable is normalised as q_hat = eps^(1/2 + delta) q so that a single
-    beta appears in both equations.  The full system's time variable is
-    tau = eps t.
+    beta appears in both equations, so delta enters no other field: each
+    one is the same, bit for bit, at every delta in (0, 1/2).  The full
+    system's time variable is tau = eps t.
 
     Each field is its value at `unit_twin` times its units' monomial (the
     zeros kappa1,4,6,8 take those of the kt term they enter).
@@ -412,7 +413,8 @@ def derive_coefficients(params: PhysicalParams, epsilon: float,
     epsilon : float
         Long-wave scaling parameter, in (0, 1).
     delta : float
-        Envelope scaling exponent, in (0, 1/2).
+        Envelope scaling exponent, in (0, 1/2).  It is checked and recorded
+        as the `delta` field, and changes no other field.
 
     Returns
     -------

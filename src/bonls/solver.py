@@ -9,9 +9,7 @@ envelope q:
 
 The full variant adds the next-order coupling carried by the kt3 and kt4
 coefficients (see `rhs`).  Both are integrated in the slow time tau
-the coefficients were derived in.  A step dt in the alternative slow
-time tau1 = epsilon tau is a step dt / epsilon in tau; the CLI makes
-that conversion (`run.time_scale`).  Both hand the dispersive part to
+the coefficients were derived in.  Both hand the dispersive part to
 the exact multipliers from `spectral`, so the stiff third-derivative
 term never restricts the step size.
 

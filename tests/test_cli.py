@@ -101,6 +101,12 @@ def test_defaults_resolve_without_a_file():
     assert _DEFAULTS["grid.n"] == "512"
 
 
+def test_the_config_key_count_only_falls():
+    # a budget, as CI's transform budgets are: lower it when a key goes,
+    # and let no change raise it without a measurement that needs the key
+    assert len(_DEFAULTS) == 30
+
+
 def test_config_overlay_comments_and_blanks(tmp_path):
     path = write_config(tmp_path, """
 # a comment line
@@ -174,7 +180,6 @@ def test_sweep_values_are_split_and_stripped():
     ({"run.diagnostics_every": "0"}, "diagnostics_every"),
     ({"run.snapshot_every": "-1"}, "snapshot_every"),
     ({"run.system": "both"}, "run.system"),
-    ({"run.time_scale": "tau1"}, "full system"),
     ({"ic.r.kind": "square"}, "ic.r.kind"),
     ({"ic.r.kind": "noise", "ic.r.keep": "0"}, "ic.r.keep must"),
     ({"grid.length": "nonsense"}, "grid.length"),
@@ -183,7 +188,7 @@ def test_sweep_values_are_split_and_stripped():
     ({"run.t_end": "inf"}, "run.t_end"),
     ({"ic.r.width": "0"}, "ic.r.width must be positive"),
     ({"ic.q.width": "0"}, "ic.q.width must be positive"),
-    ({"ic.r.kind": "soliton", "ic.r.nu": "0"}, "ic.r.nu must be positive"),
+    ({"ic.r.kind": "soliton", "ic.r.width": "0"}, "ic.r.width must be positive"),
     ({"run.gauge_diagnostics": "maybe"}, "run.gauge_diagnostics"),
     ({"grid.n": "5.5"}, "grid.n: expected an integer"),
     # ids as key-value-match, so each row keeps its name when a second setting is added
@@ -195,14 +200,9 @@ def test_bad_settings_are_rejected_eagerly(settings, match):
 
 @pytest.mark.parametrize("kind", ["gaussian", "soliton", "zero"])
 def test_keep_is_read_only_by_the_noise_kind(kind):
-    # as ic.r.width is with a soliton: a kind that never reads keep accepts any
+    # as ic.r.width is with noise: a kind that never reads keep accepts any
     cfg = resolved({"ic.r.kind": kind, "ic.r.keep": "0"})
     assert cfg.ic_r_keep == 0.0
-
-
-def test_tau1_allowed_on_full_system():
-    cfg = resolved({"run.system": "full", "run.time_scale": "tau1"})
-    assert cfg.time_scale == "tau1"
 
 
 # ---------------------------------------------------------------- initial states
@@ -230,7 +230,7 @@ def test_initial_state_zero_kinds():
 
 
 def test_initial_state_soliton_peak():
-    s = bench_settings({"ic.r.kind": "soliton", "ic.r.nu": "0.8",
+    s = bench_settings({"ic.r.kind": "soliton", "ic.r.width": "1.25",
                         "ic.r.amplitude": "0.2"}).initial
     assert float(np.max(np.abs(s.r.values))) == pytest.approx(0.2, rel=1e-12)
 
@@ -511,7 +511,7 @@ def test_negative_seed_flag_exits_2_before_writing(tmp_path, caplog):
     ("ic.r.kind = noise\nsweep.key = seed\nsweep.values = 1, -1\n",
      "seed: must be at least 0"),
     # the second member's soliton overflows only when its state is built
-    ("ic.r.kind = soliton\nsweep.key = ic.r.nu\nsweep.values = 1.0, 1e308\n",
+    ("ic.r.kind = soliton\nsweep.key = ic.r.width\nsweep.values = 1.0, 1e-308\n",
      "the initial state is not finite"),
     ("sweep.key = run.snapshot_every\nsweep.values = 10, -1\n",
      "run.snapshot_every must be zero (the ends only) or positive, got -1"),
@@ -629,13 +629,11 @@ stepper.cfl_guard = 0.4
             == (out_dir / "snapshot_0000.tsv").read_bytes())
 
 
-TAU1_RUN = QUICK_RUN + "run.system = full\nrun.time_scale = tau1\n"
-
-
-def test_tau1_simulate_writes_each_time_as_its_step_times_dt(tmp_path):
-    # the library steps dt / epsilon in tau; every time comes back in tau1
-    path = write_config(tmp_path, TAU1_RUN)
-    out_dir = tmp_path / "tau1"
+def test_simulate_writes_each_time_as_its_step_times_dt(tmp_path):
+    # 50 steps of 1e-3 lie within step_count's 1e-9 of t_end; every time
+    # written is the step index times dt, the last one included
+    path = write_config(tmp_path, overlaid(QUICK_RUN, "run.t_end = 0.0500000005"))
+    out_dir = tmp_path / "times"
     assert main(["--config", path, "--out", str(out_dir), "simulate"]) == 0
     rows = (out_dir / "diagnostics.tsv").read_text().splitlines()[1:]
     assert [row.split("\t")[0] for row in rows] == [_fmt(i * 1e-3) for i in range(0, 51, 10)]
@@ -645,14 +643,13 @@ def test_tau1_simulate_writes_each_time_as_its_step_times_dt(tmp_path):
 
 
 @pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
-def test_tau1_simulate_is_the_library_run_at_dt_over_epsilon(tmp_path, scheme):
-    path = write_config(tmp_path, TAU1_RUN + f"stepper.scheme = {scheme}\n")
-    out_dir = tmp_path / "tau1"
+def test_simulate_writes_the_library_run(tmp_path, scheme):
+    path = write_config(tmp_path, QUICK_RUN + f"run.system = full\nstepper.scheme = {scheme}\n")
+    out_dir = tmp_path / "full"
     assert main(["--config", path, "--out", str(out_dir), "simulate"]) == 0
     cfg = RunConfig.from_settings(load_settings(path))
-    dt = 1e-3 / 0.35  # 50 steps of dt in tau1 = epsilon tau
-    traj = solver.run(cfg.initial, StepperConfig(dt=dt, scheme=scheme),
-                      cfg.coeffs, 50 * dt, diagnostics_every=10,
+    traj = solver.run(cfg.initial, StepperConfig(dt=1e-3, scheme=scheme),
+                      cfg.coeffs, 0.05, diagnostics_every=10,
                       snapshot_every=25, system="full")
     for k, snap in enumerate(traj.snapshots):
         table = np.loadtxt(out_dir / f"snapshot_{k:04d}.tsv", skiprows=2)
@@ -660,41 +657,7 @@ def test_tau1_simulate_is_the_library_run_at_dt_over_epsilon(tmp_path, scheme):
         assert np.array_equal(table, np.column_stack((snap.grid.x, snap.r.values,
                                                       q.real, q.imag)))
     rows = np.loadtxt(out_dir / "diagnostics.tsv", skiprows=1)
-    assert np.array_equal(rows[:, 1:], [(r.e1, r.e2, r.e3, r.mean_r, r.max_r,
-                                         r.gauge_residual) for r in traj.diagnostics])
-
-
-def test_tau1_blow_up_reports_its_times_in_tau1(tmp_path, capsys):
-    # sup |r| stays below the guard for 8 steps of 0.01 / 0.35 in tau
-    path = write_config(tmp_path, overlaid(TAU1_RUN, """
-stepper.dt = 1e-2
-run.t_end = 0.5
-ic.r.amplitude = 8.0
-stepper.cfl_guard = 8.005
-"""))
-    out_dir = tmp_path / "boom"
-    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == 3
-    meta = (out_dir / "metadata.txt").read_text()
-    assert f"failing_time = {_fmt(9 * 1e-2)}\n" in meta
-    assert f"blow-up at t = {_fmt(9 * 1e-2)};" in capsys.readouterr().out
-    last_good = (out_dir / "snapshot_last_good.tsv").read_text()
-    assert last_good.startswith(f"# t = {_fmt(8 * 1e-2)}\n")
-
-
-def test_tau1_run_time_counts_its_steps_in_tau1(tmp_path):
-    # 500 steps of 1e-3 lie within step_count's 1e-9 of 0.5000000008, but
-    # 500 steps of 1e-2 in tau miss 5.000000008 (t_end / epsilon) by more
-    path = write_config(tmp_path, """
-grid.n = 64
-run.system = full
-run.time_scale = tau1
-stepper.dt = 1e-3
-run.t_end = 0.5000000008
-""")
-    out_dir = tmp_path / "tau1"
-    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == 0
-    last = (out_dir / "diagnostics.tsv").read_text().splitlines()[-1]
-    assert last.split("\t")[0] == _fmt(500 * 1e-3)
+    assert np.array_equal(rows, [dataclasses.astuple(r) for r in traj.diagnostics])
 
 
 def _run_with_hook(monkeypatch, hook):
@@ -765,8 +728,26 @@ def _same_tables(a, b):
     return names
 
 
-# the benchmark's simulate-n512 run: the README example, reduced, strang-split,
-# n = 512, a row every 100 steps and a snapshot every 1000, over 1000 steps
+def test_readme_example_is_as_accurate_as_the_strang_run_it_replaced(tmp_path):
+    # the README's config, its one ini block, stepped strang-split at
+    # dt = 1e-3; the sup error of (r, q) at t = 10 was 1.19e-11 of their sup
+    # against etdrk4 at dt = 0.0025, and the example may be no less accurate
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = RunConfig.from_settings(load_settings(write_config(tmp_path, text)))
+    assert (cfg.stepper.scheme, cfg.t_end) == ("etdrk4", 10.0)
+    ends = []
+    for stepper in (cfg.stepper, StepperConfig(dt=0.0025, scheme="etdrk4")):
+        end = solver.run(cfg.initial, stepper, cfg.coeffs, cfg.t_end,
+                         diagnostics_every=10 ** 6).snapshots[-1]
+        ends.append(np.concatenate((end.r.values, end.q.values)))
+    error = np.max(np.abs(ends[0] - ends[1])) / np.max(np.abs(ends[1]))
+    assert error <= 1.19e-11
+
+
+# the benchmark's simulate-n512 run: the bench stratification, reduced,
+# strang-split, n = 512, a row every 100 steps and a snapshot every 1000,
+# over 1000 steps
 N512 = BENCH_LINES + """
 model.delta = 0.25
 grid.n = 512
@@ -1324,12 +1305,15 @@ def test_config_errors_exit_2(tmp_path):
     # bonls dispersion tabulates verify's sample, so these keys are gone too
     ("dispersion.k_min = -1\n", "unknown config key 'dispersion.k_min'"),
     ("dispersion.count = 1\n", "unknown config key 'dispersion.count'"),
+    # a tau1 run was the tau run at dt / epsilon, and nu is 1 / ic.r.width
+    ("run.time_scale = tau\n", "unknown config key 'run.time_scale'"),
+    ("ic.r.nu = 1.0\n", "unknown config key 'ic.r.nu'"),
     # past the Nyquist mode the carrier would alias (to mode -24 at n = 128)
     ("ic.q.carrier_mode = 1000\n", "ic.q.carrier_mode = 1000 lies past the Nyquist mode"),
     ("seed = -1\n", "seed: must be at least 0"),
     ("run.t_end = 1e300\nstepper.dt = 1e-300\n", "not a finite step count"),
-    # 4 nu overflows: bad input, not a blow-up
-    ("ic.r.kind = soliton\nic.r.nu = 1e308\n", "ic.*: the initial state is not finite"),
+    # the soliton's 4 nu = 4 / width overflows: bad input, not a blow-up
+    ("ic.r.kind = soliton\nic.r.width = 1e-308\n", "ic.*: the initial state is not finite"),
     # finite samples whose spectrum overflows
     ("ic.q.amplitude = 1.7976931348623157e308\n", "ic.*: the initial state is not finite"),
     # the library's cadence rule, checked before anything is written

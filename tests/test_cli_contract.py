@@ -100,12 +100,10 @@ if HAS_HYPOTHESIS:
         "run.diagnostics_every": _ints(1, 2, 10),
         "run.snapshot_every": _ints(0, 1, 3),
         "run.system": _choices("reduced", "full"),
-        "run.time_scale": _choices("tau", "tau1"),
         "run.gauge_diagnostics": _choices("on", "off", "true", "no", "1", "0"),
         "ic.r.kind": _choices("gaussian", "soliton", "noise", "zero"),
         "ic.r.amplitude": _floats(0.0, 1.0), "ic.r.width": _floats(1e-2, 10.0),
-        "ic.r.center": _floats(-20.0, 20.0), "ic.r.nu": _floats(1e-2, 10.0),
-        "ic.r.keep": _floats(0.0, 1.0),
+        "ic.r.center": _floats(-20.0, 20.0), "ic.r.keep": _floats(0.0, 1.0),
         "ic.q.kind": _choices("gaussian", "zero"),
         "ic.q.amplitude": _floats(0.0, 1.0), "ic.q.width": _floats(1e-2, 10.0),
         "ic.q.center": _floats(-20.0, 20.0), "ic.q.carrier_mode": _ints(0, 3, 31, 32, 33),

@@ -448,6 +448,16 @@ def test_sign_conventions():
         assert getattr(co, name) > 0.0, name
 
 
+@pytest.mark.parametrize("params", [BENCH, ANDAMAN], ids=["bench", "andaman"])
+def test_delta_changes_no_field_but_its_own(params):
+    # q_hat = eps^(1/2 + delta) q puts one beta in both equations, so delta
+    # only passes through: model.delta is inert
+    one = dataclasses.asdict(derive_coefficients(params, epsilon=0.1, delta=0.1))
+    two = dataclasses.asdict(derive_coefficients(params, epsilon=0.1, delta=0.4))
+    assert (one.pop("delta"), two.pop("delta")) == (0.1, 0.4)
+    assert one == two
+
+
 @pytest.mark.parametrize("delta", [-0.1, 0.0, 0.5, 0.9])
 def test_delta_domain_rejected(delta):
     with pytest.raises(DomainError):
