@@ -630,9 +630,8 @@ stepper.cfl_guard = 0.4
 
 
 def test_simulate_writes_each_time_as_its_step_times_dt(tmp_path):
-    # 50 steps of 1e-3 lie within step_count's 1e-9 of t_end; every time
-    # written is the step index times dt, the last one included
-    path = write_config(tmp_path, overlaid(QUICK_RUN, "run.t_end = 0.0500000005"))
+    # every time written is the step index times dt, the last one included
+    path = write_config(tmp_path, QUICK_RUN)
     out_dir = tmp_path / "times"
     assert main(["--config", path, "--out", str(out_dir), "simulate"]) == 0
     rows = (out_dir / "diagnostics.tsv").read_text().splitlines()[1:]
@@ -640,6 +639,21 @@ def test_simulate_writes_each_time_as_its_step_times_dt(tmp_path):
     for k, i in enumerate((0, 25, 50)):
         header = (out_dir / f"snapshot_{k:04d}.tsv").read_text().split("\n", 1)[0]
         assert header == f"# t = {_fmt(i * 1e-3)}"
+
+
+def test_run_time_counts_its_steps(tmp_path):
+    # 500 steps of 1e-3 lie within step_count's 1e-9 of 0.5000000008, and
+    # the last time written is 500 dt, not t_end
+    path = write_config(tmp_path, """
+grid.n = 64
+run.system = full
+stepper.dt = 1e-3
+run.t_end = 0.5000000008
+""")
+    out_dir = tmp_path / "steps"
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == 0
+    last = (out_dir / "diagnostics.tsv").read_text().splitlines()[-1]
+    assert last.split("\t")[0] == _fmt(500 * 1e-3)
 
 
 @pytest.mark.parametrize("scheme", ["strang-split", "etdrk4"])
