@@ -10,16 +10,15 @@ medium-length simulation and tabulates the drifts, then saves a waterfall
 of the interface if matplotlib is around.
 """
 
-import numpy as np
-
 from bonls.coeffs import PhysicalParams, derive_coefficients
 from bonls.solver import (
     StepperConfig,
-    SystemState,
-    gaussian_envelope,
+    initial_envelope,
+    initial_profile,
+    initial_state,
     run,
 )
-from bonls.spectral import Grid, RealField, gaussian_bump
+from bonls.spectral import Grid
 
 co = derive_coefficients(PhysicalParams(g=1.0, h1=1.0, rho=2.0, rho1=1.0),
                          epsilon=0.35, delta=0.25)
@@ -27,11 +26,10 @@ grid = Grid(256, 40.0)
 
 # %%
 # smooth mean-zero data: a bump for the interface, a modulated packet on top
-r = gaussian_bump(grid, 2.0).values
-r -= r.mean()
-r *= 0.1 / np.max(np.abs(r))
-q = gaussian_envelope(grid, 0.05, 3.0, carrier_mode=3)
-state = SystemState(RealField(grid, r), q)
+# (simulate's default ic.r.* and ic.q.* values)
+r = initial_profile(grid, "gaussian", amplitude=0.1, width=2.0, center=0.0, keep=1 / 6, seed=0)
+q = initial_envelope(grid, "gaussian", amplitude=0.05, width=3.0, center=0.0, carrier_mode=3)
+state = initial_state(r, q)
 
 traj = run(state, StepperConfig(dt=1e-3), co, t_end=5.0,
            diagnostics_every=500, snapshot_every=500)

@@ -67,20 +67,22 @@ from .coeffs import (
     symbol_table,
 )
 from .solver import (
-    CONSERVED,
+    ENVELOPES,
+    PROFILES,
     SYSTEMS,
     BlowUp,
     DiagnosticsRow,
     StepperConfig,
     SystemState,
-    bo_soliton,
     check_cadences,
-    gaussian_envelope,
+    initial_envelope,
+    initial_profile,
+    initial_state,
+    relative_drifts,
     run,
     step_count,
 )
-from .spectral import (ComplexField, Grid, RealField, _scaled_to_peak, band_limited_noise,
-                       gaussian_bump)
+from .spectral import Grid
 
 # glibc serves a request at or above its mmap threshold from a fresh
 # mapping, moves that threshold up to the largest such block freed, and
@@ -234,13 +236,12 @@ class RunConfig:
     snapshot_every: int = _key("run.snapshot_every", _to_int, "0")
     system: str = _key("run.system", str.strip, "reduced", _one_of(*SYSTEMS))
     gauge_diagnostics: bool = _key("run.gauge_diagnostics", _to_bool, "on")
-    ic_r_kind: str = _key("ic.r.kind", str.strip, "gaussian",
-                          _one_of("gaussian", "soliton", "noise", "zero"))
+    ic_r_kind: str = _key("ic.r.kind", str.strip, "gaussian", _one_of(*PROFILES))
     ic_r_amplitude: float = _key("ic.r.amplitude", _to_float, "0.1")
     ic_r_width: float = _key("ic.r.width", _to_float, "2.0")
     ic_r_center: float = _key("ic.r.center", _to_float, "0.0")
     ic_r_keep: float = _key("ic.r.keep", _to_float, "0.16666666666666666")
-    ic_q_kind: str = _key("ic.q.kind", str.strip, "gaussian", _one_of("gaussian", "zero"))
+    ic_q_kind: str = _key("ic.q.kind", str.strip, "gaussian", _one_of(*ENVELOPES))
     ic_q_amplitude: float = _key("ic.q.amplitude", _to_float, "0.05")
     ic_q_width: float = _key("ic.q.width", _to_float, "3.0")
     ic_q_center: float = _key("ic.q.center", _to_float, "0.0")
@@ -285,7 +286,11 @@ class RunConfig:
         put("stepper", _build("stepper", StepperConfig, self.dt, self.scheme, self.cfl_guard))
         # run()'s step-count rule, checked before anything is written
         _build(_KEY["t_end"], step_count, self.t_end, self.dt)
-        put("initial", _initial_state(self))
+        r = _build("ic.r.", initial_profile, self.grid, self.ic_r_kind, self.ic_r_amplitude,
+                   self.ic_r_width, self.ic_r_center, self.ic_r_keep, self.seed)
+        q = _build("ic.q.", initial_envelope, self.grid, self.ic_q_kind, self.ic_q_amplitude,
+                   self.ic_q_width, self.ic_q_center, self.ic_q_carrier)
+        put("initial", _build("ic.*", initial_state, r, q))
 
 
 _ROWS = tuple(f for f in dataclasses.fields(RunConfig) if "key" in f.metadata)
@@ -326,38 +331,6 @@ def load_settings(path: str | None) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: config key {key!r} also set on line {first[key]}")
         settings[key] = value
     return settings
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite state is reported
-def _initial_state(cfg: RunConfig) -> SystemState:
-    """Initial (r, q) from the ic.* settings; only noise kinds draw on the seed."""
-    grid = cfg.grid
-    kind = cfg.ic_r_kind
-    if kind == "zero":
-        r_vals = np.zeros(grid.n)
-    elif kind == "noise":
-        rng = np.random.default_rng(cfg.seed)
-        r_vals = _build("ic.r.", band_limited_noise, grid, rng, cfg.ic_r_amplitude,
-                        cfg.ic_r_keep).values
-    else:
-        if not cfg.ic_r_width > 0.0:  # a soliton's nu is 1 / width
-            raise ConfigError(f"{_KEY['ic_r_width']} must be positive")
-        make, size = ((gaussian_bump, cfg.ic_r_width) if kind == "gaussian"
-                      else (bo_soliton, 1.0 / cfg.ic_r_width))
-        r_vals = _build("ic.r.", make, grid, size, cfg.ic_r_center).values
-        r_vals = _scaled_to_peak(r_vals - r_vals.mean(), cfg.ic_r_amplitude)
-    if cfg.ic_q_kind == "zero":
-        q = ComplexField(grid, np.zeros(grid.n, dtype=complex))
-    else:
-        q = _build("ic.q.", gaussian_envelope, grid, cfg.ic_q_amplitude, cfg.ic_q_width,
-                   cfg.ic_q_center, cfg.ic_q_carrier)
-    # an overflow (a soliton's 4 nu at width = 1e-308, or the spectrum of samples
-    # near the largest float) is bad input, not a blow-up; the run reuses
-    # both spectra
-    r = RealField(grid, r_vals)
-    if not (np.all(np.isfinite(r.half)) and np.all(np.isfinite(q.spectrum))):
-        raise ConfigError("ic.*: the initial state is not finite")
-    return SystemState(r, q)
 
 
 # --------------------------------------------------------------------------
@@ -512,11 +485,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             status, code = "ok", EXIT_OK
             extra = {"snapshots": str(snapshots), "diagnostics_rows": str(len(rows))}
             message = f"wrote {diag_path} and {snapshots} snapshots to {out}"
-            drifts = {name: abs(table[-1, i] - table[0, i]) / max(abs(table[0, i]), 1e-300)
-                      for i, name in enumerate(DiagnosticsRow.COLUMNS)
-                      if name in CONSERVED[cfg.system]}
-            log.info("done: %d diagnostics rows, relative drifts %s", len(rows),
-                     ", ".join(f"{name} {d:.3e}" for name, d in drifts.items()))
+            log.info("done: %d diagnostics rows, relative drifts %s", len(rows), ", ".join(
+                f"{name} {d:.3e}" for name, d in relative_drifts(rows, cfg.system).items()))
     _tsv.write_file(out / "metadata.txt", _write_metadata, cfg, status, extra)
     print(message)
     return code
@@ -579,8 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", choices=sorted(PRESETS),
                         default=argparse.SUPPRESS,
                         help="named physical parameter set")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help=f"random seed (overrides {_KEY['seed']})")
     parser = argparse.ArgumentParser(
         prog="bonls", parents=[common],
         description="two-layer wave model: coefficients, identities, simulation")
@@ -615,8 +583,6 @@ def main(argv: list[str] | None = None) -> int:
             preset = PRESETS[args.preset]
             settings.update({_KEY[f.name]: repr(getattr(preset, f.name))
                              for f in dataclasses.fields(preset)})
-        if hasattr(args, "seed"):
-            settings["seed"] = str(args.seed)
         if hasattr(args, "out"):
             settings["output.dir"] = args.out
         cfg = RunConfig.from_settings(settings)

@@ -49,8 +49,8 @@ import functools
 import itertools
 import math
 import threading
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -60,11 +60,14 @@ from .spectral import (
     ComplexField,
     Grid,
     RealField,
+    band_limited_noise,
     dealias_mask,
+    gaussian_bump,
     _mean_free,
     _phase,
     _read_only,
     _real_samples,
+    _scaled_to_peak,
 )
 
 __all__ = [
@@ -80,12 +83,18 @@ __all__ = [
     "check_cadences",
     "conserved",
     "run",
+    "relative_drifts",
     "bo_soliton",
     "gaussian_envelope",
+    "initial_profile",
+    "initial_envelope",
+    "initial_state",
 ]
 
 CONSERVED = {"reduced": ("E1", "E2", "E3"), "full": ("E2", "E3")}  # kt3/kt4 break E1
 SYSTEMS = tuple(CONSERVED)
+PROFILES = ("gaussian", "soliton", "noise", "zero")  # the kinds of `initial_profile`
+ENVELOPES = ("gaussian", "zero")  # and of `initial_envelope`
 
 # Steppers kept for reuse, one per distinct (grid, dt, scheme, coefficients,
 # system).  Every measured use (a step() loop, run() after step(), an
@@ -762,6 +771,14 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
     return Trajectory(tuple(snapshots), tuple(rows))
 
 
+def relative_drifts(rows: Sequence[DiagnosticsRow], system: str) -> dict[str, float]:
+    """|last - first| / |first| over rows of each quantity `CONSERVED[system]`
+    names, keyed by its column (a first value of 0 counts as 1e-300)."""
+    first, last = astuple(rows[0]), astuple(rows[-1])
+    return {name: abs(last[i] - first[i]) / max(abs(first[i]), 1e-300)
+            for i, name in enumerate(DiagnosticsRow.COLUMNS) if name in CONSERVED[system]}
+
+
 def bo_soliton(grid: Grid, nu: float, center: float = 0.0) -> RealField:
     """Algebraic soliton profile 4 nu / (1 + nu^2 (x - center)^2), mean-removed.
 
@@ -790,3 +807,44 @@ def gaussian_envelope(grid: Grid, amplitude: complex, width: float,
     carrier = 2.0 * np.pi * carrier_mode / grid.length
     vals = amplitude * np.exp(-0.5 * z * z) * np.exp(1j * carrier * grid.x)
     return ComplexField(grid, vals)
+
+
+# a field that overflows is no error here: `initial_state` reports it
+@np.errstate(over="ignore", invalid="ignore")
+def initial_profile(grid: Grid, kind: str, amplitude: float, width: float, center: float,
+                    keep: float, seed: int) -> RealField:
+    """Mean-free r of a `PROFILES` kind with peak |r| = amplitude: a gaussian bump
+    or a soliton (nu = 1 / width) about center, `band_limited_noise` drawn from
+    default_rng(seed), the one kind that reads keep and seed, or r = 0."""
+    if kind not in PROFILES:
+        raise ValueError(f"kind must be one of {', '.join(PROFILES)}, got {kind!r}")
+    if kind == "zero":
+        return RealField(grid, np.zeros(grid.n))
+    if kind == "noise":
+        return band_limited_noise(grid, np.random.default_rng(seed), amplitude, keep)
+    if not width > 0.0:  # a soliton's nu is 1 / width
+        raise ValueError("width must be positive")
+    r = (gaussian_bump(grid, width, center) if kind == "gaussian"
+         else bo_soliton(grid, 1.0 / width, center)).values
+    return RealField(grid, _scaled_to_peak(r - r.mean(), amplitude))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as for `initial_profile`
+def initial_envelope(grid: Grid, kind: str, amplitude: complex, width: float, center: float,
+                     carrier_mode: int) -> ComplexField:
+    """q of an `ENVELOPES` kind: `gaussian_envelope`, or q = 0."""
+    if kind not in ENVELOPES:
+        raise ValueError(f"kind must be one of {', '.join(ENVELOPES)}, got {kind!r}")
+    if kind == "zero":
+        return ComplexField(grid, np.zeros(grid.n, dtype=complex))
+    return gaussian_envelope(grid, amplitude, width, center, carrier_mode)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def initial_state(r: RealField, q: ComplexField) -> SystemState:
+    """The state (r, q) at t = 0; ValueError unless r, q and their spectra, which
+    `run` reuses, are finite (a soliton's 4 nu at width 1e-308, or the spectrum
+    of samples near the largest float, is not)."""
+    if not (np.all(np.isfinite(r.half)) and np.all(np.isfinite(q.spectrum))):
+        raise ValueError("the initial state is not finite")
+    return SystemState(r, q)

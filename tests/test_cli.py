@@ -243,6 +243,36 @@ def test_initial_state_noise_is_seeded():
     assert not np.array_equal(one.r.values, other.r.values)
 
 
+@pytest.mark.parametrize("extra, r_args, q_args", [
+    ({}, ("gaussian", 0.1, 2.0, 0.0, 1 / 6, 0), ("gaussian", 0.05, 3.0, 0.0, 3)),
+    ({"ic.r.kind": "soliton", "ic.r.width": "1.25", "ic.r.center": "-1.5",
+      "ic.q.center": "2.5", "ic.q.carrier_mode": "-2"},
+     ("soliton", 0.1, 1.25, -1.5, 1 / 6, 0), ("gaussian", 0.05, 3.0, 2.5, -2)),
+    ({"ic.r.kind": "noise", "seed": "11"},
+     ("noise", 0.1, 2.0, 0.0, 1 / 6, 11), ("gaussian", 0.05, 3.0, 0.0, 3)),
+    ({"ic.r.kind": "noise", "seed": "12", "ic.r.keep": "0.5", "ic.q.kind": "zero"},
+     ("noise", 0.1, 2.0, 0.0, 0.5, 12), ("zero", 0.05, 3.0, 0.0, 3)),
+    ({"ic.r.kind": "zero", "ic.q.kind": "zero"},
+     ("zero", 0.1, 2.0, 0.0, 1 / 6, 0), ("zero", 0.05, 3.0, 0.0, 3)),
+], ids=["gaussian", "soliton", "noise-seed-11", "noise-seed-12", "zero"])
+def test_library_builders_make_the_configs_initial_state(extra, r_args, q_args):
+    cfg = bench_settings(extra)
+    r = solver.initial_profile(cfg.grid, *r_args)
+    q = solver.initial_envelope(cfg.grid, *q_args)
+    built = solver.initial_state(r, q)
+    for mine, theirs in ((built.r, cfg.initial.r), (built.q, cfg.initial.q)):
+        assert mine.values.tobytes() == theirs.values.tobytes()
+        assert mine.spectrum.tobytes() == theirs.spectrum.tobytes()
+
+
+def test_the_seed_flag_is_gone(capsys):
+    # the seed config key is the one way to set it
+    with pytest.raises(SystemExit) as exit_:
+        main(["coeffs", "--seed", "1"])
+    assert exit_.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- coeffs / dispersion
 
 def test_coeffs_reports_every_coefficient(capsys):
@@ -394,13 +424,13 @@ def test_coefficients_and_initial_state_are_built_once_per_config(tmp_path, monk
         make = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a: calls.append(name) or make(*a))
 
-    for name in ("derive_coefficients", "gaussian_bump", "gaussian_envelope"):
+    for name in ("derive_coefficients", "initial_profile", "initial_envelope"):
         counted(name)
     path = write_config(tmp_path, QUICK_RUN + "sweep.key = ic.r.amplitude\n"
                                               "sweep.values = 0.02, 0.04\n")
     assert main(["--config", path, "--out", str(tmp_path / "once"), command]) == 0
-    assert sorted(calls) == builds * ["derive_coefficients"] + builds * ["gaussian_bump"] \
-        + builds * ["gaussian_envelope"]
+    assert sorted(calls) == builds * ["derive_coefficients"] + builds * ["initial_envelope"] \
+        + builds * ["initial_profile"]
 
 
 @pytest.mark.parametrize("system, kept", [("reduced", ("E1", "E2", "E3")),
@@ -420,6 +450,10 @@ def test_closing_log_reports_the_drifts_the_system_conserves(tmp_path, caplog, s
                    for row in (rows[0], rows[-1]))
     assert [drift for _, drift in parts] == [
         f"{abs(last[name] - first[name]) / abs(first[name]):.3e}" for name in kept]
+    # the library's summary of the rows written is the one the log prints
+    table = [solver.DiagnosticsRow(*map(float, row.split("\t"))) for row in rows]
+    assert [f"{name} {d:.3e}" for name, d in solver.relative_drifts(table, system).items()] \
+        == [" ".join(part) for part in parts]
 
 
 def test_andaman_preset_writes_the_default_metadata(tmp_path):
@@ -479,18 +513,18 @@ def test_simulate_is_deterministic(tmp_path, scheme, system):
 
 
 def test_seed_feeds_noise_runs(tmp_path):
-    path = write_config(tmp_path, BENCH_LINES + """
+    config = BENCH_LINES + """
 grid.n = 64
 run.t_end = 0.01
 stepper.dt = 1e-3
 run.diagnostics_every = 5
 ic.r.kind = noise
-""")
+"""
 
     def diag_bytes(name, seed):
+        path = write_config(tmp_path, config + f"seed = {seed}\n", name=f"{name}.conf")
         out = tmp_path / name
-        assert main(["--config", path, "--out", str(out), "--seed", seed,
-                     "simulate"]) == 0
+        assert main(["--config", path, "--out", str(out), "simulate"]) == 0
         return (out / "diagnostics.tsv").read_bytes()
 
     assert diag_bytes("s7a", "7") == diag_bytes("s7b", "7")
@@ -499,10 +533,9 @@ ic.r.kind = noise
 
 def test_negative_seed_flag_exits_2_before_writing(tmp_path, caplog):
     # numpy's generator would reject it only once the noise profile is drawn
-    path = write_config(tmp_path, QUICK_RUN + "ic.r.kind = noise\n")
+    path = write_config(tmp_path, QUICK_RUN + "ic.r.kind = noise\nseed = -1\n")
     out_dir = tmp_path / "never"
-    assert main(["--config", path, "--out", str(out_dir), "--seed", "-1",
-                 "simulate"]) == cli.EXIT_CONFIG
+    assert main(["--config", path, "--out", str(out_dir), "simulate"]) == cli.EXIT_CONFIG
     assert "seed: must be at least 0" in caplog.records[-1].getMessage()
     assert not out_dir.exists()
 

@@ -27,6 +27,8 @@ from bonls.solver import (
     bo_soliton,
     conserved,
     gaussian_envelope,
+    initial_envelope,
+    initial_profile,
     rhs,
     run,
     step,
@@ -56,11 +58,8 @@ def zero_state(grid):
 
 
 def bump_state(grid, r_sup=0.1, q_amp=0.05, q_width=3.0, carrier=2, r_width=2.0):
-    r = gaussian_bump(grid, r_width).values
-    r = r - r.mean()
-    r = (r_sup / np.max(np.abs(r))) * r
-    q = gaussian_envelope(grid, q_amp, q_width, carrier_mode=carrier)
-    return SystemState(RealField(grid, r), q)
+    return SystemState(initial_profile(grid, "gaussian", r_sup, r_width, 0.0, 1.0, 0),
+                       initial_envelope(grid, "gaussian", q_amp, q_width, 0.0, carrier))
 
 
 # ---------------------------------------------------------------- right-hand sides
@@ -1574,6 +1573,25 @@ def test_gaussian_envelope_carrier():
     for mode in (129, -129, 1000):
         with pytest.raises(ValueError, match=f"carrier_mode = {mode} lies past the Nyquist"):
             gaussian_envelope(grid, 0.1, 2.0, carrier_mode=mode)
+
+
+def test_initial_profile_is_the_mean_free_bump_scaled_to_its_peak():
+    # the recipe the README's example once spelled out by hand
+    grid = Grid(256, 40.0)
+    r = gaussian_bump(grid, 2.0, 1.5).values
+    r = r - r.mean()
+    r = (0.1 / np.max(np.abs(r))) * r
+    built = initial_profile(grid, "gaussian", 0.1, 2.0, 1.5, 1.0, 0)
+    assert built.values.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("make, args", [
+    (initial_profile, ("square", 0.1, 1.0, 0.0, 0.5, 0)),
+    (initial_envelope, ("soliton", 0.1, 1.0, 0.0, 0)),
+])
+def test_initial_builders_reject_an_unknown_kind(make, args):
+    with pytest.raises(ValueError, match=f"kind must be one of .*, got '{args[0]}'"):
+        make(Grid(64, 10.0), *args)
 
 
 if HAS_HYPOTHESIS:
