@@ -27,7 +27,7 @@ grid = Grid(256, 40.0)
 # %%
 # smooth mean-zero data: a bump for the interface, a modulated packet on top
 # (simulate's default ic.r.* and ic.q.* values)
-r = initial_profile(grid, "gaussian", amplitude=0.1, width=2.0, center=0.0, keep=1 / 6, seed=0)
+r = initial_profile(grid, "gaussian", amplitude=0.1, width=2.0, center=0.0, seed=0)
 q = initial_envelope(grid, "gaussian", amplitude=0.05, width=3.0, center=0.0, carrier_mode=3)
 state = initial_state(r, q)
 

@@ -94,10 +94,12 @@ def gauge(r: RealField, coeffs: ModelCoefficients) -> GaugedState:
     construction; w+- = Psi+- d/dx P+- r.  Once r's half spectrum is cached
     this makes one irfft, for the antiderivative, and no complex
     transform; Psi- costs no transform when first read, and the w+- pair
-    one ifft each.
+    one ifft each.  At a = 0 (rho1/rho = 1/sqrt 3) every factor is NaN.
     """
-    phase = -(2.0 * coeffs.d / (3.0 * coeffs.a)) * antiderivative(r).values
-    return GaugedState(psi_plus=ComplexField(r.grid, np.exp(1j * phase)), source=r)
+    primitive = antiderivative(r).values  # a mean is refused at a = 0 too
+    psi = (np.exp(1j * (-(2.0 * coeffs.d / (3.0 * coeffs.a)) * primitive)) if coeffs.a != 0.0
+           else np.full(r.grid.n, complex(np.nan, np.nan)))
+    return GaugedState(psi_plus=ComplexField(r.grid, psi), source=r)
 
 
 def reconstruct_dr(gs: GaugedState) -> RealField:

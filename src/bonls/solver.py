@@ -94,6 +94,7 @@ __all__ = [
 CONSERVED = {"reduced": ("E1", "E2", "E3"), "full": ("E2", "E3")}  # kt3/kt4 break E1
 SYSTEMS = tuple(CONSERVED)
 PROFILES = ("gaussian", "soliton", "noise", "zero")  # the kinds of `initial_profile`
+NOISE_KEEP = 1.0 / 6.0  # the noise kind's band, as a share of the Nyquist wavenumber
 ENVELOPES = ("gaussian", "zero")  # and of `initial_envelope`
 
 # Steppers kept for reuse, one per distinct (grid, dt, scheme, coefficients,
@@ -554,7 +555,7 @@ def _spectra(s: SystemState) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.concatenate((s.r.half, s.q.spectrum))
     if not np.all(np.isfinite(y)):
-        raise ValueError("r and q must be finite, and so must their spectra")
+        raise ValueError("the initial state is not finite")
     return y
 
 
@@ -696,18 +697,6 @@ def conserved(s: SystemState, coeffs: ModelCoefficients) -> ConservedTriple:
     return ConservedTriple(quadratic + cubic, e2, e3)
 
 
-def _gauge_residual(r: RealField, coeffs: ModelCoefficients) -> float:
-    # The gauge phase integrates r, which requires a periodic primitive;
-    # project out the conserved mean and gauge the oscillatory part.  With
-    # r's samples and half cached this makes three transforms: the
-    # antiderivative's irfft, and psi+'s fft and the ifft of its derivative
-    # (psi- and the w+- pair are never read).  a is 0 only where the twin's
-    # a is exactly 0 (rho1/rho = 1/sqrt 3), and there the phase is undefined.
-    if coeffs.a == 0.0:
-        return float("nan")
-    return gauge_ode_residual(gauge(_mean_free(r), coeffs), coeffs)
-
-
 def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
         t_end: float, diagnostics_every: int = 100,
         snapshot_every: int = 0, system: str = "reduced",
@@ -739,7 +728,11 @@ def run(initial: SystemState, cfg: StepperConfig, coeffs: ModelCoefficients,
 
     def diag_row(st: SystemState) -> DiagnosticsRow:
         tri = conserved(st, coeffs)
-        residual = _gauge_residual(st.r, coeffs) if gauge_diagnostics else float("nan")
+        # the gauge of r's mean-free part, as a periodic primitive needs: the
+        # antiderivative's irfft, psi+'s fft and the ifft of its derivative,
+        # with r's samples and half cached; NaN at a = 0 (`gauge`)
+        residual = (gauge_ode_residual(gauge(_mean_free(st.r), coeffs), coeffs)
+                    if gauge_diagnostics else float("nan"))
         return DiagnosticsRow(st.t, tri.e1, tri.e2, tri.e3,
                               float(np.mean(st.r.values)),
                               float(np.max(np.abs(st.r.values))),
@@ -812,16 +805,16 @@ def gaussian_envelope(grid: Grid, amplitude: complex, width: float,
 # a field that overflows is no error here: `initial_state` reports it
 @np.errstate(over="ignore", invalid="ignore")
 def initial_profile(grid: Grid, kind: str, amplitude: float, width: float, center: float,
-                    keep: float, seed: int) -> RealField:
+                    seed: int) -> RealField:
     """Mean-free r of a `PROFILES` kind with peak |r| = amplitude: a gaussian bump
-    or a soliton (nu = 1 / width) about center, `band_limited_noise` drawn from
-    default_rng(seed), the one kind that reads keep and seed, or r = 0."""
+    or a soliton (nu = 1 / width) about center, `band_limited_noise` of band
+    `NOISE_KEEP` from default_rng(seed), the one kind that reads seed, or r = 0."""
     if kind not in PROFILES:
         raise ValueError(f"kind must be one of {', '.join(PROFILES)}, got {kind!r}")
     if kind == "zero":
         return RealField(grid, np.zeros(grid.n))
     if kind == "noise":
-        return band_limited_noise(grid, np.random.default_rng(seed), amplitude, keep)
+        return band_limited_noise(grid, np.random.default_rng(seed), amplitude, NOISE_KEEP)
     if not width > 0.0:  # a soliton's nu is 1 / width
         raise ValueError("width must be positive")
     r = (gaussian_bump(grid, width, center) if kind == "gaussian"
@@ -840,11 +833,10 @@ def initial_envelope(grid: Grid, kind: str, amplitude: complex, width: float, ce
     return gaussian_envelope(grid, amplitude, width, center, carrier_mode)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def initial_state(r: RealField, q: ComplexField) -> SystemState:
     """The state (r, q) at t = 0; ValueError unless r, q and their spectra, which
     `run` reuses, are finite (a soliton's 4 nu at width 1e-308, or the spectrum
     of samples near the largest float, is not)."""
-    if not (np.all(np.isfinite(r.half)) and np.all(np.isfinite(q.spectrum))):
-        raise ValueError("the initial state is not finite")
-    return SystemState(r, q)
+    s = SystemState(r, q)
+    _spectra(s)  # the check `step` and `run` make of a caller's state
+    return s

@@ -75,7 +75,7 @@ def _random_original(grid: Grid, rng, params: PhysicalParams) -> Original:
 
 
 def _bump_state(grid: Grid, r_sup: float, q_amp: float, carrier: int) -> SystemState:
-    return SystemState(initial_profile(grid, "gaussian", r_sup, 2.0, 0.0, 1.0, 0),
+    return SystemState(initial_profile(grid, "gaussian", r_sup, 2.0, 0.0, 0),
                        initial_envelope(grid, "gaussian", q_amp, 3.0, 0.0, carrier))
 
 

@@ -13,7 +13,7 @@ The step count is bounded by the strategy, not filtered: stepper.dt and
 run.t_end are drawn together, t_end as one to ten steps of dt or as a
 value that is no whole step count, and grid.n as a power of two at most
 128 or a size `Grid` refuses.  A longer run is a legitimate run, only a
-slower one.  output.dir is always a fresh directory: the contract covers
+slower one.  --out is always a fresh directory: the contract covers
 the config, not a disk that refuses a write (exit 4).
 """
 
@@ -86,7 +86,7 @@ if HAS_HYPOTHESIS:
                                   blacklist_characters="#"), max_size=12)
 
     # each key's strategy; stepper.dt and run.t_end are drawn together below,
-    # and output.dir is a fresh directory
+    # and --out is a fresh directory
     _POOLS = {
         "physical.g": _floats(1e-3, 1e3), "physical.h1": _floats(1e-3, 1e3),
         "physical.rho": _floats(1e-3, 1e3), "physical.rho1": _floats(1e-3, 1e3),
@@ -103,7 +103,7 @@ if HAS_HYPOTHESIS:
         "run.gauge_diagnostics": _choices("on", "off", "true", "no", "1", "0"),
         "ic.r.kind": _choices("gaussian", "soliton", "noise", "zero"),
         "ic.r.amplitude": _floats(0.0, 1.0), "ic.r.width": _floats(1e-2, 10.0),
-        "ic.r.center": _floats(-20.0, 20.0), "ic.r.keep": _floats(0.0, 1.0),
+        "ic.r.center": _floats(-20.0, 20.0),
         "ic.q.kind": _choices("gaussian", "zero"),
         "ic.q.amplitude": _floats(0.0, 1.0), "ic.q.width": _floats(1e-2, 10.0),
         "ic.q.center": _floats(-20.0, 20.0), "ic.q.carrier_mode": _ints(0, 3, 31, 32, 33),

@@ -1,5 +1,7 @@
 """Gauge transformation: unimodular phase, gauged derivatives, reconstruction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,14 @@ def test_antiderivative_of_cosine():
     f = RealField(grid, np.cos(k * grid.x))
     want = np.sin(k * grid.x) / k
     assert np.max(np.abs(antiderivative(f).values - want)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gauge_is_nan_on_the_a_zero_line():
+    # exp(-(2id/3a) int r) is undefined at a = 0: every factor is NaN, and
+    # neither a ZeroDivisionError nor a RuntimeWarning is raised
+    gs = gauge(narrow_noise(Grid(128, 20.0)), dataclasses.replace(BENCH, a=0.0))
+    assert np.all(np.isnan(gs.psi_plus.values))
 
 
 def test_zero_field_gauge():

@@ -134,6 +134,16 @@ def test_a_nan_in_a_later_term_fails_eigen_decoupling():
     assert np.isnan(row.residual) and not row.ok
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_gauge_rows_are_nan_and_fail_on_the_a_zero_line():
+    # the gauge is undefined at a = 0 (rho1/rho = 1/sqrt 3), so each of its
+    # rows reads NaN, which no tolerance passes
+    names = [name for name, (group, _tol) in CHECKS.items() if group == "gauge"]
+    rows = run_suite(PARAMS, dataclasses.replace(COEFFS, a=0.0), checks=names)
+    assert [r.name for r in rows] == names and len(rows) == 3
+    assert all(np.isnan(r.residual) and not r.ok for r in rows)
+
+
 def test_a_selection_runs_only_its_groups(monkeypatch):
     def no_group(*args):
         raise AssertionError("a group outside the selection ran")
