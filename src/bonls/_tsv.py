@@ -12,9 +12,9 @@ budget starts a child process that runs this file as a script,
 
 and every table from then on goes to it, in order, so the text
 formatting of a large table overlaps whatever the caller computes next.
-The child is started with `os.posix_spawn` and reaped with `os.waitpid`:
-the `subprocess` import alone would cost the caller several ms.  The
-child reads frames from its stdin:
+The child is started by `subprocess.Popen`, imported only then, so a run
+within the budget never imports `subprocess`.  The child reads frames
+from its stdin:
 
     header  struct "<IIIQ": path bytes, header bytes, columns, value bytes
     path    file system encoding
@@ -41,18 +41,14 @@ BLOCK_ROWS = 512
 
 _FRAME = struct.Struct("<IIIQ")
 
-# Capacity asked for the pipe to the writer process: Linux's default ceiling
-# for an unprivileged pipe (fs.pipe-max-size), four n = 8192 snapshots.
-_PIPE_BYTES = 1 << 20
-
 # Value bytes a Writer formats in the calling process before it starts its
 # child.  Formatting costs about 64 ns per value byte (n = 512 to 2048
 # snapshots), and the spawn adds 9-12 ms to a run, whether the run steps on
 # while the child starts or closes at once (medians of 30 paired runs on a
-# 2-vCPU host).  The budget is the bytes one spawn's cost formats, rounded
-# down to a power of two (8.4 ms): like renting until the rent reaches the
-# price, no run pays more than twice the cheaper of the two ways.  One
-# n = 8192 snapshot (256 KiB) is past it, so such a run spawns at its first.
+# 2-vCPU host), and importing `subprocess` for it about 4-7 ms more.  The
+# budget is the bytes the 9-12 ms format, rounded down to a power of two
+# (8.4 ms): like renting until the rent reaches the price.  One n = 8192
+# snapshot (256 KiB) is past it, so such a run spawns at its first.
 _HERE_BYTES = 128 * 1024
 
 
@@ -116,8 +112,7 @@ class Writer:
 
     def __init__(self):
         self._room = _HERE_BYTES  # value bytes still to be written here; -1 once spawned
-        self._pid = None
-        self._stdin = None  # the pipe to the child's stdin
+        self._child = None  # the writer process, a subprocess.Popen
         self._status = -1
         self._last = None  # the path of the latest table sent
 
@@ -138,30 +133,31 @@ class Writer:
             write_file(path, write_table, header, columns, values)
             return
         self._room = -1  # every later table goes to the child, in order
-        if self._pid is None:
+        if self._child is None:
             self._start()
         raw_path, raw_header = os.fsencode(path), header.encode()
         self._last = path
         try:
-            self._stdin.write(_FRAME.pack(len(raw_path), len(raw_header), columns,
-                                          values.nbytes) + raw_path + raw_header)
-            self._stdin.write(values)
-            self._stdin.flush()
+            stdin = self._child.stdin
+            stdin.write(_FRAME.pack(len(raw_path), len(raw_header), columns,
+                                    values.nbytes) + raw_path + raw_header)
+            stdin.write(values)
+            stdin.flush()
         except BrokenPipeError:
             self.close()
             raise OSError(f"{path}: not written, the table writer had exited") from None
 
     def close(self, check: bool = True) -> None:
         """Wait for the child to write what it was sent and exit."""
-        pid = self._pid
-        if pid is None:
+        child = self._child
+        if child is None:
             return
-        self._pid = None
+        self._child = None
         try:
-            self._stdin.close()
+            child.stdin.close()
         except BrokenPipeError:
             pass  # the exit status says why
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        code = child.wait()
         failed = os.read(self._status, 1 << 16)
         os.close(self._status)
         if check and code != 0:
@@ -170,32 +166,21 @@ class Writer:
                           f"status {code}")
 
     def _start(self) -> None:
-        # posix_spawn, not subprocess: importing subprocess costs several
-        # ms.  os.pipe's ends are close-on-exec, so the child inherits only
-        # its stdin, dup2'd from one pipe, and the status end made inheritable.
+        import subprocess
+
+        # os.pipe's ends are close-on-exec; the child inherits the status end
+        # through pass_fds, and its session keeps it from a terminal's Ctrl-C
         status, child_end = os.pipe()
-        stdin_r, stdin_w = os.pipe()
         try:
-            os.set_inheritable(child_end, True)
-            self._pid = os.posix_spawn(
-                sys.executable, [sys.executable, "-I", "-S", __file__, str(child_end)],
-                os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, stdin_r, 0)], setsid=True)
+            self._child = subprocess.Popen(
+                [sys.executable, "-I", "-S", __file__, str(child_end)],
+                stdin=subprocess.PIPE, pass_fds=(child_end,), start_new_session=True)
         except BaseException:
             os.close(status)
-            os.close(stdin_w)
             raise
         finally:
             os.close(child_end)
-            os.close(stdin_r)
         self._status = status
-        self._stdin = open(stdin_w, "wb")
-        # room for a few tables, so that the first sends need not wait for
-        # the child's start-up; where the size cannot be set, the default holds
-        try:
-            import fcntl
-            fcntl.fcntl(stdin_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except (ImportError, AttributeError, OSError):
-            pass
 
 
 def _serve(stream, status_fd: int) -> int:

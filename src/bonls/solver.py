@@ -397,17 +397,10 @@ class _StrangStepper:
     error sets the accuracy, and classical RK4's fourth evaluation left
     the error at t_end within 0.2% of this one's.
 
-    `advance` leaves its input as it is.  Its stage arithmetic runs in
-    place, on the fresh arrays `nonlinear` returns and one stage buffer.
-    Only sums and products by a real scalar have their operands swapped,
-    which changes no bit; the product by the complex `half` keeps its
-    order, since numpy's complex product is not symmetric to the bit.  So
-    it gives the out-of-place formula
+    `advance` steps out of place, leaving its input as it is:
 
         y = half y;  a = N(y);  b = N(y + h a);  c = N(y + (h/4)(a + b))
         half (y + (h/6)((a + b) + 4 c))
-
-    bit for bit, with 5 arrays allocated a step in place of 14.
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite flow is reported
@@ -420,21 +413,12 @@ class _StrangStepper:
                              f"window (|dt L| reaches {dt * np.max(np.abs(rhs.lin)):.3g})")
 
     def advance(self, y: np.ndarray) -> np.ndarray:
+        f, h = self.rhs.nonlinear, self.dt
         y = self.half * y
-        h = self.dt
-        a = self.rhs.nonlinear(y)
-        stage = a * h
-        stage += y
-        ab = self.rhs.nonlinear(stage)
-        ab += a
-        np.multiply(ab, 0.25 * h, out=stage)
-        stage += y
-        out = self.rhs.nonlinear(stage)
-        out *= 4.0
-        out += ab
-        out *= h / 6.0
-        out += y
-        return np.multiply(self.half, out, out=out)
+        a = f(y)
+        ab = a + f(y + h * a)
+        c = f(y + (0.25 * h) * ab)
+        return self.half * (y + (h / 6.0) * (ab + 4.0 * c))
 
 
 def _horner(coefficients, z: np.ndarray) -> np.ndarray:

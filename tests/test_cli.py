@@ -586,6 +586,17 @@ def test_a_writer_refuses_a_table_it_would_misread(tmp_path, monkeypatch, table,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_the_writer_process_runs_in_a_session_of_its_own(tmp_path, monkeypatch):
+    # so a terminal's Ctrl-C, sent to the caller's session, does not reach it
+    monkeypatch.setattr(_tsv, "_HERE_BYTES", 0)
+    with _tsv.Writer() as writer:
+        writer.send(tmp_path / "t.tsv", "a\tb", np.zeros((2, 2)))
+        assert os.getsid(writer._child.pid) != os.getsid(0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert (tmp_path / "t.tsv").read_text() == "a\tb\n0\t0\n0\t0\n"
+
+
 def _frame(path, header, table):
     """One frame of the writer process's input (see `_tsv`)."""
     raw_path, raw_header = os.fsencode(path), header.encode()
@@ -726,9 +737,10 @@ def test_killed_writer_raises_instead_of_hanging(tmp_path, monkeypatch, caplog):
 
     def send_then_kill(self, *args):
         real_send(self, *args)
-        os.kill(self._pid, signal.SIGKILL)
+        pid = self._child.pid
+        os.kill(pid, signal.SIGKILL)
         # wait for the child's death but leave it to close() to reap
-        os.waitid(os.P_PID, self._pid, os.WEXITED | os.WNOWAIT)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
 
     monkeypatch.setattr(_tsv.Writer, "send", send_then_kill)
     path = write_config(tmp_path, QUICK_RUN)
@@ -739,15 +751,15 @@ def test_killed_writer_raises_instead_of_hanging(tmp_path, monkeypatch, caplog):
 
 
 def _spawns(monkeypatch):
-    """A list of the argv of each os.posix_spawn call from now on."""
+    """A list of the argv of each subprocess.Popen call from now on."""
     spawned = []
-    real_spawn = os.posix_spawn
+    real_popen = subprocess.Popen
 
-    def counted(path, argv, *args, **kwargs):
+    def counted(argv, *args, **kwargs):
         spawned.append(argv)
-        return real_spawn(path, argv, *args, **kwargs)
+        return real_popen(argv, *args, **kwargs)
 
-    monkeypatch.setattr(os, "posix_spawn", counted)
+    monkeypatch.setattr(subprocess, "Popen", counted)
     return spawned
 
 
@@ -963,11 +975,11 @@ def test_gaussian_simulate_never_imports_numpy_random(tmp_path):
     assert seen == ["False", "True"]
 
 
-def test_simulate_never_imports_subprocess(tmp_path):
-    # the writer process is spawned without the subprocess module, whose
-    # import costs a few ms, and the coefficients are floats throughout,
-    # with no decimal arithmetic; a fresh interpreter, since this one has both
-    path = write_config(tmp_path, QUICK_RUN)
+def test_a_run_within_the_budget_imports_neither_subprocess_nor_decimal(tmp_path):
+    # only a run that starts the writer process imports subprocess, and the
+    # coefficients are floats throughout, with no decimal arithmetic; a
+    # fresh interpreter, since this one has both
+    path = write_config(tmp_path, N512)
     child = subprocess.run(
         [sys.executable, "-c", "import sys\n"
          "from bonls.cli import main\n"
@@ -977,7 +989,7 @@ def test_simulate_never_imports_subprocess(tmp_path):
         env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "False False"
-    assert (tmp_path / "run" / "snapshot_0002.tsv").exists()
+    assert (tmp_path / "run" / "snapshot_0001.tsv").exists()
 
 
 def test_simulate_imports_neither_the_verify_suite_nor_hamiltonian(tmp_path):
